@@ -53,23 +53,37 @@ def _metric(value: float, unit: str) -> dict:
 
 
 def end_to_end(run) -> tuple[dict, dict]:
+    """End-to-end metrics of an untraced run.
+
+    Op timings are reference times (see pace.py): wall times scaled by the
+    machine's speed around each op. Wall-time figures go to the report.
+    """
     s = run.samples
-    ops = s.step_ms if run.workload.trains else s.frame_ms
+    op = "step" if run.workload.trains else "frame"
+    ops = s.ref_ms[op]
     op_tail, percentile = tail(ops)
+    tracked_ms = sum(s.ref_ms["init"]) + sum(s.ref_ms["frame"])
+    handled = len(s.ref_ms["init"]) + len(s.ref_ms["frame"])
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     metrics = {
-        "op_ms_p50": _metric(statistics.median(ops), "ms"),
-        "op_ms_tail": _metric(op_tail, "ms"),
-        "seq_frames_per_s": _metric(s.frames_handled / s.tracking_s, "1/s"),
+        "op_ref_ms_p50": _metric(statistics.median(ops), "ref_ms"),
+        "op_ref_ms_tail": _metric(op_tail, "ref_ms"),
+        "seq_frames_per_ref_s": _metric(1e3 * handled / tracked_ms, "1/ref_s"),
         "peak_rss_mb": _metric(peak_kb / 1024.0, "MB"),
         "setup_s": _metric(statistics.median(run.setup_s), "s"),
     }
+    kernel = np.percentile(run.pace.kernel_ms, [0, 50, 100])
     extra = {
         "op": "train step" if run.workload.trains else "Tracker.track",
         "op_samples": len(ops), "op_tail_percentile": percentile,
-        "init_ms_p50": statistics.median(s.init_ms),
-        "init_samples": len(s.init_ms), "frame_samples": len(s.frame_ms),
+        "op_wall_ms_p50": statistics.median(s.wall_ms[op]),
+        "op_wall_ms_tail": float(np.percentile(s.wall_ms[op], percentile)),
+        "init_ref_ms_p50": statistics.median(s.ref_ms["init"]),
+        "init_wall_ms_p50": statistics.median(s.wall_ms["init"]),
+        "init_samples": len(s.ref_ms["init"]),
+        "frame_samples": len(s.ref_ms["frame"]),
         "setup_samples": len(run.setup_s),
+        "kernel_ms_min_p50_max": kernel.tolist(),
         "failed_op_share": s.failed / max(s.attempted, 1),
         "train_loss_ratios": s.loss_ratios,
         "overfit_mean_ious": s.overfit_ious,

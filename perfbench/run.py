@@ -96,11 +96,13 @@ def main(argv: list[str] | None = None) -> int:
                 begin = time.perf_counter()
                 run.episode(seq)
                 episodes.append((traced, seq, time.perf_counter() - begin))
+                if not tracer and len(episodes) % cycle == 0:
+                    # set up again after every cycle and at the end, so
+                    # setup_s samples the machine across the whole run
+                    run.setup(1)
             if tracer:
                 tracer.enabled = False
             else:
-                # set up again after the episodes, so setup_s samples the
-                # machine at both ends of the run, not at one moment
                 run.setup()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

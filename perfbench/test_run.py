@@ -92,6 +92,23 @@ def test_layers_run_where_the_workloads_say(smoke):
                            and not k.startswith("attention."))
 
 
+def test_reference_time_scales_wall_time_by_the_kernel():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from pace import REFERENCE_MS, Pace, reference_ms
+    assert reference_ms(100.0, REFERENCE_MS, REFERENCE_MS) == pytest.approx(100.0)
+    # the machine ran at half speed around the op
+    assert reference_ms(100.0, 2 * REFERENCE_MS, 2 * REFERENCE_MS) == pytest.approx(50.0)
+    pace = Pace()
+    assert pace.tick() > 0 and len(pace.kernel_ms) == 1
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_wall_times_are_reported_beside_reference_times(smoke, workload):
+    report = smoke(workload, 0)[1]
+    assert report["op_wall_ms_p50"] > 0 and report["init_wall_ms_p50"] > 0
+    assert report["op_samples"] >= 1 and len(report["kernel_ms_min_p50_max"]) == 3
+
+
 def test_fails_without_the_package_sources(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     for path in BENCH["paths"]:

@@ -22,6 +22,8 @@ import attntrack.pipeline.train as train_mod
 import attntrack.tensor as tensor_mod
 import attntrack.transformer as transformer_mod
 
+from pace import Pace
+
 # (module or class, attribute, span name). Several attributes may share a
 # span name: the layer is the module that does the work, wherever it is
 # called from.
@@ -153,14 +155,20 @@ class Probes:
     """Hooks the untraced run needs too: output checks and step timing.
 
     ``solve_cg`` results are inspected for ``degraded`` and ``Adam.step``
-    calls are time-stamped. With a tracer attached, the same wrappers also
-    record spans and counters, and the full set of span wrappers is added.
+    calls are time-stamped; with a ``Pace``, the calibration kernel runs
+    at each call, outside the step intervals. With a tracer attached, the
+    same wrappers also record spans and counters, and the full set of span
+    wrappers is added.
     """
 
-    def __init__(self, tracer: Tracer | None = None):
+    def __init__(self, tracer: Tracer | None = None, pace: Pace | None = None):
         self.tracer = tracer
+        self.pace = pace
         self.degraded_solves = 0
-        self.step_marks: list[float] = []
+        # per Adam.step call: (time it was called, kernel ms or None, time
+        # the calibration ended); a step's interval runs from one call's
+        # third field to the next call's first
+        self.step_marks: list[tuple[float, float | None, float]] = []
         self._saved: list[tuple[object, str, object]] = []
 
     def _patch(self, owner, attr: str, wrapper) -> None:
@@ -287,7 +295,9 @@ class Probes:
         tracer = self.tracer
 
         def wrapper(optimizer, *args, **kwargs):
-            probes.step_marks.append(time.perf_counter())
+            called = time.perf_counter()
+            kernel_ms = probes.pace.tick() if probes.pace else None
+            probes.step_marks.append((called, kernel_ms, time.perf_counter()))
             if tracer is None or not tracer.enabled:
                 return fn(optimizer, *args, **kwargs)
             index = tracer.begin("pipeline.train.optimizer")

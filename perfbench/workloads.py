@@ -3,8 +3,8 @@
 Each workload is a set-up (render a few sequences and round-trip them
 through ``save_sequence``/``load_sequence``, build the model and round-trip
 it through ``save_model``/``load_model``) followed by episodes repeated
-until the measuring time is up. Episodes cycle through the sequences, so
-a run averages over several inputs and repeats each one. One seed fixes
+until the measuring time is up. Episodes cycle through the workload's
+sequences, so a run repeats each one. One seed fixes
 the sequences and the model weights: a repeated sequence must give the
 same boxes as its first pass.
 """
@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import shutil
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from attntrack import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        load_model, save_model, train_toy)
 from attntrack.pipeline import load_sequence, save_sequence
 
+from pace import Pace, reference_ms
 from tracing import Probes, Tracer
 
 
@@ -63,6 +65,7 @@ def _offline_spec(seed: int, index: int) -> SequenceSpec:
 
 
 def _online_spec(seed: int, index: int) -> SequenceSpec:
+    # 24 tracked frames at |v| <= 0.8 px keep the whole box inside 112 px
     rng = np.random.default_rng([seed, index, 2])
     return SequenceSpec(
         image_size=(112, 112),
@@ -94,7 +97,7 @@ WORKLOADS = {w.name: w for w in (
         why="64/128 geometry, online on, brightness drift: the GN/CG solve "
             "is almost all of the frame; attention is about 1%",
         config=ONLINE,
-        sizes=Sizes(frames=11, sequences=2, setup_reps=5),
+        sizes=Sizes(frames=25, sequences=1, setup_reps=5),
         smoke_config=dataclasses.replace(ONLINE, memory_capacity=6,
                                          online_init_gn_steps=2),
         smoke_sizes=Sizes(frames=3, sequences=1, setup_reps=1),
@@ -104,7 +107,7 @@ WORKLOADS = {w.name: w for w in (
         why="train_toy from seeded weights, then track and score the "
             "sequence: backward, Adam, loss and crop sampler run on the tape",
         config=TrackerConfig(**TOY),
-        sizes=Sizes(frames=20, sequences=2, setup_reps=5, train_steps=60,
+        sizes=Sizes(frames=20, sequences=1, setup_reps=5, train_steps=60,
                     track_passes=2),
         smoke_config=TrackerConfig(**TOY),
         smoke_sizes=Sizes(frames=6, sequences=1, setup_reps=1, train_steps=4),
@@ -115,17 +118,21 @@ WORKLOADS = {w.name: w for w in (
 @dataclass
 class Samples:
     """Everything the episodes measured, traced or not."""
-    init_ms: list[float] = field(default_factory=list)
-    frame_ms: list[float] = field(default_factory=list)
-    step_ms: list[float] = field(default_factory=list)
-    tracking_s: float = 0.0          # init plus track wall time
-    frames_handled: int = 0          # init frames count as handled
+    # op wall times and reference times in ms by kind: "init", "frame" or
+    # "step"; reference times only when the run calibrates (see pace.py)
+    wall_ms: dict[str, list[float]] = field(default_factory=dict)
+    ref_ms: dict[str, list[float]] = field(default_factory=dict)
     attempted: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
     digests: dict[int, str] = field(default_factory=dict)  # by sequence
     loss_ratios: dict[int, float] = field(default_factory=dict)   # by sequence
     overfit_ious: dict[int, float] = field(default_factory=dict)
+
+    def add(self, kind: str, wall_ms: float, ref_ms: float | None) -> None:
+        self.wall_ms.setdefault(kind, []).append(wall_ms)
+        if ref_ms is not None:
+            self.ref_ms.setdefault(kind, []).append(ref_ms)
 
     def fail(self, what: str) -> None:
         self.failed += 1
@@ -144,7 +151,9 @@ class Run:
         self.sizes = workload.smoke_sizes if smoke else workload.sizes
         self.workdir = workdir
         self.tracer = tracer
-        self.probes = Probes(tracer)
+        # calibrate untraced runs only: the kernel would show up in spans
+        self.pace = None if tracer else Pace()
+        self.probes = Probes(tracer, self.pace)
         self.samples = Samples()
         self.setup_s: list[float] = []
 
@@ -153,14 +162,22 @@ class Run:
 
     # -- set-up ----------------------------------------------------------------
 
-    def setup(self) -> None:
-        """Repeat the set-up; keep the last sequences and checkpoint."""
-        for rep in range(self.sizes.setup_reps):
-            self.ckpt = self.workdir / f"model{rep}.trtr"
+    def setup(self, reps: int | None = None) -> None:
+        """Set up ``reps`` times (default ``setup_reps``); keep the last
+        sequences and checkpoint."""
+        for _ in range(self.sizes.setup_reps if reps is None else reps):
+            # each set-up writes into a new directory, and the one before is
+            # removed once it is done: rewriting the same files in place
+            # made save_sequence slower and far more variable (ext4 starts
+            # writeback when a truncated file is closed)
+            previous = self.ckpt.parent if self.setup_s else None
+            rep_dir = self.workdir / f"setup{len(self.setup_s)}"
+            self.ckpt = rep_dir / "model.trtr"
             self.sequences = []
             start = time.perf_counter()
+            rep_dir.mkdir()
             for index in range(self.sizes.sequences):
-                seq_dir = self.workdir / f"seq{rep}-{index}"
+                seq_dir = rep_dir / f"seq{index}"
                 with self.span("pipeline.synth"):
                     frames, boxes = generate_synthetic_sequence(
                         sub_seed(self.seed, index), self.sizes.frames,
@@ -176,6 +193,8 @@ class Run:
             with self.span("pipeline.model_io"):
                 self.model, loaded = load_model(self.ckpt)
             self.setup_s.append(time.perf_counter() - start)
+            if previous is not None:
+                shutil.rmtree(previous)
             if loaded != self.config:
                 raise RuntimeError(f"checkpoint config round trip changed "
                                    f"{self.config} into {loaded}")
@@ -211,38 +230,40 @@ class Run:
         return hashlib.sha256(joined.encode()).hexdigest()[:16]
 
     def _op(self, kind: str, call):
-        """Run one timed operation; a raise counts as a failed operation."""
+        """Run one timed operation; a raise counts as a failed operation.
+
+        Returns the result (None on failure) and the op's wall and reference
+        ms; the reference time is None when the run does not calibrate.
+        """
         degraded = self.probes.degraded_solves
         self.samples.attempted += 1
+        before = self.pace.tick() if self.pace else None
         start = time.perf_counter()
         try:
             with self.span("pipeline.tracker"):
                 result = call()
         except Exception:
             self.samples.fail(f"{kind} raised: {traceback.format_exc(limit=3)}")
-            return None, time.perf_counter() - start
-        elapsed = time.perf_counter() - start
-        if self.probes.degraded_solves != degraded:
+            result = None
+        wall = 1e3 * (time.perf_counter() - start)
+        ref = reference_ms(wall, before, self.pace.tick()) if self.pace else None
+        if result is not None and self.probes.degraded_solves != degraded:
             self.samples.fail(f"{kind}: online solve returned degraded")
-            return None, elapsed
-        return result, elapsed
+            result = None
+        return result, wall, ref
 
     def _track_pass(self, model, frames, boxes) -> list:
         """Init on frame 0 and track the rest; returns the output boxes."""
         s = self.samples
         _, height, width = frames[0].pixels.shape
         tracker = Tracker(model, self.config)
-        state, elapsed = self._op("init", lambda: tracker.init(frames[0], boxes[0]))
-        s.tracking_s += elapsed
+        state, wall, ref = self._op("init", lambda: tracker.init(frames[0], boxes[0]))
         if state is None:
             return []
-        s.init_ms.append(1e3 * elapsed)
-        s.frames_handled += 1
+        s.add("init", wall, ref)
         out = [boxes[0]]
         for frame in frames[1:]:
-            result, elapsed = self._op("frame", lambda: tracker.track(frame))
-            s.tracking_s += elapsed
-            s.frames_handled += 1
+            result, wall, ref = self._op("frame", lambda: tracker.track(frame))
             if result is None:
                 continue
             box, diag = result
@@ -250,7 +271,7 @@ class Run:
             if problem:
                 s.fail(f"frame {frame.index}: {problem}")
                 continue
-            s.frame_ms.append(1e3 * elapsed)
+            s.add("frame", wall, ref)
             out.append(box)
         return out
 
@@ -269,8 +290,11 @@ class Run:
             s.fail(f"train step raised: {traceback.format_exc(limit=3)}")
         marks = self.probes.step_marks[first_mark:]
         s.attempted += max(len(marks), len(history)) + (0 if history else 1)
-        # step time is the interval between consecutive Adam.step calls
-        s.step_ms.extend(1e3 * float(d) for d in np.diff(marks))
+        # step time is the interval between consecutive Adam.step calls,
+        # less the calibration run at each call
+        for (_, before, start), (end, after, _) in zip(marks, marks[1:]):
+            wall = 1e3 * (end - start)
+            s.add("step", wall, reference_ms(wall, before, after) if self.pace else None)
         for step, loss in enumerate(history):
             if not math.isfinite(loss):
                 s.fail(f"step {step}: non-finite loss {loss}")
