@@ -114,11 +114,6 @@ def attention_weights(q: Tensor, k: Tensor) -> Tensor:
     return T.softmax_rows(logits)
 
 
-def attention_output(a: Tensor, v: Tensor) -> Tensor:
-    """Aggregate values by attention weight: A @ V."""
-    return T.matmul(a, v)
-
-
 def multi_head_attention(inputs: AttentionInputs, w: MultiHeadWeights,
                          attn_sink: list | None = None) -> Tensor:
     """Concatenate the per-head outputs on the channel axis, then project.
@@ -135,7 +130,7 @@ def multi_head_attention(inputs: AttentionInputs, w: MultiHeadWeights,
         a = attention_weights(q, k)
         if attn_sink is not None:
             attn_sink.append(a.data.copy())
-        outputs.append(attention_output(a, v))
+        outputs.append(T.matmul(a, v))
     joined = T.concat(outputs, axis=1) if len(outputs) > 1 else outputs[0]
     return T.matmul(joined, w.wo)
 

@@ -22,8 +22,8 @@ import numpy as np
 from .pipeline import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        build_model, evaluate, generate_synthetic_sequence,
                        load_model, load_sequence, read_rect_file, save_model,
-                       save_sequence, train_toy, write_csv, write_pgm,
-                       write_rect_file)
+                       save_sequence, track_sequence, train_toy, write_csv,
+                       write_pgm, write_rect_file)
 from .transformer import AttentionTrace
 
 
@@ -125,12 +125,7 @@ def _cmd_track(args) -> int:
     if not boxes:
         print("sequence has no ground truth; cannot initialize", file=sys.stderr)
         return 1
-    tracker = Tracker(model, config)
-    tracker.init(frames[0], boxes[0])
-    results = [boxes[0]]
-    for frame in frames[1:]:
-        box, _ = tracker.track(frame)
-        results.append(box)
+    results = track_sequence(model, config, frames, boxes[0])
     write_rect_file(args.out, results)
     print(f"wrote {len(results)} boxes to {args.out}")
     if args.metrics:
@@ -164,8 +159,6 @@ def _run_to_frame(args):
     tracker = Tracker(model, config)
     init_trace = AttentionTrace()
     tracker.init(frames[0], boxes[0], trace=init_trace)
-    trace = AttentionTrace()
-    diag = None
     for i in range(1, target + 1):
         trace = AttentionTrace()
         _, diag = tracker.track(frames[i], trace=trace)

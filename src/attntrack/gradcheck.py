@@ -19,8 +19,8 @@ from .localize import heads_forward, init_head_weights
 from .loss import focal_loss, joint_loss, make_ground_truth, offset_loss, size_loss
 from .pipeline.backbone import backbone_forward, init_backbone
 from .tensor import Tensor, finite_difference_check
-from .transformer import (DecoderInput, EncoderInput, init_transformer,
-                          run_transformer)
+from .transformer import (build_positional_encoding, decode, encode,
+                          init_transformer)
 
 
 @dataclass
@@ -176,9 +176,12 @@ def check_full_stack(rng) -> tuple[float, int]:
     params = [z, x]
     params += [p for _, p in weights.named_parameters()]
     params += [p for _, p in head_weights.named_parameters()]
+    pe_z = build_positional_encoding(h, w, d)
+    pe_x = build_positional_encoding(hh, ww, d)
 
     def loss():
-        decoded = run_transformer(EncoderInput(z), DecoderInput(x), weights)
+        memory = encode(z, weights.encoder, pe_z)
+        decoded = decode(x, memory, pe_z, weights.decoder, pe_x)
         maps = heads_forward(decoded, head_weights, stride=8)
         score2d = T.reshape(maps.score, (hh, ww))
         return joint_loss(focal_loss(score2d, target.label),

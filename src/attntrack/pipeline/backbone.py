@@ -32,14 +32,6 @@ class BackboneWeights:
         yield f"{prefix}.reduce.kernel", self.reduce_kernel
         yield f"{prefix}.reduce.bias", self.reduce_bias
 
-    @property
-    def mid_channels(self) -> int:
-        return self.kernels[2].shape[0]
-
-    @property
-    def out_channels(self) -> int:
-        return self.reduce_kernel.shape[0]
-
 
 def init_backbone(rng: np.random.Generator, c_mid: int = 32, d: int = 32) -> BackboneWeights:
     channels = [3, 8, 16, c_mid, c_mid]

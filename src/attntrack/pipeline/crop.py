@@ -95,7 +95,7 @@ def crop_template(frame: np.ndarray, box: BoundingBox, out_size: int) -> CropRes
 
 
 def crop_search(frame: np.ndarray, prev_box: BoundingBox, search_size: int,
-                template_size: int = 127) -> CropResult:
+                template_size: int) -> CropResult:
     """Search patch: the template square scaled by search_size/template_size."""
     _check_box(frame, prev_box)
     side = context_side(prev_box) * search_size / template_size

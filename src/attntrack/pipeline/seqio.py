@@ -52,6 +52,10 @@ def read_netpbm(path) -> np.ndarray:
         width = int(_read_token(fh))
         height = int(_read_token(fh))
         maxval = int(_read_token(fh))
+        if not 1 <= maxval <= 255:
+            # 0 would divide by zero; above 255 samples take two bytes
+            raise ValueError(f"{path}: unsupported netpbm maxval {maxval} "
+                             f"(only 8-bit, 1..255, is read)")
         channels = 3 if magic == b"P6" else 1
         count = width * height * channels
         raw = fh.read(count)

@@ -1,11 +1,17 @@
-"""Per-sequence tracking state machine.
+"""The model's forward path and the per-sequence tracking state machine.
 
-``Tracker.init`` crops the template once, encodes it, and freezes the
-resulting memory; ``Tracker.track`` crops a search patch around the last
-box, decodes it against the template memory, reads the head maps, and
-maps the decoded box back to image coordinates. The optional online
-branch maintains a sample memory over mid-level features and refreshes
-its filter with short Gauss-Newton/CG bursts.
+One chain serves tracking and training alike. ``extract_features`` pads a
+crop to the stride, runs the backbone, and turns its output into
+channel-last tokens plus the grid pad mask; it is the only place the
+``pe_mask`` setting is read. ``encode_template`` runs the encoder over a
+template crop and returns the memory with the template's positional code.
+``decode_search`` decodes search features against that memory and reads
+the head maps. ``Tracker.init`` encodes the template once and freezes the
+memory; ``Tracker.track`` crops a search patch around the last box,
+decodes it, and maps the decoded box back to image coordinates.
+``train_toy`` calls the same two functions on the tape. The optional
+online branch keeps a sample memory over the backbone's mid-level
+features and refreshes its filter with short Gauss-Newton/CG bursts.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ from ..loss import adaptive_sigma, gaussian_label
 from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
                       online_forward, solve_cg, update_memory)
 from ..tensor import Tensor, load_checkpoint, save_checkpoint
-from ..transformer import (AttentionTrace, DecoderInput, EncoderInput,
-                           PositionalEncoding, TransformerWeights,
-                           build_positional_encoding, decode, encode,
-                           init_transformer)
+from ..transformer import (AttentionTrace, PositionalEncoding,
+                           TransformerWeights, build_positional_encoding,
+                           decode, encode, init_transformer)
 from .backbone import BackboneWeights, backbone_forward, init_backbone
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple, patch_to_image)
@@ -41,7 +46,6 @@ STRIDE = 8
 class TrackerConfig:
     template_size: int = 127
     search_size: int = 255
-    stride: int = STRIDE
     d: int = 32
     n_heads: int = 4
     ffn_hidden: int = 0                  # 0 -> 8 * d
@@ -71,8 +75,6 @@ class TrackerConfig:
     def __post_init__(self):
         if self.search_size < self.template_size:
             raise ConfigurationError("search size must be >= template size")
-        if self.stride != STRIDE:
-            raise ConfigurationError(f"backbone stride is fixed at {STRIDE}")
         if self.d % 4:
             raise ConfigurationError("model width must be divisible by 4")
         if self.d % self.n_heads:
@@ -85,16 +87,6 @@ class TrackerConfig:
     @property
     def ffn_width(self) -> int:
         return self.ffn_hidden if self.ffn_hidden else 8 * self.d
-
-
-# integer/boolean config fields round-trip through the float checkpoint
-_INT_FIELDS = {"template_size", "search_size", "stride", "d", "n_heads",
-               "ffn_hidden", "n_encoder_layers", "n_decoder_layers", "c_mid",
-               "online_hidden", "online_kernel", "memory_capacity",
-               "online_init_gn_steps", "online_init_cg_iters",
-               "online_update_gn_steps", "online_update_cg_iters",
-               "online_update_interval"}
-_BOOL_FIELDS = {"online", "pe_mask"}
 
 
 @dataclass
@@ -141,15 +133,12 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     kwargs = {}
     for f in dataclasses.fields(TrackerConfig):
         key = f"config.{f.name}"
-        if key not in data:
-            continue
-        value = float(data[key])
-        if f.name in _INT_FIELDS:
-            kwargs[f.name] = int(round(value))
-        elif f.name in _BOOL_FIELDS:
-            kwargs[f.name] = bool(round(value))
-        else:
-            kwargs[f.name] = value
+        if key in data:
+            # ints and flags round-trip through the float checkpoint; each
+            # field's default has the field's type
+            cast = type(f.default)
+            value = float(data[key])
+            kwargs[f.name] = value if cast is float else cast(round(value))
     config = TrackerConfig(**kwargs)
     model = build_model(np.random.default_rng(0), config)
     for name, param in model.named_parameters():
@@ -175,19 +164,50 @@ class PatchFeatures:
     crop: CropResult
     tokens: Tensor               # (h, w, d) channel-last feature grid
     mid: np.ndarray              # (c_mid, h, w) online-branch tap
-    mask: np.ndarray             # (h, w) grid-level pad mask
-    padded_size: int
+    mask: np.ndarray             # (h, w) cells whose positional code is zeroed
 
 
-def extract_features(frame_pixels: np.ndarray, crop: CropResult,
-                     model: ModelWeights, config: TrackerConfig) -> PatchFeatures:
+def extract_features(crop: CropResult, model: ModelWeights,
+                     config: TrackerConfig) -> PatchFeatures:
+    """Pad the crop to the stride, run the backbone, and mask the grid.
+
+    With ``config.pe_mask`` off the mask is all False, so every cell keeps
+    its positional code.
+    """
     padded = pad_to_multiple(crop, STRIDE)
     mid, out = backbone_forward(Tensor(padded.patch), model.backbone)
     tokens = T.transpose(out, (1, 2, 0))
     mask = grid_pad_mask(padded.pad_mask)
     return PatchFeatures(crop=padded, tokens=tokens, mid=mid.data,
-                         mask=mask if config.pe_mask else np.zeros_like(mask),
-                         padded_size=padded.patch.shape[1])
+                         mask=mask if config.pe_mask else np.zeros_like(mask))
+
+
+def _positional_encoding(feats: PatchFeatures) -> PositionalEncoding:
+    h, w, d = feats.tokens.shape
+    return build_positional_encoding(h, w, d, feats.mask)
+
+
+def encode_template(model: ModelWeights, config: TrackerConfig,
+                    crop: CropResult, trace: AttentionTrace | None = None
+                    ) -> tuple[Tensor, PositionalEncoding]:
+    """Backbone and encoder over a template crop.
+
+    Returns the encoder memory and the template's positional code, which
+    the decoder's cross-attention keys need.
+    """
+    feats = extract_features(crop, model, config)
+    pe = _positional_encoding(feats)
+    return encode(feats.tokens, model.transformer.encoder, pe, trace=trace), pe
+
+
+def decode_search(model: ModelWeights, feats: PatchFeatures, memory: Tensor,
+                  template_pe: PositionalEncoding,
+                  trace: AttentionTrace | None = None) -> HeadMaps:
+    """Decoder and heads over search features, against a template memory."""
+    decoded = decode(feats.tokens, memory, template_pe,
+                     model.transformer.decoder, _positional_encoding(feats),
+                     trace=trace)
+    return heads_forward(decoded, model.heads, STRIDE)
 
 
 @dataclass
@@ -230,12 +250,7 @@ class Tracker:
         cfg = self.config
         with T.no_grad():
             crop = crop_template(pixels, box, cfg.template_size)
-            feats = extract_features(pixels, crop, self.model, cfg)
-            h, w, d = feats.tokens.shape
-            pe = build_positional_encoding(
-                h, w, d, feats.mask if cfg.pe_mask else None)
-            memory = encode(EncoderInput(feats.tokens, feats.mask),
-                            self.model.transformer.encoder, pe=pe, trace=trace)
+            memory, pe = encode_template(self.model, cfg, crop, trace=trace)
 
         grid = self._search_grid_extent()
         window = make_cosine_window(grid, grid, cfg.window_influence)
@@ -279,7 +294,7 @@ class Tracker:
                                        cfg.template_size)
                 except TrackingError:
                     continue
-                feats = extract_features(pixels, crop, self.model, cfg)
+                feats = extract_features(crop, self.model, cfg)
                 center_patch = image_to_patch((box.cx, box.cy), feats.crop)
                 label = self._online_label(
                     center_patch, (box.w / feats.crop.scale, box.h / feats.crop.scale),
@@ -306,14 +321,9 @@ class Tracker:
 
         with T.no_grad():
             crop = crop_search(pixels, state.box, cfg.search_size, cfg.template_size)
-            feats = extract_features(pixels, crop, self.model, cfg)
-            h, w, d = feats.tokens.shape
-            pe = build_positional_encoding(h, w, d,
-                                           feats.mask if cfg.pe_mask else None)
-            decoded = decode(DecoderInput(feats.tokens, feats.mask),
-                             state.template_memory, state.template_pe,
-                             self.model.transformer.decoder, pe=pe, trace=trace)
-            maps = heads_forward(decoded, self.model.heads, STRIDE)
+            feats = extract_features(crop, self.model, cfg)
+            maps = decode_search(self.model, feats, state.template_memory,
+                                 state.template_pe, trace=trace)
 
         raw = maps.score.data[:, :, 0]
         windowed = apply_window(raw, state.window)
@@ -337,8 +347,8 @@ class Tracker:
         cell = peak_cell(decode_map)
         peak_score = float(decode_map[cell[1], cell[0]])
         center_patch = decode_center(decode_map, maps.offset.data, STRIDE)
-        size_patch = decode_size(maps.size.data, cell,
-                                 feats.padded_size, feats.padded_size)
+        padded_size = feats.crop.patch.shape[1]
+        size_patch = decode_size(maps.size.data, cell, padded_size, padded_size)
 
         center_img = patch_to_image(center_patch, feats.crop)
         size_img = (size_patch[0] * feats.crop.scale,

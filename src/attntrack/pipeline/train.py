@@ -13,16 +13,20 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import TrainingDivergence
-from ..localize import BoundingBox, HeadMaps, heads_forward
+from ..localize import BoundingBox, HeadMaps
 from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
 from ..tensor import Tensor
-from ..transformer import (DecoderInput, EncoderInput,
-                           build_positional_encoding, decode, encode)
+from ..transformer import PositionalEncoding
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple)
 from .seqio import Frame
-from .tracker import (STRIDE, ModelWeights, TrackerConfig, grid_pad_mask)
+from .tracker import (STRIDE, ModelWeights, TrackerConfig, decode_search,
+                      encode_template, extract_features)
+
+# not called here: the benchmark's tracer wraps these names on this module
+from ..localize import heads_forward  # noqa: F401
+from ..transformer import build_positional_encoding, decode, encode  # noqa: F401
 
 
 @dataclass
@@ -69,12 +73,6 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def make_template_crop(frame: Frame, box: BoundingBox,
-                       config: TrackerConfig) -> CropResult:
-    return pad_to_multiple(
-        crop_template(frame.pixels, box, config.template_size), STRIDE)
-
-
 def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
                          config: TrackerConfig, rng: np.random.Generator,
                          center_jitter_cells: float = 2.0,
@@ -108,27 +106,11 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
                                  STRIDE, grid, grid))
 
 
-def forward_pair(model: ModelWeights, config: TrackerConfig,
-                 template: CropResult, search: CropResult) -> HeadMaps:
-    """Full tape-recorded forward pass: backbone, transformer, heads."""
-    from .backbone import backbone_forward
-
-    _, z_out = backbone_forward(Tensor(template.patch), model.backbone)
-    z_tokens = T.transpose(z_out, (1, 2, 0))
-    z_mask = grid_pad_mask(template.pad_mask)
-    h, w, d = z_tokens.shape
-    pe_z = build_positional_encoding(h, w, d, z_mask if config.pe_mask else None)
-    memory = encode(EncoderInput(z_tokens, z_mask),
-                    model.transformer.encoder, pe=pe_z)
-
-    _, x_out = backbone_forward(Tensor(search.patch), model.backbone)
-    x_tokens = T.transpose(x_out, (1, 2, 0))
-    x_mask = grid_pad_mask(search.pad_mask)
-    hh, ww, _ = x_tokens.shape
-    pe_x = build_positional_encoding(hh, ww, d, x_mask if config.pe_mask else None)
-    decoded = decode(DecoderInput(x_tokens, x_mask), memory, pe_z,
-                     model.transformer.decoder, pe=pe_x)
-    return heads_forward(decoded, model.heads, STRIDE)
+def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
+                 template_pe: PositionalEncoding, search: CropResult) -> HeadMaps:
+    """Tape-recorded decode of one search crop against an encoded template."""
+    return decode_search(model, extract_features(search, model, config),
+                         memory, template_pe)
 
 
 def pair_loss(maps: HeadMaps, target: GroundTruth,
@@ -151,18 +133,21 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
     if len(frames) < 2:
         raise ValueError("need at least two frames to build training pairs")
     rng = np.random.default_rng(settings.seed)
-    template = make_template_crop(frames[0], boxes[0], config)
+    template = crop_template(frames[0].pixels, boxes[0], config.template_size)
     optimizer = Adam([p for _, p in model.named_parameters()], lr=settings.lr)
     history = []
     for step in range(settings.steps):
         model.zero_grad()
+        # one template encoding per step, shared by the whole batch
+        memory, template_pe = encode_template(model, config, template)
         losses = []
         parts = np.zeros(3)
         for _ in range(max(settings.batch_size, 1)):
             pair = sample_training_pair(frames, boxes, config, rng,
                                         settings.center_jitter_cells,
                                         settings.scale_jitter)
-            maps = forward_pair(model, config, template, pair.search_crop)
+            maps = forward_pair(model, config, memory, template_pe,
+                                pair.search_crop)
             total, ly, lo, ls = pair_loss(maps, pair.target,
                                           settings.lambda_offset,
                                           settings.lambda_size)

@@ -1,10 +1,10 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a numpy array plus an optional gradient buffer.
-Operations record a closure on a tape (the implicit graph of ``_parents``
-links); calling :meth:`Tensor.backward` on a scalar result walks the graph
-in reverse topological order and accumulates ``grad`` on every tensor that
-was created with ``requires_grad=True``.
+Operations record a ``backward(grad)`` closure on a tape (the implicit
+graph of ``_parents`` links); calling :meth:`Tensor.backward` on a scalar
+result walks the graph in reverse topological order and accumulates
+``grad`` on every tensor that was created with ``requires_grad=True``.
 
 Everything is float64: the whole package is sized for gradient checking
 and desk-scale experiments, not throughput.
@@ -36,7 +36,7 @@ class Tensor:
         self.data: Array = _as_array(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     @property
@@ -92,7 +92,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -167,12 +167,18 @@ class no_grad:
         return False
 
 
-def _make(data: Array, parents: Sequence[Tensor], backward: Callable[["Tensor"], Callable[[], None]]) -> Tensor:
-    """Create a result node; skip tape recording when no parent needs grads."""
+def _make(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], None]) -> Tensor:
+    """Create a result node; skip tape recording when no parent needs grads.
+
+    ``backward(grad)`` accumulates the result's gradient into the parents.
+    It must not capture the result: then the tape holds no reference
+    cycles, and a node is freed as soon as it is dropped, without the
+    cyclic garbage collector.
+    """
     out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
-        out._backward = backward(out)
+        out._backward = backward
     return out
 
 
@@ -193,13 +199,11 @@ def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     data = a.data + b.data
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.shape))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(grad, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -208,13 +212,11 @@ def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     data = a.data - b.data
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-out.grad, b.shape))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-grad, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -223,13 +225,11 @@ def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     data = a.data * b.data
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(grad * a.data, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -240,11 +240,9 @@ def power(a, exponent: float) -> Tensor:
     exponent = float(exponent)
     data = a.data ** exponent
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * exponent * a.data ** (exponent - 1.0))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
 
     return _make(data, (a,), backward)
 
@@ -253,13 +251,10 @@ def relu(a) -> Tensor:
     a = astensor(a)
     data = np.maximum(a.data, 0.0)
 
-    def backward(out):
-        mask = (a.data > 0.0).astype(np.float64)
-
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * mask)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            mask = (a.data > 0.0).astype(np.float64)
+            a._accumulate(grad * mask)
 
     return _make(data, (a,), backward)
 
@@ -268,11 +263,9 @@ def sigmoid(a) -> Tensor:
     a = astensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * data * (1.0 - data))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * data * (1.0 - data))
 
     return _make(data, (a,), backward)
 
@@ -281,11 +274,9 @@ def exp(a) -> Tensor:
     a = astensor(a)
     data = np.exp(a.data)
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * data)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * data)
 
     return _make(data, (a,), backward)
 
@@ -294,11 +285,9 @@ def log(a) -> Tensor:
     a = astensor(a)
     data = np.log(a.data)
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad / a.data)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad / a.data)
 
     return _make(data, (a,), backward)
 
@@ -307,13 +296,10 @@ def absolute(a) -> Tensor:
     a = astensor(a)
     data = np.abs(a.data)
 
-    def backward(out):
-        sign = np.sign(a.data)
-
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * sign)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            sign = np.sign(a.data)
+            a._accumulate(grad * sign)
 
     return _make(data, (a,), backward)
 
@@ -323,13 +309,10 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     a = astensor(a)
     data = np.clip(a.data, lo, hi)
 
-    def backward(out):
-        mask = ((a.data > lo) & (a.data < hi)).astype(np.float64)
-
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad * mask)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            mask = ((a.data > lo) & (a.data < hi)).astype(np.float64)
+            a._accumulate(grad * mask)
 
     return _make(data, (a,), backward)
 
@@ -341,15 +324,13 @@ def tensor_sum(a, axis=None) -> Tensor:
     a = astensor(a)
     data = np.sum(a.data, axis=axis)
 
-    def backward(out):
-        def run():
-            if not a.requires_grad:
-                return
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        return run
+    def backward(grad):
+        if not a.requires_grad:
+            return
+        g = grad
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     return _make(data, (a,), backward)
 
@@ -358,11 +339,9 @@ def reshape(a, shape) -> Tensor:
     a = astensor(a)
     data = a.data.reshape(shape)
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad.reshape(a.shape))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad.reshape(a.shape))
 
     return _make(data, (a,), backward)
 
@@ -371,13 +350,10 @@ def transpose(a, axes=None) -> Tensor:
     a = astensor(a)
     data = np.transpose(a.data, axes)
 
-    def backward(out):
-        inverse = None if axes is None else np.argsort(axes)
-
-        def run():
-            if a.requires_grad:
-                a._accumulate(np.transpose(out.grad, inverse))
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            inverse = None if axes is None else np.argsort(axes)
+            a._accumulate(np.transpose(grad, inverse))
 
     return _make(data, (a,), backward)
 
@@ -386,15 +362,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def backward(out):
+    def backward(grad):
         splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-        def run():
-            pieces = np.split(out.grad, splits, axis=axis)
-            for t, piece in zip(tensors, pieces):
-                if t.requires_grad:
-                    t._accumulate(piece)
-        return run
+        pieces = np.split(grad, splits, axis=axis)
+        for t, piece in zip(tensors, pieces):
+            if t.requires_grad:
+                t._accumulate(piece)
 
     return _make(data, tensors, backward)
 
@@ -406,13 +379,11 @@ def take(a, index) -> Tensor:
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=np.float64)
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                g = np.zeros_like(a.data)
-                np.add.at(g, index, out.grad)
-                a._accumulate(g)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            np.add.at(g, index, grad)
+            a._accumulate(g)
 
     return _make(data, (a,), backward)
 
@@ -428,13 +399,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     data = a.data @ b.data
 
-    def backward(out):
-        def run():
-            if a.requires_grad:
-                a._accumulate(out.grad @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ out.grad)
-        return run
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ grad)
 
     return _make(data, (a, b), backward)
 
@@ -448,12 +417,9 @@ def softmax_rows(x) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
 
-    def backward(out):
-        def run():
-            if x.requires_grad:
-                g = out.grad
-                x._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
-        return run
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(s * (grad - (grad * s).sum(axis=1, keepdims=True)))
 
     return _make(s, (x,), backward)
 
@@ -472,19 +438,16 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = (x.data - mu) * inv_std
     data = xhat * gain.data + bias.data
 
-    def backward(out):
-        def run():
-            g = out.grad
-            if gain.requires_grad:
-                gain._accumulate((g * xhat).sum(axis=0))
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=0))
-            if x.requires_grad:
-                gxhat = g * gain.data
-                term = gxhat - gxhat.mean(axis=1, keepdims=True) \
-                    - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
-                x._accumulate(term * inv_std)
-        return run
+    def backward(grad):
+        if gain.requires_grad:
+            gain._accumulate((grad * xhat).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=0))
+        if x.requires_grad:
+            gxhat = grad * gain.data
+            term = gxhat - gxhat.mean(axis=1, keepdims=True) \
+                - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
+            x._accumulate(term * inv_std)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -513,41 +476,26 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     wmat = kernel.data.reshape(o, c * kh * kw)
     data = (cols @ wmat.T).T.reshape(o, oh, ow)
 
-    def backward(out):
-        def run():
-            gmat = out.grad.reshape(o, oh * ow).T              # (oh*ow, O)
-            if kernel.requires_grad:
-                kernel._accumulate((gmat.T @ cols).reshape(kernel.shape))
-            if x.requires_grad:
-                dcols = gmat @ wmat                             # (oh*ow, C*kh*kw)
-                dwin = dcols.reshape(oh, ow, c, kh, kw)
-                dpad = np.zeros_like(padded)
-                for u in range(kh):
-                    for v in range(kw):
-                        dpad[:, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
-                            dwin[:, :, :, u, v].transpose(2, 0, 1)
-                if padding:
-                    dpad = dpad[:, padding:padding + h, padding:padding + w]
-                x._accumulate(dpad)
-        return run
+    def backward(grad):
+        gmat = grad.reshape(o, oh * ow).T                      # (oh*ow, O)
+        if kernel.requires_grad:
+            kernel._accumulate((gmat.T @ cols).reshape(kernel.shape))
+        if x.requires_grad:
+            dcols = gmat @ wmat                                 # (oh*ow, C*kh*kw)
+            dwin = dcols.reshape(oh, ow, c, kh, kw)
+            dpad = np.zeros_like(padded)
+            for u in range(kh):
+                for v in range(kw):
+                    dpad[:, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
+                        dwin[:, :, :, u, v].transpose(2, 0, 1)
+            if padding:
+                dpad = dpad[:, padding:padding + h, padding:padding + w]
+            x._accumulate(dpad)
 
     return _make(data, (x, kernel), backward)
 
 
 # -- parameters and checkpoints ------------------------------------------------
-
-
-class Parameter(Tensor):
-    """A named leaf tensor that always accumulates gradients."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],

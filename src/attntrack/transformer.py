@@ -32,18 +32,6 @@ class PositionalEncoding:
 
 
 @dataclass
-class EncoderInput:
-    features: Tensor                       # (h, w, d)
-    pad_mask: np.ndarray | None = None     # (h, w) bool, True = padded cell
-
-
-@dataclass
-class DecoderInput:
-    features: Tensor                       # (H, W, d)
-    pad_mask: np.ndarray | None = None
-
-
-@dataclass
 class EncoderLayerWeights:
     attn: MultiHeadWeights
     attn_norm: LayerNormWeights
@@ -155,14 +143,11 @@ def unflatten_grid(x: Tensor, height: int, width: int) -> Tensor:
     return T.reshape(x, (height, width, d))
 
 
-def encode(enc_in: EncoderInput, layers: list[EncoderLayerWeights],
-           pe: PositionalEncoding | None = None,
+def encode(features: Tensor, layers: list[EncoderLayerWeights],
+           pe: PositionalEncoding,
            trace: AttentionTrace | None = None) -> Tensor:
     """Run the encoder stack over the flattened template grid."""
-    h, w, d = enc_in.features.shape
-    if pe is None:
-        pe = build_positional_encoding(h, w, d, enc_in.pad_mask)
-    x = flatten_grid(enc_in.features)
+    x = flatten_grid(features)
     for i, layer in enumerate(layers):
         sink = trace.sink(f"encoder{i}.self") if trace is not None else None
         attn = multi_head_attention(
@@ -173,17 +158,14 @@ def encode(enc_in: EncoderInput, layers: list[EncoderLayerWeights],
     return x
 
 
-def decode(dec_in: DecoderInput, memory: Tensor, pe_template: PositionalEncoding,
-           layers: list[DecoderLayerWeights],
-           pe: PositionalEncoding | None = None,
+def decode(features: Tensor, memory: Tensor, pe_template: PositionalEncoding,
+           layers: list[DecoderLayerWeights], pe: PositionalEncoding,
            trace: AttentionTrace | None = None) -> Tensor:
     """Run the decoder stack; every layer cross-attends to ``memory``."""
-    h, w, d = dec_in.features.shape
+    h, w, d = features.shape
     if memory.shape[1] != d:
         raise ShapeError(f"memory width {memory.shape[1]} != decoder width {d}")
-    if pe is None:
-        pe = build_positional_encoding(h, w, d, dec_in.pad_mask)
-    x = flatten_grid(dec_in.features)
+    x = flatten_grid(features)
     for i, layer in enumerate(layers):
         self_sink = trace.sink(f"decoder{i}.self") if trace is not None else None
         attn = multi_head_attention(
@@ -198,16 +180,3 @@ def decode(dec_in: DecoderInput, memory: Tensor, pe_template: PositionalEncoding
         x = residual_norm(attn, x, layer.cross_norm)
         x = ffn(x, layer.ffn)
     return unflatten_grid(x, h, w)
-
-
-def run_transformer(enc_in: EncoderInput, dec_in: DecoderInput,
-                    weights: TransformerWeights,
-                    trace: AttentionTrace | None = None) -> Tensor:
-    """Encode the template, decode the search grid against it."""
-    if not weights.encoder or not weights.decoder:
-        raise ConfigurationError("transformer needs at least one encoder "
-                                 "and one decoder layer")
-    h, w, d = enc_in.features.shape
-    pe_template = build_positional_encoding(h, w, d, enc_in.pad_mask)
-    memory = encode(enc_in, weights.encoder, pe=pe_template, trace=trace)
-    return decode(dec_in, memory, pe_template, weights.decoder, trace=trace)

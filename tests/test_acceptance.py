@@ -21,12 +21,12 @@ from attntrack.online import (blend, init_online_filter, solve_cg,
                               update_memory, TrainingMemory)
 from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
                                 TrainSettings, build_model, crop_search,
-                                crop_template, evaluate, extract_features,
-                                generate_synthetic_sequence, track_sequence,
-                                train_toy)
+                                crop_template, encode_template, evaluate,
+                                extract_features, generate_synthetic_sequence,
+                                track_sequence, train_toy)
 from attntrack.tensor import Tensor
-from attntrack.transformer import (AttentionTrace, DecoderInput, EncoderInput,
-                                   build_positional_encoding, decode, encode)
+from attntrack.transformer import (AttentionTrace, build_positional_encoding,
+                                   decode)
 
 TRAIN_STEPS = 500
 
@@ -121,7 +121,7 @@ def test_criterion_3_pe_mask_property():
     pixels = frames[0].pixels
 
     crop = crop_search(pixels, boxes[0], config.search_size, config.template_size)
-    feats = extract_features(pixels, crop, model, config)
+    feats = extract_features(crop, model, config)
     mask = feats.mask
     h, w = mask.shape
     unpadded = np.argwhere(~mask)
@@ -144,14 +144,11 @@ def test_criterion_3_pe_mask_property():
     ja, jb = ya * w + xa, yb * w + xb
 
     tcrop = crop_template(pixels, boxes[0], config.template_size)
-    tfeats = extract_features(pixels, tcrop, model, config)
-    th, tw, d = tfeats.tokens.shape
-    pe_z = build_positional_encoding(th, tw, d, tfeats.mask)
-    memory = encode(EncoderInput(tfeats.tokens, tfeats.mask),
-                    model.transformer.encoder, pe=pe_z)
+    memory, pe_z = encode_template(model, config, tcrop)
+    pe_x = build_positional_encoding(h, w, feats.tokens.shape[2], mask)
     trace = AttentionTrace()
-    out = decode(DecoderInput(feats.tokens, mask), memory, pe_z,
-                 model.transformer.decoder, trace=trace)
+    out = decode(feats.tokens, memory, pe_z, model.transformer.decoder, pe_x,
+                 trace=trace)
 
     worst_key = 0.0     # the padded cells as keys: equal columns
     worst_query = 0.0   # the padded cells as queries: equal rows

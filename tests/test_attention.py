@@ -5,7 +5,7 @@ import pytest
 
 from attntrack import tensor as T
 from attntrack.attention import (AttentionHeadWeights, AttentionInputs,
-                                 FfnWeights, MultiHeadWeights, attention_output,
+                                 FfnWeights, MultiHeadWeights,
                                  attention_weights, ffn, init_layernorm,
                                  init_multi_head, multi_head_attention,
                                  project_qkv, residual_norm)
@@ -97,21 +97,6 @@ class TestAttentionWeights:
         assert np.abs(base.data - doubled.data).max() < 1e-12
 
 
-class TestAttentionOutput:
-    def test_identity_weights(self):
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal((3, 4))
-        out = attention_output(Tensor(np.eye(3)), Tensor(v))
-        assert np.array_equal(out.data, v)
-
-    def test_uniform_weights_average(self):
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal((4, 3))
-        a = np.full((2, 4), 0.25)
-        out = attention_output(Tensor(a), Tensor(v))
-        assert np.abs(out.data - v.mean(axis=0)).max() < 1e-12
-
-
 def manual_multi_head(xq, xkv, pq, pk, w: MultiHeadWeights):
     """Straight-line oracle composing the four single-head operations."""
     pieces = []
@@ -134,7 +119,7 @@ class TestMultiHead:
         inputs = inputs_with(xq, xkv)
         out = multi_head_attention(inputs, w)
         q, k, v = project_qkv(inputs, w.heads[0])
-        single = attention_output(attention_weights(q, k), v)
+        single = T.matmul(attention_weights(q, k), v)
         assert np.abs(out.data - single.data).max() < 1e-12
 
     def test_dead_head_zeroes_half_the_concat(self):

@@ -259,6 +259,14 @@ class TestSequenceIo:
         assert back.shape == (3, 10, 14)
         assert np.abs(back - pixels).max() < 1e-12
 
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_maxval_outside_8_bit_rejected(self, tmp_path, maxval):
+        # zero would give inf/NaN pixels; two-byte samples would be misread
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(f"P5\n2 2\n{maxval}\n".encode("ascii") + bytes(8))
+        with pytest.raises(ValueError, match="frame.pgm"):
+            read_netpbm(path)
+
     def test_rect_file_roundtrip(self, tmp_path):
         boxes = [BoundingBox(10.5, 20.25, 8.0, 6.5), BoundingBox(1, 2, 3, 4)]
         path = tmp_path / "rects.txt"

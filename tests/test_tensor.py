@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +146,17 @@ class TestConv2d:
                      stride=2, padding=1)
 
 
+TAPE_OPS = {
+    "relu": T.relu, "sigmoid": T.sigmoid, "absolute": T.absolute,
+    "clamp": lambda x: T.clamp(x, -0.5, 0.5), "transpose": T.transpose,
+    "concat": lambda x: T.concat([x, x], axis=1),
+    "take": lambda x: T.take(x, 1), "matmul": lambda x: T.matmul(x, x),
+    "softmax_rows": T.softmax_rows,
+    "layernorm": lambda x: T.layernorm(x, np.ones(3), np.zeros(3)),
+    "conv2d": lambda x: T.conv2d(T.reshape(x, (1, 3, 3)), np.ones((1, 1, 2, 2))),
+}
+
+
 class TestBackward:
     def test_linear_closed_form(self):
         rng = np.random.default_rng(6)
@@ -183,6 +196,23 @@ class TestBackward:
         T.tensor_sum(y).backward()
         assert np.allclose(x.grad, [8.0])
 
+    @pytest.mark.parametrize("op", sorted(TAPE_OPS))
+    def test_tape_freed_without_cycle_collector(self, op):
+        # a backward closure that captures its result forms a cycle that
+        # only the cyclic collector frees
+        x = Tensor(np.random.default_rng(9).standard_normal((3, 3)),
+                   requires_grad=True)
+        gc.disable()
+        try:
+            mid = TAPE_OPS[op](x)
+            loss = T.tensor_sum(T.mul(mid, mid))
+            loss.backward()
+            alive = weakref.ref(mid.data)   # Tensor has __slots__, no weakref
+            del mid, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+
 
 class TestNoGrad:
     def test_suppresses_graph(self):
@@ -221,13 +251,3 @@ class TestCheckpoint:
         params = [("w", Tensor([1.0])), ("w", Tensor([2.0]))]
         with pytest.raises(ValueError):
             save_checkpoint(params, tmp_path / "dup.trtr")
-
-
-class TestParameter:
-    def test_named_and_always_grad(self):
-        from attntrack.tensor import Parameter
-        p = Parameter("encoder.attn.wq", np.zeros((2, 2)))
-        assert p.name == "encoder.attn.wq"
-        assert p.requires_grad
-        T.tensor_sum(T.mul(p, 2.0)).backward()
-        assert np.allclose(p.grad, 2.0)

@@ -3,14 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from attntrack import tensor as T
 from attntrack.errors import TrackingError
-from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
-                                TrainSettings, build_model,
+from attntrack.localize import BoundingBox
+from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
+                                TrainSettings, build_model, crop_template,
+                                encode_template, forward_pair,
                                 generate_synthetic_sequence, load_model,
-                                save_model, track_sequence, train_toy)
+                                pair_loss, sample_training_pair, save_model,
+                                track_sequence, train_toy)
 from attntrack.pipeline import tracker as tracker_mod
 from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features
+from attntrack.tensor import Tensor, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -133,12 +138,23 @@ class TestPaddedGrid:
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(1), config)
         crop = crop_search(frames[0].pixels, boxes[0], 255, 127)
-        feats = extract_features(frames[0].pixels, crop, model, config)
+        feats = extract_features(crop, model, config)
         assert feats.crop.patch.shape == (3, 256, 256)
         assert feats.tokens.shape == (32, 32, 8)       # grid comes out as 32
         assert feats.crop.pad_mask[:, -1].all()        # 1px mean strip added
         # a single padded pixel column does not mask whole 8px grid cells
         assert not feats.mask[:, -1].any()
+
+    def test_pe_mask_off_gives_empty_mask(self, toy_world):
+        frames, _, config, model = toy_world
+        corner = BoundingBox(6.0, 6.0, 20.0, 16.0)     # crop reaches off-image
+        crop = crop_search(frames[0].pixels, corner, config.search_size,
+                           config.template_size)
+        on = extract_features(crop, model, config)
+        off = extract_features(crop, model,
+                               dataclasses.replace(config, pe_mask=False))
+        assert on.mask.any() and not off.mask.any()
+        assert np.array_equal(on.tokens.data, off.tokens.data)
 
     def test_tracker_runs_at_255(self, toy_world):
         frames, boxes, _, _ = toy_world
@@ -163,6 +179,35 @@ class TestCheckpointRoundtrip:
                                       loaded_model.named_parameters()):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
+
+    def test_every_int_and_bool_field_round_trips(self, tmp_path):
+        custom = TrackerConfig(
+            template_size=48, search_size=96, d=8, n_heads=2, ffn_hidden=24,
+            n_encoder_layers=2, n_decoder_layers=3, c_mid=8, online_hidden=16,
+            online_kernel=3, memory_capacity=7, online_init_gn_steps=3,
+            online_init_cg_iters=4, online_update_gn_steps=2,
+            online_update_cg_iters=6, online_update_interval=2, online=True,
+            pe_mask=False)
+        exact = [f for f in dataclasses.fields(TrackerConfig)
+                 if type(f.default) in (int, bool)]
+        for f in exact:
+            assert getattr(custom, f.name) != f.default, f.name
+        path = tmp_path / "model.trtr"
+        save_model(path, build_model(np.random.default_rng(3), custom), custom)
+        _, loaded = load_model(path)
+        assert loaded == custom
+        for f in exact:
+            assert type(getattr(loaded, f.name)) is type(f.default), f.name
+
+    def test_checkpoint_with_retired_stride_field_loads(self, toy_world, tmp_path):
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        save_model(path, model, config)
+        entries = [("config.stride", Tensor(8.0))]
+        entries += [(name, Tensor(v)) for name, v in load_checkpoint(path).items()]
+        save_checkpoint(entries, path)
+        _, loaded = load_model(path)
+        assert loaded == config
 
     def test_loaded_model_tracks_identically(self, toy_world, tmp_path):
         frames, boxes, config, model = toy_world
@@ -206,23 +251,52 @@ class TestTrainToy:
             train_toy(model, config, frames[:1], boxes[:1])
 
     def test_two_hundred_steps_on_fixed_pair_drop_tenfold(self, toy_world):
-        from attntrack.pipeline import (Adam, forward_pair, make_template_crop,
-                                        pair_loss, sample_training_pair)
-
         frames, boxes, _, _ = toy_world
         config = TrackerConfig(template_size=48, search_size=96, d=8,
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(2), config)
         rng = np.random.default_rng(2)
-        template = make_template_crop(frames[0], boxes[0], config)
+        template = crop_template(frames[0].pixels, boxes[0], config.template_size)
         pair = sample_training_pair(frames, boxes, config, rng)
         optimizer = Adam([p for _, p in model.named_parameters()], lr=2e-3)
         losses = []
         for _ in range(200):
             model.zero_grad()
-            maps = forward_pair(model, config, template, pair.search_crop)
+            memory, template_pe = encode_template(model, config, template)
+            maps = forward_pair(model, config, memory, template_pe,
+                                pair.search_crop)
             total, *_ = pair_loss(maps, pair.target)
             total.backward()
             optimizer.step()
             losses.append(total.item())
         assert losses[-1] <= losses[0] / 10.0
+
+    def test_shared_template_gradient_equals_separate_encodings(self, toy_world):
+        # train_toy encodes the template once per step for the whole batch
+        frames, boxes, _, _ = toy_world
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        model = build_model(np.random.default_rng(4), config)
+        template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+        rng = np.random.default_rng(4)
+        pairs = [sample_training_pair(frames, boxes, config, rng)
+                 for _ in range(2)]
+
+        def pair_total(memory, template_pe, pair):
+            maps = forward_pair(model, config, memory, template_pe,
+                                pair.search_crop)
+            return pair_loss(maps, pair.target)[0]
+
+        separate = []
+        for pair in pairs:
+            model.zero_grad()
+            pair_total(*encode_template(model, config, template), pair).backward()
+            separate.append([p.grad.copy() for p in model.parameters()])
+        expected_sum = [a + b for a, b in zip(*separate)]
+
+        model.zero_grad()
+        memory, template_pe = encode_template(model, config, template)
+        T.add(*[pair_total(memory, template_pe, pair) for pair in pairs]).backward()
+        for (name, p), expected in zip(model.named_parameters(), expected_sum):
+            np.testing.assert_allclose(p.grad, expected, rtol=1e-10,
+                                       err_msg=name)

@@ -5,10 +5,9 @@ from attntrack.attention import AttentionInputs, ffn, multi_head_attention, resi
 from attntrack.errors import ConfigurationError
 from attntrack.gradcheck import check_full_stack
 from attntrack.tensor import Tensor
-from attntrack.transformer import (AttentionTrace, DecoderInput, EncoderInput,
-                                   build_positional_encoding, decode, encode,
-                                   flatten_grid, init_transformer,
-                                   run_transformer, unflatten_grid)
+from attntrack.transformer import (AttentionTrace, build_positional_encoding,
+                                   decode, encode, flatten_grid,
+                                   init_transformer, unflatten_grid)
 
 
 class TestPositionalEncoding:
@@ -65,13 +64,23 @@ def tiny_weights(rng, d=8, heads=2, n_enc=1, n_dec=1):
     return init_transformer(rng, d, heads, n_enc, n_dec, ffn_hidden=2 * d)
 
 
+def grid_pe(x, mask=None):
+    h, w, d = x.shape
+    return build_positional_encoding(h, w, d, mask)
+
+
+def encode_decode(z, x, w):
+    pe_z = grid_pe(z)
+    return decode(x, encode(z, w.encoder, pe_z), pe_z, w.decoder, grid_pe(x))
+
+
 class TestEncode:
     def test_singleton_sequence(self):
         rng = np.random.default_rng(1)
         w = tiny_weights(rng)
         z = Tensor(rng.standard_normal((1, 1, 8)))
         trace = AttentionTrace()
-        out = encode(EncoderInput(z), w.encoder, trace=trace)
+        out = encode(z, w.encoder, grid_pe(z), trace=trace)
         for a in trace.maps["encoder0.self"]:
             assert np.array_equal(a, np.ones((1, 1)))
         # output equals the ffn path of that single token
@@ -90,14 +99,14 @@ class TestEncode:
         row = rng.standard_normal(8)
         z = Tensor(np.tile(row, (2, 2, 1)))
         mask = np.ones((2, 2), bool)
-        out = encode(EncoderInput(z, mask), w.encoder)
+        out = encode(z, w.encoder, grid_pe(z, mask))
         assert np.abs(out.data - out.data[0]).max() < 1e-12
 
     def test_against_composition_oracle(self):
         rng = np.random.default_rng(3)
         w = tiny_weights(rng)
         z = Tensor(rng.standard_normal((2, 2, 8)))
-        out = encode(EncoderInput(z), w.encoder)
+        out = encode(z, w.encoder, grid_pe(z))
         pe = build_positional_encoding(2, 2, 8)
         x = flatten_grid(z)
         layer = w.encoder[0]
@@ -111,10 +120,10 @@ class TestEncode:
         w = tiny_weights(rng)
         z = rng.standard_normal((2, 3, 8))
         mask = np.ones((2, 3), bool)   # fully masked positions
-        out = encode(EncoderInput(Tensor(z), mask), w.encoder).data
+        out = encode(Tensor(z), w.encoder, grid_pe(z, mask)).data
         perm = rng.permutation(6)
         z_perm = z.reshape(6, 8)[perm].reshape(2, 3, 8)
-        out_perm = encode(EncoderInput(Tensor(z_perm), mask), w.encoder).data
+        out_perm = encode(Tensor(z_perm), w.encoder, grid_pe(z_perm, mask)).data
         assert np.abs(out.reshape(6, 8)[perm] - out_perm.reshape(6, 8)).max() < 1e-9
 
 
@@ -126,7 +135,7 @@ class TestDecode:
         pe_z = build_positional_encoding(1, 1, 8)
         x = Tensor(rng.standard_normal((2, 2, 8)))
         trace = AttentionTrace()
-        decode(DecoderInput(x), memory, pe_z, w.decoder, trace=trace)
+        decode(x, memory, pe_z, w.decoder, grid_pe(x), trace=trace)
         for a in trace.maps["decoder0.cross"]:
             assert np.allclose(a, 1.0, atol=1e-12)
 
@@ -135,9 +144,9 @@ class TestDecode:
         w = tiny_weights(rng)
         z = Tensor(rng.standard_normal((1, 1, 8)))
         pe_z = build_positional_encoding(1, 1, 8)
-        memory = encode(EncoderInput(z), w.encoder, pe=pe_z)
+        memory = encode(z, w.encoder, pe_z)
         x = Tensor(rng.standard_normal((2, 2, 8)))
-        out = decode(DecoderInput(x), memory, pe_z, w.decoder)
+        out = decode(x, memory, pe_z, w.decoder, grid_pe(x))
 
         pe_x = build_positional_encoding(2, 2, 8)
         layer = w.decoder[0]
@@ -157,14 +166,14 @@ class TestDecode:
         w = tiny_weights(rng)
         z = Tensor(rng.standard_normal((2, 2, 8)))
         pe_z = build_positional_encoding(2, 2, 8)
-        memory = encode(EncoderInput(z), w.encoder, pe=pe_z)
+        memory = encode(z, w.encoder, pe_z)
 
         x = rng.standard_normal((3, 3, 8))
         x[2, 1] = x[2, 2]
         mask = np.zeros((3, 3), bool)
         mask[2, 1] = mask[2, 2] = True
         trace = AttentionTrace()
-        out = decode(DecoderInput(Tensor(x), mask), memory, pe_z, w.decoder,
+        out = decode(Tensor(x), memory, pe_z, w.decoder, grid_pe(x, mask),
                      trace=trace)
         assert np.abs(out.data[2, 1] - out.data[2, 2]).max() < 1e-12
         for a in trace.maps["decoder0.self"]:
@@ -172,17 +181,6 @@ class TestDecode:
 
 
 class TestRunTransformer:
-    def test_default_equals_encode_then_decode(self):
-        rng = np.random.default_rng(8)
-        w = tiny_weights(rng)
-        z = Tensor(rng.standard_normal((2, 2, 8)))
-        x = Tensor(rng.standard_normal((3, 3, 8)))
-        out = run_transformer(EncoderInput(z), DecoderInput(x), w)
-        pe_z = build_positional_encoding(2, 2, 8)
-        memory = encode(EncoderInput(z), w.encoder, pe=pe_z)
-        expected = decode(DecoderInput(x), memory, pe_z, w.decoder)
-        assert np.array_equal(out.data, expected.data)
-
     def test_constructed_passthrough_second_decoder_layer(self):
         # a second decoder layer with zeroed attention/ffn outputs and
         # eps-free norms only renormalizes already-normalized rows
@@ -202,8 +200,8 @@ class TestRunTransformer:
 
         z = Tensor(rng.standard_normal((2, 2, 8)))
         x = Tensor(rng.standard_normal((3, 3, 8)))
-        out1 = run_transformer(EncoderInput(z), DecoderInput(x), w1)
-        out2 = run_transformer(EncoderInput(z), DecoderInput(x), w2)
+        out1 = encode_decode(z, x, w1)
+        out2 = encode_decode(z, x, w2)
         assert np.abs(out1.data - out2.data).max() < 1e-4
 
     def test_layer_count_sweep_runs(self):
@@ -213,7 +211,7 @@ class TestRunTransformer:
         for n_enc, n_dec in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3)):
             w = tiny_weights(np.random.default_rng(n_enc * 10 + n_dec),
                              n_enc=n_enc, n_dec=n_dec)
-            out = run_transformer(EncoderInput(z), DecoderInput(x), w)
+            out = encode_decode(z, x, w)
             assert out.shape == (3, 3, 8)
             assert np.all(np.isfinite(out.data))
 
