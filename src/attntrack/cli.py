@@ -155,6 +155,9 @@ def _run_to_frame(args):
     frames, boxes = load_sequence(args.seq)
     if not boxes:
         raise SystemExit("sequence has no ground truth; cannot initialize")
+    if len(frames) < 2:
+        raise SystemExit(f"sequence has {len(frames)} frame(s); dumps need at "
+                         "least 2, since frame 0 only initializes the tracker")
     target = max(1, min(args.frame, len(frames) - 1))
     tracker = Tracker(model, config)
     init_trace = AttentionTrace()

@@ -70,35 +70,83 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return (kernel - 1) // 2, kernel // 2
 
 
-def _conv_spatial(activations: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """k x k single-output convolution with grid-preserving padding."""
-    k = w2.shape[2]
-    lo, hi = _pad_amounts(k)
-    padded = np.pad(activations, ((0, 0), (lo, hi), (lo, hi)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    return np.einsum("chwuv,cuv->hw", windows, w2[0])
+@dataclass
+class _Stack:
+    """Samples side by side, so one GEMM applies a filter to all of them."""
+    features: np.ndarray     # (c_in, S*H*W), channel-major
+    labels: np.ndarray       # (S, H, W)
+    weights: np.ndarray      # (S,)
 
 
-def _conv_spatial_adjoint(grad_map: np.ndarray, w2: np.ndarray,
-                          spatial: tuple[int, int]) -> np.ndarray:
-    """Adjoint of _conv_spatial with respect to the activations."""
-    h, w = spatial
-    k = w2.shape[2]
-    lo, hi = _pad_amounts(k)
-    gpad = np.zeros((w2.shape[1], h + lo + hi, w + lo + hi))
-    for du in range(k):
-        for dv in range(k):
-            gpad[:, du:du + h, dv:dv + w] += w2[0, :, du, dv][:, None, None] * grad_map
-    return gpad[:, lo:lo + h, lo:lo + w]
+def _stack(memory: TrainingMemory) -> _Stack:
+    samples = memory.samples
+    c_in = samples[0].features.shape[0]
+    return _Stack(
+        features=np.stack([s.features for s in samples], axis=1).reshape(c_in, -1),
+        labels=np.stack([s.label for s in samples]),
+        weights=np.array([s.weight for s in samples]))
 
 
+def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
+    """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
+
+    Tap u*k+v holds every grid cell's contribution through kernel offset
+    (u, v); the output cell sums the k*k taps read at its offsets on the
+    zero-padded grid.
+    """
+    lo, hi = _pad_amounts(kernel)
+    padded = np.pad(taps, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
+    h, w = taps.shape[2:]
+    out = np.zeros(taps.shape[1:])
+    for u in range(kernel):
+        for v in range(kernel):
+            out += padded[u * kernel + v, :, u:u + h, v:v + w]
+    return out
+
+
+def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
+    """Adjoint of _shift_sum: maps (S, H, W) -> k*k placed copies (k*k, S*H*W).
+
+    Copy u*k+v sits at offset (u, v) of the padded grid. Cropping it back
+    to the grid drops only cells that meet the zero padding.
+    """
+    lo, hi = _pad_amounts(kernel)
+    s, h, w = maps.shape
+    padded = np.zeros((kernel * kernel, s, h + lo + hi, w + lo + hi))
+    for u in range(kernel):
+        for v in range(kernel):
+            padded[u * kernel + v, :, u:u + h, v:v + w] = maps
+    return padded[:, :, lo:lo + h, lo:lo + w].reshape(kernel * kernel, -1)
+
+
+def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden layer on channel-major features: (relu mask, activations)."""
+    pre = w1[:, :, 0, 0] @ features
+    mask = (pre > 0.0).astype(np.float64)
+    # a product, not np.where: a non-finite input must stay non-finite
+    return mask, pre * mask
+
+
+def _conv(act: np.ndarray, w2: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """k x k single-output conv: activations (hidden, S*H*W) -> (S, H, W)."""
+    hidden, k = w2.shape[1], w2.shape[2]
+    taps = w2[0].reshape(hidden, k * k).T @ act
+    return _shift_sum(taps.reshape((k * k,) + shape), k)
+
+
+# non-finite inputs are expected here (a NaN frame, a diverged filter) and
+# are reported by the result, not by floating-point warnings
+_quiet_fp = np.errstate(invalid="ignore", over="ignore")
+
+
+@_quiet_fp
 def online_forward(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
     """Score map for one feature grid; range unconstrained."""
     if features.ndim != 3 or features.shape[0] != filt.w1.shape[1]:
         raise ShapeError(f"features {features.shape} do not match filter "
                          f"input channels {filt.w1.shape[1]}")
-    pre = np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0], features)
-    return _conv_spatial(np.maximum(pre, 0.0), filt.w2)
+    _, act = _relu(filt.w1, features.reshape(features.shape[0], -1))
+    return _conv(act, filt.w2, (1,) + features.shape[1:])[0]
 
 
 def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndarray:
@@ -159,12 +207,12 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray | None = None,
 
 def objective(filt: OnlineFilter, memory: TrainingMemory) -> float:
     """Weighted squared error over the memory plus the ridge penalty."""
-    total = 0.0
-    for s in memory.samples:
-        r = online_forward(filt, s.features) - s.label
-        total += s.weight * float(np.sum(r * r))
-    total += filt.reg * (float(np.sum(filt.w1 ** 2)) + float(np.sum(filt.w2 ** 2)))
-    return total
+    stack = _stack(memory)
+    _, act = _relu(filt.w1, stack.features)
+    r = _conv(act, filt.w2, stack.labels.shape) - stack.labels
+    total = float(stack.weights @ np.sum(r * r, axis=(1, 2)))
+    return total + filt.reg * (float(np.sum(filt.w1 ** 2))
+                               + float(np.sum(filt.w2 ** 2)))
 
 
 def _pack(filt: OnlineFilter, train_w1: bool, train_w2: bool) -> np.ndarray:
@@ -191,6 +239,60 @@ def _unpack(theta: np.ndarray, filt: OnlineFilter,
     return out
 
 
+class _Linearization:
+    """The filter's residuals over the stacked memory, linear at a fixed relu mask.
+
+    Each product with the Jacobian J or its transpose is a few GEMMs over
+    all samples at once. Trained parameters are packed as in _pack, with
+    w1 as (hidden, c_in) and w2 as (hidden, k*k).
+    """
+
+    def __init__(self, filt: OnlineFilter, stack: _Stack,
+                 train_w1: bool, train_w2: bool):
+        self.stack, self.train_w1, self.train_w2 = stack, train_w1, train_w2
+        hidden, c_in = filt.w1.shape[:2]
+        self.kernel = filt.kernel
+        self.w2 = filt.w2[0].reshape(hidden, -1)
+        self.n_w1 = hidden * c_in if train_w1 else 0
+        self.lam = filt.reg
+        self.theta = _pack(filt, train_w1, train_w2)
+        self.mask, self.act = _relu(filt.w1, stack.features)
+        self.residual = _conv(self.act, filt.w2, stack.labels.shape) - stack.labels
+
+    def jvp(self, vec: np.ndarray) -> np.ndarray:
+        """J vec as score maps (S, H, W)."""
+        hidden = self.w2.shape[0]
+        taps = 0.0
+        if self.train_w1:
+            v1 = vec[:self.n_w1].reshape(hidden, -1)
+            taps = self.w2.T @ (self.mask * (v1 @ self.stack.features))
+        if self.train_w2:
+            taps = taps + vec[self.n_w1:].reshape(hidden, -1).T @ self.act
+        return _shift_sum(taps.reshape((-1,) + self.stack.labels.shape), self.kernel)
+
+    def vjp(self, maps: np.ndarray) -> np.ndarray:
+        """J^T maps for score-space maps (S, H, W), packed like vec."""
+        placed = _place(maps, self.kernel)
+        parts = []
+        if self.train_w1:
+            gpre = (self.w2 @ placed) * self.mask
+            parts.append((gpre @ self.stack.features.T).ravel())
+        if self.train_w2:
+            parts.append((self.act @ placed.T).ravel())
+        return np.concatenate(parts)
+
+    def gradient(self) -> np.ndarray:
+        """Objective gradient at theta: J^T W r + lam theta, W the sample weights."""
+        return (self.lam * self.theta
+                + self.vjp(self.stack.weights[:, None, None] * self.residual))
+
+    def normal_matvec(self, vec: np.ndarray) -> np.ndarray:
+        """Gauss-Newton normal matrix times vec: (J^T W J + lam I) vec."""
+        weighted = self.stack.weights[:, None, None] * self.jvp(vec)
+        return self.lam * vec + self.vjp(weighted)
+
+
+@_quiet_fp
 def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
              gn_steps: int = 1, train_w1: bool = True,
              train_w2: bool = True) -> CgUpdate:
@@ -206,88 +308,24 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         raise ValueError("training memory is empty")
     if n_iters < 1:
         raise ValueError("need at least one CG iteration")
+    if not (train_w1 or train_w2):
+        raise ValueError("nothing to train: both layers are frozen")
 
+    stack = _stack(memory)
     current = filt.copy()
     objectives = [objective(current, memory)]
 
     for _ in range(gn_steps):
-        lam = current.reg
-        w1 = current.w1[:, :, 0, 0]
-        states = []
-        for s in memory.samples:
-            pre = np.einsum("oc,chw->ohw", w1, s.features)
-            mask = (pre > 0.0).astype(np.float64)
-            act = pre * mask
-            residual = _conv_spatial(act, current.w2) - s.label
-            states.append((s, mask, act, residual))
-
-        def jvp(sample, mask, act, v1, v2):
-            out = np.zeros(sample.label.shape)
-            if v1 is not None:
-                dact = mask * np.einsum("oc,chw->ohw", v1[:, :, 0, 0], sample.features)
-                out += _conv_spatial(dact, current.w2)
-            if v2 is not None:
-                out += _conv_spatial(act, v2)
-            return out
-
-        def vjp(sample, mask, act, u):
-            g1 = g2 = None
-            if train_w2:
-                k = current.kernel
-                lo, hi = _pad_amounts(k)
-                apad = np.pad(act, ((0, 0), (lo, hi), (lo, hi)))
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    apad, (k, k), axis=(1, 2))
-                g2 = np.einsum("chwuv,hw->cuv", windows, u)[None]
-            if train_w1:
-                gact = _conv_spatial_adjoint(u, current.w2, sample.label.shape)
-                gpre = gact * mask
-                g1 = np.einsum("ohw,chw->oc", gpre, sample.features)[:, :, None, None]
-            return g1, g2
-
-        def split(vec):
-            v1 = v2 = None
-            pos = 0
-            if train_w1:
-                n = current.w1.size
-                v1 = vec[pos:pos + n].reshape(current.w1.shape)
-                pos += n
-            if train_w2:
-                n = current.w2.size
-                v2 = vec[pos:pos + n].reshape(current.w2.shape)
-            return v1, v2
-
-        def join(g1, g2):
-            parts = []
-            if train_w1:
-                parts.append(g1.ravel())
-            if train_w2:
-                parts.append(g2.ravel())
-            return np.concatenate(parts)
-
-        def matvec(vec):
-            v1, v2 = split(vec)
-            acc = lam * vec
-            for sample, mask, act, _ in states:
-                t = jvp(sample, mask, act, v1, v2)
-                g1, g2 = vjp(sample, mask, act, sample.weight * t)
-                acc = acc + join(g1 if train_w1 else None, g2 if train_w2 else None)
-            return acc
-
-        theta = _pack(current, train_w1, train_w2)
-        grad = lam * theta
-        for sample, mask, act, residual in states:
-            g1, g2 = vjp(sample, mask, act, sample.weight * residual)
-            grad = grad + join(g1 if train_w1 else None, g2 if train_w2 else None)
-
-        delta = conjugate_gradient(matvec, -grad, n_iters=n_iters)
+        lin = _Linearization(current, stack, train_w1, train_w2)
+        delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(),
+                                   n_iters=n_iters)
         if not np.all(np.isfinite(delta)):
             return CgUpdate(filter=filt, objectives=objectives, degraded=True)
 
         accepted = None
         step = 1.0
         for _ in range(5):
-            candidate = _unpack(theta + step * delta, current, train_w1, train_w2)
+            candidate = _unpack(lin.theta + step * delta, current, train_w1, train_w2)
             value = objective(candidate, memory)
             if not np.isfinite(value):
                 return CgUpdate(filter=filt, objectives=objectives, degraded=True)

@@ -254,7 +254,7 @@ class Tracker:
 
         grid = self._search_grid_extent()
         window = make_cosine_window(grid, grid, cfg.window_influence)
-        self.state = TrackerState(template_memory=memory.detach(),
+        self.state = TrackerState(template_memory=memory,
                                   template_pe=pe, box=box, window=window)
         if cfg.online:
             self._init_online(pixels, box)

@@ -13,6 +13,7 @@ and desk-scale experiments, not throughput.
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,9 +57,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # -- graph bookkeeping -------------------------------------------------
 
@@ -545,6 +543,7 @@ def load_checkpoint(path) -> dict[str, Array]:
 
     out: dict[str, Array] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = read_line(fh)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a {CHECKPOINT_MAGIC} file: header {magic!r}")
@@ -553,10 +552,17 @@ def load_checkpoint(path) -> dict[str, Array]:
             fields = read_line(fh).split()
             name, ndim = fields[0], int(fields[1])
             shape = tuple(int(v) for v in fields[2:2 + ndim])
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
+            # checked before the read, so a corrupt header cannot ask for
+            # more memory than the file holds
+            if len(fields) != 2 + ndim or any(d < 0 for d in shape):
+                raise ValueError(f"checkpoint entry {name!r} has malformed "
+                                 f"dims {' '.join(fields[1:])!r}")
+            left = size - fh.tell()
+            if 8 * n > left:
+                raise ValueError(f"truncated checkpoint: {name!r} of shape "
+                                 f"{shape} needs {8 * n} bytes, {left} left")
             buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"truncated checkpoint while reading {name!r}")
             out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
     return out
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from attntrack.cli import main
-from attntrack.pipeline import load_sequence, read_netpbm, read_rect_file
+from attntrack.pipeline import (TrackerConfig, build_model, load_sequence,
+                                read_netpbm, read_rect_file, save_model)
 
 FAST_MODEL = ["--template-size", "48", "--search-size", "96", "--d", "8",
               "--heads", "2", "--c-mid", "8"]
@@ -120,6 +121,19 @@ class TestDumps:
             grid = np.loadtxt(f"{prefix}_{tag}.csv", delimiter=",")
             assert grid.shape == (12, 12)
             assert os.path.exists(f"{prefix}_{tag}.pgm")
+
+    @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
+    def test_one_frame_sequence_exits_with_frame_count(self, command, tmp_path):
+        seq = str(tmp_path / "one")
+        assert main(["synth", "--out", seq, "--seed", "5", "--frames", "1",
+                     "--image-size", "96"]) == 0
+        ckpt = str(tmp_path / "fresh.trtr")
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        save_model(ckpt, build_model(np.random.default_rng(0), config), config)
+        with pytest.raises(SystemExit, match="has 1 frame"):
+            main([command, "--ckpt", ckpt, "--seq", seq,
+                  "--out-prefix", str(tmp_path / "x")])
 
 
 class TestGradcheckCommand:

@@ -3,8 +3,10 @@ import pytest
 
 from attntrack.errors import ShapeError
 from attntrack.online import (MemorySample, OnlineFilter, TrainingMemory,
-                              blend, conjugate_gradient, init_online_filter,
-                              online_forward, solve_cg, update_memory)
+                              _Linearization, _stack, blend,
+                              conjugate_gradient, init_online_filter,
+                              objective, online_forward, solve_cg,
+                              update_memory)
 
 
 def forward_oracle(filt: OnlineFilter, feat: np.ndarray) -> np.ndarray:
@@ -258,7 +260,236 @@ class TestSolveCg:
         assert result.degraded
         assert result.filter is filt                 # previous filter kept
 
+    @pytest.mark.parametrize("where,value", [("features", -np.inf),
+                                             ("features", np.nan),
+                                             ("label", np.nan)])
+    def test_other_non_finite_inputs_degrade(self, where, value):
+        # the solver keeps act = pre * mask, so a NaN or -inf feature is
+        # not zeroed by the relu and reaches the degraded check
+        rng = np.random.default_rng(14)
+        filt = init_online_filter(rng, c_in=2, hidden=4, kernel=2)
+        memory = TrainingMemory(capacity=4)
+        for _ in range(2):
+            update_memory(memory, rng.standard_normal((2, 4, 4)),
+                          rng.uniform(0, 1, (4, 4)), lr=0.1)
+        target = memory.samples[1]
+        if where == "features":
+            target.features[1, 2, 3] = value
+        else:
+            target.label[2, 3] = value
+        result = solve_cg(filt, memory, n_iters=4, gn_steps=2)
+        assert result.degraded
+        assert result.filter is filt
+
+    def test_both_layers_frozen_rejected(self):
+        filt = init_online_filter(np.random.default_rng(0), c_in=2)
+        memory = TrainingMemory(capacity=2)
+        update_memory(memory, np.ones((2, 3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            solve_cg(filt, memory, n_iters=1, train_w1=False, train_w2=False)
+
     def test_empty_memory_rejected(self):
         filt = init_online_filter(np.random.default_rng(0), c_in=2)
         with pytest.raises(ValueError):
             solve_cg(filt, TrainingMemory(), n_iters=1)
+
+
+# -- per-sample oracle ----------------------------------------------------------
+#
+# The solver as it was before it stacked the memory: one sample at a time,
+# the k x k conv as an einsum over sliding windows, its adjoint as k*k
+# shifted adds. The batched operators must agree with it to rounding.
+
+def _oracle_pad(kernel):
+    return (kernel - 1) // 2, kernel // 2
+
+
+def _oracle_conv(activations, w2):
+    k = w2.shape[2]
+    lo, hi = _oracle_pad(k)
+    padded = np.pad(activations, ((0, 0), (lo, hi), (lo, hi)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    return np.einsum("chwuv,cuv->hw", windows, w2[0])
+
+
+def _oracle_conv_adjoint(grad_map, w2, spatial):
+    h, w = spatial
+    k = w2.shape[2]
+    lo, hi = _oracle_pad(k)
+    gpad = np.zeros((w2.shape[1], h + lo + hi, w + lo + hi))
+    for du in range(k):
+        for dv in range(k):
+            gpad[:, du:du + h, dv:dv + w] += w2[0, :, du, dv][:, None, None] * grad_map
+    return gpad[:, lo:lo + h, lo:lo + w]
+
+
+def oracle_forward(filt, features):
+    pre = np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0], features)
+    return _oracle_conv(np.maximum(pre, 0.0), filt.w2)
+
+
+def oracle_objective(filt, memory):
+    total = 0.0
+    for s in memory.samples:
+        r = oracle_forward(filt, s.features) - s.label
+        total += s.weight * float(np.sum(r * r))
+    return total + filt.reg * (float(np.sum(filt.w1 ** 2))
+                               + float(np.sum(filt.w2 ** 2)))
+
+
+class OracleSystem:
+    """Per-sample Gauss-Newton system at one linearization point."""
+
+    def __init__(self, filt, memory, train_w1, train_w2):
+        self.filt, self.train_w1, self.train_w2 = filt, train_w1, train_w2
+        self.states = []
+        for s in memory.samples:
+            pre = np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0], s.features)
+            mask = (pre > 0.0).astype(np.float64)
+            act = pre * mask
+            residual = _oracle_conv(act, filt.w2) - s.label
+            self.states.append((s, mask, act, residual))
+        parts = [filt.w1.ravel()] if train_w1 else []
+        parts += [filt.w2.ravel()] if train_w2 else []
+        self.theta = np.concatenate(parts)
+
+    def split(self, vec):
+        v1 = v2 = None
+        pos = 0
+        if self.train_w1:
+            n = self.filt.w1.size
+            v1 = vec[pos:pos + n].reshape(self.filt.w1.shape)
+            pos += n
+        if self.train_w2:
+            v2 = vec[pos:pos + self.filt.w2.size].reshape(self.filt.w2.shape)
+        return v1, v2
+
+    def jvp(self, sample, mask, act, v1, v2):
+        out = np.zeros(sample.label.shape)
+        if v1 is not None:
+            dact = mask * np.einsum("oc,chw->ohw", v1[:, :, 0, 0], sample.features)
+            out += _oracle_conv(dact, self.filt.w2)
+        if v2 is not None:
+            out += _oracle_conv(act, v2)
+        return out
+
+    def vjp(self, sample, mask, act, u):
+        parts = []
+        if self.train_w1:
+            gact = _oracle_conv_adjoint(u, self.filt.w2, sample.label.shape)
+            parts.append(np.einsum("ohw,chw->oc", gact * mask,
+                                   sample.features).ravel())
+        if self.train_w2:
+            k = self.filt.kernel
+            lo, hi = _oracle_pad(k)
+            apad = np.pad(act, ((0, 0), (lo, hi), (lo, hi)))
+            windows = np.lib.stride_tricks.sliding_window_view(
+                apad, (k, k), axis=(1, 2))
+            parts.append(np.einsum("chwuv,hw->cuv", windows, u).ravel())
+        return np.concatenate(parts)
+
+    def matvec(self, vec):
+        v1, v2 = self.split(vec)
+        acc = self.filt.reg * vec
+        for sample, mask, act, _ in self.states:
+            t = self.jvp(sample, mask, act, v1, v2)
+            acc = acc + self.vjp(sample, mask, act, sample.weight * t)
+        return acc
+
+    def gradient(self):
+        grad = self.filt.reg * self.theta
+        for sample, mask, act, residual in self.states:
+            grad = grad + self.vjp(sample, mask, act, sample.weight * residual)
+        return grad
+
+
+def oracle_solve(filt, memory, n_iters, gn_steps, train_w1, train_w2):
+    current = filt.copy()
+    objectives = [oracle_objective(current, memory)]
+    for _ in range(gn_steps):
+        system = OracleSystem(current, memory, train_w1, train_w2)
+        delta = conjugate_gradient(system.matvec, -system.gradient(),
+                                   n_iters=n_iters)
+        accepted = None
+        step = 1.0
+        for _ in range(5):
+            candidate = current.copy()
+            v1, v2 = system.split(system.theta + step * delta)
+            if v1 is not None:
+                candidate.w1 = v1.copy()
+            if v2 is not None:
+                candidate.w2 = v2.copy()
+            value = oracle_objective(candidate, memory)
+            if value <= objectives[-1]:
+                accepted = (candidate, value)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        current, value = accepted
+        objectives.append(value)
+    return current, objectives
+
+
+def random_problem(rng, kernel, n_samples, grid=(5, 5), c_in=3, hidden=4):
+    filt = init_online_filter(rng, c_in=c_in, hidden=hidden, kernel=kernel,
+                              reg=1e-2)
+    memory = TrainingMemory(capacity=n_samples)
+    for _ in range(n_samples):
+        update_memory(memory, rng.standard_normal((c_in,) + grid),
+                      rng.uniform(0, 1, grid), lr=0.2)
+    return filt, memory
+
+
+def rel_err(actual, expected):
+    return np.abs(np.asarray(actual) - expected).max() / np.abs(expected).max()
+
+
+TRAINED = [(True, True), (True, False), (False, True)]
+CASES = [(k, s, grid) for k in (1, 2, 3, 4) for s in (1, 8)
+         for grid in ((5, 5), (4, 6))]
+
+
+class TestBatchedAgainstPerSample:
+    @pytest.mark.parametrize("train_w1,train_w2", TRAINED)
+    @pytest.mark.parametrize("kernel,n_samples,grid", CASES)
+    def test_normal_matvec_and_gradient(self, kernel, n_samples, grid,
+                                        train_w1, train_w2):
+        rng = np.random.default_rng([kernel, n_samples, grid[1]])
+        filt, memory = random_problem(rng, kernel, n_samples, grid)
+        batched = _Linearization(filt, _stack(memory), train_w1, train_w2)
+        oracle = OracleSystem(filt, memory, train_w1, train_w2)
+        assert np.array_equal(batched.theta, oracle.theta)
+        for _ in range(3):
+            vec = rng.standard_normal(oracle.theta.size)
+            assert rel_err(batched.normal_matvec(vec), oracle.matvec(vec)) <= 1e-12
+        assert rel_err(batched.gradient(), oracle.gradient()) <= 1e-12
+
+    @pytest.mark.parametrize("kernel,n_samples,grid", CASES)
+    def test_objective_and_forward(self, kernel, n_samples, grid):
+        rng = np.random.default_rng([kernel, n_samples, grid[1], 1])
+        filt, memory = random_problem(rng, kernel, n_samples, grid)
+        assert rel_err(objective(filt, memory),
+                       oracle_objective(filt, memory)) <= 1e-12
+        for s in memory.samples:
+            assert rel_err(online_forward(filt, s.features),
+                           oracle_forward(filt, s.features)) <= 1e-12
+
+    @pytest.mark.parametrize("train_w1,train_w2", TRAINED)
+    @pytest.mark.parametrize("kernel,n_samples,grid", CASES)
+    def test_short_solve(self, kernel, n_samples, grid, train_w1, train_w2):
+        # long solves amplify rounding differences (a 1e-15 relative change
+        # of the features moves a 10 x 10 solve by percents), so only short
+        # ones are compared
+        rng = np.random.default_rng([kernel, n_samples, grid[1], 2])
+        filt, memory = random_problem(rng, kernel, n_samples, grid)
+        n_iters = 1 + kernel % 3
+        result = solve_cg(filt, memory, n_iters=n_iters, gn_steps=1,
+                          train_w1=train_w1, train_w2=train_w2)
+        expected, objectives = oracle_solve(filt, memory, n_iters, 1,
+                                            train_w1, train_w2)
+        assert not result.degraded
+        assert len(result.objectives) == len(objectives)
+        assert rel_err(result.objectives, objectives) <= 1e-9
+        assert rel_err(result.filter.w1, expected.w1) <= 1e-9
+        assert rel_err(result.filter.w2, expected.w2) <= 1e-9

@@ -247,6 +247,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", ["2 -2 -3", "1 -4", "2 100000 100000",
+                                      "3 2 2", "1 7"])
+    def test_rejects_shape_the_file_cannot_hold(self, tmp_path, dims):
+        # negative or missing dims, or more elements than the rest of the
+        # file holds, must fail before any read or allocation of that size
+        path = tmp_path / "bad.trtr"
+        path.write_bytes(b"TRTR-CKPT v1\n1\nenc.w " + dims.encode()
+                         + b"\n" + bytes(48))
+        with pytest.raises(ValueError, match="enc.w"):
+            load_checkpoint(path)
+
     def test_rejects_duplicate_names(self, tmp_path):
         params = [("w", Tensor([1.0])), ("w", Tensor([2.0]))]
         with pytest.raises(ValueError):
