@@ -9,7 +9,6 @@ whenever their features are equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +19,14 @@ from .tensor import Tensor
 
 
 @dataclass
-class AttentionHeadWeights:
-    """Projection matrices for one head: each maps d -> d_head."""
+class MultiHeadWeights:
+    """Packed (d, d) projections; head h owns columns h*d_head:(h+1)*d_head
+    of wq, wk and wv. wo maps the head concatenation back to width d."""
     wq: Tensor
     wk: Tensor
     wv: Tensor
-
-
-@dataclass
-class MultiHeadWeights:
-    heads: list[AttentionHeadWeights]
     wo: Tensor
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.heads)
+    n_heads: int
 
 
 @dataclass
@@ -76,13 +68,14 @@ def init_multi_head(rng: np.random.Generator, d: int, n_heads: int) -> MultiHead
     if n_heads < 1 or d % n_heads:
         raise ConfigurationError(f"head count {n_heads} must divide model width {d}")
     d_head = d // n_heads
-    heads = [AttentionHeadWeights(
-        wq=Tensor(T.xavier_uniform(rng, (d, d_head)), requires_grad=True),
-        wk=Tensor(T.xavier_uniform(rng, (d, d_head)), requires_grad=True),
-        wv=Tensor(T.xavier_uniform(rng, (d, d_head)), requires_grad=True),
-    ) for _ in range(n_heads)]
+    # drawn block by block (head 0's q, k, v, then head 1's, ...), so seeded
+    # weights, and checkpoints that store the blocks, agree with the packing
+    blocks = [[T.xavier_uniform(rng, (d, d_head)) for _ in range(3)]
+              for _ in range(n_heads)]
+    wq, wk, wv = (Tensor(np.concatenate(cols, axis=1), requires_grad=True)
+                  for cols in zip(*blocks))
     wo = Tensor(T.xavier_uniform(rng, (d, d)), requires_grad=True)
-    return MultiHeadWeights(heads=heads, wo=wo)
+    return MultiHeadWeights(wq=wq, wk=wk, wv=wv, wo=wo, n_heads=n_heads)
 
 
 def init_ffn(rng: np.random.Generator, d: int, hidden: int) -> FfnWeights:
@@ -95,7 +88,7 @@ def init_ffn(rng: np.random.Generator, d: int, hidden: int) -> FfnWeights:
     )
 
 
-def project_qkv(inputs: AttentionInputs, w: AttentionHeadWeights):
+def project_qkv(inputs: AttentionInputs, w: MultiHeadWeights):
     """Q = (Xq+Pq)Wq, K = (Xkv+Pk)Wk, V = Xkv Wv (no positions on values)."""
     if inputs.xq.shape != inputs.pq.shape or inputs.xkv.shape != inputs.pk.shape:
         raise ShapeError("positional codes must match their input sequences")
@@ -105,34 +98,16 @@ def project_qkv(inputs: AttentionInputs, w: AttentionHeadWeights):
     return q, k, v
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Row-stochastic map A[i, j] = softmax_j(q_i . k_j / sqrt(d_head))."""
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    logits = T.mul(T.matmul(q, T.transpose(k)), scale)
-    return T.softmax_rows(logits)
-
-
 def multi_head_attention(inputs: AttentionInputs, w: MultiHeadWeights,
                          attn_sink: list | None = None) -> Tensor:
-    """Concatenate the per-head outputs on the channel axis, then project.
+    """Attend with every head at once, then project the head concatenation.
 
     When ``attn_sink`` is a list, each head's weight map is appended to it
     (as a plain array) for diagnostics.
     """
-    d = inputs.xq.shape[1]
-    if d % w.n_heads:
-        raise ConfigurationError(f"{w.n_heads} heads do not divide width {d}")
-    outputs = []
-    for head in w.heads:
-        q, k, v = project_qkv(inputs, head)
-        a = attention_weights(q, k)
-        if attn_sink is not None:
-            attn_sink.append(a.data.copy())
-        outputs.append(T.matmul(a, v))
-    joined = T.concat(outputs, axis=1) if len(outputs) > 1 else outputs[0]
-    return T.matmul(joined, w.wo)
+    q, k, v = project_qkv(inputs, w)
+    heads = T.multi_head_softmax_attention(q, k, v, w.n_heads, maps=attn_sink)
+    return T.matmul(heads, w.wo)
 
 
 def residual_norm(attn_out: Tensor, xq: Tensor, ln: LayerNormWeights) -> Tensor:
@@ -150,10 +125,9 @@ def ffn(x: Tensor, w: FfnWeights) -> Tensor:
 
 
 def named_multi_head(prefix: str, w: MultiHeadWeights):
-    for i, head in enumerate(w.heads):
-        yield f"{prefix}.head{i}.wq", head.wq
-        yield f"{prefix}.head{i}.wk", head.wk
-        yield f"{prefix}.head{i}.wv", head.wv
+    yield f"{prefix}.wq", w.wq
+    yield f"{prefix}.wk", w.wk
+    yield f"{prefix}.wv", w.wv
     yield f"{prefix}.wo", w.wo
 
 

@@ -63,6 +63,17 @@ def check_softmax(rng) -> tuple[float, int]:
     return finite_difference_check(lambda: _projected(T.softmax_rows(x), r), [x])
 
 
+def check_multi_head_softmax_attention(rng) -> tuple[float, int]:
+    heads, dh, nq, nk = 3, 2, 4, 5
+    q = _leaf(rng, nq, heads * dh)
+    k = _leaf(rng, nk, heads * dh)
+    v = _leaf(rng, nk, heads * dh)
+    r = rng.standard_normal((nq, heads * dh))
+    return finite_difference_check(
+        lambda: _projected(T.multi_head_softmax_attention(q, k, v, heads), r),
+        [q, k, v])
+
+
 def check_layernorm(rng) -> tuple[float, int]:
     x = _leaf(rng, 4, 6)
     gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
@@ -94,10 +105,7 @@ def check_attention(rng) -> tuple[float, int]:
     pq = Tensor(rng.standard_normal((nq, d)))
     pk = Tensor(rng.standard_normal((nkv, d)))
     r = rng.standard_normal((nq, d))
-    params = [xq, xkv, ln.gain, ln.bias]
-    for head in w.heads:
-        params += [head.wq, head.wk, head.wv]
-    params.append(w.wo)
+    params = [xq, xkv, ln.gain, ln.bias, w.wq, w.wk, w.wv, w.wo]
 
     def loss():
         out = multi_head_attention(AttentionInputs(xq, xkv, pq, pk), w)
@@ -195,6 +203,7 @@ _CHECKS = [
     ("matmul", check_matmul),
     ("conv2d", check_conv2d),
     ("softmax_rows", check_softmax),
+    ("multi_head_softmax_attention", check_multi_head_softmax_attention),
     ("layernorm", check_layernorm),
     ("elementwise", check_elementwise),
     ("attention", check_attention),

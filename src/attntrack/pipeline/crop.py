@@ -37,29 +37,47 @@ def context_side(box: BoundingBox) -> float:
     return math.sqrt((box.w + pad) * (box.h + pad))
 
 
+def _taps(coords: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two bilinear taps of each 1-D sample coordinate.
+
+    Returns source indices clipped into the image and their weights, both
+    (2, n); a tap that falls outside [0, extent) gets weight 0.
+    """
+    i0 = np.floor(coords).astype(np.int64)
+    frac = coords - i0
+    index = np.stack([i0, i0 + 1])
+    weight = np.stack([1.0 - frac, frac]) * ((index >= 0) & (index < extent))
+    return np.clip(index, 0, extent - 1), weight
+
+
 def _bilinear_mean_pad(image: np.ndarray, ys: np.ndarray, xs: np.ndarray,
                        means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (3,H,W) image at float (y, x) grids; outside taps use means."""
-    _, h, w = image.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy = ys - y0
-    fx = xs - x0
+    """Sample (3,H,W) image on the grid rows ys x columns xs; outside taps use means.
 
-    out = np.zeros((3,) + ys.shape)
-    coverage = np.zeros(ys.shape)
-    taps = ((y0, x0, (1 - fy) * (1 - fx)), (y0, x0 + 1, (1 - fy) * fx),
-            (y0 + 1, x0, fy * (1 - fx)), (y0 + 1, x0 + 1, fy * fx))
-    for ty, tx, weight in taps:
-        valid = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-        cy = np.clip(ty, 0, h - 1)
-        cx = np.clip(tx, 0, w - 1)
-        vals = np.where(valid[None], image[:, cy, cx], means[:, None, None])
-        out += weight[None] * vals
-        coverage += weight * valid
-    mask = coverage == 0.0
-    # zero-coverage pixels are exactly the channel mean, by definition
-    out[:, mask] = np.broadcast_to(means[:, None], (3, int(mask.sum())))
+    The bilinear weights of the four taps sum to 1, so mean padding is
+    ``mean + sum(w_y * w_x * (image - mean))`` over the in-image taps, and
+    the sum separates into a column pass and a row pass over the
+    mean-centred image. Columns go first: the larger second gather then
+    copies whole rows, and its second tap needs only one channel's buffer.
+    """
+    _, h, w = image.shape
+    row_index, row_weight = _taps(ys, h)
+    col_index, col_weight = _taps(xs, w)
+    centred = image - means[:, None, None]
+    cols = np.take(centred, col_index[0], axis=2) * col_weight[0]
+    cols += np.take(centred, col_index[1], axis=2) * col_weight[1]
+    out = np.take(cols, row_index[0], axis=1)
+    out *= row_weight[0][:, None]
+    mask = (row_weight.sum(axis=0) == 0.0)[:, None] \
+        | (col_weight.sum(axis=0) == 0.0)[None, :]
+    tap = np.empty(out.shape[1:])
+    for channel, col_blend, mean in zip(out, cols, means):
+        np.take(col_blend, row_index[1], axis=0, out=tap)
+        tap *= row_weight[1][:, None]
+        channel += tap
+        channel += mean
+        # zero-coverage pixels are exactly the channel mean, by definition
+        channel[mask] = mean
     return out, mask
 
 
@@ -72,9 +90,8 @@ def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
     origin = (center[0] - side / 2.0 + 0.5 * scale,
               center[1] - side / 2.0 + 0.5 * scale)
     idx = np.arange(out_size, dtype=np.float64)
-    xs = origin[0] + idx[None, :] * scale + np.zeros((out_size, 1))
-    ys = origin[1] + idx[:, None] * scale + np.zeros((1, out_size))
-    patch, mask = _bilinear_mean_pad(frame, ys, xs, means)
+    patch, mask = _bilinear_mean_pad(frame, origin[1] + idx * scale,
+                                     origin[0] + idx * scale, means)
     return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin,
                       channel_means=means)
 

@@ -128,8 +128,36 @@ def save_model(path, model: ModelWeights, config: TrackerConfig) -> None:
     save_checkpoint(entries, path)
 
 
+# config keys older checkpoints carry that no longer configure anything
+_RETIRED_CONFIG_KEYS = {"config.stride"}
+
+
+def _packed_attention_entry(data: dict, name: str, n_heads: int):
+    """Concatenate a checkpoint's per-head blocks of a packed projection.
+
+    Checkpoints written before the heads were packed store ``<prefix>.wq``
+    as ``<prefix>.head{i}.wq`` for each head (likewise wk, wv). The blocks
+    are consumed from ``data``. Returns None when they are not all there.
+    """
+    prefix, _, kind = name.rpartition(".")
+    if kind not in ("wq", "wk", "wv"):
+        return None
+    keys = [f"{prefix}.head{i}.{kind}" for i in range(n_heads)]
+    if not all(key in data for key in keys):
+        return None
+    return np.concatenate([data.pop(key) for key in keys], axis=1)
+
+
 def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
+    """Rebuild a model from a checkpoint, rejecting entries it cannot use.
+
+    Raises ``ValueError`` naming the entry for a missing, misshapen, unknown
+    or non-finite one.
+    """
     data = load_checkpoint(path)
+    for name, value in data.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"checkpoint entry {name!r} is not finite")
     kwargs = {}
     for f in dataclasses.fields(TrackerConfig):
         key = f"config.{f.name}"
@@ -137,17 +165,23 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
             # ints and flags round-trip through the float checkpoint; each
             # field's default has the field's type
             cast = type(f.default)
-            value = float(data[key])
+            value = float(data.pop(key))
             kwargs[f.name] = value if cast is float else cast(round(value))
     config = TrackerConfig(**kwargs)
     model = build_model(np.random.default_rng(0), config)
     for name, param in model.named_parameters():
-        if name not in data:
+        value = data.pop(name, None)
+        if value is None:
+            value = _packed_attention_entry(data, name, config.n_heads)
+        if value is None:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
-        if data[name].shape != param.data.shape:
+        if value.shape != param.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}: "
-                             f"{data[name].shape} vs {param.data.shape}")
-        param.data = data[name]
+                             f"{value.shape} vs {param.data.shape}")
+        param.data = value
+    unknown = sorted(set(data) - _RETIRED_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"checkpoint has unknown entries: {unknown}")
     return model, config
 
 

@@ -12,6 +12,7 @@ and desk-scale experiments, not throughput.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from typing import Callable, Iterable, Sequence
@@ -142,26 +143,22 @@ def astensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
     """Context manager that suspends tape recording (inference mode).
 
-    The switch is process-wide: keep training and no_grad inference in one
-    execution context at a time (read-only inference itself may run
-    concurrently over distinct inputs).
+    The switch is context-local: a thread (or asyncio task) inside
+    ``no_grad`` does not stop another one from recording.
     """
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -173,7 +170,7 @@ def _make(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], No
     cycles, and a node is freed as soon as it is dropped, without the
     cyclic garbage collector.
     """
-    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_grad_enabled.get() and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -420,6 +417,83 @@ def softmax_rows(x) -> Tensor:
             x._accumulate(s * (grad - (grad * s).sum(axis=1, keepdims=True)))
 
     return _make(s, (x,), backward)
+
+
+# Bytes of one attention-map block: about 512 KB of rows stays in cache
+# from the logits product through the shift, exp, row sum and product with v.
+_ATTENTION_BLOCK_BYTES = 1 << 19
+
+
+def multi_head_softmax_attention(q, k, v, n_heads: int,
+                                 maps: list | None = None) -> Tensor:
+    """Scaled dot-product attention over packed heads.
+
+    q: (Nq, d), k and v: (Nk, d); head h owns columns h*dh:(h+1)*dh with
+    dh = d / n_heads. Returns the (Nq, d) concatenation of the head outputs
+    softmax_j(q_h . k_h / sqrt(dh)) @ v_h. The scale is folded into q. Each
+    block of map rows goes through logits, max-shift and exp in place, and
+    its product with v is divided by the row sums, so the map itself is
+    only normalised when it is kept. Off the tape one block is live at a
+    time; the (h, Nq, Nk) stack of maps is kept when the node is recorded
+    for backward, or when ``maps`` is a list, which then gets a copy of
+    each head's map.
+    """
+    q, k, v = astensor(q), astensor(k), astensor(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"attention expects 2-D q/k/v, got {q.shape}, {k.shape}, {v.shape}")
+    (nq, d), nk = q.shape, k.shape[0]
+    if k.shape != (nk, d) or v.shape != (nk, d):
+        raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"{n_heads} heads do not divide width {d}")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a: Array, rows: int) -> Array:        # (rows, d) -> (h, rows, dh)
+        return np.ascontiguousarray(a.reshape(rows, n_heads, dh).transpose(1, 0, 2))
+
+    qh, kh, vh = split(q.data * scale, nq), split(k.data, nk), split(v.data, nk)
+    record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
+                                      or v.requires_grad)
+    keep = record or maps is not None
+    step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nk))
+    weights = np.empty((n_heads, nq, nk) if keep else (min(step, nq), nk))
+    out = np.empty((n_heads, nq, dh))
+    for h in range(n_heads):
+        for start in range(0, nq, step):
+            rows = slice(start, min(start + step, nq))
+            a = weights[h, rows] if keep else weights[:rows.stop - start]
+            np.matmul(qh[h, rows], kh[h].T, out=a)
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            total = a.sum(axis=1, keepdims=True)
+            head_out = out[h, rows]
+            np.matmul(a, vh[h], out=head_out)
+            head_out /= total
+            if keep:
+                a /= total
+    if maps is not None:
+        maps.extend(head_map.copy() for head_map in weights)
+    data = out.transpose(1, 0, 2).reshape(nq, d)
+
+    def backward(grad):
+        gh = split(grad, nq)
+        if v.requires_grad:
+            v._accumulate(np.matmul(weights.transpose(0, 2, 1), gh)
+                          .transpose(1, 0, 2).reshape(nk, d))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax adjoint: dS = A * (dA - rowsum(dA * A)), with dA = G V^T
+        ds = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds -= np.einsum("hij,hij->hi", ds, weights)[:, :, None]
+        ds *= weights
+        if q.requires_grad:
+            q._accumulate(np.matmul(ds, kh).transpose(1, 0, 2).reshape(nq, d) * scale)
+        if k.requires_grad:
+            k._accumulate(np.matmul(ds.transpose(0, 2, 1), qh)
+                          .transpose(1, 0, 2).reshape(nk, d))
+
+    return _make(data, (q, k, v), backward)
 
 
 def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from attntrack.attention import attention_weights
 from attntrack.cli import main
 from attntrack.localize import decode_center, decode_size
 from attntrack.loss import focal_loss, gaussian_label
@@ -24,7 +23,7 @@ from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
                                 crop_template, encode_template, evaluate,
                                 extract_features, generate_synthetic_sequence,
                                 track_sequence, train_toy)
-from attntrack.tensor import Tensor
+from attntrack.tensor import Tensor, multi_head_softmax_attention
 from attntrack.transformer import (AttentionTrace, build_positional_encoding,
                                    decode)
 
@@ -68,9 +67,11 @@ def test_criterion_2_equation_oracles():
     start = time.monotonic()
 
     # attention weights, scalar instance
-    a = attention_weights(Tensor([[2.0]]), Tensor([[1.0], [0.0]]))
+    maps = []
+    multi_head_softmax_attention(Tensor([[2.0]]), Tensor([[1.0], [0.0]]),
+                                 Tensor([[0.0], [0.0]]), 1, maps=maps)
     e2 = math.exp(2.0)
-    ok_attn = np.allclose(a.data[0], [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
+    ok_attn = np.allclose(maps[0][0], [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
 
     # focal loss scalar branches
     pos = focal_loss(Tensor([[0.5]]), np.array([[1.0]])).item()

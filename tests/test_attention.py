@@ -1,15 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from attntrack import tensor as T
-from attntrack.attention import (AttentionHeadWeights, AttentionInputs,
-                                 FfnWeights, MultiHeadWeights,
-                                 attention_weights, ffn, init_layernorm,
-                                 init_multi_head, multi_head_attention,
-                                 project_qkv, residual_norm)
-from attntrack.errors import ConfigurationError
+from attntrack.attention import (AttentionInputs, FfnWeights, MultiHeadWeights,
+                                 ffn, init_layernorm, init_multi_head,
+                                 multi_head_attention, project_qkv,
+                                 residual_norm)
+from attntrack.errors import ConfigurationError, ShapeError
 from attntrack.tensor import Tensor
 
 
@@ -25,12 +25,30 @@ def inputs_with(xq, xkv, pq=None, pk=None):
     return AttentionInputs(Tensor(xq), Tensor(xkv), Tensor(pq), Tensor(pk))
 
 
+def one_head(wq, wk, wv):
+    """Single-head packed weights with an identity output projection."""
+    return MultiHeadWeights(wq=Tensor(wq), wk=Tensor(wk), wv=Tensor(wv),
+                            wo=Tensor(np.eye(wv.shape[1])), n_heads=1)
+
+
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """One head's map A[i, j] = softmax_j(q_i . k_j / sqrt(d)), read from
+    the packed attention op."""
+    maps = []
+    T.multi_head_softmax_attention(q, k, Tensor(np.zeros(k.shape)), 1, maps=maps)
+    return Tensor(maps[0])
+
+
+def head_columns(w: MultiHeadWeights, head: int) -> slice:
+    d_head = w.wq.shape[1] // w.n_heads
+    return slice(head * d_head, (head + 1) * d_head)
+
+
 class TestProjectQkv:
     def test_identity_projections(self):
         rng = np.random.default_rng(0)
         xq, xkv = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-        eye = lambda: Tensor(np.eye(3))
-        w = AttentionHeadWeights(wq=eye(), wk=eye(), wv=eye())
+        w = one_head(np.eye(3), np.eye(3), np.eye(3))
         q, k, v = project_qkv(inputs_with(xq, xkv), w)
         assert np.array_equal(q.data, xq)
         assert np.array_equal(k.data, xkv)
@@ -39,8 +57,7 @@ class TestProjectQkv:
     def test_one_hot_selects_weight_row(self):
         rng = np.random.default_rng(1)
         wq = rng.standard_normal((3, 3))
-        w = AttentionHeadWeights(wq=Tensor(wq), wk=Tensor(np.eye(3)),
-                                 wv=Tensor(np.eye(3)))
+        w = one_head(wq, np.eye(3), np.eye(3))
         xq = np.array([[0.0, 1.0, 0.0]])
         q, _, _ = project_qkv(inputs_with(xq, np.zeros((1, 3))), w)
         assert np.allclose(q.data[0], wq[1])
@@ -50,7 +67,7 @@ class TestProjectQkv:
         xq, xkv = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
         pq, pk = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
         wq, wk, wv = (rng.standard_normal((3, 3)) for _ in range(3))
-        w = AttentionHeadWeights(wq=Tensor(wq), wk=Tensor(wk), wv=Tensor(wv))
+        w = one_head(wq, wk, wv)
         q, k, v = project_qkv(inputs_with(xq, xkv, pq, pk), w)
         assert np.abs(q.data - (xq + pq) @ wq).max() < 1e-12
         assert np.abs(k.data - (xkv + pk) @ wk).max() < 1e-12
@@ -100,10 +117,11 @@ class TestAttentionWeights:
 def manual_multi_head(xq, xkv, pq, pk, w: MultiHeadWeights):
     """Straight-line oracle composing the four single-head operations."""
     pieces = []
-    for head in w.heads:
-        q = (xq + pq) @ head.wq.data
-        k = (xkv + pk) @ head.wk.data
-        v = xkv @ head.wv.data
+    for head in range(w.n_heads):
+        cols = head_columns(w, head)
+        q = (xq + pq) @ w.wq.data[:, cols]
+        k = (xkv + pk) @ w.wk.data[:, cols]
+        v = xkv @ w.wv.data[:, cols]
         a = softmax_np((q @ k.T) / math.sqrt(q.shape[1]))
         pieces.append(a @ v)
     return np.hstack(pieces) @ w.wo.data
@@ -118,15 +136,16 @@ class TestMultiHead:
         xq, xkv = rng.standard_normal((2, d)), rng.standard_normal((3, d))
         inputs = inputs_with(xq, xkv)
         out = multi_head_attention(inputs, w)
-        q, k, v = project_qkv(inputs, w.heads[0])
-        single = T.matmul(attention_weights(q, k), v)
+        q, k, v = project_qkv(inputs, w)
+        logits = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d))
+        single = T.matmul(T.softmax_rows(logits), v)
         assert np.abs(out.data - single.data).max() < 1e-12
 
     def test_dead_head_zeroes_half_the_concat(self):
         rng = np.random.default_rng(9)
         d = 4
         w = init_multi_head(rng, d, 2)
-        w.heads[1].wv = Tensor(np.zeros((d, d // 2)))
+        w.wv.data[:, head_columns(w, 1)] = 0.0
         w.wo = Tensor(np.eye(d))  # expose the concat directly
         xq, xkv = rng.standard_normal((3, d)), rng.standard_normal((3, d))
         out = multi_head_attention(inputs_with(xq, xkv), w)
@@ -141,6 +160,20 @@ class TestMultiHead:
         pq, pk = rng.standard_normal((3, d)), rng.standard_normal((5, d))
         out = multi_head_attention(inputs_with(xq, xkv, pq, pk), w)
         assert np.abs(out.data - manual_multi_head(xq, xkv, pq, pk, w)).max() < 1e-12
+
+    def test_packed_init_matches_per_head_draws(self):
+        # seeded models keep their weights: each head's (d, d_head) q, k, v
+        # blocks are drawn in head order and concatenated
+        d, heads = 8, 4
+        w = init_multi_head(np.random.default_rng(21), d, heads)
+        rng = np.random.default_rng(21)
+        blocks = [[T.xavier_uniform(rng, (d, d // heads)) for _ in range(3)]
+                  for _ in range(heads)]
+        wo = T.xavier_uniform(rng, (d, d))
+        for i, packed in enumerate((w.wq, w.wk, w.wv)):
+            assert np.array_equal(packed.data,
+                                  np.hstack([b[i] for b in blocks]))
+        assert np.array_equal(w.wo.data, wo)
 
     def test_head_count_must_divide_width(self):
         with pytest.raises(ConfigurationError):
@@ -182,6 +215,101 @@ class TestMultiHead:
         multi_head_attention(inputs_with(xq, xkv, None, pk), w, attn_sink=sink)
         for a in sink:
             assert np.abs(a[:, 2] - a[:, 3]).max() < 1e-12
+
+
+def composed_attention(q, k, v, n_heads, maps):
+    """The packed op spelled out per head on the tape: slices, T.matmul,
+    T.mul by 1/sqrt(d_head), T.softmax_rows, then T.concat."""
+    d_head = q.shape[1] // n_heads
+    outputs = []
+    for head in range(n_heads):
+        cols = (slice(None), slice(head * d_head, (head + 1) * d_head))
+        qh, kh, vh = T.take(q, cols), T.take(k, cols), T.take(v, cols)
+        logits = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_head))
+        a = T.softmax_rows(logits)
+        maps.append(a.data)
+        outputs.append(T.matmul(a, vh))
+    return T.concat(outputs, axis=1)
+
+
+def qkv_case(rng, n_heads, nq, nk, padded):
+    """Random packed q/k/v; ``padded`` makes the last three keys equal
+    (as equal-feature padded cells with zeroed positional codes are)."""
+    d = 2 * n_heads
+    q = rng.standard_normal((nq, d)) * 2.0
+    k = rng.standard_normal((nk, d)) * 2.0
+    v = rng.standard_normal((nk, d))
+    if padded:
+        k[-3:] = k[-1]
+        v[-3:] = v[-1]
+    return [Tensor(a, requires_grad=True) for a in (q, k, v)]
+
+
+CASES = [(heads, nq, nk, padded) for heads in (1, 2, 3, 4)
+         for nq, nk in ((5, 7), (6, 4)) for padded in (False, True)]
+
+
+class TestPackedAttentionOp:
+    @pytest.mark.parametrize("heads,nq,nk,padded", CASES)
+    def test_forward_matches_per_head_composition(self, heads, nq, nk, padded,
+                                                  monkeypatch):
+        q, k, v = qkv_case(np.random.default_rng(heads * 100 + nq), heads, nq,
+                           nk, padded)
+        oracle_maps = []
+        oracle = composed_attention(q, k, v, heads, oracle_maps)
+        outputs = [T.multi_head_softmax_attention(q, k, v, heads)]
+        # blocks of 4 rows, so Nq = 5 and 6 end on a partial block
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", 4 * 8 * nk)
+        maps = []
+        outputs.append(T.multi_head_softmax_attention(q, k, v, heads, maps=maps))
+        with T.no_grad():       # off the tape: one block buffer, no stack
+            outputs.append(T.multi_head_softmax_attention(q, k, v, heads))
+        for out in outputs:
+            assert out.shape == (nq, 2 * heads)
+            assert np.abs(out.data - oracle.data).max() <= 1e-12
+        assert len(maps) == heads
+        for a, b in zip(maps, oracle_maps):
+            assert np.abs(a - b).max() <= 1e-12
+        if padded:
+            for a in maps:
+                assert np.abs(a[:, -3:] - a[:, -1:]).max() <= 1e-12
+
+    @pytest.mark.parametrize("heads,nq,nk,padded", CASES)
+    def test_backward_matches_per_head_composition(self, heads, nq, nk, padded):
+        rng = np.random.default_rng(heads * 100 + nq + 1)
+        q, k, v = qkv_case(rng, heads, nq, nk, padded)
+        r = rng.standard_normal((nq, 2 * heads))
+        grads = []
+        for attend in (lambda: T.multi_head_softmax_attention(q, k, v, heads),
+                       lambda: composed_attention(q, k, v, heads, [])):
+            for t in (q, k, v):
+                t.zero_grad()
+            T.tensor_sum(T.mul(attend(), r)).backward()
+            grads.append([t.grad for t in (q, k, v)])
+        for fast, slow in zip(*grads):
+            assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+
+    def test_only_one_map_live_without_the_tape(self):
+        n, heads = 256, 4
+        one_map = n * n * 8
+        q, k, v = qkv_case(np.random.default_rng(0), heads, n, n, False)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                T.multi_head_softmax_attention(q, k, v, heads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with T.no_grad():
+            assert peak_bytes() < 2 * one_map
+        assert peak_bytes() >= heads * one_map   # recorded: the stack is kept
+
+    def test_rejects_heads_that_do_not_divide_width(self):
+        q, k, v = qkv_case(np.random.default_rng(0), 2, 3, 3, False)
+        with pytest.raises(ShapeError):
+            T.multi_head_softmax_attention(q, k, v, 3)
 
 
 class TestResidualNorm:

@@ -33,6 +33,21 @@ def bilinear_oracle(image, ys, xs, means):
     return out
 
 
+def coverage_oracle(shape, ys, xs):
+    """Per-pixel total bilinear weight of the taps that land in the image."""
+    h, w = shape
+    cov = np.zeros(ys.shape)
+    for i in range(ys.shape[0]):
+        for j in range(ys.shape[1]):
+            y0, x0 = int(np.floor(ys[i, j])), int(np.floor(xs[i, j]))
+            fy, fx = ys[i, j] - y0, xs[i, j] - x0
+            for dy, wy in ((0, 1 - fy), (1, fy)):
+                for dx, wx in ((0, 1 - fx), (1, fx)):
+                    if 0 <= y0 + dy < h and 0 <= x0 + dx < w:
+                        cov[i, j] += wy * wx
+    return cov
+
+
 class TestCrop:
     def _frame(self, rng, h=80, w=80):
         return rng.uniform(0, 1, (3, h, w))
@@ -65,15 +80,32 @@ class TestCrop:
         frame = np.zeros((3, 40, 40))
         frame[:, :, :20] = 0.25      # two-color image
         frame[:, :, 20:] = 0.75
-        box = BoundingBox(17.0, 23.0, 12.0, 9.0)
+        textured = rng.uniform(0, 1, (3, 40, 40))
+        boxes = [BoundingBox(17.0, 23.0, 12.0, 9.0),    # interior
+                 BoundingBox(1.0, 1.5, 10.0, 7.0),      # top-left corner
+                 BoundingBox(38.5, 39.0, 9.0, 12.0),    # bottom-right corner
+                 BoundingBox(-3.0, 20.0, 12.0, 9.0),    # partly left of the image
+                 BoundingBox(20.0, 44.0, 8.0, 10.0)]    # partly below it
         out_size = 24
-        crop = crop_template(frame, box, out_size)
         idx = np.arange(out_size, dtype=np.float64)
-        xs = crop.origin[0] + idx[None, :] * crop.scale + np.zeros((out_size, 1))
-        ys = crop.origin[1] + idx[:, None] * crop.scale + np.zeros((1, out_size))
-        means = frame.reshape(3, -1).mean(axis=1)
-        expected = bilinear_oracle(frame, ys, xs, means)
-        assert np.abs(crop.patch - expected).max() < 1e-9
+        padded_rows = padded_cols = 0
+        for image in (frame, textured):
+            means = image.reshape(3, -1).mean(axis=1)
+            for box in boxes:
+                crop = crop_template(image, box, out_size)
+                xs = crop.origin[0] + idx[None, :] * crop.scale + np.zeros((out_size, 1))
+                ys = crop.origin[1] + idx[:, None] * crop.scale + np.zeros((1, out_size))
+                expected = bilinear_oracle(image, ys, xs, means)
+                assert np.abs(crop.patch - expected).max() < 1e-12, box
+                coverage = coverage_oracle(image.shape[1:], ys, xs)
+                assert np.array_equal(crop.pad_mask, coverage == 0.0), box
+                padded_vals = crop.patch[:, crop.pad_mask]
+                assert np.array_equal(padded_vals, np.broadcast_to(
+                    means[:, None], padded_vals.shape)), box
+                padded_rows += crop.pad_mask.all(axis=1).sum()
+                padded_cols += crop.pad_mask.all(axis=0).sum()
+        # the boxes reach crops with fully padded rows and columns
+        assert padded_rows > 0 and padded_cols > 0
 
     def test_search_centering(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -152,6 +154,8 @@ TAPE_OPS = {
     "concat": lambda x: T.concat([x, x], axis=1),
     "take": lambda x: T.take(x, 1), "matmul": lambda x: T.matmul(x, x),
     "softmax_rows": T.softmax_rows,
+    "multi_head_softmax_attention":
+        lambda x: T.multi_head_softmax_attention(x, x, x, 3),
     "layernorm": lambda x: T.layernorm(x, np.ones(3), np.zeros(3)),
     "conv2d": lambda x: T.conv2d(T.reshape(x, (1, 3, 3)), np.ones((1, 1, 2, 2))),
 }
@@ -220,6 +224,55 @@ class TestNoGrad:
         with T.no_grad():
             y = T.mul(x, 3.0)
         assert not y.requires_grad and y._parents == ()
+
+    def test_other_threads_no_grad_does_not_leak(self):
+        # thread A sits inside no_grad while this thread records an op
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        entered = threading.Barrier(2, timeout=30)
+        release = threading.Barrier(2, timeout=30)
+
+        def hold():
+            with T.no_grad():
+                entered.wait()
+                release.wait()
+
+        other = threading.Thread(target=hold)
+        other.start()
+        try:
+            entered.wait()
+            y = T.mul(x, 3.0)
+        finally:
+            release.wait()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert y.requires_grad and y._backward is not None
+
+    def test_threads_toggling_no_grad_each_see_their_own_switch(self):
+        # more threads than cores, switching often: every op recorded
+        # outside no_grad must be on the tape and none inside it
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        wrong = []
+
+        def worker():
+            for _ in range(300):
+                with T.no_grad():
+                    if T.mul(x, 2.0).requires_grad:
+                        wrong.append("recorded inside no_grad")
+                if not T.mul(x, 2.0).requires_grad:
+                    wrong.append("dropped outside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestCheckpoint:

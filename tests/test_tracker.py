@@ -86,6 +86,17 @@ class TestTrackerBasics:
         assert diag.lost
         assert box == box_before
 
+    def test_nan_pixel_frame_is_lost_and_keeps_previous_box(self, toy_world):
+        frames, boxes, config, model = toy_world
+        tracker = Tracker(model, config)
+        tracker.init(frames[0], boxes[0])
+        box_before, _ = tracker.track(frames[1])
+        pixels = frames[2].pixels.copy()
+        pixels[:, round(box_before.cy), round(box_before.cx)] = np.nan
+        box, diag = tracker.track(pixels)
+        assert diag.lost
+        assert box == box_before
+
     def test_diagnostics_carry_all_maps(self, toy_world):
         frames, boxes, config, model = toy_world
         tracker = Tracker(model, dataclasses.replace(config, online=True))
@@ -208,6 +219,84 @@ class TestCheckpointRoundtrip:
         save_checkpoint(entries, path)
         _, loaded = load_model(path)
         assert loaded == config
+
+    @staticmethod
+    def _edited_checkpoint(model, config, path, edit):
+        save_model(path, model, config)
+        entries = load_checkpoint(path)
+        edit(entries)
+        save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], path)
+
+    def test_unknown_config_key_rejected(self, toy_world, tmp_path):
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {"config.search_sizes": np.array(255.0)}))
+        with pytest.raises(ValueError, match="config.search_sizes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["transformer.encoder0.attn.bogus",
+                                      "transformer.encoder0.attn.head4.wq"])
+    def test_unknown_parameter_rejected(self, toy_world, tmp_path, name):
+        # head4 does not exist in a 4-head model
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {name: np.zeros((config.d, config.d // config.n_heads))}))
+        with pytest.raises(ValueError, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, toy_world, tmp_path, bad):
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        name = "transformer.decoder0.ffn.w2"
+
+        def poison(entries):
+            entries[name] = entries[name].copy()
+            entries[name][1, 2] = bad
+
+        self._edited_checkpoint(model, config, path, poison)
+        with pytest.raises(ValueError, match=name):
+            load_model(path)
+
+    def test_per_head_checkpoint_loads_identically(self, toy_world, tmp_path):
+        # the layout written before the heads were packed: wq/wk/wv stored
+        # as one (d, d_head) block per head, named <prefix>.head{i}.wq etc.
+        frames, boxes, config, model = toy_world
+        d_head = config.d // config.n_heads
+
+        def split_heads(entries):
+            packed = dict(entries)
+            entries.clear()
+            for name, value in packed.items():
+                prefix, _, kind = name.rpartition(".")
+                if kind in ("wk", "wv"):
+                    continue
+                if kind != "wq":
+                    entries[name] = value
+                    continue
+                for i in range(config.n_heads):
+                    cols = slice(i * d_head, (i + 1) * d_head)
+                    for part in ("wq", "wk", "wv"):
+                        entries[f"{prefix}.head{i}.{part}"] = \
+                            packed[f"{prefix}.{part}"][:, cols]
+
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, split_heads)
+        names = set(load_checkpoint(path))
+        assert "transformer.decoder0.self_attn.head3.wv" in names
+        assert "transformer.decoder0.self_attn.wv" not in names
+        loaded_model, loaded_config = load_model(path)
+        assert loaded_config == config
+        for (na, pa), (nb, pb) in zip(model.named_parameters(),
+                                      loaded_model.named_parameters()):
+            assert na == nb
+            assert np.array_equal(pa.data, pb.data)
+        a = track_sequence(model, config, frames[:4], boxes[0])
+        b = track_sequence(loaded_model, loaded_config, frames[:4], boxes[0])
+        for x, y in zip(a, b):
+            assert (x.cx, x.cy, x.w, x.h) == (y.cx, y.cy, y.w, y.h)
 
     def test_loaded_model_tracks_identically(self, toy_world, tmp_path):
         frames, boxes, config, model = toy_world
