@@ -525,7 +525,15 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a (C,H,W) input with an (O,C,kh,kw) kernel."""
+    """2-D cross-correlation of a (C,H,W) input with an (O,C,kh,kw) kernel.
+
+    The im2col columns are channel-major, ``(C*kh*kw, oh*ow)``: row
+    ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
+    output position, so building them copies along output rows, and the
+    output is ``kernel.reshape(O, C*kh*kw) @ cols`` reshaped to
+    ``(O, oh, ow)`` without a transpose. A 1x1, stride-1, unpadded conv
+    takes the input itself, viewed as ``(C, H*W)``, as its columns.
+    """
     x, kernel = astensor(x), astensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {kernel.shape}")
@@ -533,6 +541,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {ck}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, "
+                         f"got stride {stride}, padding {padding}")
+    if kh > h + 2 * padding or kw > w + 2 * padding:
+        raise ShapeError(
+            f"conv2d kernel {kh}x{kw} larger than the padded input "
+            f"{h + 2 * padding}x{w + 2 * padding}")
     if (h + 2 * padding - kh) % stride or (w + 2 * padding - kw) % stride:
         raise ShapeError(
             f"conv2d output extent not integral for input {h}x{w}, "
@@ -542,24 +557,26 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]                    # (C, oh, ow, kh, kw)
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+    if kh == kw == stride == 1 and not padding:
+        cols = x.data.reshape(c, h * w)
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]                # (C, oh, ow, kh, kw)
+        cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
     wmat = kernel.data.reshape(o, c * kh * kw)
-    data = (cols @ wmat.T).T.reshape(o, oh, ow)
+    data = (wmat @ cols).reshape(o, oh, ow)
 
     def backward(grad):
-        gmat = grad.reshape(o, oh * ow).T                      # (oh*ow, O)
+        gmat = grad.reshape(o, oh * ow)
         if kernel.requires_grad:
-            kernel._accumulate((gmat.T @ cols).reshape(kernel.shape))
+            kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
         if x.requires_grad:
-            dcols = gmat @ wmat                                 # (oh*ow, C*kh*kw)
-            dwin = dcols.reshape(oh, ow, c, kh, kw)
+            dcols = (wmat.T @ gmat).reshape(c, kh, kw, oh, ow)
             dpad = np.zeros_like(padded)
             for u in range(kh):
                 for v in range(kw):
                     dpad[:, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
-                        dwin[:, :, :, u, v].transpose(2, 0, 1)
+                        dcols[:, u, v]
             if padding:
                 dpad = dpad[:, padding:padding + h, padding:padding + w]
             x._accumulate(dpad)

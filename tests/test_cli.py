@@ -36,7 +36,8 @@ class TestSynth:
 class TestTrainToy:
     def test_checkpoint_header(self, workspace):
         _, _, ckpt = workspace
-        assert open(ckpt, "rb").readline() == b"TRTR-CKPT v1\n"
+        with open(ckpt, "rb") as fh:
+            assert fh.readline() == b"TRTR-CKPT v1\n"
 
     def test_loss_log(self, workspace, tmp_path):
         root, seq, _ = workspace
@@ -44,7 +45,8 @@ class TestTrainToy:
         out = str(tmp_path / "m.trtr")
         assert main(["train-toy", "--out", out, "--seq", seq, "--steps", "3",
                      "--seed", "5", "--loss-log", log, *FAST_MODEL]) == 0
-        lines = open(log).read().splitlines()
+        with open(log) as fh:
+            lines = fh.read().splitlines()
         assert len(lines) == 3
         assert all(float(v) > 0 for v in lines)
 
@@ -58,7 +60,8 @@ class TestTrack:
                      "--metrics", metrics]) == 0
         boxes = read_rect_file(results)
         assert len(boxes) == 6
-        payload = json.load(open(metrics))
+        with open(metrics) as fh:
+            payload = json.load(fh)
         assert set(payload) >= {"mean_iou", "success_auc", "per_frame_iou"}
 
     def test_online_and_search_size_overrides(self, workspace, tmp_path):
@@ -79,7 +82,8 @@ class TestEval:
         assert main(["eval", "--pred", results,
                      "--truth", os.path.join(seq, "groundtruth_rect.txt"),
                      "--out", out]) == 0
-        payload = json.load(open(out))
+        with open(out) as fh:
+            payload = json.load(fh)
         assert 0.0 <= payload["mean_iou"] <= 1.0
 
 

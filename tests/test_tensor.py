@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attntrack import tensor as T
 from attntrack.errors import ShapeError
@@ -40,6 +42,83 @@ def conv_oracle(x, kernel, stride=1, padding=0):
                             out[oc, i, j] += (kernel[oc, ic, u, v]
                                               * xp[ic, i * stride + u, j * stride + v])
     return out
+
+
+def conv_oracle_grads(x, kernel, grad, stride=1, padding=0):
+    """Input and kernel gradients of ``sum(conv(x, kernel) * grad)`` by loops."""
+    c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernel)
+    _, oh, ow = grad.shape
+    for oc in range(o):
+        for i in range(oh):
+            for j in range(ow):
+                for u in range(kh):
+                    for v in range(kw):
+                        r, s = i * stride + u, j * stride + v
+                        dxp[:, r, s] += kernel[oc, :, u, v] * grad[oc, i, j]
+                        dk[oc, :, u, v] += xp[:, r, s] * grad[oc, i, j]
+    return dxp[:, padding:padding + h, padding:padding + w], dk
+
+
+def rowmajor_conv2d(x, kernel, grad, stride=1, padding=0):
+    """The row-major im2col conv2d that ``T.conv2d`` replaced: output, dx, dk.
+
+    Columns are ``(oh*ow, C*kh*kw)``, copied from windows in (oh, ow, C, kh,
+    kw) order; the product is transposed back to ``(O, oh, ow)``.
+    """
+    c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    cols = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+    wmat = kernel.reshape(o, c * kh * kw)
+    out = (cols @ wmat.T).T.reshape(o, oh, ow)
+    gmat = grad.reshape(o, oh * ow).T
+    dk = (gmat.T @ cols).reshape(kernel.shape)
+    dwin = (gmat @ wmat).reshape(oh, ow, c, kh, kw)
+    dpad = np.zeros_like(padded)
+    for u in range(kh):
+        for v in range(kw):
+            dpad[:, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
+                dwin[:, :, :, u, v].transpose(2, 0, 1)
+    return out, dpad[:, padding:padding + h, padding:padding + w], dk
+
+
+def assert_relative(actual, expected, tol=1e-12):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
+
+
+def check_conv_against_oracles(rng, c, o, kh, kw, h, w, stride, padding):
+    x = Tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+    kernel = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
+    out = T.conv2d(x, kernel, stride=stride, padding=padding)
+    grad = rng.standard_normal(out.shape)
+    T.tensor_sum(T.mul(out, grad)).backward()
+    ref_out, ref_dx, ref_dk = rowmajor_conv2d(x.data, kernel.data, grad, stride, padding)
+    loop_dx, loop_dk = conv_oracle_grads(x.data, kernel.data, grad, stride, padding)
+    for actual, expected in ((out.data, ref_out), (x.grad, ref_dx), (kernel.grad, ref_dk),
+                             (out.data, conv_oracle(x.data, kernel.data, stride, padding)),
+                             (x.grad, loop_dx), (kernel.grad, loop_dk)):
+        assert_relative(actual, expected)
+
+
+@st.composite
+def conv_geometries(draw):
+    """Conv shapes with an integral output extent and a kernel that fits."""
+    c, o, kh, kw = (draw(st.integers(1, 4)) for _ in range(4))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h = (oh - 1) * stride + kh - 2 * padding
+    w = (ow - 1) * stride + kw - 2 * padding
+    assume(h >= 1 and w >= 1)
+    return c, o, kh, kw, h, w, stride, padding
 
 
 class TestMatmul:
@@ -146,6 +225,34 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))),
                      stride=2, padding=1)
+
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ShapeError, match="stride"):
+            T.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=0)
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ShapeError, match="padding"):
+            T.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), padding=-1)
+
+    def test_kernel_larger_than_padded_input_rejected(self):
+        with pytest.raises(ShapeError, match="larger"):
+            T.conv2d(Tensor(np.ones((1, 3, 5))), Tensor(np.ones((1, 1, 4, 2))))
+
+    # (C, O, kh, kw, H, W, stride, padding): the four backbone stages, then
+    # the reduce conv and the head convs
+    @pytest.mark.parametrize("geometry", [
+        (3, 8, 4, 4, 16, 16, 2, 1), (8, 16, 4, 4, 8, 8, 2, 1),
+        (16, 32, 4, 4, 8, 8, 2, 1), (32, 32, 3, 3, 4, 4, 1, 1),
+        (32, 32, 1, 1, 4, 4, 1, 0), (32, 2, 1, 1, 4, 3, 1, 0),
+        (32, 1, 1, 1, 4, 3, 1, 0),
+    ])
+    def test_model_geometries_match_rowmajor_and_loop_oracles(self, geometry):
+        check_conv_against_oracles(np.random.default_rng(11), *geometry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=conv_geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_random_geometries_match_oracles(self, geometry, seed):
+        check_conv_against_oracles(np.random.default_rng(seed), *geometry)
 
 
 TAPE_OPS = {
@@ -292,7 +399,8 @@ class TestCheckpoint:
     def test_header_line(self, tmp_path):
         path = tmp_path / "model.trtr"
         save_checkpoint([("x", Tensor([1.0]))], path)
-        assert open(path, "rb").readline() == b"TRTR-CKPT v1\n"
+        with open(path, "rb") as fh:
+            assert fh.readline() == b"TRTR-CKPT v1\n"
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.trtr"
