@@ -531,8 +531,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
     output position, so building them copies along output rows, and the
     output is ``kernel.reshape(O, C*kh*kw) @ cols`` reshaped to
-    ``(O, oh, ow)`` without a transpose. A 1x1, stride-1, unpadded conv
-    takes the input itself, viewed as ``(C, H*W)``, as its columns.
+    ``(O, oh, ow)`` without a transpose. For a 1x1, stride-1, unpadded conv
+    of a contiguous input the columns are a view of the input, not a copy.
     """
     x, kernel = astensor(x), astensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -557,12 +557,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    if kh == kw == stride == 1 and not padding:
-        cols = x.data.reshape(c, h * w)
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::stride, ::stride]                # (C, oh, ow, kh, kw)
-        cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]                    # (C, oh, ow, kh, kw)
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
     wmat = kernel.data.reshape(o, c * kh * kw)
     data = (wmat @ cols).reshape(o, oh, ow)
 
