@@ -99,14 +99,18 @@ def project_qkv(inputs: AttentionInputs, w: MultiHeadWeights):
 
 
 def multi_head_attention(inputs: AttentionInputs, w: MultiHeadWeights,
-                         attn_sink: list | None = None) -> Tensor:
+                         attn_sink: list | None = None,
+                         groups: int = 1) -> Tensor:
     """Attend with every head at once, then project the head concatenation.
 
-    When ``attn_sink`` is a list, each head's weight map is appended to it
-    (as a plain array) for diagnostics.
+    With ``groups`` G the rows form G equal runs on both sides and run g
+    attends only to run g (a batch of G sequences in one call). When
+    ``attn_sink`` is a list, each weight map is appended to it (as a plain
+    array, head-major) for diagnostics.
     """
     q, k, v = project_qkv(inputs, w)
-    heads = T.multi_head_softmax_attention(q, k, v, w.n_heads, maps=attn_sink)
+    heads = T.multi_head_softmax_attention(q, k, v, w.n_heads, maps=attn_sink,
+                                           groups=groups)
     return T.matmul(heads, w.wo)
 
 

@@ -57,6 +57,14 @@ def check_conv2d(rng) -> tuple[float, int]:
         lambda: _projected(T.conv2d(x, k, stride=2, padding=1), r), [x, k])
 
 
+def check_conv2d_batched(rng) -> tuple[float, int]:
+    x = _leaf(rng, 2, 2, 7, 7)
+    k = _leaf(rng, 3, 2, 3, 3)
+    r = rng.standard_normal((2, 3, 4, 4))
+    return finite_difference_check(
+        lambda: _projected(T.conv2d(x, k, stride=2, padding=1), r), [x, k])
+
+
 def check_softmax(rng) -> tuple[float, int]:
     x = _leaf(rng, 3, 5)
     r = rng.standard_normal((3, 5))
@@ -71,6 +79,18 @@ def check_multi_head_softmax_attention(rng) -> tuple[float, int]:
     r = rng.standard_normal((nq, heads * dh))
     return finite_difference_check(
         lambda: _projected(T.multi_head_softmax_attention(q, k, v, heads), r),
+        [q, k, v])
+
+
+def check_block_diagonal_attention(rng) -> tuple[float, int]:
+    heads, dh, groups, nq, nk = 2, 2, 2, 3, 4
+    q = _leaf(rng, groups * nq, heads * dh)
+    k = _leaf(rng, groups * nk, heads * dh)
+    v = _leaf(rng, groups * nk, heads * dh)
+    r = rng.standard_normal((groups * nq, heads * dh))
+    return finite_difference_check(
+        lambda: _projected(T.multi_head_softmax_attention(q, k, v, heads,
+                                                          groups=groups), r),
         [q, k, v])
 
 
@@ -151,7 +171,7 @@ def check_losses(rng) -> tuple[float, int]:
 
     def loss():
         return joint_loss(focal_loss(T.sigmoid(logits), target.label),
-                          offset_loss(off, target.center, 8),
+                          offset_loss(off, target.center, target.cell, 8),
                           size_loss(size, target.norm_size, target.cell))
 
     return finite_difference_check(loss, [logits, off, size])
@@ -161,7 +181,7 @@ def check_backbone(rng) -> tuple[float, int]:
     weights = init_backbone(rng, c_mid=4, d=4)
     x = Tensor(rng.uniform(0.0, 1.0, (3, 16, 16)), requires_grad=True)
     r1 = rng.standard_normal((4, 2, 2))
-    r2 = rng.standard_normal((4, 2, 2))
+    r2 = rng.standard_normal((2, 2, 4))
     params = [x] + [p for _, p in weights.named_parameters()]
 
     def loss():
@@ -193,7 +213,7 @@ def check_full_stack(rng) -> tuple[float, int]:
         maps = heads_forward(decoded, head_weights, stride=8)
         score2d = T.reshape(maps.score, (hh, ww))
         return joint_loss(focal_loss(score2d, target.label),
-                          offset_loss(maps.offset, target.center, 8),
+                          offset_loss(maps.offset, target.center, target.cell, 8),
                           size_loss(maps.size, target.norm_size, target.cell))
 
     return finite_difference_check(loss, params, max_entries=12, rng=rng)
@@ -202,8 +222,10 @@ def check_full_stack(rng) -> tuple[float, int]:
 _CHECKS = [
     ("matmul", check_matmul),
     ("conv2d", check_conv2d),
+    ("conv2d_batched", check_conv2d_batched),
     ("softmax_rows", check_softmax),
     ("multi_head_softmax_attention", check_multi_head_softmax_attention),
+    ("block_diagonal_attention", check_block_diagonal_attention),
     ("layernorm", check_layernorm),
     ("elementwise", check_elementwise),
     ("attention", check_attention),

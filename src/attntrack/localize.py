@@ -40,6 +40,7 @@ class HeadMaps:
     score: (Hs, Ws, 1) target-presence probability;
     offset: (Hs, Ws, 2) sub-cell center correction, channels (x, y);
     size: (Hs, Ws, 2) box size normalized by patch extent, channels (w, h).
+    Maps of a batch of search patches carry a leading batch axis.
     """
     score: Tensor
     offset: Tensor
@@ -99,24 +100,26 @@ def init_head_weights(rng: np.random.Generator, d: int,
                        size=_init_stack(rng, d, 2, 0.0))
 
 
-def _run_stack(features_chw: Tensor, stack: HeadStack) -> Tensor:
-    x = features_chw
+def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
+    x = rows
     last = len(stack.kernels) - 1
     for i, (kernel, bias) in enumerate(zip(stack.kernels, stack.biases)):
-        x = T.add(T.conv2d(x, kernel), T.reshape(bias, (bias.shape[0], 1, 1)))
+        x = T.add(T.conv1x1(x, kernel), bias)
         if i < last:
             x = T.relu(x)
     return T.sigmoid(x)
 
 
 def heads_forward(decoder_out: Tensor, weights: HeadWeights, stride: int) -> HeadMaps:
-    """Run the three head stacks over an (Hs, Ws, d) decoder output."""
-    hs, ws, _ = decoder_out.shape
-    chw = T.transpose(decoder_out, (2, 0, 1))
-    maps = []
-    for stack in (weights.score, weights.offset, weights.size):
-        out = _run_stack(chw, stack)
-        maps.append(T.transpose(out, (1, 2, 0)))
+    """Run the three head stacks over an (Hs, Ws, d) decoder output.
+
+    The 1x1 convs are products over the (cells, d) token rows. A
+    (B, Hs, Ws, d) batch gives maps with the same leading axis.
+    """
+    grid = decoder_out.shape[:-1]
+    rows = T.reshape(decoder_out, (-1, decoder_out.shape[-1]))
+    maps = [T.reshape(_run_stack(rows, stack), grid + (stack.kernels[-1].shape[0],))
+            for stack in (weights.score, weights.offset, weights.size)]
     return HeadMaps(score=maps[0], offset=maps[1], size=maps[2], stride=stride)
 
 

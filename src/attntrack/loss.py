@@ -33,7 +33,7 @@ class FocalParams:
 class GroundTruth:
     """Localization targets for one search patch."""
     center: tuple[float, float]        # patch pixels
-    cell: tuple[int, int]              # low-resolution cell (x, y)
+    cell: tuple[int, int]              # low-resolution cell (x, y) of center
     box_size: tuple[float, float]      # patch pixels
     norm_size: tuple[float, float]     # box size / patch extent
     label: np.ndarray = field(repr=False)  # (Hs, Ws), peak exactly 1 at cell
@@ -82,10 +82,15 @@ def gaussian_label(cell: tuple[int, int], sigma: float, hs: int, ws: int) -> np.
 def make_ground_truth(center: tuple[float, float], box_size: tuple[float, float],
                       patch_w: int, patch_h: int, stride: int,
                       hs: int, ws: int) -> GroundTruth:
-    """Build all targets for a ground-truth box inside a search patch."""
+    """Build all targets for a ground-truth box inside a search patch.
+
+    Raises ``ValueError`` when the centre falls outside the patch's grid.
+    """
     cx, cy = center
+    if not (0.0 <= cx < ws * stride and 0.0 <= cy < hs * stride):
+        raise ValueError(f"ground-truth centre ({cx}, {cy}) lies outside the "
+                         f"{patch_w}x{patch_h} patch ({ws}x{hs} cells of {stride} px)")
     cell = (int(cx // stride), int(cy // stride))
-    cell = (min(max(cell[0], 0), ws - 1), min(max(cell[1], 0), hs - 1))
     sigma = adaptive_sigma(box_size[0] / stride, box_size[1] / stride)
     return GroundTruth(
         center=(cx, cy),
@@ -118,21 +123,36 @@ def focal_loss(score: Tensor, label: np.ndarray,
     return T.mul(T.tensor_sum(T.add(pos_term, neg_term)), -1.0)
 
 
-def offset_loss(offset: Tensor, center: tuple[float, float], stride: int) -> Tensor:
-    """L1 between the predicted offset at the center cell and the true residual."""
-    cx, cy = center
-    cell_x, cell_y = int(cx // stride), int(cy // stride)
-    residual = np.array([cx / stride - cell_x, cy / stride - cell_y])
-    pred = offset[cell_y, cell_x]
-    return T.tensor_sum(T.absolute(T.sub(pred, residual)))
+def _at_cell(field: Tensor, cell) -> Tensor:
+    """The channel vector of an (Hs, Ws, C) field at an (x, y) cell.
+
+    A (B, Hs, Ws, C) field takes (B, 2) cells, one per sample, and gives
+    (B, C).
+    """
+    gx, gy = np.asarray(cell, dtype=np.int64).T
+    if field.ndim == 4:
+        return field[np.arange(field.shape[0]), gy, gx]
+    return field[gy, gx]
 
 
-def size_loss(size: Tensor, norm_size: tuple[float, float],
-              cell: tuple[int, int]) -> Tensor:
-    """L1 between the predicted normalized size at the center cell and truth."""
-    gx, gy = cell
-    pred = size[gy, gx]
-    return T.tensor_sum(T.absolute(T.sub(pred, np.asarray(norm_size, dtype=np.float64))))
+def offset_loss(offset: Tensor, center, cell, stride: int) -> Tensor:
+    """L1 between the predicted offset at the target cell and the true residual.
+
+    With a batch of offset maps, ``center`` and ``cell`` hold one (x, y)
+    pair per sample, and the loss is their sum.
+    """
+    residual = np.asarray(center, dtype=np.float64) / stride - np.asarray(cell)
+    return T.tensor_sum(T.absolute(T.sub(_at_cell(offset, cell), residual)))
+
+
+def size_loss(size: Tensor, norm_size, cell) -> Tensor:
+    """L1 between the predicted normalized size at the target cell and truth.
+
+    With a batch of size maps, ``norm_size`` and ``cell`` hold one pair per
+    sample, and the loss is their sum.
+    """
+    return T.tensor_sum(T.absolute(T.sub(_at_cell(size, cell),
+                                         np.asarray(norm_size, dtype=np.float64))))
 
 
 def joint_loss(score_loss: Tensor, off_loss: Tensor, sz_loss: Tensor,

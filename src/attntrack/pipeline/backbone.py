@@ -49,9 +49,14 @@ def init_backbone(rng: np.random.Generator, c_mid: int = 32, d: int = 32) -> Bac
 
 
 def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, Tensor]:
-    """(3, T, T) -> (mid (c_mid, T/8, T/8), out (d, T/8, T/8))."""
+    """(B, 3, T, T) -> (mid (B, c_mid, T/8, T/8), tokens (B, T/8, T/8, d)).
+
+    Each stage is one conv over the whole batch. The 1x1 reduction is a
+    product over channel-last rows, so the tokens come out channel-last. A
+    single (3, T, T) patch gives mid and tokens without the batch axis.
+    """
     patch = T.astensor(patch)
-    _, h, w = patch.shape
+    h, w = patch.shape[-2:]
     if h % 8 or w % 8:
         raise ConfigurationError(f"backbone input must be a multiple of 8, got {h}x{w}")
     x = patch
@@ -62,6 +67,9 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
         x = T.relu(T.add(x, T.reshape(bias, (bias.shape[0], 1, 1))))
         if i == 2:
             mid = x
-    out = T.add(T.conv2d(x, weights.reduce_kernel),
-                T.reshape(weights.reduce_bias, (weights.reduce_kernel.shape[0], 1, 1)))
-    return mid, out
+    lead = x.ndim - 3
+    channel_last = T.transpose(x, tuple(range(lead)) + (lead + 1, lead + 2, lead))
+    grid = channel_last.shape[:-1]
+    rows = T.reshape(channel_last, (-1, channel_last.shape[-1]))
+    tokens = T.add(T.conv1x1(rows, weights.reduce_kernel), weights.reduce_bias)
+    return mid, T.reshape(tokens, grid + (weights.reduce_kernel.shape[0],))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrackingError
+from ..errors import ShapeError, TrackingError
 from ..localize import BoundingBox
 
 
@@ -97,7 +97,11 @@ def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
 
 
 def _check_box(frame: np.ndarray, box: BoundingBox) -> None:
+    if frame.ndim != 3 or frame.shape[0] != 3:
+        raise ShapeError(f"frame must be a (3, H, W) array, got shape {frame.shape}")
     _, img_h, img_w = frame.shape
+    if not all(math.isfinite(v) for v in (box.cx, box.cy, box.w, box.h)):
+        raise TrackingError(f"box {box} has a non-finite field")
     x, y, w, h = box.as_corner()
     if x + w <= 0 or y + h <= 0 or x >= img_w or y >= img_h:
         raise TrackingError(f"box {box} lies fully outside the {img_w}x{img_h} image")

@@ -1,28 +1,33 @@
 """The model's forward path and the per-sequence tracking state machine.
 
-One chain serves tracking and training alike. ``extract_features`` pads a
-crop to the stride, runs the backbone, and turns its output into
-channel-last tokens plus the grid pad mask; it is the only place the
-``pe_mask`` setting is read. ``encode_template`` runs the encoder over a
-template crop and returns the memory with the template's positional code.
-``decode_search`` decodes search features against that memory and reads
-the head maps. ``Tracker.init`` encodes the template once and freezes the
-memory; ``Tracker.track`` crops a search patch around the last box,
-decodes it, and maps the decoded box back to image coordinates.
-``train_toy`` calls the same two functions on the tape. The optional
-online branch keeps a sample memory over the backbone's mid-level
-features and refreshes its filter with short Gauss-Newton/CG bursts.
+One batched chain serves tracking and training alike. ``extract_features``
+pads a batch of crops to the stride, runs the backbone once over all of
+them, and returns channel-last (B, h, w, d) tokens plus each grid's pad
+mask; it is the only place the ``pe_mask`` setting is read.
+``encode_template`` runs the encoder over one template crop and returns
+the memory with the template's positional code. ``decode_search`` decodes
+a batch of search features against that one memory (self-attention stays
+within each crop, every crop cross-attends to the same memory) and reads
+the head maps, which keep the batch axis. ``Tracker.init`` encodes the
+template once and freezes the memory; ``Tracker.track`` crops a search
+patch around the last box, decodes it as a batch of one, and maps the
+decoded box back to image coordinates. ``train_toy`` calls the same two
+functions on the tape, with a step's search crops as one batch. The
+optional online branch keeps a sample memory over the backbone's
+mid-level features and refreshes its filter with short Gauss-Newton/CG
+bursts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .. import tensor as T
-from ..errors import ConfigurationError, TrackingError
+from ..errors import ConfigurationError, ShapeError, TrackingError
 from ..localize import (BoundingBox, CosineWindow, HeadMaps, HeadWeights,
                         apply_window, decode_center, decode_size, heads_forward,
                         init_head_weights, make_cosine_window, peak_cell,
@@ -194,30 +199,34 @@ def grid_pad_mask(pixel_mask: np.ndarray, stride: int = STRIDE) -> np.ndarray:
 
 @dataclass
 class PatchFeatures:
-    """Backbone outputs for one padded crop."""
-    crop: CropResult
-    tokens: Tensor               # (h, w, d) channel-last feature grid
-    mid: np.ndarray              # (c_mid, h, w) online-branch tap
-    mask: np.ndarray             # (h, w) cells whose positional code is zeroed
+    """Backbone outputs for a batch of padded crops, one per leading index."""
+    crops: list[CropResult]
+    tokens: Tensor               # (B, h, w, d) channel-last feature grids
+    mid: np.ndarray              # (B, c_mid, h, w) online-branch tap
+    mask: np.ndarray             # (B, h, w) cells whose positional code is zeroed
 
 
-def extract_features(crop: CropResult, model: ModelWeights,
+def extract_features(crops: Sequence[CropResult], model: ModelWeights,
                      config: TrackerConfig) -> PatchFeatures:
-    """Pad the crop to the stride, run the backbone, and mask the grid.
+    """Pad each crop to the stride, run the backbone once over the batch,
+    and mask each grid.
 
-    With ``config.pe_mask`` off the mask is all False, so every cell keeps
-    its positional code.
+    The crops must pad to one size. With ``config.pe_mask`` off the mask is
+    all False, so every cell keeps its positional code.
     """
-    padded = pad_to_multiple(crop, STRIDE)
-    mid, out = backbone_forward(Tensor(padded.patch), model.backbone)
-    tokens = T.transpose(out, (1, 2, 0))
-    mask = grid_pad_mask(padded.pad_mask)
-    return PatchFeatures(crop=padded, tokens=tokens, mid=mid.data,
+    padded = [pad_to_multiple(crop, STRIDE) for crop in crops]
+    sides = {crop.patch.shape for crop in padded}
+    if len(sides) != 1:
+        raise ShapeError(f"a batch needs crops of one size, got {sorted(sides)}")
+    mid, tokens = backbone_forward(Tensor(np.stack([crop.patch for crop in padded])),
+                                   model.backbone)
+    mask = np.stack([grid_pad_mask(crop.pad_mask) for crop in padded])
+    return PatchFeatures(crops=padded, tokens=tokens, mid=mid.data,
                          mask=mask if config.pe_mask else np.zeros_like(mask))
 
 
 def _positional_encoding(feats: PatchFeatures) -> PositionalEncoding:
-    h, w, d = feats.tokens.shape
+    _, h, w, d = feats.tokens.shape
     return build_positional_encoding(h, w, d, feats.mask)
 
 
@@ -229,7 +238,7 @@ def encode_template(model: ModelWeights, config: TrackerConfig,
     Returns the encoder memory and the template's positional code, which
     the decoder's cross-attention keys need.
     """
-    feats = extract_features(crop, model, config)
+    feats = extract_features([crop], model, config)
     pe = _positional_encoding(feats)
     return encode(feats.tokens, model.transformer.encoder, pe, trace=trace), pe
 
@@ -237,7 +246,8 @@ def encode_template(model: ModelWeights, config: TrackerConfig,
 def decode_search(model: ModelWeights, feats: PatchFeatures, memory: Tensor,
                   template_pe: PositionalEncoding,
                   trace: AttentionTrace | None = None) -> HeadMaps:
-    """Decoder and heads over search features, against a template memory."""
+    """Decoder and heads over a batch of search features, against one
+    template memory; the maps carry the batch axis."""
     decoded = decode(feats.tokens, memory, template_pe,
                      model.transformer.decoder, _positional_encoding(feats),
                      trace=trace)
@@ -253,7 +263,7 @@ class FrameDiagnostics:
     peak_score: float
     lost: bool
     crop: CropResult
-    head_maps: HeadMaps | None = None
+    head_maps: HeadMaps | None = None      # batch of one: leading axis 1
 
 
 @dataclass
@@ -328,12 +338,13 @@ class Tracker:
                                        cfg.template_size)
                 except TrackingError:
                     continue
-                feats = extract_features(crop, self.model, cfg)
-                center_patch = image_to_patch((box.cx, box.cy), feats.crop)
+                feats = extract_features([crop], self.model, cfg)
+                padded = feats.crops[0]
+                center_patch = image_to_patch((box.cx, box.cy), padded)
                 label = self._online_label(
-                    center_patch, (box.w / feats.crop.scale, box.h / feats.crop.scale),
+                    center_patch, (box.w / padded.scale, box.h / padded.scale),
                     grid)
-                update_memory(self.state.online_memory, feats.mid, label,
+                update_memory(self.state.online_memory, feats.mid[0], label,
                               lr=cfg.memory_lr)
         result = solve_cg(self.state.online_filter, self.state.online_memory,
                           n_iters=cfg.online_init_cg_iters,
@@ -355,16 +366,18 @@ class Tracker:
 
         with T.no_grad():
             crop = crop_search(pixels, state.box, cfg.search_size, cfg.template_size)
-            feats = extract_features(crop, self.model, cfg)
+            feats = extract_features([crop], self.model, cfg)
             maps = decode_search(self.model, feats, state.template_memory,
                                  state.template_pe, trace=trace)
+        padded, mid = feats.crops[0], feats.mid[0]
+        offset, size = maps.offset.data[0], maps.size.data[0]
 
-        raw = maps.score.data[:, :, 0]
+        raw = maps.score.data[0, :, :, 0]
         windowed = apply_window(raw, state.window)
         online_map = None
         blended = None
         if cfg.online and state.online_filter is not None:
-            online_map = np.clip(online_forward(state.online_filter, feats.mid),
+            online_map = np.clip(online_forward(state.online_filter, mid),
                                  0.0, 1.0)
             blended = blend(windowed, online_map, cfg.blend_weight)
             decode_map = blended
@@ -375,18 +388,17 @@ class Tracker:
             diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                     blended_map=blended, online_map=online_map,
                                     peak_score=float("nan"), lost=True,
-                                    crop=feats.crop, head_maps=maps)
+                                    crop=padded, head_maps=maps)
             return state.box, diag
 
         cell = peak_cell(decode_map)
         peak_score = float(decode_map[cell[1], cell[0]])
-        center_patch = decode_center(decode_map, maps.offset.data, STRIDE)
-        padded_size = feats.crop.patch.shape[1]
-        size_patch = decode_size(maps.size.data, cell, padded_size, padded_size)
+        center_patch = decode_center(decode_map, offset, STRIDE)
+        padded_size = padded.patch.shape[1]
+        size_patch = decode_size(size, cell, padded_size, padded_size)
 
-        center_img = patch_to_image(center_patch, feats.crop)
-        size_img = (size_patch[0] * feats.crop.scale,
-                    size_patch[1] * feats.crop.scale)
+        center_img = patch_to_image(center_patch, padded)
+        size_img = (size_patch[0] * padded.scale, size_patch[1] * padded.scale)
         new_w, new_h = smooth_size((state.box.w, state.box.h), size_img,
                                    cfg.size_smoothing)
         _, img_h, img_w = pixels.shape
@@ -400,22 +412,22 @@ class Tracker:
             # label the sample memory at the offline decode: anchoring the
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
-            center_off = decode_center(windowed, maps.offset.data, STRIDE)
-            self._online_step(feats, center_off, size_patch, peak_score)
+            center_off = decode_center(windowed, offset, STRIDE)
+            self._online_step(mid, center_off, size_patch, peak_score)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
                                 peak_score=peak_score, lost=False,
-                                crop=feats.crop, head_maps=maps)
+                                crop=padded, head_maps=maps)
         return new_box, diag
 
-    def _online_step(self, feats: PatchFeatures, center_patch, size_patch,
+    def _online_step(self, mid: np.ndarray, center_patch, size_patch,
                      peak_score: float) -> None:
         cfg = self.config
         state = self.state
         grid = self._search_grid_extent()
         label = self._online_label(center_patch, size_patch, grid)
-        update_memory(state.online_memory, feats.mid, label, lr=cfg.memory_lr)
+        update_memory(state.online_memory, mid, label, lr=cfg.memory_lr)
         state.frames_since_update += 1
         due = state.frames_since_update >= cfg.online_update_interval
         confident = peak_score > cfg.online_score_threshold

@@ -8,11 +8,12 @@ L1 offset/size losses) with Adam at a constant learning rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .. import tensor as T
-from ..errors import TrainingDivergence
+from ..errors import ShapeError, TrainingDivergence
 from ..localize import BoundingBox, HeadMaps
 from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
@@ -107,27 +108,41 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
 
 
 def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
-                 template_pe: PositionalEncoding, search: CropResult) -> HeadMaps:
-    """Tape-recorded decode of one search crop against an encoded template."""
-    return decode_search(model, extract_features(search, model, config),
+                 template_pe: PositionalEncoding,
+                 searches: Sequence[CropResult]) -> HeadMaps:
+    """Tape-recorded decode of a batch of search crops against an encoded
+    template, in one forward; the maps carry the batch axis."""
+    return decode_search(model, extract_features(searches, model, config),
                          memory, template_pe)
 
 
-def pair_loss(maps: HeadMaps, target: GroundTruth,
+def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
               lambda_offset: float = 1.0, lambda_size: float = 1.0):
-    """Joint objective for one pair; returns (total, score, offset, size)."""
-    hs, ws, _ = maps.score.shape
-    score2d = T.reshape(maps.score, (hs, ws))
-    ly = focal_loss(score2d, target.label)
-    lo = offset_loss(maps.offset, target.center, maps.stride)
-    ls = size_loss(maps.size, target.norm_size, target.cell)
+    """Joint objective of a batch of pairs, one target per map.
+
+    Returns (total, score, offset, size), each the mean over the batch.
+    """
+    b, hs, ws, _ = maps.score.shape
+    if len(targets) != b:
+        raise ShapeError(f"{len(targets)} targets for a batch of {b} maps")
+    cells = [t.cell for t in targets]
+    sums = (focal_loss(T.reshape(maps.score, (b, hs, ws)),
+                       np.stack([t.label for t in targets])),
+            offset_loss(maps.offset, [t.center for t in targets], cells,
+                        maps.stride),
+            size_loss(maps.size, [t.norm_size for t in targets], cells))
+    ly, lo, ls = (T.mul(part, 1.0 / b) for part in sums)
     return joint_loss(ly, lo, ls, lambda_offset, lambda_size), ly, lo, ls
 
 
 def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
               boxes: list[BoundingBox], settings: TrainSettings | None = None,
               log=None) -> list[float]:
-    """Overfit the model to one sequence; returns the per-step loss history."""
+    """Overfit the model to one sequence; returns the per-step loss history.
+
+    Each step encodes the template once and sends the batch's search crops
+    through one forward.
+    """
     if settings is None:
         settings = TrainSettings()
     if len(frames) < 2:
@@ -138,26 +153,16 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
     history = []
     for step in range(settings.steps):
         model.zero_grad()
-        # one template encoding per step, shared by the whole batch
         memory, template_pe = encode_template(model, config, template)
-        losses = []
-        parts = np.zeros(3)
-        for _ in range(max(settings.batch_size, 1)):
-            pair = sample_training_pair(frames, boxes, config, rng,
-                                        settings.center_jitter_cells,
-                                        settings.scale_jitter)
-            maps = forward_pair(model, config, memory, template_pe,
-                                pair.search_crop)
-            total, ly, lo, ls = pair_loss(maps, pair.target,
-                                          settings.lambda_offset,
-                                          settings.lambda_size)
-            losses.append(total)
-            parts += (ly.item(), lo.item(), ls.item())
-        batch = losses[0]
-        for extra in losses[1:]:
-            batch = T.add(batch, extra)
-        if len(losses) > 1:
-            batch = T.mul(batch, 1.0 / len(losses))
+        pairs = [sample_training_pair(frames, boxes, config, rng,
+                                      settings.center_jitter_cells,
+                                      settings.scale_jitter)
+                 for _ in range(max(settings.batch_size, 1))]
+        maps = forward_pair(model, config, memory, template_pe,
+                            [pair.search_crop for pair in pairs])
+        batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs],
+                                      settings.lambda_offset,
+                                      settings.lambda_size)
         value = batch.item()
         if not np.isfinite(value):
             raise TrainingDivergence(f"loss became non-finite at step {step}")
@@ -165,7 +170,7 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
         optimizer.step()
         history.append(value)
         if log is not None and (step % 25 == 0 or step == settings.steps - 1):
-            parts /= max(settings.batch_size, 1)
             log(f"step {step:4d}  loss {value:.4f}  "
-                f"(score {parts[0]:.4f} offset {parts[1]:.4f} size {parts[2]:.4f})")
+                f"(score {ly.item():.4f} offset {lo.item():.4f} "
+                f"size {ls.item():.4f})")
     return history

@@ -62,15 +62,21 @@ class Tensor:
     # -- graph bookkeeping -------------------------------------------------
 
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first gradient is kept as it is and later ones are added out
+        # of place, so a gradient array that several nodes share (``add``
+        # hands the same one to both operands) is never written to
+        self.grad = np.asarray(g) if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from a scalar result to every reachable parameter."""
+        """Backpropagate from a scalar result to every reachable parameter.
+
+        Leaves keep their gradients. An interior node's gradient is dropped
+        once its closure has passed it on, so it is freed as soon as no
+        parent holds a view of it.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -91,7 +97,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                grad, node.grad = node.grad, None
+                node._backward(grad)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -168,7 +175,8 @@ def _make(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], No
     ``backward(grad)`` accumulates the result's gradient into the parents.
     It must not capture the result: then the tape holds no reference
     cycles, and a node is freed as soon as it is dropped, without the
-    cyclic garbage collector.
+    cyclic garbage collector. It must not write into ``grad`` either, which
+    may be shared with other nodes.
     """
     out = Tensor(data, requires_grad=_grad_enabled.get() and any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -425,18 +433,25 @@ _ATTENTION_BLOCK_BYTES = 1 << 19
 
 
 def multi_head_softmax_attention(q, k, v, n_heads: int,
-                                 maps: list | None = None) -> Tensor:
+                                 maps: list | None = None,
+                                 groups: int = 1) -> Tensor:
     """Scaled dot-product attention over packed heads.
 
     q: (Nq, d), k and v: (Nk, d); head h owns columns h*dh:(h+1)*dh with
     dh = d / n_heads. Returns the (Nq, d) concatenation of the head outputs
-    softmax_j(q_h . k_h / sqrt(dh)) @ v_h. The scale is folded into q. Each
-    block of map rows goes through logits, max-shift and exp in place, and
-    its product with v is divided by the row sums, so the map itself is
+    softmax_j(q_h . k_h / sqrt(dh)) @ v_h. The scale is folded into q.
+
+    With ``groups`` G > 1 the attention is block-diagonal: q and k/v are
+    split into G equal runs of rows, and run g of the queries attends only
+    to run g of the keys, as G separate calls would. Each (head, group)
+    pair is one map.
+
+    Each block of map rows goes through logits, max-shift and exp in place,
+    and its product with v is divided by the row sums, so the map itself is
     only normalised when it is kept. Off the tape one block is live at a
-    time; the (h, Nq, Nk) stack of maps is kept when the node is recorded
-    for backward, or when ``maps`` is a list, which then gets a copy of
-    each head's map.
+    time; the (h*G, Nq/G, Nk/G) stack of maps is kept when the node is
+    recorded for backward, or when ``maps`` is a list, which then gets a
+    copy of each map, head-major.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -446,41 +461,52 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"{n_heads} heads do not divide width {d}")
+    if groups < 1 or nq % groups or nk % groups:
+        raise ShapeError(f"{groups} groups do not divide {nq} query and {nk} key rows")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
+    stacks = n_heads * groups
 
-    def split(a: Array, rows: int) -> Array:        # (rows, d) -> (h, rows, dh)
-        return np.ascontiguousarray(a.reshape(rows, n_heads, dh).transpose(1, 0, 2))
+    def split(a: Array) -> Array:        # (G*r, d) -> (h*G, r, dh)
+        rows = a.shape[0] // groups
+        return np.ascontiguousarray(
+            a.reshape(groups, rows, n_heads, dh).transpose(2, 0, 1, 3)
+        ).reshape(stacks, rows, dh)
 
-    qh, kh, vh = split(q.data * scale, nq), split(k.data, nk), split(v.data, nk)
+    def merge(a: Array) -> Array:        # (h*G, r, dh) -> (G*r, d)
+        rows = a.shape[1]
+        return a.reshape(n_heads, groups, rows, dh).transpose(1, 2, 0, 3) \
+            .reshape(groups * rows, d)
+
+    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    nqg, nkg = nq // groups, nk // groups
     record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
                                       or v.requires_grad)
     keep = record or maps is not None
-    step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nk))
-    weights = np.empty((n_heads, nq, nk) if keep else (min(step, nq), nk))
-    out = np.empty((n_heads, nq, dh))
-    for h in range(n_heads):
-        for start in range(0, nq, step):
-            rows = slice(start, min(start + step, nq))
-            a = weights[h, rows] if keep else weights[:rows.stop - start]
-            np.matmul(qh[h, rows], kh[h].T, out=a)
+    step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nkg))
+    weights = np.empty((stacks, nqg, nkg) if keep else (min(step, nqg), nkg))
+    out = np.empty((stacks, nqg, dh))
+    for s in range(stacks):
+        for start in range(0, nqg, step):
+            rows = slice(start, min(start + step, nqg))
+            a = weights[s, rows] if keep else weights[:rows.stop - start]
+            np.matmul(qh[s, rows], kh[s].T, out=a)
             a -= a.max(axis=1, keepdims=True)
             np.exp(a, out=a)
             total = a.sum(axis=1, keepdims=True)
-            head_out = out[h, rows]
-            np.matmul(a, vh[h], out=head_out)
+            head_out = out[s, rows]
+            np.matmul(a, vh[s], out=head_out)
             head_out /= total
             if keep:
                 a /= total
     if maps is not None:
         maps.extend(head_map.copy() for head_map in weights)
-    data = out.transpose(1, 0, 2).reshape(nq, d)
+    data = merge(out)
 
     def backward(grad):
-        gh = split(grad, nq)
+        gh = split(grad)
         if v.requires_grad:
-            v._accumulate(np.matmul(weights.transpose(0, 2, 1), gh)
-                          .transpose(1, 0, 2).reshape(nk, d))
+            v._accumulate(merge(np.matmul(weights.transpose(0, 2, 1), gh)))
         if not (q.requires_grad or k.requires_grad):
             return
         # softmax adjoint: dS = A * (dA - rowsum(dA * A)), with dA = G V^T
@@ -488,10 +514,9 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
         ds -= np.einsum("hij,hij->hi", ds, weights)[:, :, None]
         ds *= weights
         if q.requires_grad:
-            q._accumulate(np.matmul(ds, kh).transpose(1, 0, 2).reshape(nq, d) * scale)
+            q._accumulate(merge(np.matmul(ds, kh)) * scale)
         if k.requires_grad:
-            k._accumulate(np.matmul(ds.transpose(0, 2, 1), qh)
-                          .transpose(1, 0, 2).reshape(nk, d))
+            k._accumulate(merge(np.matmul(ds.transpose(0, 2, 1), qh)))
 
     return _make(data, (q, k, v), backward)
 
@@ -525,60 +550,82 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a (C,H,W) input with an (O,C,kh,kw) kernel.
+    """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel.
 
-    The im2col columns are channel-major, ``(C*kh*kw, oh*ow)``: row
-    ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
-    output position, so building them copies along output rows, and the
-    output is ``kernel.reshape(O, C*kh*kw) @ cols`` reshaped to
-    ``(O, oh, ow)`` without a transpose. For a 1x1, stride-1, unpadded conv
-    of a contiguous input the columns are a view of the input, not a copy.
+    A single (C,H,W) input is taken as a batch of one and comes back as
+    (O,oh,ow). The im2col columns are channel-major, ``(C*kh*kw, B*oh*ow)``:
+    row ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
+    output position of every sample. So the batch is one GEMM, building the
+    columns copies along output rows, and ``kernel.reshape(O, C*kh*kw) @
+    cols`` is the output in channel-major memory, returned as a (B,O,oh,ow)
+    view without a transpose. The padded input is laid out channel-major
+    too, and so is the input gradient. For a 1x1, stride-1, unpadded conv
+    of an input in channel-major memory (one sample, or the output of a
+    previous conv) the columns are a view of the input, not a copy.
     """
     x, kernel = astensor(x), astensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {kernel.shape}")
-    c, h, w = x.shape
+    if x.ndim not in (3, 4) or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects (B,C,H,W) or (C,H,W) and (O,C,kh,kw), "
+                         f"got {x.shape}, {kernel.shape}")
+    batched = x.ndim == 4
+    xb = x.data if batched else x.data[None]
+    b, c, h, w = xb.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {ck}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, "
                          f"got stride {stride}, padding {padding}")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp or kw > wp:
         raise ShapeError(
-            f"conv2d kernel {kh}x{kw} larger than the padded input "
-            f"{h + 2 * padding}x{w + 2 * padding}")
-    if (h + 2 * padding - kh) % stride or (w + 2 * padding - kw) % stride:
+            f"conv2d kernel {kh}x{kw} larger than the padded input {hp}x{wp}")
+    if (hp - kh) % stride or (wp - kw) % stride:
         raise ShapeError(
             f"conv2d output extent not integral for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    inner = (slice(None), slice(None), slice(padding, padding + h),
+             slice(padding, padding + w))
 
-    padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]                    # (C, oh, ow, kh, kw)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
+    if padding:
+        padded = np.zeros((c, b, hp, wp)).transpose(1, 0, 2, 3)
+        padded[inner] = xb
+    else:
+        padded = xb
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]                 # (B, C, oh, ow, kh, kw)
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
     wmat = kernel.data.reshape(o, c * kh * kw)
-    data = (wmat @ cols).reshape(o, oh, ow)
+    out = (wmat @ cols).reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
+    data = out if batched else out[0]
 
     def backward(grad):
-        gmat = grad.reshape(o, oh * ow)
+        g = grad if batched else grad[None]
+        gmat = g.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
         if kernel.requires_grad:
             kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
         if x.requires_grad:
-            dcols = (wmat.T @ gmat).reshape(c, kh, kw, oh, ow)
-            dpad = np.zeros_like(padded)
+            dcols = (wmat.T @ gmat).reshape(c, kh, kw, b, oh, ow)
+            dpad = np.zeros((c, b, hp, wp))
             for u in range(kh):
                 for v in range(kw):
-                    dpad[:, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
+                    dpad[:, :, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
                         dcols[:, u, v]
-            if padding:
-                dpad = dpad[:, padding:padding + h, padding:padding + w]
-            x._accumulate(dpad)
+            dx = dpad.transpose(1, 0, 2, 3)[inner]
+            x._accumulate(dx if batched else dx[0])
 
     return _make(data, (x, kernel), backward)
+
+
+def conv1x1(rows, kernel) -> Tensor:
+    """A 1x1 convolution over channel-last rows: (M, C) rows and an
+    (O, C, 1, 1) kernel give (M, O). The kernel keeps conv2d's layout."""
+    kernel = astensor(kernel)
+    if kernel.ndim != 4 or kernel.shape[2:] != (1, 1):
+        raise ShapeError(f"conv1x1 expects an (O,C,1,1) kernel, got {kernel.shape}")
+    return matmul(rows, transpose(reshape(kernel, kernel.shape[:2])))
 
 
 # -- parameters and checkpoints ------------------------------------------------

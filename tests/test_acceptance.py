@@ -122,15 +122,15 @@ def test_criterion_3_pe_mask_property():
     pixels = frames[0].pixels
 
     crop = crop_search(pixels, boxes[0], config.search_size, config.template_size)
-    feats = extract_features(crop, model, config)
-    mask = feats.mask
+    feats = extract_features([crop], model, config)
+    mask = feats.mask[0]
     h, w = mask.shape
     unpadded = np.argwhere(~mask)
 
     deep = [(y, x) for y in range(2, h - 2) for x in range(2, w - 2)
             if mask[y, x]
             and np.abs(unpadded - [y, x]).max(axis=1).min() >= 3]
-    tok = feats.tokens.data
+    tok = feats.tokens.data[0]
     pair = None
     for i in range(len(deep)):
         for j in range(i + 1, len(deep)):
@@ -146,7 +146,7 @@ def test_criterion_3_pe_mask_property():
 
     tcrop = crop_template(pixels, boxes[0], config.template_size)
     memory, pe_z = encode_template(model, config, tcrop)
-    pe_x = build_positional_encoding(h, w, feats.tokens.shape[2], mask)
+    pe_x = build_positional_encoding(h, w, feats.tokens.shape[-1], mask)
     trace = AttentionTrace()
     out = decode(feats.tokens, memory, pe_z, model.transformer.decoder, pe_x,
                  trace=trace)
@@ -158,7 +158,7 @@ def test_criterion_3_pe_mask_property():
             if a.shape[1] == h * w:
                 worst_key = max(worst_key, np.abs(a[:, ja] - a[:, jb]).max())
             worst_query = max(worst_query, np.abs(a[ja] - a[jb]).max())
-    out_diff = np.abs(out.data[ya, xa] - out.data[yb, xb]).max()
+    out_diff = np.abs(out.data[0, ya, xa] - out.data[0, yb, xb]).max()
 
     ok = worst_key < 1e-9 and worst_query < 1e-9 and out_diff < 1e-9
     report(3, ok,

@@ -311,6 +311,47 @@ class TestPackedAttentionOp:
         with pytest.raises(ShapeError):
             T.multi_head_softmax_attention(q, k, v, 3)
 
+    @pytest.mark.parametrize("groups,heads,nq,nk", [(2, 2, 5, 7), (3, 1, 4, 4),
+                                                    (3, 4, 6, 2)])
+    def test_groups_match_separate_calls(self, groups, heads, nq, nk, monkeypatch):
+        # block-diagonal attention over G runs of rows is G separate calls
+        q, k, v = qkv_case(np.random.default_rng(groups * 10 + heads),
+                           heads, groups * nq, groups * nk, False)
+        r = np.random.default_rng(1).standard_normal(q.shape)
+        # blocks of 3 rows, so the runs end on partial blocks
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", 3 * 8 * nk)
+        maps = []
+        out = T.multi_head_softmax_attention(q, k, v, heads, maps=maps,
+                                             groups=groups)
+        T.tensor_sum(T.mul(out, r)).backward()
+        fast = [out.data] + [t.grad for t in (q, k, v)]
+
+        parts = [slice(g * nq, (g + 1) * nq) for g in range(groups)]
+        keys = [slice(g * nk, (g + 1) * nk) for g in range(groups)]
+        for t in (q, k, v):
+            t.zero_grad()
+        group_maps = []
+        outs = []
+        for rows, cols in zip(parts, keys):
+            one = []
+            outs.append(T.multi_head_softmax_attention(
+                q[rows], k[cols], v[cols], heads, maps=one))
+            group_maps.append(one)
+        T.tensor_sum(T.mul(T.concat(outs, axis=0), r)).backward()
+        slow = [np.concatenate([o.data for o in outs])] + [t.grad for t in (q, k, v)]
+        for a, b in zip(fast, slow):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        # one map per (head, group), head-major
+        expected = [group_maps[g][h] for h in range(heads) for g in range(groups)]
+        assert len(maps) == len(expected)
+        for a, b in zip(maps, expected):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_rejects_groups_that_do_not_divide_rows(self):
+        q, k, v = qkv_case(np.random.default_rng(0), 2, 4, 5, False)
+        with pytest.raises(ShapeError, match="groups"):
+            T.multi_head_softmax_attention(q, k, v, 2, groups=2)
+
 
 class TestResidualNorm:
     def test_cancellation(self):

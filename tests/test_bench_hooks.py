@@ -18,3 +18,30 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     probes = Probes(Tracer()).install()
     probes.uninstall()
     assert not probes._saved
+
+
+def test_traced_training_step_records_both_decoder_attention_spans(monkeypatch):
+    # the tracer tells decoder self- from cross-attention only by
+    # ``inputs.xq is inputs.xkv`` inside ``multi_head_attention``, so the
+    # batched decoder must still make both kinds of call through it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import numpy as np
+    from tracing import Probes, Tracer
+
+    from attntrack.pipeline import (SequenceSpec, TrackerConfig, TrainSettings,
+                                    build_model, generate_synthetic_sequence,
+                                    train_toy)
+
+    frames, boxes = generate_synthetic_sequence(0, 3, SequenceSpec())
+    config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
+                           c_mid=8)
+    model = build_model(np.random.default_rng(0), config)
+    tracer = Tracer()
+    with Probes(tracer):
+        tracer.enabled = True
+        train_toy(model, config, frames, boxes, TrainSettings(steps=1))
+        tracer.enabled = False
+    names = {span[0] for span in tracer.spans}
+    assert {"attention.decoder_self", "attention.decoder_cross",
+            "attention.encoder_self", "pipeline.train.forward",
+            "loss.pair"} <= names

@@ -67,6 +67,18 @@ class TestHeadsForward:
         assert np.abs(maps.offset.data - offset).max() < 1e-12
         assert np.abs(maps.size.data - size).max() < 1e-12
 
+    def test_batch_against_naive_oracle(self):
+        rng = np.random.default_rng(4)
+        weights = init_head_weights(rng, 4, score_bias=-1.0)
+        feat = rng.standard_normal((3, 2, 3, 4))
+        maps = heads_forward(Tensor(feat), weights, stride=8)
+        assert maps.score.shape == (3, 2, 3, 1)
+        for b in range(3):
+            score, offset, size = heads_oracle(feat[b], weights)
+            assert np.abs(maps.score.data[b] - score).max() < 1e-12
+            assert np.abs(maps.offset.data[b] - offset).max() < 1e-12
+            assert np.abs(maps.size.data[b] - size).max() < 1e-12
+
     def test_outputs_in_range_for_extreme_inputs(self):
         rng = np.random.default_rng(3)
         weights = init_head_weights(rng, 4)

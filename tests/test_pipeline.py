@@ -162,10 +162,21 @@ class TestBackbone:
         weights = init_backbone(rng, c_mid=8, d=12)
         mid, out = backbone_forward(Tensor(rng.uniform(0, 1, (3, 64, 64))), weights)
         assert mid.shape == (8, 8, 8)
-        assert out.shape == (12, 8, 8)
+        assert out.shape == (8, 8, 12)
         mid2, out2 = backbone_forward(Tensor(rng.uniform(0, 1, (3, 128, 128))), weights)
         assert mid2.shape == (8, 16, 16)
-        assert out2.shape == (12, 16, 16)
+        assert out2.shape == (16, 16, 12)
+
+    def test_batch_matches_single_patches(self):
+        rng = np.random.default_rng(10)
+        weights = init_backbone(rng, c_mid=8, d=12)
+        patches = rng.uniform(0, 1, (3, 3, 32, 32))
+        mid, out = backbone_forward(Tensor(patches), weights)
+        assert mid.shape == (3, 8, 4, 4) and out.shape == (3, 4, 4, 12)
+        for b in range(3):
+            mid_b, out_b = backbone_forward(Tensor(patches[b]), weights)
+            assert np.abs(mid.data[b] - mid_b.data).max() < 1e-12
+            assert np.abs(out.data[b] - out_b.data).max() < 1e-12
 
     def test_rejects_non_multiple_of_eight(self):
         rng = np.random.default_rng(8)
@@ -181,8 +192,8 @@ class TestBackbone:
         _, out_a = backbone_forward(Tensor(base), weights)
         _, out_b = backbone_forward(Tensor(shifted), weights)
         # interior cells shift by one grid cell
-        a = out_a.data[:, 3:7, 3:6]
-        b = out_b.data[:, 3:7, 4:7]
+        a = out_a.data[3:7, 3:6]
+        b = out_b.data[3:7, 4:7]
         assert np.abs(a - b).max() < 1e-6
 
 

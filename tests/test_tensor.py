@@ -254,6 +254,28 @@ class TestConv2d:
     def test_random_geometries_match_oracles(self, geometry, seed):
         check_conv_against_oracles(np.random.default_rng(seed), *geometry)
 
+    @pytest.mark.parametrize("geometry", [
+        (3, 8, 4, 4, 16, 16, 2, 1), (32, 32, 3, 3, 4, 4, 1, 1),
+        (32, 2, 1, 1, 4, 3, 1, 0),
+    ])
+    def test_batch_matches_per_sample_oracle(self, geometry):
+        c, o, kh, kw, h, w, stride, padding = geometry
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((3, c, h, w)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
+        out = T.conv2d(x, kernel, stride=stride, padding=padding)
+        grad = rng.standard_normal(out.shape)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        samples = [rowmajor_conv2d(xi, kernel.data, gi, stride, padding)
+                   for xi, gi in zip(x.data, grad)]
+        assert_relative(out.data, np.stack([ref_out for ref_out, _, _ in samples]))
+        assert_relative(x.grad, np.stack([ref_dx for _, ref_dx, _ in samples]))
+        assert_relative(kernel.grad, sum(ref_dk for _, _, ref_dk in samples))
+
+    def test_batched_input_must_be_four_dimensional(self):
+        with pytest.raises(ShapeError, match="expects"):
+            T.conv2d(Tensor(np.ones((1, 1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
+
 
 TAPE_OPS = {
     "relu": T.relu, "sigmoid": T.sigmoid, "absolute": T.absolute,
@@ -300,6 +322,50 @@ class TestBackward:
         worst, failures = finite_difference_check(loss, [a, b])
         assert not failures
         assert worst < 1e-4
+
+    def test_tensor_added_to_itself(self):
+        x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
+        r = np.array([[2.0, 3.0], [5.0, 7.0]])
+        T.tensor_sum(T.mul(T.add(x, x), r)).backward()
+        assert np.array_equal(x.grad, 2.0 * r)
+
+    def test_two_reshapes_of_one_tensor(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        r1, r2 = np.arange(6.0), np.arange(6.0).reshape(3, 2) ** 2
+        loss = T.add(T.tensor_sum(T.mul(T.reshape(x, (6,)), r1)),
+                     T.tensor_sum(T.mul(T.reshape(x, (3, 2)), r2)))
+        loss.backward()
+        assert np.array_equal(x.grad, r1.reshape(2, 3) + r2.reshape(2, 3))
+
+    def test_leaf_gradients_survive_and_interior_ones_are_dropped(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.full((2, 2), 3.0), requires_grad=True)
+        mid = T.add(a, b)
+        loss = T.tensor_sum(T.mul(mid, mid))
+        loss.backward()
+        assert np.array_equal(a.grad, np.full((2, 2), 8.0))
+        assert np.array_equal(b.grad, np.full((2, 2), 8.0))
+        assert mid.grad is None and loss.grad is None
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_gradient_shared_by_two_leaves_is_not_written(self, shared_first):
+        # add hands one gradient array to both operands; a later gradient
+        # for one of them must not reach the other through that array
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        shared = T.tensor_sum(T.add(a, b))
+        own = T.tensor_sum(T.mul(a, 2.0))
+        (T.add(shared, own) if shared_first else T.add(own, shared)).backward()
+        assert np.array_equal(a.grad, np.full(3, 3.0))
+        assert np.array_equal(b.grad, np.ones(3))
+
+    def test_second_backward_adds_without_writing_the_first_gradient(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        T.tensor_sum(T.mul(x, 3.0)).backward()
+        first = x.grad
+        T.tensor_sum(T.mul(x, 5.0)).backward()
+        assert np.array_equal(first, [3.0, 3.0])
+        assert np.array_equal(x.grad, [8.0, 8.0])
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

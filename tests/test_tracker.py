@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attntrack import tensor as T
-from attntrack.errors import TrackingError
+from attntrack.errors import ShapeError, TrackingError
 from attntrack.localize import BoundingBox
 from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
                                 TrainSettings, build_model, crop_template,
@@ -109,6 +109,32 @@ class TestTrackerBasics:
         assert 0.0 <= diag.peak_score <= 1.0
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize("box", [BoundingBox(float("nan"), 40.0, 20.0, 16.0),
+                                     BoundingBox(40.0, float("nan"), 20.0, 16.0),
+                                     BoundingBox(40.0, 40.0, float("inf"), 16.0),
+                                     BoundingBox(40.0, 40.0, 20.0, float("nan"))])
+    def test_non_finite_init_box_rejected(self, toy_world, box):
+        # a NaN centre used to be accepted, and every later frame came back
+        # lost with cx = nan
+        frames, _, config, model = toy_world
+        with pytest.raises(TrackingError, match="non-finite"):
+            Tracker(model, config).init(frames[0], box)
+
+    def test_two_dimensional_frame_rejected_at_init(self, toy_world):
+        frames, boxes, config, model = toy_world
+        grey = frames[0].pixels[0]
+        with pytest.raises(ShapeError, match=r"\(3, H, W\)"):
+            Tracker(model, config).init(grey, boxes[0])
+
+    def test_two_dimensional_frame_rejected_at_track(self, toy_world):
+        frames, boxes, config, model = toy_world
+        tracker = Tracker(model, config)
+        tracker.init(frames[0], boxes[0])
+        with pytest.raises(ShapeError, match=r"\(3, H, W\)"):
+            tracker.track(frames[1].pixels[0])
+
+
 class TestPluginProperty:
     def test_offline_mode_never_touches_online_code(self, toy_world, monkeypatch):
         frames, boxes, config, model = toy_world
@@ -149,20 +175,20 @@ class TestPaddedGrid:
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(1), config)
         crop = crop_search(frames[0].pixels, boxes[0], 255, 127)
-        feats = extract_features(crop, model, config)
-        assert feats.crop.patch.shape == (3, 256, 256)
-        assert feats.tokens.shape == (32, 32, 8)       # grid comes out as 32
-        assert feats.crop.pad_mask[:, -1].all()        # 1px mean strip added
+        feats = extract_features([crop], model, config)
+        assert feats.crops[0].patch.shape == (3, 256, 256)
+        assert feats.tokens.shape == (1, 32, 32, 8)    # grid comes out as 32
+        assert feats.crops[0].pad_mask[:, -1].all()    # 1px mean strip added
         # a single padded pixel column does not mask whole 8px grid cells
-        assert not feats.mask[:, -1].any()
+        assert not feats.mask[0, :, -1].any()
 
     def test_pe_mask_off_gives_empty_mask(self, toy_world):
         frames, _, config, model = toy_world
         corner = BoundingBox(6.0, 6.0, 20.0, 16.0)     # crop reaches off-image
         crop = crop_search(frames[0].pixels, corner, config.search_size,
                            config.template_size)
-        on = extract_features(crop, model, config)
-        off = extract_features(crop, model,
+        on = extract_features([crop], model, config)
+        off = extract_features([crop], model,
                                dataclasses.replace(config, pe_mask=False))
         assert on.mask.any() and not off.mask.any()
         assert np.array_equal(on.tokens.data, off.tokens.data)
@@ -353,8 +379,8 @@ class TestTrainToy:
             model.zero_grad()
             memory, template_pe = encode_template(model, config, template)
             maps = forward_pair(model, config, memory, template_pe,
-                                pair.search_crop)
-            total, *_ = pair_loss(maps, pair.target)
+                                [pair.search_crop])
+            total, *_ = pair_loss(maps, [pair.target])
             total.backward()
             optimizer.step()
             losses.append(total.item())
@@ -373,8 +399,8 @@ class TestTrainToy:
 
         def pair_total(memory, template_pe, pair):
             maps = forward_pair(model, config, memory, template_pe,
-                                pair.search_crop)
-            return pair_loss(maps, pair.target)[0]
+                                [pair.search_crop])
+            return pair_loss(maps, [pair.target])[0]
 
         separate = []
         for pair in pairs:

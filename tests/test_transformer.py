@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from attntrack.attention import AttentionInputs, ffn, multi_head_attention, residual_norm
-from attntrack.errors import ConfigurationError
+from attntrack.errors import ConfigurationError, ShapeError
 from attntrack.gradcheck import check_full_stack
+from attntrack import tensor as T
 from attntrack.tensor import Tensor
 from attntrack.transformer import (AttentionTrace, build_positional_encoding,
                                    decode, encode, flatten_grid,
-                                   init_transformer, unflatten_grid)
+                                   init_transformer)
 
 
 class TestPositionalEncoding:
@@ -45,12 +46,58 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigurationError):
             build_positional_encoding(2, 2, 6)
 
+    @pytest.mark.parametrize("height,width,d", [(4, 4, 8), (6, 5, 16), (16, 16, 32)])
+    def test_bit_identical_to_a_fresh_build(self, height, width, d):
+        mask = np.random.default_rng(height).random((height, width)) < 0.3
+        for pad_mask in (None, mask):
+            for _ in range(2):      # the second call is served from the cache
+                pe = build_positional_encoding(height, width, d, pad_mask)
+                expected = uncached_table(height, width, d, pad_mask)
+                assert np.array_equal(pe.table.data, expected)
+
+    def test_returned_tables_are_independent_copies(self):
+        first = build_positional_encoding(3, 3, 8)
+        first.table.data[:] = 7.0
+        again = build_positional_encoding(3, 3, 8)
+        assert np.array_equal(again.table.data, uncached_table(3, 3, 8, None))
+
+    def test_batched_mask_stacks_each_grids_code(self):
+        rng = np.random.default_rng(5)
+        masks = rng.random((3, 4, 5)) < 0.4
+        pe = build_positional_encoding(4, 5, 8, masks)
+        expected = np.concatenate([build_positional_encoding(4, 5, 8, m).table.data
+                                   for m in masks])
+        assert np.array_equal(pe.table.data, expected)
+
+    def test_mask_of_another_grid_rejected(self):
+        with pytest.raises(ShapeError):
+            build_positional_encoding(3, 3, 8, np.zeros((2, 3, 4), bool))
+
+
+def uncached_table(height, width, d, pad_mask, temperature=10000.0):
+    """The positional table as built before it was cached: anew on every
+    call."""
+    half = d // 2
+    inv_freq = temperature ** (2.0 * (np.arange(half, dtype=np.float64) // 2) / half)
+    ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),
+                         np.arange(width, dtype=np.float64), indexing="ij")
+    table = np.zeros((height * width, d))
+    for channel_base, coords in ((0, ys), (half, xs)):
+        phase = coords.reshape(-1, 1) / inv_freq[None, :]
+        code = np.empty_like(phase)
+        code[:, 0::2] = np.sin(phase[:, 0::2])
+        code[:, 1::2] = np.cos(phase[:, 1::2])
+        table[:, channel_base:channel_base + half] = code
+    if pad_mask is not None:
+        table[pad_mask.reshape(-1)] = 0.0
+    return table
+
 
 class TestFlatten:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((3, 5, 4)))
-        back = unflatten_grid(flatten_grid(x), 3, 5)
+        back = T.reshape(flatten_grid(x), (3, 5, 4))
         assert np.array_equal(back.data, x.data)
 
     def test_row_major_order(self):
@@ -58,6 +105,11 @@ class TestFlatten:
         flat = flatten_grid(Tensor(x))
         assert np.array_equal(flat.data[1], x[0, 1])   # (y=0, x=1) is row 1
         assert np.array_equal(flat.data[3], x[1, 0])   # (y=1, x=0) is row w
+
+    def test_batch_rows_run_grid_after_grid(self):
+        x = np.arange(24.0).reshape(2, 2, 3, 2)
+        flat = flatten_grid(Tensor(x))
+        assert np.array_equal(flat.data, x.reshape(12, 2))
 
 
 def tiny_weights(rng, d=8, heads=2, n_enc=1, n_dec=1):
@@ -157,8 +209,28 @@ class TestDecode:
         h = residual_norm(multi_head_attention(
             AttentionInputs(h, memory, pe_x.table, pe_z.table), layer.cross_attn),
             h, layer.cross_norm)
-        expected = unflatten_grid(ffn(h, layer.ffn), 2, 2)
+        expected = T.reshape(ffn(h, layer.ffn), (2, 2, 8))
         assert np.abs(out.data - expected.data).max() < 1e-12
+
+    def test_batch_decodes_each_grid_on_its_own(self):
+        rng = np.random.default_rng(8)
+        w = tiny_weights(rng, n_dec=2)
+        z = Tensor(rng.standard_normal((2, 2, 8)))
+        pe_z = build_positional_encoding(2, 2, 8)
+        memory = encode(z, w.encoder, pe_z)
+        x = rng.standard_normal((3, 2, 3, 8))
+        masks = rng.random((3, 2, 3)) < 0.5
+        trace = AttentionTrace()
+        out = decode(Tensor(x), memory, pe_z, w.decoder,
+                     build_positional_encoding(2, 3, 8, masks), trace=trace)
+        assert out.shape == (3, 2, 3, 8)
+        for b in range(3):
+            one = decode(Tensor(x[b]), memory, pe_z, w.decoder,
+                         build_positional_encoding(2, 3, 8, masks[b]))
+            assert np.abs(out.data[b] - one.data).max() < 1e-12
+        # self-attention maps stay within a grid: one per head and grid
+        assert [a.shape for a in trace.maps["decoder0.self"]] == [(6, 6)] * 6
+        assert [a.shape for a in trace.maps["decoder0.cross"]] == [(18, 4)] * 2
 
     def test_padded_equal_rows_give_equal_outputs(self):
         # two padded search cells with identical features come out identical
