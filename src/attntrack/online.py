@@ -5,8 +5,13 @@ k x k output channel) maps mid-level backbone features to a score map on
 the output grid. It is fit to a weighted memory of (features, target map)
 pairs by Gauss-Newton: each outer step linearizes the filter around the
 current point (fixed relu mask) and solves the regularized normal
-equations with conjugate gradient. A backtracking acceptance step keeps
-the squared-error objective non-increasing.
+equations with conjugate gradient, started from zero so its first
+residual is the right-hand side and costs no product. A backtracking
+acceptance step keeps the squared-error objective non-increasing.
+
+The memory is stacked once per solve, and each filter the solve visits
+runs forward once: the forward that gives a filter's objective value is
+the one its linearization reuses when the filter is accepted.
 """
 
 from __future__ import annotations
@@ -87,36 +92,49 @@ def _stack(memory: TrainingMemory) -> _Stack:
         weights=np.array([s.weight for s in samples]))
 
 
+def _overlap(offset: int, n: int) -> tuple[slice, slice]:
+    """Slices (dst, src) of a length-n axis with src = dst + offset, clipped
+    to the grid; both are empty when the shift leaves no overlap."""
+    lo = max(0, -offset)
+    hi = max(lo, min(n, n - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
+
+
 def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
     """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
 
     Tap u*k+v holds every grid cell's contribution through kernel offset
     (u, v); the output cell sums the k*k taps read at its offsets on the
-    zero-padded grid.
+    zero-padded grid. Each tap adds only its in-grid window: the cells
+    that would read padding would add zero.
     """
-    lo, hi = _pad_amounts(kernel)
-    padded = np.pad(taps, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
+    lo, _ = _pad_amounts(kernel)
     h, w = taps.shape[2:]
+    col_windows = [_overlap(v - lo, w) for v in range(kernel)]
     out = np.zeros(taps.shape[1:])
     for u in range(kernel):
-        for v in range(kernel):
-            out += padded[u * kernel + v, :, u:u + h, v:v + w]
+        rows, src_rows = _overlap(u - lo, h)
+        for v, (cols, src_cols) in enumerate(col_windows):
+            out[:, rows, cols] += taps[u * kernel + v, :, src_rows, src_cols]
     return out
 
 
 def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
     """Adjoint of _shift_sum: maps (S, H, W) -> k*k placed copies (k*k, S*H*W).
 
-    Copy u*k+v sits at offset (u, v) of the padded grid. Cropping it back
-    to the grid drops only cells that meet the zero padding.
+    Copy u*k+v is the map shifted by offset (u, v) on the zero-padded grid
+    and cropped back to the grid; the cells it shifts off the grid are
+    dropped.
     """
-    lo, hi = _pad_amounts(kernel)
+    lo, _ = _pad_amounts(kernel)
     s, h, w = maps.shape
-    padded = np.zeros((kernel * kernel, s, h + lo + hi, w + lo + hi))
+    col_windows = [_overlap(lo - v, w) for v in range(kernel)]
+    out = np.zeros((kernel * kernel, s, h, w))
     for u in range(kernel):
-        for v in range(kernel):
-            padded[u * kernel + v, :, u:u + h, v:v + w] = maps
-    return padded[:, :, lo:lo + h, lo:lo + w].reshape(kernel * kernel, -1)
+        rows, src_rows = _overlap(lo - u, h)
+        for v, (cols, src_cols) in enumerate(col_windows):
+            out[u * kernel + v, :, rows, cols] = maps[:, src_rows, src_cols]
+    return out.reshape(kernel * kernel, -1)
 
 
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +179,8 @@ def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndar
 def update_memory(memory: TrainingMemory, features: np.ndarray,
                   label: np.ndarray, lr: float = 0.01) -> TrainingMemory:
     """Append a sample with weight lr, decaying and renormalizing the rest."""
+    if not 0.0 < lr <= 1.0:
+        raise ValueError(f"memory learning rate must be in (0, 1], got {lr}")
     if features.shape[1:] != label.shape:
         raise ShapeError(f"feature grid {features.shape[1:]} vs label {label.shape}")
     for s in memory.samples:
@@ -181,8 +201,13 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray | None = None,
                        n_iters: int = 10, tol: float = 0.0,
                        residual_history: list | None = None) -> np.ndarray:
     """Standard CG for a symmetric positive-definite operator."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - matvec(x)
+    if x0 is None:
+        # from zero the first residual is b itself; no product is needed
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - matvec(x)
     p = r.copy()
     rs = float(r @ r)
     if residual_history is not None:
@@ -205,12 +230,26 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray | None = None,
     return x
 
 
-def objective(filt: OnlineFilter, memory: TrainingMemory) -> float:
-    """Weighted squared error over the memory plus the ridge penalty."""
-    stack = _stack(memory)
-    _, act = _relu(filt.w1, stack.features)
-    r = _conv(act, filt.w2, stack.labels.shape) - stack.labels
-    total = float(stack.weights @ np.sum(r * r, axis=(1, 2)))
+class _Forward:
+    """One filter's relu mask, activations and residual maps on the stacked memory."""
+
+    def __init__(self, filt: OnlineFilter, stack: _Stack):
+        self.stack = stack
+        self.mask, self.act = _relu(filt.w1, stack.features)
+        self.residual = _conv(self.act, filt.w2, stack.labels.shape) - stack.labels
+
+
+def objective(filt: OnlineFilter, memory: TrainingMemory,
+              forward: _Forward | None = None) -> float:
+    """Weighted squared error over the memory plus the ridge penalty.
+
+    ``forward``, when given, must be ``filt``'s forward on the stacked
+    ``memory``; its residual is read instead of computing it again.
+    """
+    if forward is None:
+        forward = _Forward(filt, _stack(memory))
+    r = forward.residual
+    total = float(forward.stack.weights @ np.sum(r * r, axis=(1, 2)))
     return total + filt.reg * (float(np.sum(filt.w1 ** 2))
                                + float(np.sum(filt.w2 ** 2)))
 
@@ -242,22 +281,23 @@ def _unpack(theta: np.ndarray, filt: OnlineFilter,
 class _Linearization:
     """The filter's residuals over the stacked memory, linear at a fixed relu mask.
 
-    Each product with the Jacobian J or its transpose is a few GEMMs over
-    all samples at once. Trained parameters are packed as in _pack, with
-    w1 as (hidden, c_in) and w2 as (hidden, k*k).
+    It is built on the filter's ``_Forward``. Each product with the
+    Jacobian J or its transpose is a few GEMMs over all samples at once.
+    Trained parameters are packed as in _pack, with w1 as (hidden, c_in)
+    and w2 as (hidden, k*k).
     """
 
-    def __init__(self, filt: OnlineFilter, stack: _Stack,
+    def __init__(self, filt: OnlineFilter, forward: _Forward,
                  train_w1: bool, train_w2: bool):
-        self.stack, self.train_w1, self.train_w2 = stack, train_w1, train_w2
+        self.train_w1, self.train_w2 = train_w1, train_w2
+        self.stack, self.mask, self.act = forward.stack, forward.mask, forward.act
+        self.residual = forward.residual
         hidden, c_in = filt.w1.shape[:2]
         self.kernel = filt.kernel
         self.w2 = filt.w2[0].reshape(hidden, -1)
         self.n_w1 = hidden * c_in if train_w1 else 0
         self.lam = filt.reg
         self.theta = _pack(filt, train_w1, train_w2)
-        self.mask, self.act = _relu(filt.w1, stack.features)
-        self.residual = _conv(self.act, filt.w2, stack.labels.shape) - stack.labels
 
     def jvp(self, vec: np.ndarray) -> np.ndarray:
         """J vec as score maps (S, H, W)."""
@@ -313,10 +353,11 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
 
     stack = _stack(memory)
     current = filt.copy()
-    objectives = [objective(current, memory)]
+    forward = _Forward(current, stack)
+    objectives = [objective(current, memory, forward)]
 
     for _ in range(gn_steps):
-        lin = _Linearization(current, stack, train_w1, train_w2)
+        lin = _Linearization(current, forward, train_w1, train_w2)
         delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(),
                                    n_iters=n_iters)
         if not np.all(np.isfinite(delta)):
@@ -326,17 +367,21 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         step = 1.0
         for _ in range(5):
             candidate = _unpack(lin.theta + step * delta, current, train_w1, train_w2)
-            value = objective(candidate, memory)
+            trial = _Forward(candidate, stack)
+            value = objective(candidate, memory, trial)
             if not np.isfinite(value):
                 return CgUpdate(filter=filt, objectives=objectives, degraded=True)
             if value <= objectives[-1]:
-                accepted = (candidate, value)
+                accepted = (candidate, trial, value)
                 break
+            # free a rejected candidate's forward before the next is built
+            del trial
             step *= 0.5
         if accepted is None:
             # deterministic recomputation would reject again; stop early
             break
-        current, value = accepted
+        # the accepted candidate's forward is the next step's linearization
+        current, forward, value = accepted
         objectives.append(value)
 
     return CgUpdate(filter=current, objectives=objectives, degraded=False)

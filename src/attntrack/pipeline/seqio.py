@@ -43,15 +43,29 @@ def _read_token(fh) -> bytes:
     return bytes(token)
 
 
+def _read_header_int(fh, path, what: str) -> int:
+    token = _read_token(fh)
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}: netpbm {what} {token!r} is not an integer") from None
+
+
 def read_netpbm(path) -> np.ndarray:
-    """Read a binary PPM (P6) as (3, H, W) or PGM (P5) as (H, W), in [0, 1]."""
+    """Read a binary PPM (P6) as (3, H, W) or PGM (P5) as (H, W), in [0, 1].
+
+    Raises ``ValueError`` naming the file for a malformed header or
+    truncated pixel data.
+    """
     with open(path, "rb") as fh:
         magic = _read_token(fh)
         if magic not in (b"P5", b"P6"):
             raise ValueError(f"{path}: unsupported netpbm magic {magic!r}")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+        width = _read_header_int(fh, path, "width")
+        height = _read_header_int(fh, path, "height")
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: netpbm size {width}x{height} is not positive")
+        maxval = _read_header_int(fh, path, "maxval")
         if not 1 <= maxval <= 255:
             # 0 would divide by zero; above 255 samples take two bytes
             raise ValueError(f"{path}: unsupported netpbm maxval {maxval} "
@@ -106,16 +120,28 @@ def write_csv(path, values: np.ndarray) -> None:
 
 def _parse_rect_line(line: str) -> BoundingBox:
     parts = [p for p in re.split(r"[,\s]+", line.strip()) if p]
+    if len(parts) < 4:
+        raise ValueError(f"expected 4 fields x,y,w,h, got {len(parts)}")
     x, y, w, h = (float(p) for p in parts[:4])
+    if not np.all(np.isfinite((x, y, w, h))):
+        raise ValueError(f"non-finite box {x},{y},{w},{h}")
+    if w < 0 or h < 0:
+        raise ValueError(f"negative box size {w}x{h}")
     return BoundingBox.from_corner(x, y, w, h)
 
 
 def read_rect_file(path) -> list[BoundingBox]:
+    """One box per non-blank line; ``ValueError`` names the file and line
+    of a malformed one."""
     boxes = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 boxes.append(_parse_rect_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return boxes
 
 

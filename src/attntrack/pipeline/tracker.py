@@ -88,6 +88,19 @@ class TrackerConfig:
             raise ConfigurationError("need at least one encoder and decoder layer")
         if not (0.0 <= self.window_influence <= 1.0 and 0.0 <= self.blend_weight <= 1.0):
             raise ConfigurationError("window and blend weights must be in [0, 1]")
+        # each check is written so that NaN fails too
+        if not 0.0 < self.memory_lr <= 1.0:
+            raise ConfigurationError(f"memory_lr must be in (0, 1], got {self.memory_lr}")
+        for name in ("memory_capacity", "online_hidden", "online_kernel",
+                     "online_update_interval", "online_init_cg_iters",
+                     "online_update_cg_iters"):
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("online_init_gn_steps", "online_update_gn_steps", "online_reg"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(
+                    f"{name} must not be negative, got {getattr(self, name)}")
 
     @property
     def ffn_width(self) -> int:

@@ -45,3 +45,34 @@ def test_traced_training_step_records_both_decoder_attention_spans(monkeypatch):
     assert {"attention.decoder_self", "attention.decoder_cross",
             "attention.encoder_self", "pipeline.train.forward",
             "loss.pair"} <= names
+
+
+def test_traced_online_track_records_solves_and_counters(monkeypatch):
+    # the tracer counts CG iterations and objective values by wrapping
+    # ``attntrack.online.conjugate_gradient`` and ``attntrack.online.objective``,
+    # which ``solve_cg`` must keep looking up as module globals, and it times
+    # each solve through the ``solve_cg`` that ``tracker.py`` imports by name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import numpy as np
+    from tracing import Probes, Tracer
+
+    from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
+                                    build_model, generate_synthetic_sequence)
+
+    frames, boxes = generate_synthetic_sequence(0, 3, SequenceSpec())
+    config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
+                           c_mid=8, online=True, online_hidden=8,
+                           memory_capacity=4, online_init_gn_steps=2)
+    model = build_model(np.random.default_rng(0), config)
+    tracer = Tracer()
+    with Probes(tracer):
+        tracer.enabled = True
+        tracker = Tracker(model, config)
+        tracker.init(frames[0], boxes[0])
+        for frame in frames[1:]:
+            tracker.track(frame)
+        tracer.enabled = False
+    names = [span[0] for span in tracer.spans]
+    assert "online.solve" in names
+    assert tracer.counters["online.cg_iters"] > 0
+    assert tracer.counters["online.objective_evals"] > 0

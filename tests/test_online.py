@@ -1,12 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from attntrack import online
 from attntrack.errors import ShapeError
 from attntrack.online import (MemorySample, OnlineFilter, TrainingMemory,
-                              _Linearization, _stack, blend,
-                              conjugate_gradient, init_online_filter,
-                              objective, online_forward, solve_cg,
-                              update_memory)
+                              _Forward, _Linearization, _place, _shift_sum,
+                              _stack, blend, conjugate_gradient,
+                              init_online_filter, objective, online_forward,
+                              solve_cg, update_memory)
 
 
 def forward_oracle(filt: OnlineFilter, feat: np.ndarray) -> np.ndarray:
@@ -126,6 +129,22 @@ class TestMemory:
         assert weights[0] == max(weights)
 
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, 1.5, float("nan")])
+    def test_learning_rate_outside_unit_interval_rejected(self, lr):
+        # 1.5 used to give weights [0.25, -0.75, 1.5]; 0 divided by zero
+        memory = TrainingMemory(capacity=5)
+        update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=0.5)
+        with pytest.raises(ValueError, match="learning rate"):
+            update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=lr)
+        assert [s.weight for s in memory.samples] == [1.0]
+
+    def test_learning_rate_one_keeps_only_the_new_sample_weight(self):
+        memory = TrainingMemory(capacity=5)
+        for _ in range(2):
+            update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=1.0)
+        assert [s.weight for s in memory.samples] == [0.0, 1.0]
+
+
 class TestConjugateGradient:
     def test_identity_system_converges_in_one_iteration(self):
         rng = np.random.default_rng(7)
@@ -143,6 +162,24 @@ class TestConjugateGradient:
                                residual_history=history)
         assert np.linalg.norm(a @ x - b) < 1e-8
         assert np.linalg.norm(x - np.linalg.solve(a, b)) < 1e-8
+
+    def test_zero_start_skips_the_first_product(self):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T + 0.5 * np.eye(6)
+        b = rng.standard_normal(6)
+        calls = []
+
+        def matvec(v):
+            calls.append(v.copy())
+            return a @ v
+
+        implicit = conjugate_gradient(matvec, b, n_iters=4)
+        assert len(calls) == 4
+        explicit = conjugate_gradient(matvec, b, x0=np.zeros(6), n_iters=4)
+        assert len(calls) == 4 + 5
+        assert not np.any(calls[4])               # the product it skips
+        assert np.array_equal(implicit, explicit)
 
     def test_residual_history_non_increasing(self):
         # checked on regularized normal-equation systems, the class the
@@ -457,7 +494,8 @@ class TestBatchedAgainstPerSample:
                                         train_w1, train_w2):
         rng = np.random.default_rng([kernel, n_samples, grid[1]])
         filt, memory = random_problem(rng, kernel, n_samples, grid)
-        batched = _Linearization(filt, _stack(memory), train_w1, train_w2)
+        batched = _Linearization(filt, _Forward(filt, _stack(memory)),
+                                 train_w1, train_w2)
         oracle = OracleSystem(filt, memory, train_w1, train_w2)
         assert np.array_equal(batched.theta, oracle.theta)
         for _ in range(3):
@@ -493,3 +531,136 @@ class TestBatchedAgainstPerSample:
         assert rel_err(result.objectives, objectives) <= 1e-9
         assert rel_err(result.filter.w1, expected.w1) <= 1e-9
         assert rel_err(result.filter.w2, expected.w2) <= 1e-9
+
+
+# -- the padded kernels and the solve as they were before the forward was
+# shared, kept as bitwise oracles ----------------------------------------------
+#
+# The solver's fast paths add and copy the same values in the same order
+# as these, so they must agree exactly, not to rounding.
+
+def padded_shift_sum(taps, kernel):
+    lo, hi = _oracle_pad(kernel)
+    padded = np.pad(taps, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
+    h, w = taps.shape[2:]
+    out = np.zeros(taps.shape[1:])
+    for u in range(kernel):
+        for v in range(kernel):
+            out += padded[u * kernel + v, :, u:u + h, v:v + w]
+    return out
+
+
+def padded_place(maps, kernel):
+    lo, hi = _oracle_pad(kernel)
+    s, h, w = maps.shape
+    padded = np.zeros((kernel * kernel, s, h + lo + hi, w + lo + hi))
+    for u in range(kernel):
+        for v in range(kernel):
+            padded[u * kernel + v, :, u:u + h, v:v + w] = maps
+    return padded[:, :, lo:lo + h, lo:lo + w].reshape(kernel * kernel, -1)
+
+
+def solve_with_redundant_passes(filt, memory, n_iters, gn_steps,
+                                train_w1, train_w2):
+    """solve_cg with a fresh objective per value, a separate forward for
+    each linearization and CG started from an explicit zero vector."""
+    stack = _stack(memory)
+    current = filt.copy()
+    objectives = [objective(current, memory)]
+    for _ in range(gn_steps):
+        lin = _Linearization(current, _Forward(current, stack),
+                             train_w1, train_w2)
+        b = -lin.gradient()
+        delta = conjugate_gradient(lin.normal_matvec, b, x0=np.zeros_like(b),
+                                   n_iters=n_iters)
+        accepted = None
+        step = 1.0
+        for _ in range(5):
+            candidate = online._unpack(lin.theta + step * delta, current,
+                                       train_w1, train_w2)
+            value = objective(candidate, memory)
+            if value <= objectives[-1]:
+                accepted = (candidate, value)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        current, value = accepted
+        objectives.append(value)
+    return current, objectives
+
+
+# grids include H != W and grids smaller than half the kernel, where a tap's
+# window leaves the grid entirely and its unclipped slice bounds go negative
+# (kernels 6 and 7 on grids of 2)
+KERNEL_GRIDS = [(k, s, grid) for k in (1, 2, 3, 4, 5) for s in (1, 8)
+                for grid in ((5, 5), (4, 6), (6, 3), (1, 1), (2, 1), (1, 3))]
+TINY_GRIDS = [(k, s, grid) for k in (6, 7) for s in (1, 8)
+              for grid in ((1, 1), (2, 1), (2, 3), (3, 2))]
+
+
+class TestPaddedOracles:
+    @pytest.mark.parametrize("kernel,n_samples,grid", KERNEL_GRIDS + TINY_GRIDS)
+    def test_shift_sum_and_place_bitwise(self, kernel, n_samples, grid):
+        rng = np.random.default_rng([kernel, n_samples, *grid, 3])
+        taps = rng.standard_normal((kernel * kernel, n_samples) + grid)
+        assert np.array_equal(_shift_sum(taps, kernel),
+                              padded_shift_sum(taps, kernel))
+        maps = rng.standard_normal((n_samples,) + grid)
+        placed = _place(maps, kernel)
+        assert placed.shape == (kernel * kernel, n_samples * grid[0] * grid[1])
+        assert np.array_equal(placed, padded_place(maps, kernel))
+
+    @pytest.mark.parametrize("train_w1,train_w2", TRAINED)
+    @pytest.mark.parametrize("kernel,n_samples,grid",
+                             [c for c in KERNEL_GRIDS if c[2] in ((5, 5), (4, 6), (2, 1))])
+    def test_solve_bitwise(self, monkeypatch, kernel, n_samples, grid,
+                           train_w1, train_w2):
+        rng = np.random.default_rng([kernel, n_samples, *grid, 4])
+        filt, memory = random_problem(rng, kernel, n_samples, grid)
+        result = solve_cg(filt, memory, n_iters=4, gn_steps=3,
+                          train_w1=train_w1, train_w2=train_w2)
+        monkeypatch.setattr(online, "_shift_sum", padded_shift_sum)
+        monkeypatch.setattr(online, "_place", padded_place)
+        expected, objectives = solve_with_redundant_passes(
+            filt, memory, 4, 3, train_w1, train_w2)
+        assert not result.degraded
+        assert len(objectives) > 1
+        assert np.array_equal(result.objectives, objectives)
+        assert np.array_equal(result.filter.w1, expected.w1)
+        assert np.array_equal(result.filter.w2, expected.w2)
+
+
+class TestSolveWork:
+    """The solve does each piece of work once; counted here so a later
+    edit cannot bring a redundant pass back unnoticed."""
+
+    @staticmethod
+    def count(monkeypatch, counts, owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    @pytest.mark.parametrize("n_iters,gn_steps", [(1, 1), (5, 4), (10, 10)])
+    def test_one_forward_per_filter_and_no_zero_product(self, monkeypatch,
+                                                         n_iters, gn_steps):
+        rng = np.random.default_rng([n_iters, gn_steps])
+        filt, memory = random_problem(rng, kernel=4, n_samples=8, grid=(6, 6),
+                                      c_in=6, hidden=8)
+        counts = Counter()
+        for owner, name in ((online, "_relu"), (online, "objective"),
+                            (online, "conjugate_gradient"),
+                            (online._Linearization, "normal_matvec")):
+            self.count(monkeypatch, counts, owner, name)
+        result = solve_cg(filt, memory, n_iters=n_iters, gn_steps=gn_steps)
+        assert not result.degraded
+        assert counts["conjugate_gradient"] >= len(result.objectives) - 1 >= 1
+        # the parameter count far exceeds n_iters, so CG never stops early
+        assert counts["normal_matvec"] == n_iters * counts["conjugate_gradient"]
+        # the starting point's forward gives objectives[0], and every later
+        # forward is a candidate's, read by its objective
+        assert counts["_relu"] == counts["objective"]
+        assert counts["objective"] >= len(result.objectives)

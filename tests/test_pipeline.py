@@ -310,6 +310,17 @@ class TestSequenceIo:
         with pytest.raises(ValueError, match="frame.pgm"):
             read_netpbm(path)
 
+    @pytest.mark.parametrize("header,reason", [
+        ("P6\n0 0\n255\n", "not positive"),       # used to give a (3, 0, 0) frame
+        ("P6\n-2 2\n255\n", "not positive"),      # used to fail inside fh.read
+        ("P6\n2 two\n255\n", "not an integer"),   # used to be a bare int() error
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, header, reason):
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(header.encode("ascii") + bytes(12))
+        with pytest.raises(ValueError, match=f"frame.ppm.*{reason}"):
+            read_netpbm(path)
+
     def test_rect_file_roundtrip(self, tmp_path):
         boxes = [BoundingBox(10.5, 20.25, 8.0, 6.5), BoundingBox(1, 2, 3, 4)]
         path = tmp_path / "rects.txt"
@@ -324,6 +335,20 @@ class TestSequenceIo:
         boxes = read_rect_file(path)
         assert boxes[0].as_corner() == (1.0, 2.0, 3.0, 4.0)
         assert boxes[1].as_corner() == (5.0, 6.0, 7.0, 8.0)
+
+    @pytest.mark.parametrize("bad_line,reason", [
+        ("5,6,7", "4 fields"),                # used to be a raw unpack error
+        ("nan,6,7,8", "non-finite"),          # used to load silently
+        ("5,6,-7,8", "negative"),             # used to load silently
+        ("5,6,7,-8", "negative"),
+        ("5,6,seven,8", "could not convert"),
+    ])
+    def test_malformed_rect_line_names_file_and_line(self, tmp_path,
+                                                    bad_line, reason):
+        path = tmp_path / "rects.txt"
+        path.write_text(f"1,2,3,4\n\n{bad_line}\n")
+        with pytest.raises(ValueError, match=f"rects.txt:3: .*{reason}"):
+            read_rect_file(path)
 
     def test_sequence_roundtrip(self, tmp_path):
         frames, boxes = generate_synthetic_sequence(0, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attntrack import tensor as T
-from attntrack.errors import ShapeError, TrackingError
+from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import BoundingBox
 from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
                                 TrainSettings, build_model, crop_template,
@@ -133,6 +133,45 @@ class TestInputBoundary:
         tracker.init(frames[0], boxes[0])
         with pytest.raises(ShapeError, match=r"\(3, H, W\)"):
             tracker.track(frames[1].pixels[0])
+
+
+class TestOnlineConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("memory_lr", 1.5),                  # tracked on negative weights
+        ("memory_lr", 0.0),                  # ZeroDivisionError at init
+        ("memory_lr", float("nan")),
+        ("memory_capacity", 0),
+        ("online_hidden", 0),                # raw reshape error at init
+        ("online_kernel", 0),                # ZeroDivisionError at init
+        ("online_update_interval", 0),
+        ("online_init_cg_iters", 0),
+        ("online_update_cg_iters", 0),
+        ("online_init_gn_steps", -1),
+        ("online_update_gn_steps", -1),
+        ("online_reg", -1.0),                # indefinite normal matrix
+    ])
+    def test_bad_online_setting_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrackerConfig(template_size=64, search_size=128, online=True,
+                          **{field: value})
+
+    def test_limits_are_accepted(self):
+        TrackerConfig(online=True, memory_lr=1.0, memory_capacity=1,
+                      online_hidden=1, online_kernel=1, online_update_interval=1,
+                      online_init_cg_iters=1, online_update_cg_iters=1,
+                      online_init_gn_steps=0, online_update_gn_steps=0,
+                      online_reg=0.0)
+
+    def test_checkpoint_with_bad_online_setting_rejected(self, tmp_path):
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        path = tmp_path / "model.trtr"
+        save_model(path, build_model(np.random.default_rng(0), config), config)
+        entries = load_checkpoint(path)
+        entries["config.online_kernel"] = np.array(0.0)
+        save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], path)
+        with pytest.raises(ConfigurationError, match="online_kernel"):
+            load_model(path)
 
 
 class TestPluginProperty:
