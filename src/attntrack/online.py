@@ -70,9 +70,11 @@ def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int = 64,
     return OnlineFilter(w1=w1, w2=w2, reg=reg)
 
 
-def _pad_amounts(kernel: int) -> tuple[int, int]:
-    # total pad kernel-1 keeps the output grid equal to the input grid
-    return (kernel - 1) // 2, kernel // 2
+def _pad_before(kernel: int) -> int:
+    # the conv reads the grid zero-padded by (kernel-1)//2 before and
+    # kernel//2 after: total pad kernel-1 keeps the output grid equal to
+    # the input grid
+    return (kernel - 1) // 2
 
 
 @dataclass
@@ -108,7 +110,7 @@ def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
     zero-padded grid. Each tap adds only its in-grid window: the cells
     that would read padding would add zero.
     """
-    lo, _ = _pad_amounts(kernel)
+    lo = _pad_before(kernel)
     h, w = taps.shape[2:]
     col_windows = [_overlap(v - lo, w) for v in range(kernel)]
     out = np.zeros(taps.shape[1:])
@@ -126,7 +128,7 @@ def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
     and cropped back to the grid; the cells it shifts off the grid are
     dropped.
     """
-    lo, _ = _pad_amounts(kernel)
+    lo = _pad_before(kernel)
     s, h, w = maps.shape
     col_windows = [_overlap(lo - v, w) for v in range(kernel)]
     out = np.zeros((kernel * kernel, s, h, w))
