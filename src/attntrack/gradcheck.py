@@ -94,6 +94,35 @@ def check_block_diagonal_attention(rng) -> tuple[float, int]:
         [q, k, v])
 
 
+def spread_attention_case(rng):
+    """q, k, v, a projection, heads and groups whose logits spread over
+    about 20 and whose softmax bound sits 3 to 40 above each row max.
+
+    Per head, queries lie near the diagonal c (1, 1) and keys near the
+    anti-diagonal t (1, -1): the keys' bounding box reaches far past where
+    any key projects onto a query, so the bound is loose, yet far below
+    where the op would redo a block with the exact row max.
+    """
+    heads, groups, nq, nk = 2, 2, 3, 4
+    q = Tensor(6.0 + 0.5 * rng.standard_normal((groups * nq, 2 * heads)),
+               requires_grad=True)
+    t = rng.uniform(-6.0, 6.0, (groups * nk, heads, 1))
+    u = rng.uniform(-1.5, 1.5, (groups * nk, heads, 1))
+    k = Tensor((t * [1.0, -1.0] + u).reshape(groups * nk, 2 * heads),
+               requires_grad=True)
+    v = _leaf(rng, groups * nk, 2 * heads)
+    r = rng.standard_normal((groups * nq, 2 * heads))
+    return q, k, v, r, heads, groups
+
+
+def check_spread_attention(rng) -> tuple[float, int]:
+    q, k, v, r, heads, groups = spread_attention_case(rng)
+    return finite_difference_check(
+        lambda: _projected(T.multi_head_softmax_attention(q, k, v, heads,
+                                                          groups=groups), r),
+        [q, k, v])
+
+
 def check_layernorm(rng) -> tuple[float, int]:
     x = _leaf(rng, 4, 6)
     gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
@@ -226,6 +255,7 @@ _CHECKS = [
     ("softmax_rows", check_softmax),
     ("multi_head_softmax_attention", check_multi_head_softmax_attention),
     ("block_diagonal_attention", check_block_diagonal_attention),
+    ("spread_attention", check_spread_attention),
     ("layernorm", check_layernorm),
     ("elementwise", check_elementwise),
     ("attention", check_attention),

@@ -142,8 +142,9 @@ def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden layer on channel-major features: (relu mask, activations)."""
     pre = w1[:, :, 0, 0] @ features
-    mask = (pre > 0.0).astype(np.float64)
-    # a product, not np.where: a non-finite input must stay non-finite
+    mask = pre > 0.0
+    # a product with the bool mask (cast to exact 0.0/1.0), not np.where:
+    # a non-finite input must stay non-finite
     return mask, pre * mask
 
 

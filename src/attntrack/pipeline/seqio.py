@@ -54,8 +54,8 @@ def _read_header_int(fh, path, what: str) -> int:
 def read_netpbm(path) -> np.ndarray:
     """Read a binary PPM (P6) as (3, H, W) or PGM (P5) as (H, W), in [0, 1].
 
-    Raises ``ValueError`` naming the file for a malformed header or
-    truncated pixel data.
+    Raises ``ValueError`` naming the file for a malformed header, truncated
+    pixel data or a sample above maxval.
     """
     with open(path, "rb") as fh:
         magic = _read_token(fh)
@@ -72,10 +72,16 @@ def read_netpbm(path) -> np.ndarray:
                              f"(only 8-bit, 1..255, is read)")
         channels = 3 if magic == b"P6" else 1
         count = width * height * channels
+        # a header may claim more pixels than any buffer could hold
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count > left:
+            raise ValueError(f"{path}: truncated pixel data ({width}x{height} "
+                             f"needs {count} bytes, {left} follow the header)")
         raw = fh.read(count)
-        if len(raw) != count:
-            raise ValueError(f"{path}: truncated pixel data")
-    data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raw, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:
+        raise ValueError(f"{path}: pixel sample {samples.max()} above maxval {maxval}")
+    data = samples.astype(np.float64) / maxval
     if channels == 3:
         return data.reshape(height, width, 3).transpose(2, 0, 1)
     return data.reshape(height, width)

@@ -428,8 +428,13 @@ def softmax_rows(x) -> Tensor:
 
 
 # Bytes of one attention-map block: about 512 KB of rows stays in cache
-# from the logits product through the shift, exp, row sum and product with v.
+# from the logits product through exp and the product with v.
 _ATTENTION_BLOCK_BYTES = 1 << 19
+
+# A block whose smallest row sum falls below this, or is not finite, is
+# redone with its exact row max: the bound sat more than about 460 above a
+# row's largest logit, or an input is not finite.
+_ATTENTION_MIN_ROW_SUM = 1e-200
 
 
 def multi_head_softmax_attention(q, k, v, n_heads: int,
@@ -446,12 +451,24 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     to run g of the keys, as G separate calls would. Each (head, group)
     pair is one map.
 
-    Each block of map rows goes through logits, max-shift and exp in place,
-    and its product with v is divided by the row sums, so the map itself is
-    only normalised when it is kept. Off the tape one block is live at a
-    time; the (h*G, Nq/G, Nk/G) stack of maps is kept when the node is
+    Each block of map rows is one GEMM, ``exp`` in place and one GEMM.
+    Softmax does not change under a per-row shift, so the shift is an
+    upper bound on each query's logits over the bounding box of its keys,
+    ``b_i = sum_c max(q_ic kmax_c, q_ic kmin_c)``, not the row max. It
+    rides in the first GEMM as a ``-b`` column of q against a ones row of
+    k^T, so that GEMM returns the logits minus the bound. A ones column on
+    v makes the second GEMM return the unnormalised head output next to
+    its row sums, and the (rows, dh) output is divided once. A block whose
+    smallest row sum is below 1e-200 or not finite (the bound sat more than
+    about 460 above a row max, or an input is not finite) is redone with
+    its exact row max. Off the tape one block is live at a time; the
+    (h*G, Nq/G, Nk/G) stack of normalised maps is kept when the node is
     recorded for backward, or when ``maps`` is a list, which then gets a
     copy of each map, head-major.
+
+    Backward takes the softmax row term from the output, rowsum(dO * O)
+    over (Nq, dh) rather than rowsum(dA * A) over the map, and gets
+    dA - rowsum from one GEMM, [dO, -rowsum] @ [v, 1]^T.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -466,37 +483,52 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     stacks = n_heads * groups
+    nqg, nkg = nq // groups, nk // groups
 
-    def split(a: Array) -> Array:        # (G*r, d) -> (h*G, r, dh)
-        rows = a.shape[0] // groups
-        return np.ascontiguousarray(
-            a.reshape(groups, rows, n_heads, dh).transpose(2, 0, 1, 3)
-        ).reshape(stacks, rows, dh)
+    def heads_of(a: Array) -> Array:     # (G*r, d) -> view (h, G, r, dh)
+        return a.reshape(groups, -1, n_heads, dh).transpose(2, 0, 1, 3)
 
     def merge(a: Array) -> Array:        # (h*G, r, dh) -> (G*r, d)
         rows = a.shape[1]
         return a.reshape(n_heads, groups, rows, dh).transpose(1, 2, 0, 3) \
             .reshape(groups * rows, d)
 
-    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    nqg, nkg = nq // groups, nk // groups
+    def widened(a: Array, rows: int, last: float) -> Array:
+        """(h*G, rows, dh + 1) stack of a's heads with ``last`` as column dh."""
+        wide = np.empty((stacks, rows, dh + 1))
+        wide.reshape(n_heads, groups, rows, dh + 1)[..., :dh] = heads_of(a)
+        wide[..., dh] = last
+        return wide
+
+    qa = widened(q.data * scale, nqg, 0.0)         # [q, -b]
+    qs = qa[..., :dh]
+    kt = widened(k.data, nkg, 1.0).transpose(0, 2, 1).copy()   # [k, 1]^T
+    va = widened(v.data, nkg, 1.0)                 # [v, 1]
+    kmax, kmin = kt[:, :dh].max(axis=2), kt[:, :dh].min(axis=2)
+    qa[..., dh] = -np.maximum(qs * kmax[:, None], qs * kmin[:, None]).sum(axis=2)
+
     record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
                                       or v.requires_grad)
     keep = record or maps is not None
     step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nkg))
     weights = np.empty((stacks, nqg, nkg) if keep else (min(step, nqg), nkg))
+    sums = np.empty((min(step, nqg), dh + 1))      # [A v, rowsum A] of a block
     out = np.empty((stacks, nqg, dh))
     for s in range(stacks):
         for start in range(0, nqg, step):
             rows = slice(start, min(start + step, nqg))
             a = weights[s, rows] if keep else weights[:rows.stop - start]
-            np.matmul(qh[s, rows], kh[s].T, out=a)
-            a -= a.max(axis=1, keepdims=True)
+            head = sums[:rows.stop - start]
+            np.matmul(qa[s, rows], kt[s], out=a)
             np.exp(a, out=a)
-            total = a.sum(axis=1, keepdims=True)
-            head_out = out[s, rows]
-            np.matmul(a, vh[s], out=head_out)
-            head_out /= total
+            np.matmul(a, va[s], out=head)
+            total = head[:, dh:]
+            if not (total.min() >= _ATTENTION_MIN_ROW_SUM and total.max() < np.inf):
+                np.matmul(qs[s, rows], kt[s, :dh], out=a)
+                a -= a.max(axis=1, keepdims=True)
+                np.exp(a, out=a)
+                np.matmul(a, va[s], out=head)
+            np.divide(head[:, :dh], total, out=out[s, rows])
             if keep:
                 a /= total
     if maps is not None:
@@ -504,19 +536,23 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     data = merge(out)
 
     def backward(grad):
-        gh = split(grad)
+        # [dO, -rowsum(dO * O)]; its first dh columns are the heads of dO
+        ga = widened(grad, nqg, 0.0)
+        gh = ga[..., :dh]
         if v.requires_grad:
             v._accumulate(merge(np.matmul(weights.transpose(0, 2, 1), gh)))
         if not (q.requires_grad or k.requires_grad):
             return
-        # softmax adjoint: dS = A * (dA - rowsum(dA * A)), with dA = G V^T
-        ds = np.matmul(gh, vh.transpose(0, 2, 1))
-        ds -= np.einsum("hij,hij->hi", ds, weights)[:, :, None]
+        ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
+                                 heads_of(data)).reshape(stacks, nqg)
+        # softmax adjoint: dS = A * (dA - rowsum(dA * A)) with dA = dO V^T;
+        # rowsum(dA * A) = rowsum(dO * O), so the bracket is ga @ [v, 1]^T
+        ds = np.matmul(ga, va.transpose(0, 2, 1))
         ds *= weights
         if q.requires_grad:
-            q._accumulate(merge(np.matmul(ds, kh)) * scale)
+            q._accumulate(merge(np.matmul(ds, kt[:, :dh].transpose(0, 2, 1))) * scale)
         if k.requires_grad:
-            k._accumulate(merge(np.matmul(ds.transpose(0, 2, 1), qh)))
+            k._accumulate(merge(np.matmul(ds.transpose(0, 2, 1), qs)))
 
     return _make(data, (q, k, v), backward)
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attntrack import tensor as T
 from attntrack.attention import (AttentionInputs, FfnWeights, MultiHeadWeights,
@@ -10,6 +12,7 @@ from attntrack.attention import (AttentionInputs, FfnWeights, MultiHeadWeights,
                                  multi_head_attention, project_qkv,
                                  residual_norm)
 from attntrack.errors import ConfigurationError, ShapeError
+from attntrack.gradcheck import spread_attention_case
 from attntrack.tensor import Tensor
 
 
@@ -351,6 +354,182 @@ class TestPackedAttentionOp:
         q, k, v = qkv_case(np.random.default_rng(0), 2, 4, 5, False)
         with pytest.raises(ShapeError, match="groups"):
             T.multi_head_softmax_attention(q, k, v, 2, groups=2)
+
+
+def max_shift_attention(q, k, v, n_heads, groups=1):
+    """The packed op as it was before the bound shift, on plain arrays.
+
+    Forward: per (head, group) stack, logits, minus the row max, exp in
+    place, and the product with v divided by the row sums. Backward: the
+    softmax row term as rowsum(dA * A) over the map. Returns the (Nq, d)
+    output, the (h*G, Nq/G, Nk/G) maps and ``backward(grad) -> (dq, dk, dv)``.
+    """
+    (nq, d), nk = q.shape, k.shape[0]
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    stacks = n_heads * groups
+
+    def split(a):
+        rows = a.shape[0] // groups
+        return np.ascontiguousarray(
+            a.reshape(groups, rows, n_heads, dh).transpose(2, 0, 1, 3)
+        ).reshape(stacks, rows, dh)
+
+    def merge(a):
+        rows = a.shape[1]
+        return a.reshape(n_heads, groups, rows, dh).transpose(1, 2, 0, 3) \
+            .reshape(groups * rows, d)
+
+    qh, kh, vh = split(q * scale), split(k), split(v)
+    weights = np.matmul(qh, kh.transpose(0, 2, 1))
+    weights -= weights.max(axis=2, keepdims=True)
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=2, keepdims=True)
+    out = merge(np.matmul(weights, vh) / total)
+    weights /= total
+
+    def backward(grad):
+        gh = split(grad)
+        dv = merge(np.matmul(weights.transpose(0, 2, 1), gh))
+        ds = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds -= np.einsum("hij,hij->hi", ds, weights)[:, :, None]
+        ds *= weights
+        dq = merge(np.matmul(ds, kh)) * scale
+        dk = merge(np.matmul(ds.transpose(0, 2, 1), qh))
+        return dq, dk, dv
+
+    return out, weights, backward
+
+
+def assert_matches(fast, slow, tol=1e-12):
+    """Worst difference within ``tol`` of the larger of 1 and |slow|."""
+    assert np.abs(fast - slow).max() <= tol * max(1.0, np.abs(slow).max())
+
+
+def check_against_max_shift(q, k, v, heads, groups=1, tape=True, keep_maps=True):
+    """Run the op on arrays q, k, v and compare the output, the kept maps and
+    (with ``tape``) the q/k/v gradients of a random projection with
+    :func:`max_shift_attention`."""
+    out, weights, backward = max_shift_attention(q, k, v, heads, groups)
+    leaves = [Tensor(a, requires_grad=tape) for a in (q, k, v)]
+    maps = [] if keep_maps else None
+
+    def attend():
+        return T.multi_head_softmax_attention(*leaves, heads, maps=maps,
+                                              groups=groups)
+
+    if tape:
+        fast = attend()
+        r = np.random.default_rng(q.size).standard_normal(q.shape)
+        T.tensor_sum(T.mul(fast, r)).backward()
+        for leaf, grad in zip(leaves, backward(r)):
+            assert_matches(leaf.grad, grad)
+    else:
+        with T.no_grad():
+            fast = attend()
+    assert_matches(fast.data, out)
+    if keep_maps:
+        assert len(maps) == len(weights)
+        for a, b in zip(maps, weights):
+            assert_matches(a, b)
+    return fast, maps
+
+
+@st.composite
+def attention_cases(draw):
+    heads, groups = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    dh = draw(st.integers(1, 4))
+    nq = draw(st.integers(1, 9))
+    nk = draw(st.integers(1, 9).filter(lambda n: n != nq))
+    logit_scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.standard_normal((groups * nq, heads * dh)) * logit_scale
+    k, v = (rng.standard_normal((groups * nk, heads * dh)) for _ in range(2))
+    return q, k, v, heads, groups
+
+
+class TestAgainstMaxShift:
+    """The bound-shifted op against the max-shifted one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=attention_cases(), tape=st.booleans(), keep_maps=st.booleans(),
+           block_rows=st.integers(1, 4))
+    def test_random_cases(self, case, tape, keep_maps, block_rows):
+        q, k, v, heads, groups = case
+        saved = T._ATTENTION_BLOCK_BYTES
+        T._ATTENTION_BLOCK_BYTES = block_rows * 8 * (k.shape[0] // groups)
+        try:
+            check_against_max_shift(q, k, v, heads, groups, tape, keep_maps)
+        finally:
+            T._ATTENTION_BLOCK_BYTES = saved
+
+    # decoder self- and cross-attention at search 255, then a training
+    # step's two search crops at 128: self-attention within each crop, and
+    # cross-attention to the 64 template tokens
+    @pytest.mark.parametrize("nq,nk,groups", [(1024, 1024, 1), (1024, 256, 1),
+                                              (512, 512, 2), (512, 64, 1)])
+    def test_workload_shapes(self, nq, nk, groups):
+        rng = np.random.default_rng(nq + nk)
+        q, k, v = (rng.standard_normal((n, 32)) * 2.0 for n in (nq, nk, nk))
+        check_against_max_shift(q, k, v, 4, groups)
+
+
+class TestLooseBound:
+    """Blocks whose bound sits far above the row max are redone exactly."""
+
+    @pytest.mark.parametrize("c", [0.0, 30.0])
+    def test_loose_bound_trips_the_guard(self, c):
+        # keys (c + a, c - a) and (c - a, c + a) give both logits of query
+        # (b, b) the value sqrt(2) b c, but the bound over their box sits
+        # sqrt(2) a b, about 850, above that: exp(-850) is 0, so without the
+        # guard the rows would be 0 / 0. At c = 30 the logits themselves are
+        # about 850, so the redone block must shift by the exact row max.
+        a, b = 30.0, 20.0
+        q = np.array([[b, b], [b, b], [0.5, -0.3]])
+        k = np.array([[c + a, c - a], [c - a, c + a]])
+        v = np.array([[1.0, 2.0], [3.0, -4.0]])
+        out, maps = check_against_max_shift(q, k, v, 1)
+        assert np.all(np.isfinite(out.data))
+        assert np.abs(out.data[:2] - [2.0, -1.0]).max() <= 1e-12
+        assert np.abs(maps[0].sum(axis=1) - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 8])
+    def test_nan_query_row_stays_in_its_row(self, block_rows, monkeypatch):
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((n, 4)) for n in (6, 5, 5))
+        q[2, 1] = np.nan
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", block_rows * 8 * 5)
+        maps = []
+        with np.errstate(invalid="ignore"):
+            out = T.multi_head_softmax_attention(q, k, v, 2, maps=maps)
+            slow, weights, _ = max_shift_attention(q, k, v, 2)
+        rows = np.arange(6) != 2
+        assert np.all(np.isnan(out.data[2, :2]))
+        assert np.all(np.isfinite(out.data[rows]))
+        assert_matches(out.data[rows], slow[rows])
+        assert_matches(np.stack(maps)[:, rows], weights[:, rows])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])   # criterion 1's instances
+    def test_gradcheck_case_is_loose_below_the_guard(self, seed):
+        q, k, _, _, heads, groups = spread_attention_case(
+            np.random.default_rng(seed))
+        dh = q.shape[1] // heads
+        nq, nk = q.shape[0] // groups, k.shape[0] // groups
+        for h in range(heads):
+            for g in range(groups):
+                qs = q.data[g * nq:(g + 1) * nq, h * dh:(h + 1) * dh] / math.sqrt(dh)
+                ks = k.data[g * nk:(g + 1) * nk, h * dh:(h + 1) * dh]
+                bound = np.maximum(qs * ks.max(axis=0), qs * ks.min(axis=0)).sum(axis=1)
+                slack = bound - (qs @ ks.T).max(axis=1)
+                assert 1.0 < slack.min() and slack.max() < 100.0
+
+    def test_nan_key_makes_every_row_nan(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (rng.standard_normal((n, 4)) for n in (6, 5, 5))
+        k[3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = T.multi_head_softmax_attention(q, k, v, 1)
+        assert np.all(np.isnan(out.data))
 
 
 class TestResidualNorm:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from attntrack.errors import ConfigurationError, TrackingError
+from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import BoundingBox
 from attntrack.pipeline import (SequenceSpec, backbone_forward, crop_search,
                                 crop_template, evaluate,
@@ -321,6 +323,26 @@ class TestSequenceIo:
         with pytest.raises(ValueError, match=f"frame.ppm.*{reason}"):
             read_netpbm(path)
 
+    def test_huge_header_dims_are_truncated_data(self, tmp_path):
+        # the header asks for 3 TB; reading it used to raise a bare MemoryError
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(b"P6 1000000 1000000 255\n" + bytes(3))
+        with pytest.raises(ValueError, match="frame.ppm: truncated pixel data"):
+            read_netpbm(path)
+
+    def test_one_byte_short_is_truncated_data(self, tmp_path):
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
+        with pytest.raises(ValueError, match="frame.ppm: truncated pixel data"):
+            read_netpbm(path)
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        # used to load as a pixel value of 201/200
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(b"P5\n2 1\n200\n" + bytes([200, 201]))
+        with pytest.raises(ValueError, match="frame.pgm: pixel sample 201 above maxval 200"):
+            read_netpbm(path)
+
     def test_rect_file_roundtrip(self, tmp_path):
         boxes = [BoundingBox(10.5, 20.25, 8.0, 6.5), BoundingBox(1, 2, 3, 4)]
         path = tmp_path / "rects.txt"
@@ -371,3 +393,61 @@ class TestSequenceIo:
         loaded, _ = load_sequence(tmp_path / "seq", loader=loader)
         assert len(calls) == 2
         assert loaded[0].pixels.shape == (3, 4, 4)
+
+
+def _valid_frames() -> list[bytes]:
+    """A PPM as ``write_ppm`` writes it, and a PGM with a header comment
+    and an 8-bit maxval below 255."""
+    rng = np.random.default_rng(0)
+    header = b"P6\n5 4\n255\n"
+    ppm = header + rng.integers(0, 256, 3 * 5 * 4, dtype=np.uint8).tobytes()
+    pgm = b"P5\n# c\n3 2\n200\n" + rng.integers(0, 201, 6, dtype=np.uint8).tobytes()
+    return [ppm, pgm]
+
+
+def _valid_rect_file() -> bytes:
+    return b"10.5000,20.2500,8.0000,6.5000\n1,2,3,4\n\n5\t6\t7\t8\n"
+
+
+@st.composite
+def damaged(draw, valid: list[bytes]):
+    """One of ``valid`` with up to 4 bytes replaced, then maybe truncated."""
+    data = bytearray(draw(st.sampled_from(valid)))
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+# the only errors a damaged input file may raise
+READER_ERRORS = (ValueError, ShapeError, TrackingError)
+
+
+class TestReaderFuzz:
+    """Damaged files give a reader's own error or a well-formed result."""
+
+    @settings(max_examples=800, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=damaged(_valid_frames()))
+    def test_read_netpbm(self, tmp_path, data):
+        path = tmp_path / "frame.pnm"
+        path.write_bytes(data)
+        try:
+            pixels = read_netpbm(path)
+        except READER_ERRORS:
+            return
+        assert pixels.ndim in (2, 3) and pixels.size > 0
+        assert np.all((pixels >= 0.0) & (pixels <= 1.0))
+
+    @settings(max_examples=800, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=damaged([_valid_rect_file()]))
+    def test_read_rect_file(self, tmp_path, data):
+        path = tmp_path / "rects.txt"
+        path.write_bytes(data)
+        try:
+            boxes = read_rect_file(path)
+        except READER_ERRORS:
+            return
+        for box in boxes:
+            assert np.all(np.isfinite(box.as_corner()))
+            assert box.w >= 0.0 and box.h >= 0.0
