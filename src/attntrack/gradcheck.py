@@ -49,6 +49,15 @@ def check_matmul(rng) -> tuple[float, int]:
     return finite_difference_check(lambda: _projected(T.matmul(a, b), r), [a, b])
 
 
+def check_matmul_bias(rng) -> tuple[float, int]:
+    a = _leaf(rng, 3, 4)
+    b = _leaf(rng, 4, 2)
+    bias = _leaf(rng, 2)
+    r = rng.standard_normal((3, 2))
+    return finite_difference_check(
+        lambda: _projected(T.matmul(a, b, bias=bias), r), [a, b, bias])
+
+
 def check_conv2d(rng) -> tuple[float, int]:
     x = _leaf(rng, 2, 7, 7)
     k = _leaf(rng, 3, 2, 3, 3)
@@ -63,6 +72,33 @@ def check_conv2d_batched(rng) -> tuple[float, int]:
     r = rng.standard_normal((2, 3, 4, 4))
     return finite_difference_check(
         lambda: _projected(T.conv2d(x, k, stride=2, padding=1), r), [x, k])
+
+
+def _check_biased_conv2d(rng, lead: tuple[int, ...]) -> tuple[float, int]:
+    """A 3x3 conv at stride 2 (padded) and stride 1, and a 1x1 conv, sharing
+    one bias, over an input with leading axes ``lead``."""
+    x = _leaf(rng, *lead, 2, 7, 7)
+    k3 = _leaf(rng, 3, 2, 3, 3)
+    k1 = _leaf(rng, 3, 2, 1, 1)
+    bias = _leaf(rng, 3)
+    convs = [(k3, 2, 1), (k3, 1, 0), (k1, 1, 0)]
+    rs = [rng.standard_normal(lead + (3, 4, 4)), rng.standard_normal(lead + (3, 5, 5)),
+          rng.standard_normal(lead + (3, 7, 7))]
+
+    def loss():
+        terms = [_projected(T.conv2d(x, k, stride=s, padding=p, bias=bias), r)
+                 for (k, s, p), r in zip(convs, rs)]
+        return T.add(T.add(terms[0], terms[1]), terms[2])
+
+    return finite_difference_check(loss, [x, k3, k1, bias])
+
+
+def check_conv2d_bias(rng) -> tuple[float, int]:
+    return _check_biased_conv2d(rng, ())
+
+
+def check_conv2d_batched_bias(rng) -> tuple[float, int]:
+    return _check_biased_conv2d(rng, (2,))
 
 
 def check_softmax(rng) -> tuple[float, int]:
@@ -250,8 +286,11 @@ def check_full_stack(rng) -> tuple[float, int]:
 
 _CHECKS = [
     ("matmul", check_matmul),
+    ("matmul_bias", check_matmul_bias),
     ("conv2d", check_conv2d),
     ("conv2d_batched", check_conv2d_batched),
+    ("conv2d_bias", check_conv2d_bias),
+    ("conv2d_batched_bias", check_conv2d_batched_bias),
     ("softmax_rows", check_softmax),
     ("multi_head_softmax_attention", check_multi_head_softmax_attention),
     ("block_diagonal_attention", check_block_diagonal_attention),

@@ -104,7 +104,7 @@ def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
     x = rows
     last = len(stack.kernels) - 1
     for i, (kernel, bias) in enumerate(zip(stack.kernels, stack.biases)):
-        x = T.add(T.conv1x1(x, kernel), bias)
+        x = T.conv1x1(x, kernel, bias)
         if i < last:
             x = T.relu(x)
     return T.sigmoid(x)

@@ -63,13 +63,12 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
     mid = None
     for i, (kernel, bias, stride) in enumerate(zip(weights.kernels, weights.biases,
                                                    weights.strides)):
-        x = T.conv2d(x, kernel, stride=stride, padding=1)
-        x = T.relu(T.add(x, T.reshape(bias, (bias.shape[0], 1, 1))))
+        x = T.relu(T.conv2d(x, kernel, stride=stride, padding=1, bias=bias))
         if i == 2:
             mid = x
     lead = x.ndim - 3
     channel_last = T.transpose(x, tuple(range(lead)) + (lead + 1, lead + 2, lead))
     grid = channel_last.shape[:-1]
     rows = T.reshape(channel_last, (-1, channel_last.shape[-1]))
-    tokens = T.add(T.conv1x1(rows, weights.reduce_kernel), weights.reduce_bias)
+    tokens = T.conv1x1(rows, weights.reduce_kernel, weights.reduce_bias)
     return mid, T.reshape(tokens, grid + (weights.reduce_kernel.shape[0],))

@@ -256,8 +256,7 @@ def relu(a) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            mask = (a.data > 0.0).astype(np.float64)
-            a._accumulate(grad * mask)
+            a._accumulate(grad * (a.data > 0.0))
 
     return _make(data, (a,), backward)
 
@@ -314,8 +313,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            mask = ((a.data > lo) & (a.data < hi)).astype(np.float64)
-            a._accumulate(grad * mask)
+            a._accumulate(grad * ((a.data > lo) & (a.data < hi)))
 
     return _make(data, (a,), backward)
 
@@ -394,21 +392,34 @@ def take(a, index) -> Tensor:
 # -- linear algebra and structured ops ----------------------------------------
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """(M, K) @ (K, N), plus an optional (N,) ``bias`` added to every row.
+
+    The bias is added in place on the fresh product, so a biased layer is
+    one tape node; its gradient is the column sums of the output gradient.
+    """
     a, b = astensor(a), astensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+    if bias is not None:
+        bias = astensor(bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeError(f"matmul bias must be ({b.shape[1]},), got {bias.shape}")
     data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ grad)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=0))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def softmax_rows(x) -> Tensor:
@@ -585,8 +596,9 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel.
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel,
+    plus an optional (O,) ``bias``.
 
     A single (C,H,W) input is taken as a batch of one and comes back as
     (O,oh,ow). The im2col columns are channel-major, ``(C*kh*kw, B*oh*ow)``:
@@ -594,10 +606,22 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     output position of every sample. So the batch is one GEMM, building the
     columns copies along output rows, and ``kernel.reshape(O, C*kh*kw) @
     cols`` is the output in channel-major memory, returned as a (B,O,oh,ow)
-    view without a transpose. The padded input is laid out channel-major
-    too, and so is the input gradient. For a 1x1, stride-1, unpadded conv
-    of an input in channel-major memory (one sample, or the output of a
-    previous conv) the columns are a view of the input, not a copy.
+    view without a transpose. The bias rides in that GEMM as one more
+    kernel column against a ones row of the columns, so the kernel-gradient
+    GEMM returns the bias gradient as its last column. For a 1x1, stride-1,
+    unpadded conv the columns are a reshape of the input, a view when the
+    input is in channel-major memory (one sample, or the output of a
+    previous conv); there the bias is added in place on the product.
+
+    The input gradient is one GEMM over stride phases. Kernel tap ``u =
+    s*a + r`` reaches only padded-input rows of residue r mod s, so row
+    ``s*Y + r`` of the input gradient is a stride-1 full correlation of the
+    output gradient with the taps ``a`` of phase r, flipped. The phase
+    kernel is ``(s*s*C, O*ka*kb)`` with ka = ceil(kh/s), kb = ceil(kw/s) (the
+    kernel zero-extended to ``(ka*s, kb*s)``), the windows of the output
+    gradient padded by ka-1 and kb-1 are ``(O*ka*kb, B*ph*pw)`` with ph =
+    oh+ka-1 and pw = ow+kb-1, and their product is interleaved once into the
+    ``(C, B, s*ph, s*pw)`` padded-input gradient, then cropped to the input.
     """
     x, kernel = astensor(x), astensor(kernel)
     if x.ndim not in (3, 4) or kernel.ndim != 4:
@@ -609,6 +633,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {ck}")
+    if bias is not None:
+        bias = astensor(bias)
+        if bias.shape != (o,):
+            raise ShapeError(f"conv2d bias must be ({o},), got {bias.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, "
                          f"got stride {stride}, padding {padding}")
@@ -622,46 +650,89 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    inner = (slice(None), slice(None), slice(padding, padding + h),
-             slice(padding, padding + w))
+    taps = c * kh * kw
+    # the columns of a 1x1, stride-1, unpadded conv may be a view of the
+    # input, so its bias is added on the product instead
+    folded = bias is not None and not (kh == kw == stride == 1 and not padding)
 
     if padding:
         padded = np.zeros((c, b, hp, wp)).transpose(1, 0, 2, 3)
-        padded[inner] = xb
+        padded[:, :, padding:padding + h, padding:padding + w] = xb
     else:
         padded = xb
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]                 # (B, C, oh, ow, kh, kw)
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
-    wmat = kernel.data.reshape(o, c * kh * kw)
-    out = (wmat @ cols).reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
+    if folded:
+        cols = np.empty((taps + 1, b * oh * ow))
+        cols[:taps].reshape(c, kh, kw, b, oh, ow)[...] = windows.transpose(1, 4, 5, 0, 2, 3)
+        cols[taps] = 1.0
+        wmat = np.concatenate((kernel.data.reshape(o, taps), bias.data[:, None]), axis=1)
+    else:
+        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(taps, b * oh * ow)
+        wmat = kernel.data.reshape(o, taps)
+    prod = wmat @ cols
+    if bias is not None and not folded:
+        prod += bias.data[:, None]
+    out = prod.reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
     data = out if batched else out[0]
 
     def backward(grad):
         g = grad if batched else grad[None]
         gmat = g.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
-        if kernel.requires_grad:
-            kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
+        if kernel.requires_grad or folded and bias.requires_grad:
+            dw = gmat @ cols.T
+            if kernel.requires_grad:
+                kernel._accumulate(dw[:, :taps].reshape(kernel.shape))
+            if folded and bias.requires_grad:
+                bias._accumulate(dw[:, taps])
+        if bias is not None and not folded and bias.requires_grad:
+            bias._accumulate(gmat.sum(axis=1))
         if x.requires_grad:
-            dcols = (wmat.T @ gmat).reshape(c, kh, kw, b, oh, ow)
-            dpad = np.zeros((c, b, hp, wp))
-            for u in range(kh):
-                for v in range(kw):
-                    dpad[:, :, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
-                        dcols[:, u, v]
-            dx = dpad.transpose(1, 0, 2, 3)[inner]
+            dx = _conv2d_input_grad(g, kernel.data, stride)
+            dx = dx[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
             x._accumulate(dx if batched else dx[0])
 
-    return _make(data, (x, kernel), backward)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(data, parents, backward)
 
 
-def conv1x1(rows, kernel) -> Tensor:
-    """A 1x1 convolution over channel-last rows: (M, C) rows and an
-    (O, C, 1, 1) kernel give (M, O). The kernel keeps conv2d's layout."""
+def _conv2d_input_grad(g: Array, kernel: Array, s: int) -> Array:
+    """Gradient of a stride-``s`` conv with respect to its padded input, from
+    the (B, O, oh, ow) output gradient: (C, B, s*ph, s*pw), channel-major."""
+    b, o, oh, ow = g.shape
+    _, c, kh, kw = kernel.shape
+    ka, kb = -(-kh // s), -(-kw // s)
+    ph, pw = oh + ka - 1, ow + kb - 1
+    # tap (s*a + r, s*a' + r') of the zero-extended kernel goes to row
+    # (r, r', c) and column (o, ka-1-a, kb-1-a') of the phase kernel
+    ext = np.zeros((o, c, ka * s, kb * s))
+    ext[:, :, :kh, :kw] = kernel
+    phases = ext.reshape(o, c, ka, s, kb, s)[:, :, ::-1, :, ::-1] \
+        .transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, o * ka * kb)
+    gpad = np.zeros((o, b, oh + 2 * (ka - 1), ow + 2 * (kb - 1)))
+    gpad[:, :, ka - 1:ka - 1 + oh, kb - 1:kb - 1 + ow] = g.transpose(1, 0, 2, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(gpad, (ka, kb), axis=(2, 3))
+    gwin = windows.transpose(0, 4, 5, 1, 2, 3).reshape(o * ka * kb, b * ph * pw)
+    dphase = (phases @ gwin).reshape(s, s, c, b, ph, pw)
+    if s == 1:
+        return dphase[0, 0]
+    # one strided copy per phase: a single transposed copy would run its
+    # innermost loop over the s phases and took 2-3x as long
+    dpad = np.empty((c, b, s * ph, s * pw))
+    for r in range(s):
+        for q in range(s):
+            dpad[:, :, r::s, q::s] = dphase[r, q]
+    return dpad
+
+
+def conv1x1(rows, kernel, bias=None) -> Tensor:
+    """A 1x1 convolution over channel-last rows: (M, C) rows, an (O, C, 1, 1)
+    kernel and an optional (O,) bias give (M, O). The kernel keeps conv2d's
+    layout."""
     kernel = astensor(kernel)
     if kernel.ndim != 4 or kernel.shape[2:] != (1, 1):
         raise ShapeError(f"conv1x1 expects an (O,C,1,1) kernel, got {kernel.shape}")
-    return matmul(rows, transpose(reshape(kernel, kernel.shape[:2])))
+    return matmul(rows, transpose(reshape(kernel, kernel.shape[:2])), bias)
 
 
 # -- parameters and checkpoints ------------------------------------------------
@@ -718,17 +789,30 @@ def load_checkpoint(path) -> dict[str, Array]:
         magic = read_line(fh)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a {CHECKPOINT_MAGIC} file: header {magic!r}")
-        count = int(read_line(fh))
-        for _ in range(count):
+        count_line = read_line(fh)
+        try:
+            count = int(count_line)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"checkpoint entry count is not a non-negative "
+                             f"integer: {count_line!r}")
+        for index in range(count):
             fields = read_line(fh).split()
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(v) for v in fields[2:2 + ndim])
-            n = math.prod(shape)
+            if not fields:
+                raise ValueError(f"checkpoint entry {index} of {count} has no header")
+            name = fields[0]
+            try:
+                ndim, *shape = (int(v) for v in fields[1:])
+            except ValueError:      # no dims, or one that is not an integer
+                ndim, shape = -1, []
+            shape = tuple(shape)
             # checked before the read, so a corrupt header cannot ask for
             # more memory than the file holds
-            if len(fields) != 2 + ndim or any(d < 0 for d in shape):
-                raise ValueError(f"checkpoint entry {name!r} has malformed "
+            if len(shape) != ndim or any(d < 0 for d in shape):
+                raise ValueError(f"checkpoint entry {index} {name!r} has malformed "
                                  f"dims {' '.join(fields[1:])!r}")
+            n = math.prod(shape)
             left = size - fh.tell()
             if 8 * n > left:
                 raise ValueError(f"truncated checkpoint: {name!r} of shape "

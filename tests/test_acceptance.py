@@ -55,7 +55,8 @@ def test_criterion_1_gradient_suite():
     elapsed = time.monotonic() - start
     names = {r.name for r in results}
     assert {"attention", "ffn", "heads", "losses", "backbone",
-            "full_stack"} <= names
+            "full_stack", "matmul_bias", "conv2d_bias",
+            "conv2d_batched_bias"} <= names
     bad = [r.name for r in results if not r.ok]
     worst = max(r.worst_rel_error for r in results)
     report(1, not bad and elapsed < 60.0,

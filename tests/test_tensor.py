@@ -6,11 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from attntrack import tensor as T
-from attntrack.errors import ShapeError
+from attntrack.errors import ShapeError, TrackingError
 from attntrack.tensor import (Tensor, finite_difference_check, load_checkpoint,
                               save_checkpoint)
 
@@ -90,6 +90,37 @@ def rowmajor_conv2d(x, kernel, grad, stride=1, padding=0):
     return out, dpad[:, padding:padding + h, padding:padding + w], dk
 
 
+def scatter_conv2d(x, kernel, grad, stride=1, padding=0, bias=None):
+    """The channel-major conv2d whose input gradient ``T.conv2d`` replaced
+    by the stride-phase GEMM: output, dx, dk and db of a (B,C,H,W) batch.
+
+    The bias is a broadcast add after the GEMM, and the input gradient is
+    ``wmat.T @ gmat`` scattered back with kh*kw strided adds.
+    """
+    b, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    _, _, oh, ow = grad.shape
+    padded = np.zeros((c, b, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]                 # (C, B, oh, ow, kh, kw)
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, b * oh * ow)
+    wmat = kernel.reshape(o, c * kh * kw)
+    out = (wmat @ cols).reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
+    gmat = grad.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
+    dk = (gmat @ cols.T).reshape(kernel.shape)
+    dcols = (wmat.T @ gmat).reshape(c, kh, kw, b, oh, ow)
+    dpad = np.zeros_like(padded)
+    for u in range(kh):
+        for v in range(kw):
+            dpad[:, :, u:u + oh * stride:stride, v:v + ow * stride:stride] += \
+                dcols[:, u, v]
+    dx = dpad[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
+    if bias is None:
+        return out, dx, dk, None
+    return out + bias[:, None, None], dx, dk, grad.sum(axis=(0, 2, 3))
+
+
 def assert_relative(actual, expected, tol=1e-12):
     assert actual.shape == expected.shape
     assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
@@ -107,6 +138,40 @@ def check_conv_against_oracles(rng, c, o, kh, kw, h, w, stride, padding):
                              (out.data, conv_oracle(x.data, kernel.data, stride, padding)),
                              (x.grad, loop_dx), (kernel.grad, loop_dk)):
         assert_relative(actual, expected)
+
+
+def check_conv_against_scatter(rng, b, c, o, kh, kw, h, w, stride, padding,
+                               biased, batched=True):
+    x = Tensor(rng.standard_normal((b, c, h, w) if batched else (c, h, w)),
+               requires_grad=True)
+    kernel = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(o), requires_grad=True) if biased else None
+    out = T.conv2d(x, kernel, stride=stride, padding=padding, bias=bias)
+    grad = rng.standard_normal(out.shape)
+    T.tensor_sum(T.mul(out, grad)).backward()
+    xb, gb = (x.data, grad) if batched else (x.data[None], grad[None])
+    ref = scatter_conv2d(xb, kernel.data, gb, stride, padding,
+                         bias.data if biased else None)
+    actual = (out.data, x.grad, kernel.grad) if batched \
+        else (out.data[None], x.grad[None], kernel.grad)
+    for got, expected in zip(actual, ref):
+        assert_relative(got, expected)
+    if biased:
+        assert_relative(bias.grad, ref[3])
+
+
+@st.composite
+def scatter_geometries(draw):
+    """(B, C, O, kh, kw, H, W, stride, padding, biased): strides 1-3,
+    kernels 1-5, padding 0-2, batch 1-3, H and W drawn apart."""
+    b, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    oh, ow = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h = (oh - 1) * stride + kh - 2 * padding
+    w = (ow - 1) * stride + kw - 2 * padding
+    assume(h >= 1 and w >= 1)
+    return b, c, o, kh, kw, h, w, stride, padding, draw(st.booleans())
 
 
 @st.composite
@@ -141,6 +206,34 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+    def test_bias_matches_a_broadcast_add(self):
+        # the bias is added in place on the product, with the same rounding
+        # as a separate add node, and its gradient is the column sums
+        rng = np.random.default_rng(10)
+        a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(4), requires_grad=True)
+        grad = rng.standard_normal((5, 4))
+        out = T.matmul(a, b, bias=bias)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        assert np.array_equal(out.data, a.data @ b.data + bias.data)
+        assert np.array_equal(bias.grad, grad.sum(axis=0))
+        assert np.array_equal(a.grad, grad @ b.data.T)
+        assert np.array_equal(b.grad, a.data.T @ grad)
+
+    def test_conv1x1_passes_the_bias(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((6, 3))
+        kernel, bias = rng.standard_normal((2, 3, 1, 1)), rng.standard_normal(2)
+        out = T.conv1x1(Tensor(rows), Tensor(kernel), Tensor(bias))
+        assert np.array_equal(out.data, rows @ kernel[:, :, 0, 0].T + bias)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (1, 2), ()])
+    def test_bias_of_wrong_length_rejected(self, shape):
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))),
+                     bias=Tensor(np.ones(shape)))
 
 
 class TestSoftmaxRows:
@@ -272,6 +365,68 @@ class TestConv2d:
         assert_relative(x.grad, np.stack([ref_dx for _, ref_dx, _ in samples]))
         assert_relative(kernel.grad, sum(ref_dk for _, _, ref_dk in samples))
 
+    # (B, C, O, kh, kw, H, W, stride, padding): the backbone stages of a
+    # training step's search (128) and template (64) crops, batch 2, and of
+    # the 255 search crop (padded to 256), batch 1
+    @pytest.mark.parametrize("geometry", [
+        (2, 3, 8, 4, 4, 128, 128, 2, 1), (2, 8, 16, 4, 4, 64, 64, 2, 1),
+        (2, 16, 32, 4, 4, 32, 32, 2, 1), (2, 32, 32, 3, 3, 16, 16, 1, 1),
+        (2, 3, 8, 4, 4, 64, 64, 2, 1), (2, 8, 16, 4, 4, 32, 32, 2, 1),
+        (2, 16, 32, 4, 4, 16, 16, 2, 1), (2, 32, 32, 3, 3, 8, 8, 1, 1),
+        (1, 3, 8, 4, 4, 256, 256, 2, 1), (1, 8, 16, 4, 4, 128, 128, 2, 1),
+        (1, 16, 32, 4, 4, 64, 64, 2, 1), (1, 32, 32, 3, 3, 32, 32, 1, 1),
+    ])
+    def test_workload_stages_match_scatter_oracle(self, geometry):
+        check_conv_against_scatter(np.random.default_rng(13), *geometry, biased=True)
+
+    # kernels that are not a multiple of the stride, strides above the
+    # kernel, stride 3, non-square inputs, each with and without a bias
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("geometry", [
+        (1, 2, 3, 3, 3, 7, 7, 2, 1), (2, 3, 2, 5, 5, 9, 11, 2, 2),
+        (3, 2, 4, 5, 3, 9, 7, 3, 1), (2, 2, 3, 1, 1, 5, 7, 2, 0),
+        (1, 3, 2, 2, 4, 7, 9, 3, 2), (3, 1, 2, 4, 2, 10, 5, 1, 0),
+        (2, 4, 3, 1, 1, 4, 6, 1, 0), (2, 2, 2, 1, 1, 3, 5, 1, 2),
+    ])
+    def test_odd_geometries_match_scatter_oracle(self, geometry, biased):
+        check_conv_against_scatter(np.random.default_rng(14), *geometry, biased)
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry=scatter_geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_random_geometries_match_scatter_oracle(self, geometry, seed):
+        check_conv_against_scatter(np.random.default_rng(seed), *geometry)
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_single_sample_matches_scatter_oracle(self, biased):
+        rng = np.random.default_rng(15)
+        for geometry in ((1, 3, 4, 4, 4, 10, 8, 2, 1), (1, 4, 2, 1, 1, 3, 5, 1, 0)):
+            check_conv_against_scatter(rng, *geometry, biased, batched=False)
+
+    def test_pointwise_view_of_a_conv_output_with_bias(self):
+        # a 1x1 conv of the channel-major output of a previous conv reads
+        # its columns as a view and adds the bias in place on the product
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+        k1 = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        k2 = Tensor(rng.standard_normal((2, 4, 1, 1)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(2), requires_grad=True)
+        mid = T.conv2d(x, k1, padding=1)
+        out = T.conv2d(mid, k2, bias=bias)
+        grad = rng.standard_normal(out.shape)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        ref_out, ref_dmid, ref_dk2, ref_db = scatter_conv2d(
+            mid.data, k2.data, grad, bias=bias.data)
+        _, ref_dx, ref_dk1, _ = scatter_conv2d(x.data, k1.data, ref_dmid, padding=1)
+        for got, expected in ((out.data, ref_out), (k2.grad, ref_dk2),
+                              (bias.grad, ref_db), (k1.grad, ref_dk1), (x.grad, ref_dx)):
+            assert_relative(got, expected)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), ()])
+    def test_bias_of_wrong_length_rejected(self, shape):
+        with pytest.raises(ShapeError, match="bias"):
+            T.conv2d(Tensor(np.ones((2, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))),
+                     bias=Tensor(np.ones(shape)))
+
     def test_batched_input_must_be_four_dimensional(self):
         with pytest.raises(ShapeError, match="expects"):
             T.conv2d(Tensor(np.ones((1, 1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
@@ -366,6 +521,20 @@ class TestBackward:
         T.tensor_sum(T.mul(x, 5.0)).backward()
         assert np.array_equal(first, [3.0, 3.0])
         assert np.array_equal(x.grad, [8.0, 8.0])
+
+    @pytest.mark.parametrize("op, inside", [
+        (T.relu, lambda x: x > 0.0),
+        (lambda x: T.clamp(x, -0.5, 0.5), lambda x: (x > -0.5) & (x < 0.5)),
+    ])
+    def test_mask_gradients_are_exact_and_keep_nan(self, op, inside):
+        x = Tensor(np.array([-1.0, -0.5, 0.0, 0.25, 0.5, 2.0, -3.0, 0.1]),
+                   requires_grad=True)
+        grad = np.array([1.5, 2.0, -3.0, 0.7, 4.0, np.nan, np.nan, -np.inf])
+        T.tensor_sum(T.mul(op(x), grad)).backward()
+        # masked entries are grad * 0.0: zero, or nan for a non-finite grad
+        with np.errstate(invalid="ignore"):
+            expected = np.where(inside(x.data), grad, grad * 0.0)
+        assert np.array_equal(x.grad, expected, equal_nan=True)
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
@@ -485,7 +654,60 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="enc.w"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("body, match", [
+        (b"3\na 1 1\n" + bytes(8), "entry 1 of 3 has no header"),   # count too large
+        (b"2\n", "entry 0 of 2 has no header"),                      # cut after the count
+        (b"1\nw\n", "entry 0 'w' has malformed dims"),               # header of one field
+        (b"1\nw 1 x\n" + bytes(8), "entry 0 'w' has malformed dims"),
+        (b"two\n", "entry count"),
+        (b"", "entry count"),
+        (b"-1\n", "entry count"),
+    ])
+    def test_short_header_names_the_entry(self, tmp_path, body, match):
+        path = tmp_path / "bad.trtr"
+        path.write_bytes(b"TRTR-CKPT v1\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
     def test_rejects_duplicate_names(self, tmp_path):
         params = [("w", Tensor([1.0])), ("w", Tensor([2.0]))]
         with pytest.raises(ValueError):
             save_checkpoint(params, tmp_path / "dup.trtr")
+
+
+def _valid_checkpoint() -> bytes:
+    """A 3-entry archive as ``save_checkpoint`` writes it."""
+    head = b"TRTR-CKPT v1\n3\n"
+    entries = [(b"enc.w 2 2 3\n", np.arange(6.0)), (b"enc.b 1 2\n", np.array([0.5, -1.0])),
+               (b"scale 0 \n", np.array([1.25]))]
+    return head + b"".join(line + values.astype("<f8").tobytes() for line, values in entries)
+
+
+@st.composite
+def damaged_checkpoints(draw):
+    """The valid archive with up to 4 bytes replaced, then maybe truncated."""
+    data = bytearray(_valid_checkpoint())
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+class TestCheckpointFuzz:
+    def test_valid_archive_is_what_save_writes(self, tmp_path):
+        path = tmp_path / "ok.trtr"
+        save_checkpoint([("enc.w", Tensor(np.arange(6.0).reshape(2, 3))),
+                         ("enc.b", Tensor([0.5, -1.0])), ("scale", Tensor(1.25))], path)
+        assert path.read_bytes() == _valid_checkpoint()
+
+    @settings(max_examples=800, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=damaged_checkpoints())
+    def test_load_checkpoint(self, tmp_path, data):
+        path = tmp_path / "model.trtr"
+        path.write_bytes(data)
+        try:
+            entries = load_checkpoint(path)
+        except (ValueError, ShapeError, TrackingError):
+            return
+        for array in entries.values():
+            assert array.dtype == np.float64
