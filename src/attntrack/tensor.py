@@ -606,12 +606,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     output position of every sample. So the batch is one GEMM, building the
     columns copies along output rows, and ``kernel.reshape(O, C*kh*kw) @
     cols`` is the output in channel-major memory, returned as a (B,O,oh,ow)
-    view without a transpose. The bias rides in that GEMM as one more
-    kernel column against a ones row of the columns, so the kernel-gradient
-    GEMM returns the bias gradient as its last column. For a 1x1, stride-1,
-    unpadded conv the columns are a reshape of the input, a view when the
-    input is in channel-major memory (one sample, or the output of a
-    previous conv); there the bias is added in place on the product.
+    view without a transpose. The bias is added in place on that fresh
+    product, so a biased layer is one tape node; its gradient is the row
+    sums of the output gradient. The padded input is laid out channel-major
+    too. For a 1x1, stride-1, unpadded conv of an input in channel-major
+    memory (one sample, or the output of a previous conv) the columns are a
+    view of the input, not a copy.
 
     The input gradient is one GEMM over stride phases. Kernel tap ``u =
     s*a + r`` reaches only padded-input rows of residue r mod s, so row
@@ -650,28 +650,19 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    taps = c * kh * kw
-    # the columns of a 1x1, stride-1, unpadded conv may be a view of the
-    # input, so its bias is added on the product instead
-    folded = bias is not None and not (kh == kw == stride == 1 and not padding)
+    inner = (slice(None), slice(None), slice(padding, padding + h),
+             slice(padding, padding + w))
 
     if padding:
         padded = np.zeros((c, b, hp, wp)).transpose(1, 0, 2, 3)
-        padded[:, :, padding:padding + h, padding:padding + w] = xb
+        padded[inner] = xb
     else:
         padded = xb
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]                 # (B, C, oh, ow, kh, kw)
-    if folded:
-        cols = np.empty((taps + 1, b * oh * ow))
-        cols[:taps].reshape(c, kh, kw, b, oh, ow)[...] = windows.transpose(1, 4, 5, 0, 2, 3)
-        cols[taps] = 1.0
-        wmat = np.concatenate((kernel.data.reshape(o, taps), bias.data[:, None]), axis=1)
-    else:
-        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(taps, b * oh * ow)
-        wmat = kernel.data.reshape(o, taps)
-    prod = wmat @ cols
-    if bias is not None and not folded:
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
+    prod = kernel.data.reshape(o, c * kh * kw) @ cols
+    if bias is not None:
         prod += bias.data[:, None]
     out = prod.reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
     data = out if batched else out[0]
@@ -679,17 +670,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     def backward(grad):
         g = grad if batched else grad[None]
         gmat = g.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
-        if kernel.requires_grad or folded and bias.requires_grad:
-            dw = gmat @ cols.T
-            if kernel.requires_grad:
-                kernel._accumulate(dw[:, :taps].reshape(kernel.shape))
-            if folded and bias.requires_grad:
-                bias._accumulate(dw[:, taps])
-        if bias is not None and not folded and bias.requires_grad:
+        if kernel.requires_grad:
+            kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1))
         if x.requires_grad:
-            dx = _conv2d_input_grad(g, kernel.data, stride)
-            dx = dx[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
+            dx = _conv2d_input_grad(g, kernel.data, stride).transpose(1, 0, 2, 3)[inner]
             x._accumulate(dx if batched else dx[0])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)

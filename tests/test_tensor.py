@@ -404,7 +404,7 @@ class TestConv2d:
 
     def test_pointwise_view_of_a_conv_output_with_bias(self):
         # a 1x1 conv of the channel-major output of a previous conv reads
-        # its columns as a view and adds the bias in place on the product
+        # its columns as a view of that output
         rng = np.random.default_rng(16)
         x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
         k1 = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
