@@ -127,22 +127,3 @@ def ffn(x: Tensor, w: FfnWeights) -> Tensor:
     out = T.matmul(hidden, w.w2, bias=w.b2)
     return T.layernorm(T.add(x, out), w.norm.gain, w.norm.bias, w.norm.eps)
 
-
-def named_multi_head(prefix: str, w: MultiHeadWeights):
-    yield f"{prefix}.wq", w.wq
-    yield f"{prefix}.wk", w.wk
-    yield f"{prefix}.wv", w.wv
-    yield f"{prefix}.wo", w.wo
-
-
-def named_layernorm(prefix: str, w: LayerNormWeights):
-    yield f"{prefix}.gain", w.gain
-    yield f"{prefix}.bias", w.bias
-
-
-def named_ffn(prefix: str, w: FfnWeights):
-    yield f"{prefix}.w1", w.w1
-    yield f"{prefix}.b1", w.b1
-    yield f"{prefix}.w2", w.w2
-    yield f"{prefix}.b2", w.b2
-    yield from named_layernorm(f"{prefix}.norm", w.norm)

@@ -45,6 +45,12 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-mid", type=int, default=32)
 
 
+def _add_override_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--online", type=_onoff, default=None)
+    p.add_argument("--search-size", type=int, default=None)
+    p.add_argument("--pe-mask", type=_onoff, default=None)
+
+
 def _add_seq_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--image-size", type=int, default=112)
@@ -59,6 +65,15 @@ def _make_spec(args) -> SequenceSpec:
                         start_box=(size / 2.0, size / 2.0, size * 0.22, size * 0.18),
                         distractor=args.distractor,
                         brightness_drift=args.drift)
+
+
+def _short_ground_truth(frames, boxes) -> bool:
+    """Whether there are fewer boxes than frames; if so, says so on stderr."""
+    if len(boxes) >= len(frames):
+        return False
+    print(f"ground truth has {len(boxes)} boxes for {len(frames)} frames",
+          file=sys.stderr)
+    return True
 
 
 def _cmd_gradcheck(args) -> int:
@@ -82,6 +97,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    settings = TrainSettings(steps=args.steps, lr=args.lr, seed=args.seed)
     if args.seq:
         frames, boxes = load_sequence(args.seq)
     else:
@@ -93,8 +109,9 @@ def _cmd_train_toy(args) -> int:
                            n_encoder_layers=args.enc_layers,
                            n_decoder_layers=args.dec_layers,
                            pe_mask=args.pe_mask, c_mid=args.c_mid)
+    if _short_ground_truth(frames, boxes):
+        return 1
     model = build_model(np.random.default_rng(args.seed), config)
-    settings = TrainSettings(steps=args.steps, lr=args.lr, seed=args.seed)
     history = train_toy(model, config, frames, boxes, settings,
                         log=lambda msg: print(msg))
     save_model(args.out, model, config)
@@ -124,6 +141,8 @@ def _cmd_track(args) -> int:
     frames, boxes = load_sequence(args.seq)
     if not boxes:
         print("sequence has no ground truth; cannot initialize", file=sys.stderr)
+        return 1
+    if args.metrics and _short_ground_truth(frames, boxes):
         return 1
     results = track_sequence(model, config, frames, boxes[0])
     write_rect_file(args.out, results)
@@ -234,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--out", required=True, help="results rectangle file")
     p.add_argument("--metrics", help="write metrics JSON here")
-    p.add_argument("--online", type=_onoff, default=None)
-    p.add_argument("--search-size", type=int, default=None)
-    p.add_argument("--pe-mask", type=_onoff, default=None)
+    _add_override_args(p)
     p.set_defaults(fn=_cmd_track)
 
     p = sub.add_parser("eval", help="score results against ground truth")
@@ -252,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seq", required=True)
         p.add_argument("--frame", type=int, default=1)
         p.add_argument("--out-prefix", required=True)
-        p.add_argument("--online", type=_onoff, default=None)
-        p.add_argument("--search-size", type=int, default=None)
-        p.add_argument("--pe-mask", type=_onoff, default=None)
+        _add_override_args(p)
         if name == "dump-attn":
             p.add_argument("--site", default="decoder0.cross",
                            help="encoder0.self | decoder0.self | decoder0.cross ...")

@@ -18,7 +18,7 @@ from .attention import (AttentionInputs, ffn, init_ffn, init_layernorm,
 from .localize import heads_forward, init_head_weights
 from .loss import focal_loss, joint_loss, make_ground_truth, offset_loss, size_loss
 from .pipeline.backbone import backbone_forward, init_backbone
-from .tensor import Tensor, finite_difference_check
+from .tensor import Tensor, finite_difference_check, parameters
 from .transformer import (build_positional_encoding, decode, encode,
                           init_transformer)
 
@@ -190,7 +190,7 @@ def check_attention(rng) -> tuple[float, int]:
     pq = Tensor(rng.standard_normal((nq, d)))
     pk = Tensor(rng.standard_normal((nkv, d)))
     r = rng.standard_normal((nq, d))
-    params = [xq, xkv, ln.gain, ln.bias, w.wq, w.wk, w.wv, w.wo]
+    params = [xq, xkv, *parameters(ln), *parameters(w)]
 
     def loss():
         out = multi_head_attention(AttentionInputs(xq, xkv, pq, pk), w)
@@ -204,7 +204,7 @@ def check_ffn(rng) -> tuple[float, int]:
     w = init_ffn(rng, d, 12)
     x = _leaf(rng, 3, d)
     r = rng.standard_normal((3, d))
-    params = [x, w.w1, w.b1, w.w2, w.b2, w.norm.gain, w.norm.bias]
+    params = [x, *parameters(w)]
     return finite_difference_check(lambda: _projected(ffn(x, w), r), params)
 
 
@@ -214,7 +214,7 @@ def check_heads(rng) -> tuple[float, int]:
     x = _leaf(rng, 3, 3, d)
     rs = rng.standard_normal((3, 3, 1))
     ro = rng.standard_normal((3, 3, 2))
-    params = [x] + [p for _, p in weights.named_parameters()]
+    params = [x, *parameters(weights)]
 
     def loss():
         maps = heads_forward(x, weights, stride=8)
@@ -247,7 +247,7 @@ def check_backbone(rng) -> tuple[float, int]:
     x = Tensor(rng.uniform(0.0, 1.0, (3, 16, 16)), requires_grad=True)
     r1 = rng.standard_normal((4, 2, 2))
     r2 = rng.standard_normal((2, 2, 4))
-    params = [x] + [p for _, p in weights.named_parameters()]
+    params = [x, *parameters(weights)]
 
     def loss():
         mid, out = backbone_forward(x, weights)
@@ -266,9 +266,7 @@ def check_full_stack(rng) -> tuple[float, int]:
     target = make_ground_truth(center=(17.0, 14.0), box_size=(12.0, 9.0),
                                patch_w=hh * 8, patch_h=ww * 8, stride=8,
                                hs=hh, ws=ww)
-    params = [z, x]
-    params += [p for _, p in weights.named_parameters()]
-    params += [p for _, p in head_weights.named_parameters()]
+    params = [z, x, *parameters(weights), *parameters(head_weights)]
     pe_z = build_positional_encoding(h, w, d)
     pe_x = build_positional_encoding(hh, ww, d)
 

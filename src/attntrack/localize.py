@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Conv, Tensor
 
 
 @dataclass
@@ -51,8 +51,7 @@ class HeadMaps:
 @dataclass
 class HeadStack:
     """Three 1x1 convolutions; relu after the first two, sigmoid at the end."""
-    kernels: list[Tensor]
-    biases: list[Tensor]
+    conv: list[Conv]
 
 
 @dataclass
@@ -60,13 +59,6 @@ class HeadWeights:
     score: HeadStack
     offset: HeadStack
     size: HeadStack
-
-    def named_parameters(self, prefix: str = "heads"):
-        for name, stack in (("score", self.score), ("offset", self.offset),
-                            ("size", self.size)):
-            for i, (k, b) in enumerate(zip(stack.kernels, stack.biases)):
-                yield f"{prefix}.{name}.conv{i}.kernel", k
-                yield f"{prefix}.{name}.conv{i}.bias", b
 
 
 @dataclass
@@ -78,17 +70,14 @@ class CosineWindow:
 def _init_stack(rng: np.random.Generator, d: int, out_channels: int,
                 final_bias: float) -> HeadStack:
     widths = [d, d, out_channels]
-    kernels, biases = [], []
+    conv = []
     c_in = d
     for i, c_out in enumerate(widths):
-        kernels.append(Tensor(T.xavier_uniform(rng, (c_out, c_in, 1, 1)),
-                              requires_grad=True))
-        bias = np.zeros(c_out)
-        if i == len(widths) - 1:
-            bias[:] = final_bias
-        biases.append(Tensor(bias, requires_grad=True))
+        kernel = Tensor(T.xavier_uniform(rng, (c_out, c_in, 1, 1)), requires_grad=True)
+        bias = np.full(c_out, final_bias if i == len(widths) - 1 else 0.0)
+        conv.append(Conv(kernel, Tensor(bias, requires_grad=True)))
         c_in = c_out
-    return HeadStack(kernels=kernels, biases=biases)
+    return HeadStack(conv=conv)
 
 
 def init_head_weights(rng: np.random.Generator, d: int,
@@ -102,9 +91,9 @@ def init_head_weights(rng: np.random.Generator, d: int,
 
 def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
     x = rows
-    last = len(stack.kernels) - 1
-    for i, (kernel, bias) in enumerate(zip(stack.kernels, stack.biases)):
-        x = T.conv1x1(x, kernel, bias)
+    last = len(stack.conv) - 1
+    for i, conv in enumerate(stack.conv):
+        x = T.conv1x1(x, conv.kernel, conv.bias)
         if i < last:
             x = T.relu(x)
     return T.sigmoid(x)
@@ -118,7 +107,7 @@ def heads_forward(decoder_out: Tensor, weights: HeadWeights, stride: int) -> Hea
     """
     grid = decoder_out.shape[:-1]
     rows = T.reshape(decoder_out, (-1, decoder_out.shape[-1]))
-    maps = [T.reshape(_run_stack(rows, stack), grid + (stack.kernels[-1].shape[0],))
+    maps = [T.reshape(_run_stack(rows, stack), grid + (stack.conv[-1].kernel.shape[0],))
             for stack in (weights.score, weights.offset, weights.size)]
     return HeadMaps(score=maps[0], offset=maps[1], size=maps[2], stride=stride)
 

@@ -14,37 +14,26 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ConfigurationError
-from ..tensor import Tensor
+from ..tensor import Conv, Tensor
 
 
 @dataclass
 class BackboneWeights:
-    kernels: list[Tensor]        # three 4x4 stride-2 stages, one 3x3 stride-1
-    biases: list[Tensor]
-    reduce_kernel: Tensor        # 1x1 channel reduction to d
-    reduce_bias: Tensor
+    stage: list[Conv]            # three 4x4 stride-2 stages, one 3x3 stride-1
+    reduce: Conv                 # 1x1 channel reduction to d
     strides = (2, 2, 2, 1)
-
-    def named_parameters(self, prefix: str = "backbone"):
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            yield f"{prefix}.stage{i}.kernel", k
-            yield f"{prefix}.stage{i}.bias", b
-        yield f"{prefix}.reduce.kernel", self.reduce_kernel
-        yield f"{prefix}.reduce.bias", self.reduce_bias
 
 
 def init_backbone(rng: np.random.Generator, c_mid: int = 32, d: int = 32) -> BackboneWeights:
     channels = [3, 8, 16, c_mid, c_mid]
     sizes = (4, 4, 4, 3)
-    kernels, biases = [], []
-    for (c_in, c_out), k in zip(zip(channels[:-1], channels[1:]), sizes):
-        kernels.append(Tensor(T.xavier_uniform(rng, (c_out, c_in, k, k)),
-                              requires_grad=True))
-        biases.append(Tensor(np.zeros(c_out), requires_grad=True))
+    stage = [Conv(Tensor(T.xavier_uniform(rng, (c_out, c_in, k, k)), requires_grad=True),
+                  Tensor(np.zeros(c_out), requires_grad=True))
+             for (c_in, c_out), k in zip(zip(channels[:-1], channels[1:]), sizes)]
     return BackboneWeights(
-        kernels=kernels, biases=biases,
-        reduce_kernel=Tensor(T.xavier_uniform(rng, (d, c_mid, 1, 1)), requires_grad=True),
-        reduce_bias=Tensor(np.zeros(d), requires_grad=True),
+        stage=stage,
+        reduce=Conv(Tensor(T.xavier_uniform(rng, (d, c_mid, 1, 1)), requires_grad=True),
+                    Tensor(np.zeros(d), requires_grad=True)),
     )
 
 
@@ -61,14 +50,13 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
         raise ConfigurationError(f"backbone input must be a multiple of 8, got {h}x{w}")
     x = patch
     mid = None
-    for i, (kernel, bias, stride) in enumerate(zip(weights.kernels, weights.biases,
-                                                   weights.strides)):
-        x = T.relu(T.conv2d(x, kernel, stride=stride, padding=1, bias=bias))
+    for i, (conv, stride) in enumerate(zip(weights.stage, weights.strides)):
+        x = T.relu(T.conv2d(x, conv.kernel, stride=stride, padding=1, bias=conv.bias))
         if i == 2:
             mid = x
     lead = x.ndim - 3
     channel_last = T.transpose(x, tuple(range(lead)) + (lead + 1, lead + 2, lead))
     grid = channel_last.shape[:-1]
     rows = T.reshape(channel_last, (-1, channel_last.shape[-1]))
-    tokens = T.conv1x1(rows, weights.reduce_kernel, weights.reduce_bias)
-    return mid, T.reshape(tokens, grid + (weights.reduce_kernel.shape[0],))
+    tokens = T.conv1x1(rows, weights.reduce.kernel, weights.reduce.bias)
+    return mid, T.reshape(tokens, grid + (weights.reduce.kernel.shape[0],))

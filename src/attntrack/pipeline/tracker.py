@@ -35,7 +35,7 @@ from ..localize import (BoundingBox, CosineWindow, HeadMaps, HeadWeights,
 from ..loss import adaptive_sigma, gaussian_label
 from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
                       online_forward, solve_cg, update_memory)
-from ..tensor import Tensor, load_checkpoint, save_checkpoint
+from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
 from ..transformer import (AttentionTrace, PositionalEncoding,
                            TransformerWeights, build_positional_encoding,
                            decode, encode, init_transformer)
@@ -113,19 +113,6 @@ class ModelWeights:
     transformer: TransformerWeights
     heads: HeadWeights
 
-    def named_parameters(self):
-        yield from self.backbone.named_parameters()
-        yield from self.transformer.named_parameters()
-        yield from self.heads.named_parameters()
-
-    def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def build_model(rng: np.random.Generator, config: TrackerConfig) -> ModelWeights:
     return ModelWeights(
@@ -142,7 +129,7 @@ def save_model(path, model: ModelWeights, config: TrackerConfig) -> None:
     """Checkpoint the parameters plus the config scalars needed to rebuild."""
     entries = [(f"config.{f.name}", Tensor(float(getattr(config, f.name))))
                for f in dataclasses.fields(config)]
-    entries.extend(model.named_parameters())
+    entries.extend(named_parameters(model))
     save_checkpoint(entries, path)
 
 
@@ -187,7 +174,7 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
             kwargs[f.name] = value if cast is float else cast(round(value))
     config = TrackerConfig(**kwargs)
     model = build_model(np.random.default_rng(0), config)
-    for name, param in model.named_parameters():
+    for name, param in named_parameters(model):
         value = data.pop(name, None)
         if value is None:
             value = _packed_attention_entry(data, name, config.n_heads)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import tensor as T
-from ..errors import ShapeError, TrainingDivergence
+from ..errors import ConfigurationError, ShapeError, TrainingDivergence
 from ..localize import BoundingBox, HeadMaps
 from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
@@ -40,6 +40,12 @@ class TrainSettings:
     scale_jitter: float = 0.2           # log-uniform crop-side perturbation
     lambda_offset: float = 1.0
     lambda_size: float = 1.0
+
+    def __post_init__(self):
+        for name in ("steps", "batch_size"):
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -147,17 +153,22 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
         settings = TrainSettings()
     if len(frames) < 2:
         raise ValueError("need at least two frames to build training pairs")
+    if len(boxes) < len(frames):
+        raise ValueError(f"ground truth has {len(boxes)} boxes for "
+                         f"{len(frames)} frames")
     rng = np.random.default_rng(settings.seed)
     template = crop_template(frames[0].pixels, boxes[0], config.template_size)
-    optimizer = Adam([p for _, p in model.named_parameters()], lr=settings.lr)
+    params = T.parameters(model)
+    optimizer = Adam(params, lr=settings.lr)
     history = []
     for step in range(settings.steps):
-        model.zero_grad()
+        for p in params:
+            p.zero_grad()
         memory, template_pe = encode_template(model, config, template)
         pairs = [sample_training_pair(frames, boxes, config, rng,
                                       settings.center_jitter_cells,
                                       settings.scale_jitter)
-                 for _ in range(max(settings.batch_size, 1))]
+                 for _ in range(settings.batch_size)]
         maps = forward_pair(model, config, memory, template_pe,
                             [pair.search_crop for pair in pairs])
         batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs],

@@ -13,9 +13,10 @@ and desk-scale experiments, not throughput.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import math
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -596,6 +597,13 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
+@dataclasses.dataclass
+class Conv:
+    """A convolution's (O, C, kh, kw) kernel and its (O,) bias."""
+    kernel: Tensor
+    bias: Tensor
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel,
     plus an optional (O,) ``bias``.
@@ -722,6 +730,34 @@ def conv1x1(rows, kernel, bias=None) -> Tensor:
 
 
 # -- parameters and checkpoints ------------------------------------------------
+
+
+def named_parameters(weights, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every tensor of a tree of weight dataclasses, with its field path.
+
+    Fields are visited in declaration order. A ``Tensor`` field is named
+    ``prefix + field``, a dataclass field recurses with ``field.`` appended
+    to the prefix, and item i of a list field is named ``<field><i>``. Other
+    values (head counts, ``eps``) are skipped. These names are the
+    checkpoint's entry names.
+    """
+    for f in dataclasses.fields(weights):
+        yield from _named(getattr(weights, f.name), prefix + f.name)
+
+
+def _named(value, name: str) -> Iterator[tuple[str, Tensor]]:
+    if isinstance(value, Tensor):
+        yield name, value
+    elif dataclasses.is_dataclass(value):
+        yield from named_parameters(value, name + ".")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named(item, f"{name}{i}")
+
+
+def parameters(weights) -> list[Tensor]:
+    """The tensors of :func:`named_parameters`, in the same order."""
+    return [p for _, p in named_parameters(weights)]
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],

@@ -18,8 +18,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (AttentionInputs, FfnWeights, LayerNormWeights,
                         MultiHeadWeights, ffn, init_ffn, init_layernorm,
-                        init_multi_head, multi_head_attention, named_ffn,
-                        named_layernorm, named_multi_head, residual_norm)
+                        init_multi_head, multi_head_attention, residual_norm)
 from .errors import ConfigurationError, ShapeError
 from .tensor import Tensor
 
@@ -54,20 +53,6 @@ class TransformerWeights:
     decoder: list[DecoderLayerWeights]
     d: int
     n_heads: int
-
-    def named_parameters(self, prefix: str = "transformer"):
-        for i, layer in enumerate(self.encoder):
-            base = f"{prefix}.encoder{i}"
-            yield from named_multi_head(f"{base}.attn", layer.attn)
-            yield from named_layernorm(f"{base}.attn_norm", layer.attn_norm)
-            yield from named_ffn(f"{base}.ffn", layer.ffn)
-        for i, layer in enumerate(self.decoder):
-            base = f"{prefix}.decoder{i}"
-            yield from named_multi_head(f"{base}.self_attn", layer.self_attn)
-            yield from named_layernorm(f"{base}.self_norm", layer.self_norm)
-            yield from named_multi_head(f"{base}.cross_attn", layer.cross_attn)
-            yield from named_layernorm(f"{base}.cross_norm", layer.cross_norm)
-            yield from named_ffn(f"{base}.ffn", layer.ffn)
 
 
 @dataclass

@@ -32,10 +32,10 @@ def _bias(b):
 def per_sample_backbone(patch, weights):
     """(3, T, T) -> (h, w, d) tokens, one conv2d per stage and a 1x1 conv2d."""
     x = Tensor(patch)
-    for kernel, bias, stride in zip(weights.kernels, weights.biases,
-                                    weights.strides):
-        x = T.relu(T.add(T.conv2d(x, kernel, stride=stride, padding=1), _bias(bias)))
-    out = T.add(T.conv2d(x, weights.reduce_kernel), _bias(weights.reduce_bias))
+    for conv, stride in zip(weights.stage, weights.strides):
+        x = T.relu(T.add(T.conv2d(x, conv.kernel, stride=stride, padding=1),
+                         _bias(conv.bias)))
+    out = T.add(T.conv2d(x, weights.reduce.kernel), _bias(weights.reduce.bias))
     return T.transpose(out, (1, 2, 0))
 
 
@@ -75,9 +75,9 @@ def per_sample_heads(decoded, heads):
     maps = []
     for stack in (heads.score, heads.offset, heads.size):
         x = T.transpose(decoded, (2, 0, 1))
-        for i, (kernel, bias) in enumerate(zip(stack.kernels, stack.biases)):
-            x = T.add(T.conv2d(x, kernel), _bias(bias))
-            if i < len(stack.kernels) - 1:
+        for i, conv in enumerate(stack.conv):
+            x = T.add(T.conv2d(x, conv.kernel), _bias(conv.bias))
+            if i < len(stack.conv) - 1:
                 x = T.relu(x)
         maps.append(T.transpose(T.sigmoid(x), (1, 2, 0)))
     return maps
@@ -116,10 +116,11 @@ def batched_loss(model, config, template, pairs):
 
 
 def loss_and_grads(loss_fn, model, *args):
-    model.zero_grad()
+    for p in T.parameters(model):
+        p.zero_grad()
     loss = loss_fn(model, *args)
     loss.backward()
-    return loss.item(), {name: p.grad.copy() for name, p in model.named_parameters()}
+    return loss.item(), {name: p.grad.copy() for name, p in T.named_parameters(model)}
 
 
 GEOMETRIES = {

@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from attntrack.cli import main
+from attntrack.errors import ConfigurationError
 from attntrack.pipeline import (TrackerConfig, build_model, load_sequence,
                                 read_netpbm, read_rect_file, save_model)
 
@@ -23,6 +25,18 @@ def workspace(tmp_path_factory):
     assert main(["train-toy", "--out", ckpt, "--seq", seq, "--steps", "8",
                  "--seed", "5", *FAST_MODEL]) == 0
     return root, seq, ckpt
+
+
+def _with_boxes(seq, dest, kept):
+    """A copy of ``seq`` keeping the first ``kept`` boxes (no file for 0)."""
+    shutil.copytree(seq, dest)
+    gt = dest / "groundtruth_rect.txt"
+    lines = gt.read_text().splitlines(keepends=True)
+    if kept:
+        gt.write_text("".join(lines[:kept]))
+    else:
+        gt.unlink()
+    return str(dest)
 
 
 class TestSynth:
@@ -51,6 +65,26 @@ class TestTrainToy:
         assert all(float(v) > 0 for v in lines)
 
 
+    def test_zero_steps_rejected_before_the_checkpoint(self, workspace, tmp_path):
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        with pytest.raises(ConfigurationError, match="steps must be at least 1"):
+            main(["train-toy", "--out", str(out), "--seq", seq, "--steps", "0",
+                  *FAST_MODEL])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kept", [0, 3])
+    def test_short_groundtruth_exits_with_counts(self, workspace, tmp_path,
+                                                 capsys, kept):
+        _, seq, _ = workspace
+        short = _with_boxes(seq, tmp_path / "short", kept)
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", short,
+                     "--steps", "1", *FAST_MODEL]) == 1
+        assert f"ground truth has {kept} boxes for 6 frames" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrack:
     def test_track_writes_results_and_metrics(self, workspace, tmp_path):
         _, seq, ckpt = workspace
@@ -71,6 +105,21 @@ class TestTrack:
                      "--online", "on", "--search-size", "104",
                      "--pe-mask", "off"]) == 0
         assert len(read_rect_file(results)) == 6
+
+
+    def test_metrics_with_short_groundtruth_exit_before_tracking(
+            self, workspace, tmp_path, capsys):
+        _, seq, ckpt = workspace
+        short = _with_boxes(seq, tmp_path / "short", 2)
+        for name in sorted(os.listdir(short))[4:]:
+            if name.endswith(".ppm"):
+                os.remove(os.path.join(short, name))
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", ckpt, "--seq", short,
+                     "--out", str(results),
+                     "--metrics", str(tmp_path / "metrics.json")]) == 1
+        assert "ground truth has 2 boxes for 4 frames" in capsys.readouterr().err
+        assert not results.exists()
 
 
 class TestEval:

@@ -4,19 +4,19 @@ from attntrack.localize import (BoundingBox, HeadStack, HeadWeights,
                                 apply_window, decode_center, decode_size,
                                 heads_forward, init_head_weights,
                                 make_cosine_window, peak_cell, smooth_size)
-from attntrack.tensor import Tensor
+from attntrack.tensor import Conv, Tensor
 
 
 def constant_heads(d, value=0.0, final_bias=0.0):
     def stack(out_channels):
         widths = [d, d, out_channels]
-        kernels, biases = [], []
+        conv = []
         c_in = d
         for i, c_out in enumerate(widths):
-            kernels.append(Tensor(np.full((c_out, c_in, 1, 1), value)))
-            biases.append(Tensor(np.full(c_out, final_bias if i == 2 else 0.0)))
+            conv.append(Conv(Tensor(np.full((c_out, c_in, 1, 1), value)),
+                             Tensor(np.full(c_out, final_bias if i == 2 else 0.0))))
             c_in = c_out
-        return HeadStack(kernels=kernels, biases=biases)
+        return HeadStack(conv=conv)
     return HeadWeights(score=stack(1), offset=stack(2), size=stack(2))
 
 
@@ -29,12 +29,12 @@ def heads_oracle(feat_hwd, weights: HeadWeights):
     hs, ws, _ = feat_hwd.shape
     outs = []
     for stack in (weights.score, weights.offset, weights.size):
-        maps = np.zeros((hs, ws, stack.kernels[-1].shape[0]))
+        maps = np.zeros((hs, ws, stack.conv[-1].kernel.shape[0]))
         for y in range(hs):
             for x in range(ws):
                 v = feat_hwd[y, x]
-                for i, (k, b) in enumerate(zip(stack.kernels, stack.biases)):
-                    v = k.data[:, :, 0, 0] @ v + b.data
+                for i, conv in enumerate(stack.conv):
+                    v = conv.kernel.data[:, :, 0, 0] @ v + conv.bias.data
                     if i < 2:
                         v = np.maximum(v, 0.0)
                 maps[y, x] = sigmoid(v)

@@ -198,7 +198,7 @@ class TestTrainingSignal:
             target = make_ground_truth(center=(13.0, 19.0), box_size=(10.0, 12.0),
                                        patch_w=32, patch_h=32, stride=8,
                                        hs=4, ws=4)
-            params = [p for _, p in weights.named_parameters()]
+            params = T.parameters(weights)
 
             def compute():
                 maps = heads_forward(feat, weights, stride=8)

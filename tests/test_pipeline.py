@@ -158,6 +158,50 @@ class TestCrop:
         assert pad_to_multiple(padded, 8) is padded
 
 
+@st.composite
+def crops(draw):
+    """A template or search crop of a random frame around a box that
+    overlaps it (partly outside it at times), at a random patch size."""
+    h, w = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    frame = np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
+    box = BoundingBox(draw(st.floats(0.0, w)), draw(st.floats(0.0, h)),
+                      draw(st.floats(0.5, 2.0 * w)), draw(st.floats(0.5, 2.0 * h)))
+    size = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return crop_template(frame, box, size)
+    return crop_search(frame, box, size + draw(st.integers(0, 24)), size)
+
+
+class TestCropAffineFuzz:
+    """The patch/image affine map of a crop, and what padding keeps of it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(crop=crops(), x=st.floats(-100.0, 200.0), y=st.floats(-100.0, 200.0))
+    def test_image_patch_round_trip(self, crop, x, y):
+        back = patch_to_image(image_to_patch((x, y), crop), crop)
+        for got, want, origin in zip(back, (x, y), crop.origin):
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want) + abs(origin))
+
+    @settings(max_examples=300, deadline=None)
+    @given(crop=crops(), multiple=st.integers(1, 16))
+    def test_pad_to_multiple_keeps_map_and_flags_new_pixels(self, crop, multiple):
+        t = crop.patch.shape[1]
+        padded = pad_to_multiple(crop, multiple)
+        side = padded.patch.shape[1]
+        assert padded.patch.shape == (3, side, side)
+        assert side % multiple == 0 and t <= side < t + multiple
+        assert padded.scale == crop.scale and padded.origin == crop.origin
+        assert np.array_equal(padded.patch[:, :t, :t], crop.patch)
+        assert np.array_equal(padded.pad_mask[:t, :t], crop.pad_mask)
+        new = np.ones((side, side), dtype=bool)
+        new[:t, :t] = False
+        assert padded.pad_mask[new].all()
+        means = crop.channel_means[:, None]
+        assert np.array_equal(padded.patch[:, new],
+                              np.broadcast_to(means, (3, int(new.sum()))))
+
+
 class TestBackbone:
     def test_stride_arithmetic(self):
         rng = np.random.default_rng(7)

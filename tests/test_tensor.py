@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -615,6 +616,44 @@ class TestNoGrad:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+@dataclasses.dataclass
+class _Leaf:
+    w: Tensor
+    n_heads: int = 2
+    eps: float = 1e-5
+
+
+@dataclasses.dataclass
+class _Tree:
+    first: Tensor
+    convs: list
+    leaf: _Leaf
+    layers: list
+    width: int = 4
+
+
+class TestNamedParameters:
+    def _tree(self):
+        t = [Tensor(np.full(2, float(i)), requires_grad=True) for i in range(7)]
+        tree = _Tree(first=t[0], convs=[T.Conv(t[1], t[2]), T.Conv(t[3], t[4])],
+                     leaf=_Leaf(t[5]), layers=[t[6]])
+        return tree, t
+
+    def test_field_paths_in_declaration_order(self):
+        tree, t = self._tree()
+        named = list(T.named_parameters(tree))
+        assert [name for name, _ in named] == [
+            "first", "convs0.kernel", "convs0.bias", "convs1.kernel",
+            "convs1.bias", "leaf.w", "layers0"]
+        assert all(p is q for (_, p), q in zip(named, t))
+
+    def test_prefix_and_parameters(self):
+        tree, t = self._tree()
+        assert next(T.named_parameters(tree.leaf, "net.leaf."))[0] == "net.leaf.w"
+        params = T.parameters(tree)
+        assert len(params) == len(t) and all(p is q for p, q in zip(params, t))
 
 
 class TestCheckpoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
 from attntrack.pipeline import tracker as tracker_mod
 from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features
-from attntrack.tensor import Tensor, load_checkpoint, save_checkpoint
+from attntrack.tensor import (Tensor, load_checkpoint, named_parameters,
+                              save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,7 @@ class TestTrackerBasics:
         tracker = Tracker(model, config)
         tracker.init(frames[0], boxes[0])
         box_before, _ = tracker.track(frames[1])
-        kernel = model.heads.score.kernels[-1]
+        kernel = model.heads.score.conv[-1].kernel
         saved = kernel.data.copy()
         kernel.data = np.full_like(saved, np.nan)
         try:
@@ -241,6 +243,55 @@ class TestPaddedGrid:
         assert len(pred) == 3
 
 
+# sha256 of ``save_model`` for ``build_model(default_rng(0), config)``,
+# recorded before parameter names came from the weight dataclasses
+PINNED_CHECKPOINTS = [
+    (TrackerConfig(),
+     "9d8481ebcdde5acff7725ad71f6ba6c25d07fa5bccebb4399266ebda63ccad58"),
+    (TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2, c_mid=8,
+                   n_encoder_layers=2, n_decoder_layers=3),
+     "15d13adbaf961916c805bbce0b3448efb1221472b6e2dd6debc277901cadbe26"),
+]
+
+
+def _trainable(obj, seen=None):
+    """Every ``requires_grad`` tensor reachable through attributes, lists,
+    tuples and dicts, found without ``dataclasses.fields``."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj] if obj.requires_grad else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [t for child in children for t in _trainable(child, seen)]
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("config, digest", PINNED_CHECKPOINTS)
+    def test_save_model_bytes_are_pinned(self, config, digest, tmp_path):
+        path = tmp_path / "model.trtr"
+        save_model(path, build_model(np.random.default_rng(0), config), config)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config", [c for c, _ in PINNED_CHECKPOINTS])
+    def test_walk_names_every_trainable_tensor_once(self, config):
+        model = build_model(np.random.default_rng(0), config)
+        named = list(named_parameters(model))
+        names = [name for name, _ in named]
+        assert len(set(names)) == len(names)
+        assert sorted(id(p) for _, p in named) == \
+            sorted(id(t) for t in _trainable(model))
+        assert {"backbone.stage0.kernel", "backbone.reduce.bias",
+                "transformer.decoder0.cross_attn.wq",
+                "heads.score.conv2.bias"} <= set(names)
+
+
 class TestCheckpointRoundtrip:
     def test_save_load_preserves_params_and_config(self, toy_world, tmp_path):
         frames, boxes, config, model = toy_world
@@ -251,8 +302,8 @@ class TestCheckpointRoundtrip:
         save_model(path, custom_model, custom)
         loaded_model, loaded_config = load_model(path)
         assert loaded_config == custom
-        for (na, pa), (nb, pb) in zip(custom_model.named_parameters(),
-                                      loaded_model.named_parameters()):
+        for (na, pa), (nb, pb) in zip(named_parameters(custom_model),
+                                      named_parameters(loaded_model)):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
 
@@ -354,8 +405,8 @@ class TestCheckpointRoundtrip:
         assert "transformer.decoder0.self_attn.wv" not in names
         loaded_model, loaded_config = load_model(path)
         assert loaded_config == config
-        for (na, pa), (nb, pb) in zip(model.named_parameters(),
-                                      loaded_model.named_parameters()):
+        for (na, pa), (nb, pb) in zip(named_parameters(model),
+                                      named_parameters(loaded_model)):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
         a = track_sequence(model, config, frames[:4], boxes[0])
@@ -390,19 +441,35 @@ class TestTrainToy:
         model = build_model(np.random.default_rng(0), config)
         settings = TrainSettings(steps=1, lr=1e-3, lambda_offset=0.0,
                                  lambda_size=0.0)
-        before_off = [k.data.copy() for k in model.heads.offset.kernels]
-        before_size = [k.data.copy() for k in model.heads.size.kernels]
+        before_off = [c.kernel.data.copy() for c in model.heads.offset.conv]
+        before_size = [c.kernel.data.copy() for c in model.heads.size.conv]
         train_toy(model, config, frames, boxes, settings)
-        for prev, kernel in zip(before_off, model.heads.offset.kernels):
-            assert np.array_equal(prev, kernel.data)   # gradient exactly zero
-        for prev, kernel in zip(before_size, model.heads.size.kernels):
-            assert np.array_equal(prev, kernel.data)
+        for prev, conv in zip(before_off, model.heads.offset.conv):
+            assert np.array_equal(prev, conv.kernel.data)   # gradient exactly zero
+        for prev, conv in zip(before_size, model.heads.size.conv):
+            assert np.array_equal(prev, conv.kernel.data)
 
     def test_too_short_sequence_rejected(self, toy_world):
         frames, boxes, config, _ = toy_world
         model = build_model(np.random.default_rng(0), config)
         with pytest.raises(ValueError):
             train_toy(model, config, frames[:1], boxes[:1])
+
+    @pytest.mark.parametrize("kept", [0, 1, 7])
+    def test_fewer_boxes_than_frames_rejected(self, toy_world, kept):
+        frames, boxes, config, _ = toy_world
+        model = build_model(np.random.default_rng(0), config)
+        with pytest.raises(ValueError,
+                           match=f"ground truth has {kept} boxes for 8 frames"):
+            train_toy(model, config, frames, boxes[:kept],
+                      TrainSettings(steps=1))
+
+    @pytest.mark.parametrize("field", ["steps", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_settings_need_a_step_and_a_sample(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be at least 1, got {value}"):
+            TrainSettings(**{field: value})
 
     def test_two_hundred_steps_on_fixed_pair_drop_tenfold(self, toy_world):
         frames, boxes, _, _ = toy_world
@@ -412,10 +479,12 @@ class TestTrainToy:
         rng = np.random.default_rng(2)
         template = crop_template(frames[0].pixels, boxes[0], config.template_size)
         pair = sample_training_pair(frames, boxes, config, rng)
-        optimizer = Adam([p for _, p in model.named_parameters()], lr=2e-3)
+        params = T.parameters(model)
+        optimizer = Adam(params, lr=2e-3)
         losses = []
         for _ in range(200):
-            model.zero_grad()
+            for p in params:
+                p.zero_grad()
             memory, template_pe = encode_template(model, config, template)
             maps = forward_pair(model, config, memory, template_pe,
                                 [pair.search_crop])
@@ -441,16 +510,19 @@ class TestTrainToy:
                                 [pair.search_crop])
             return pair_loss(maps, [pair.target])[0]
 
+        params = T.parameters(model)
         separate = []
         for pair in pairs:
-            model.zero_grad()
+            for p in params:
+                p.zero_grad()
             pair_total(*encode_template(model, config, template), pair).backward()
-            separate.append([p.grad.copy() for p in model.parameters()])
+            separate.append([p.grad.copy() for p in params])
         expected_sum = [a + b for a, b in zip(*separate)]
 
-        model.zero_grad()
+        for p in params:
+            p.zero_grad()
         memory, template_pe = encode_template(model, config, template)
         T.add(*[pair_total(memory, template_pe, pair) for pair in pairs]).backward()
-        for (name, p), expected in zip(model.named_parameters(), expected_sum):
+        for (name, p), expected in zip(named_parameters(model), expected_sum):
             np.testing.assert_allclose(p.grad, expected, rtol=1e-10,
                                        err_msg=name)
