@@ -33,7 +33,6 @@ class MultiHeadWeights:
 class LayerNormWeights:
     gain: Tensor
     bias: Tensor
-    eps: float = 1e-5
 
 
 @dataclass
@@ -118,12 +117,12 @@ def residual_norm(attn_out: Tensor, xq: Tensor, ln: LayerNormWeights) -> Tensor:
     """layernorm(attention output + query-side input)."""
     if attn_out.shape != xq.shape:
         raise ShapeError(f"residual shapes differ: {attn_out.shape} vs {xq.shape}")
-    return T.layernorm(T.add(attn_out, xq), ln.gain, ln.bias, ln.eps)
+    return T.layernorm(T.add(attn_out, xq), ln.gain, ln.bias)
 
 
 def ffn(x: Tensor, w: FfnWeights) -> Tensor:
     """layernorm(x + W2 relu(x W1 + b1) + b2)."""
     hidden = T.relu(T.matmul(x, w.w1, bias=w.b1))
     out = T.matmul(hidden, w.w2, bias=w.b2)
-    return T.layernorm(T.add(x, out), w.norm.gain, w.norm.bias, w.norm.eps)
+    return T.layernorm(T.add(x, out), w.norm.gain, w.norm.bias)
 

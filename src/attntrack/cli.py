@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .pipeline import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        build_model, evaluate, generate_synthetic_sequence,
                        load_model, load_sequence, read_rect_file, save_model,
@@ -79,10 +80,11 @@ def _short_ground_truth(frames, boxes) -> bool:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
     results = run_gradcheck(seed=args.seed)
+    width = max(len(r.name) for r in results)
     ok = True
     for r in results:
         status = "ok" if r.ok else "FAIL"
-        print(f"{r.name:<14s} worst rel err {r.worst_rel_error:.3e}  "
+        print(f"{r.name:<{width}s} worst rel err {r.worst_rel_error:.3e}  "
               f"failures {r.failures:3d}  [{status}]")
         ok = ok and r.ok
     return 0 if ok else 1
@@ -280,8 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand and return its exit status. A rejected setting
+    prints one ``attntrack: error: ...`` line to stderr and gives status 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,15 +18,16 @@ from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
 
+# focal exponents of CornerNet (Law & Deng, ECCV 2018): alpha down-weights
+# cells the score already gets right, beta reduces the penalty on negatives
+# near the labelled peak
+FOCAL_ALPHA = 2.0
+FOCAL_BETA = 4.0
 
-@dataclass
-class FocalParams:
-    alpha: float = 2.0
-    beta: float = 4.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("focal exponents must be positive")
+# a box whose corners shift by up to 3 sigma keeps IoU >= MIN_OVERLAP with
+# the truth; sigma never falls below SIGMA_FLOOR cells
+MIN_OVERLAP = 0.7
+SIGMA_FLOOR = 0.5
 
 
 @dataclass
@@ -39,9 +40,8 @@ class GroundTruth:
     label: np.ndarray = field(repr=False)  # (Hs, Ws), peak exactly 1 at cell
 
 
-def adaptive_sigma(box_w: float, box_h: float, min_overlap: float = 0.7,
-                   sigma_floor: float = 0.5) -> float:
-    """Spread from the largest corner-shift radius keeping IoU >= min_overlap.
+def adaptive_sigma(box_w: float, box_h: float) -> float:
+    """Spread from the largest corner-shift radius keeping IoU >= MIN_OVERLAP.
 
     The three quadratic cases bound the radius for a box whose corners move
     inward, outward, or one of each; sigma is radius/3, floored so tiny
@@ -49,7 +49,7 @@ def adaptive_sigma(box_w: float, box_h: float, min_overlap: float = 0.7,
     """
     if box_w <= 0 or box_h <= 0:
         raise ValueError("box extents must be positive")
-    o = min_overlap
+    o = MIN_OVERLAP
     h, w = box_h, box_w
 
     b1 = h + w
@@ -64,7 +64,7 @@ def adaptive_sigma(box_w: float, box_h: float, min_overlap: float = 0.7,
     c3 = (o - 1) * w * h
     r3 = (b3 + math.sqrt(b3 * b3 - 16 * o * c3)) / (8 * o)
 
-    return max(min(r1, r2, r3) / 3.0, sigma_floor)
+    return max(min(r1, r2, r3) / 3.0, SIGMA_FLOOR)
 
 
 def gaussian_label(cell: tuple[int, int], sigma: float, hs: int, ws: int) -> np.ndarray:
@@ -101,24 +101,22 @@ def make_ground_truth(center: tuple[float, float], box_size: tuple[float, float]
     )
 
 
-def focal_loss(score: Tensor, label: np.ndarray,
-               params: FocalParams | None = None) -> Tensor:
+def focal_loss(score: Tensor, label: np.ndarray) -> Tensor:
     """Penalty-reduced pixel-wise focal loss, summed without normalization.
 
     Cells where the label equals exactly 1 contribute
     -(1-Y)^alpha log(Y); every other cell contributes
-    -(1-label)^beta Y^alpha log(1-Y).
+    -(1-label)^beta Y^alpha log(1-Y), with alpha = FOCAL_ALPHA and
+    beta = FOCAL_BETA.
     """
-    if params is None:
-        params = FocalParams()
     if score.shape != label.shape:
         from .errors import ShapeError
         raise ShapeError(f"score {score.shape} vs label {label.shape}")
     y = T.clamp(score, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pos = (label == 1.0).astype(np.float64)
-    neg_weight = (1.0 - label) ** params.beta
-    pos_term = T.mul(T.mul(T.power(T.sub(1.0, y), params.alpha), T.log(y)), pos)
-    neg_term = T.mul(T.mul(T.power(y, params.alpha), T.log(T.sub(1.0, y))),
+    neg_weight = (1.0 - label) ** FOCAL_BETA
+    pos_term = T.mul(T.mul(T.power(T.sub(1.0, y), FOCAL_ALPHA), T.log(y)), pos)
+    neg_term = T.mul(T.mul(T.power(y, FOCAL_ALPHA), T.log(T.sub(1.0, y))),
                      neg_weight * (1.0 - pos))
     return T.mul(T.tensor_sum(T.add(pos_term, neg_term)), -1.0)
 
@@ -156,6 +154,6 @@ def size_loss(size: Tensor, norm_size, cell) -> Tensor:
 
 
 def joint_loss(score_loss: Tensor, off_loss: Tensor, sz_loss: Tensor,
-               lambda_offset: float = 1.0, lambda_size: float = 1.0) -> Tensor:
+               lambda_offset: float, lambda_size: float) -> Tensor:
     return T.add(score_loss, T.add(T.mul(off_loss, lambda_offset),
                                    T.mul(sz_loss, lambda_size)))

@@ -29,7 +29,7 @@ class OnlineFilter:
     """Filter weights; w1: (hidden, c_in, 1, 1), w2: (1, hidden, k, k)."""
     w1: np.ndarray
     w2: np.ndarray
-    reg: float = 1e-2
+    reg: float
 
     @property
     def kernel(self) -> int:
@@ -48,7 +48,7 @@ class MemorySample:
 
 @dataclass
 class TrainingMemory:
-    capacity: int = 50
+    capacity: int
     samples: list[MemorySample] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -63,8 +63,8 @@ class CgUpdate:
     degraded: bool = False
 
 
-def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int = 64,
-                       kernel: int = 4, reg: float = 1e-2) -> OnlineFilter:
+def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int,
+                       kernel: int, reg: float) -> OnlineFilter:
     w1 = xavier_uniform(rng, (hidden, c_in, 1, 1))
     w2 = xavier_uniform(rng, (1, hidden, kernel, kernel))
     return OnlineFilter(w1=w1, w2=w2, reg=reg)
@@ -180,7 +180,7 @@ def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndar
 
 
 def update_memory(memory: TrainingMemory, features: np.ndarray,
-                  label: np.ndarray, lr: float = 0.01) -> TrainingMemory:
+                  label: np.ndarray, lr: float) -> TrainingMemory:
     """Append a sample with weight lr, decaying and renormalizing the rest."""
     if not 0.0 < lr <= 1.0:
         raise ValueError(f"memory learning rate must be in (0, 1], got {lr}")
@@ -200,23 +200,18 @@ def update_memory(memory: TrainingMemory, features: np.ndarray,
     return memory
 
 
-def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray | None = None,
-                       n_iters: int = 10, tol: float = 0.0,
+def conjugate_gradient(matvec, b: np.ndarray, n_iters: int,
                        residual_history: list | None = None) -> np.ndarray:
-    """Standard CG for a symmetric positive-definite operator."""
-    if x0 is None:
-        # from zero the first residual is b itself; no product is needed
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - matvec(x)
+    """Standard CG for a symmetric positive-definite operator, started from
+    zero (so the first residual is b, with no product); stops at a zero residual."""
+    x = np.zeros_like(b)
+    r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     if residual_history is not None:
         residual_history.append(np.sqrt(rs))
     for _ in range(n_iters):
-        if rs <= tol * tol:
+        if rs == 0.0:
             break
         ap = matvec(p)
         denom = float(p @ ap)
@@ -337,7 +332,7 @@ class _Linearization:
 
 @_quiet_fp
 def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
-             gn_steps: int = 1, train_w1: bool = True,
+             gn_steps: int, train_w1: bool = True,
              train_w2: bool = True) -> CgUpdate:
     """Gauss-Newton refinement of the filter against the training memory.
 
@@ -361,8 +356,7 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
 
     for _ in range(gn_steps):
         lin = _Linearization(current, forward, train_w1, train_w2)
-        delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(),
-                                   n_iters=n_iters)
+        delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(), n_iters)
         if not np.all(np.isfinite(delta)):
             return CgUpdate(filter=filt, objectives=objectives, degraded=True)
 

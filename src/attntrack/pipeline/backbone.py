@@ -24,7 +24,7 @@ class BackboneWeights:
     strides = (2, 2, 2, 1)
 
 
-def init_backbone(rng: np.random.Generator, c_mid: int = 32, d: int = 32) -> BackboneWeights:
+def init_backbone(rng: np.random.Generator, c_mid: int, d: int) -> BackboneWeights:
     channels = [3, 8, 16, c_mid, c_mid]
     sizes = (4, 4, 4, 3)
     stage = [Conv(Tensor(T.xavier_uniform(rng, (c_out, c_in, k, k)), requires_grad=True),

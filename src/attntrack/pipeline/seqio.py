@@ -165,16 +165,16 @@ def save_sequence(directory, frames: list[Frame], boxes: list[BoundingBox]) -> N
     write_rect_file(os.path.join(directory, GROUNDTRUTH_FILE), boxes)
 
 
-def load_sequence(directory, loader=read_netpbm) -> tuple[list[Frame], list[BoundingBox]]:
-    """Read numbered frames plus ground truth; ``loader`` may be swapped
-    for any callable returning (3, H, W) or (H, W) arrays in [0, 1]."""
+def load_sequence(directory) -> tuple[list[Frame], list[BoundingBox]]:
+    """Read numbered PPM/PGM frames (a PGM as three equal channels) plus
+    ground truth."""
     names = sorted(n for n in os.listdir(directory)
                    if n.lower().endswith((".ppm", ".pgm")))
     if not names:
         raise ValueError(f"no PPM/PGM frames found in {directory}")
     frames = []
     for i, name in enumerate(names):
-        pixels = loader(os.path.join(directory, name))
+        pixels = read_netpbm(os.path.join(directory, name))
         if pixels.ndim == 2:
             pixels = np.stack([pixels] * 3)
         frames.append(Frame(pixels=pixels, index=i))

@@ -116,7 +116,7 @@ class ModelWeights:
 
 def build_model(rng: np.random.Generator, config: TrackerConfig) -> ModelWeights:
     return ModelWeights(
-        backbone=init_backbone(rng, c_mid=config.c_mid, d=config.d),
+        backbone=init_backbone(rng, config.c_mid, config.d),
         transformer=init_transformer(rng, config.d, config.n_heads,
                                      config.n_encoder_layers,
                                      config.n_decoder_layers,
@@ -190,10 +190,11 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     return model, config
 
 
-def grid_pad_mask(pixel_mask: np.ndarray, stride: int = STRIDE) -> np.ndarray:
-    """A grid cell counts as padded when its whole pixel block is padded."""
+def grid_pad_mask(pixel_mask: np.ndarray) -> np.ndarray:
+    """A grid cell counts as padded when its whole STRIDE x STRIDE pixel
+    block is padded."""
     h, w = pixel_mask.shape
-    blocks = pixel_mask.reshape(h // stride, stride, w // stride, stride)
+    blocks = pixel_mask.reshape(h // STRIDE, STRIDE, w // STRIDE, STRIDE)
     return blocks.all(axis=(1, 3))
 
 
@@ -263,7 +264,6 @@ class FrameDiagnostics:
     peak_score: float
     lost: bool
     crop: CropResult
-    head_maps: HeadMaps | None = None      # batch of one: leading axis 1
 
 
 @dataclass
@@ -320,9 +320,8 @@ class Tracker:
         cfg = self.config
         rng = np.random.default_rng(0)
         self.state.online_filter = init_online_filter(
-            rng, cfg.c_mid, hidden=cfg.online_hidden,
-            kernel=cfg.online_kernel, reg=cfg.online_reg)
-        self.state.online_memory = TrainingMemory(capacity=cfg.memory_capacity)
+            rng, cfg.c_mid, cfg.online_hidden, cfg.online_kernel, cfg.online_reg)
+        self.state.online_memory = TrainingMemory(cfg.memory_capacity)
 
         grid = self._search_grid_extent()
         shift_patch = cfg.search_size / 8.0
@@ -345,7 +344,7 @@ class Tracker:
                     center_patch, (box.w / padded.scale, box.h / padded.scale),
                     grid)
                 update_memory(self.state.online_memory, feats.mid[0], label,
-                              lr=cfg.memory_lr)
+                              cfg.memory_lr)
         result = solve_cg(self.state.online_filter, self.state.online_memory,
                           n_iters=cfg.online_init_cg_iters,
                           gn_steps=cfg.online_init_gn_steps)
@@ -388,7 +387,7 @@ class Tracker:
             diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                     blended_map=blended, online_map=online_map,
                                     peak_score=float("nan"), lost=True,
-                                    crop=padded, head_maps=maps)
+                                    crop=padded)
             return state.box, diag
 
         cell = peak_cell(decode_map)
@@ -418,7 +417,7 @@ class Tracker:
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
                                 peak_score=peak_score, lost=False,
-                                crop=padded, head_maps=maps)
+                                crop=padded)
         return new_box, diag
 
     def _online_step(self, mid: np.ndarray, center_patch, size_patch,
@@ -427,7 +426,7 @@ class Tracker:
         state = self.state
         grid = self._search_grid_extent()
         label = self._online_label(center_patch, size_patch, grid)
-        update_memory(state.online_memory, mid, label, lr=cfg.memory_lr)
+        update_memory(state.online_memory, mid, label, cfg.memory_lr)
         state.frames_since_update += 1
         due = state.frames_since_update >= cfg.online_update_interval
         confident = peak_score > cfg.online_score_threshold

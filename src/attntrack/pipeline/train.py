@@ -54,36 +54,38 @@ class TrainingPair:
     target: GroundTruth
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Plain Adam, constant learning rate."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1 ** self.t)
             vhat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
                          config: TrackerConfig, rng: np.random.Generator,
-                         center_jitter_cells: float = 2.0,
-                         scale_jitter: float = 0.2) -> TrainingPair:
+                         center_jitter_cells: float,
+                         scale_jitter: float) -> TrainingPair:
     """A random frame cropped around a perturbed previous-frame box.
 
     The crop center is jittered by up to the given number of grid cells
@@ -123,7 +125,7 @@ def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
 
 
 def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
-              lambda_offset: float = 1.0, lambda_size: float = 1.0):
+              lambda_offset: float, lambda_size: float):
     """Joint objective of a batch of pairs, one target per map.
 
     Returns (total, score, offset, size), each the mean over the batch.

@@ -360,20 +360,6 @@ def transpose(a, axes=None) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        pieces = np.split(grad, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return _make(data, tensors, backward)
-
-
 def take(a, index) -> Tensor:
     """Tape-tracked basic/advanced indexing (gradient scatter-adds)."""
     a = astensor(a)
@@ -569,7 +555,11 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     return _make(data, (q, k, v), backward)
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+# added to each row's variance before the square root
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(x, gain, bias) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
     if x.ndim != 2:
@@ -579,7 +569,7 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError("layernorm gain/bias must match the row width")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x.data - mu) * inv_std
     data = xhat * gain.data + bias.data
 
@@ -738,7 +728,7 @@ def named_parameters(weights, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
     Fields are visited in declaration order. A ``Tensor`` field is named
     ``prefix + field``, a dataclass field recurses with ``field.`` appended
     to the prefix, and item i of a list field is named ``<field><i>``. Other
-    values (head counts, ``eps``) are skipped. These names are the
+    values, such as head counts, are skipped. These names are the
     checkpoint's entry names.
     """
     for f in dataclasses.fields(weights):
@@ -760,15 +750,13 @@ def parameters(weights) -> list[Tensor]:
     return [p for _, p in named_parameters(weights)]
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int | None = None, fan_out: int | None = None) -> Array:
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape[0], shape[1]
-        else:
-            receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-            fan_out = shape[0] * receptive
-            fan_in = shape[1] * receptive
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
+    if len(shape) == 2:
+        fan_in, fan_out = shape[0], shape[1]
+    else:
+        receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
+        fan_out = shape[0] * receptive
+        fan_in = shape[1] * receptive
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 

@@ -65,31 +65,33 @@ class AttentionTrace:
 
 
 def init_transformer(rng: np.random.Generator, d: int, n_heads: int,
-                     n_encoder_layers: int = 1, n_decoder_layers: int = 1,
-                     ffn_hidden: int | None = None) -> TransformerWeights:
+                     n_encoder_layers: int, n_decoder_layers: int,
+                     ffn_hidden: int) -> TransformerWeights:
     if n_encoder_layers < 1 or n_decoder_layers < 1:
         raise ConfigurationError("need at least one encoder and one decoder layer")
-    hidden = 8 * d if ffn_hidden is None else ffn_hidden
     encoder = [EncoderLayerWeights(attn=init_multi_head(rng, d, n_heads),
                                    attn_norm=init_layernorm(d),
-                                   ffn=init_ffn(rng, d, hidden))
+                                   ffn=init_ffn(rng, d, ffn_hidden))
                for _ in range(n_encoder_layers)]
     decoder = [DecoderLayerWeights(self_attn=init_multi_head(rng, d, n_heads),
                                    self_norm=init_layernorm(d),
                                    cross_attn=init_multi_head(rng, d, n_heads),
                                    cross_norm=init_layernorm(d),
-                                   ffn=init_ffn(rng, d, hidden))
+                                   ffn=init_ffn(rng, d, ffn_hidden))
                for _ in range(n_decoder_layers)]
     return TransformerWeights(encoder=encoder, decoder=decoder, d=d, n_heads=n_heads)
 
 
+# base of the geometric frequency ladder, as in "Attention Is All You Need"
+PE_TEMPERATURE = 10000.0
+
+
 @functools.lru_cache(maxsize=16)
-def _sinusoid_table(height: int, width: int, d: int,
-                    temperature: float) -> np.ndarray:
+def _sinusoid_table(height: int, width: int, d: int) -> np.ndarray:
     """The unmasked (height*width, d) code; cached, so callers copy it."""
     half = d // 2
     freatios = np.arange(half, dtype=np.float64)
-    inv_freq = temperature ** (2.0 * (freatios // 2) / half)
+    inv_freq = PE_TEMPERATURE ** (2.0 * (freatios // 2) / half)
 
     ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),
                          np.arange(width, dtype=np.float64), indexing="ij")
@@ -105,8 +107,7 @@ def _sinusoid_table(height: int, width: int, d: int,
 
 
 def build_positional_encoding(height: int, width: int, d: int,
-                              pad_mask: np.ndarray | None = None,
-                              temperature: float = 10000.0) -> PositionalEncoding:
+                              pad_mask: np.ndarray | None = None) -> PositionalEncoding:
     """Sinusoidal grid code: first d/2 channels encode y, the rest encode x.
 
     Within each half, sin/cos pairs run over geometrically spaced
@@ -117,7 +118,7 @@ def build_positional_encoding(height: int, width: int, d: int,
     """
     if d % 4:
         raise ConfigurationError(f"positional encoding needs d divisible by 4, got {d}")
-    base = _sinusoid_table(height, width, d, float(temperature))
+    base = _sinusoid_table(height, width, d)
     if pad_mask is None:
         return PositionalEncoding(table=Tensor(base.copy()), height=height, width=width)
     if pad_mask.shape[-2:] != (height, width) or pad_mask.ndim not in (2, 3):

@@ -220,9 +220,23 @@ class TestMultiHead:
             assert np.abs(a[:, 2] - a[:, 3]).max() < 1e-12
 
 
+def concat(tensors, axis=0):
+    """Tape-recorded np.concatenate; its gradient splits back along ``axis``."""
+    tensors = [T.astensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+
+    def backward(grad):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(grad, splits, axis=axis)):
+            if t.requires_grad:
+                t._accumulate(piece)
+
+    return T._make(data, tensors, backward)
+
+
 def composed_attention(q, k, v, n_heads, maps):
     """The packed op spelled out per head on the tape: slices, T.matmul,
-    T.mul by 1/sqrt(d_head), T.softmax_rows, then T.concat."""
+    T.mul by 1/sqrt(d_head), T.softmax_rows, then concat."""
     d_head = q.shape[1] // n_heads
     outputs = []
     for head in range(n_heads):
@@ -232,7 +246,7 @@ def composed_attention(q, k, v, n_heads, maps):
         a = T.softmax_rows(logits)
         maps.append(a.data)
         outputs.append(T.matmul(a, vh))
-    return T.concat(outputs, axis=1)
+    return concat(outputs, axis=1)
 
 
 def qkv_case(rng, n_heads, nq, nk, padded):
@@ -340,7 +354,7 @@ class TestPackedAttentionOp:
             outs.append(T.multi_head_softmax_attention(
                 q[rows], k[cols], v[cols], heads, maps=one))
             group_maps.append(one)
-        T.tensor_sum(T.mul(T.concat(outs, axis=0), r)).backward()
+        T.tensor_sum(T.mul(concat(outs, axis=0), r)).backward()
         slow = [np.concatenate([o.data for o in outs])] + [t.grad for t in (q, k, v)]
         for a, b in zip(fast, slow):
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
@@ -545,7 +559,7 @@ class TestResidualNorm:
         ln = init_layernorm(4)
         xq = Tensor(rng.standard_normal((3, 4)))
         out = residual_norm(Tensor(np.zeros((3, 4))), xq, ln)
-        expected = T.layernorm(xq, ln.gain, ln.bias, ln.eps)
+        expected = T.layernorm(xq, ln.gain, ln.bias)
         assert np.array_equal(out.data, expected.data)
 
     def test_add_then_normalize_oracle(self):
@@ -557,7 +571,7 @@ class TestResidualNorm:
         s = a + b
         mu = s.mean(axis=1, keepdims=True)
         var = s.var(axis=1, keepdims=True)
-        expected = (s - mu) / np.sqrt(var + ln.eps)
+        expected = (s - mu) / np.sqrt(var + T.LAYERNORM_EPS)
         assert np.abs(out.data - expected).max() < 1e-12
 
 
@@ -573,7 +587,7 @@ class TestFfn:
         x = Tensor(rng.standard_normal((3, 4)))
         w = self._dead_ffn(4, 8)
         out = ffn(x, w)
-        expected = T.layernorm(x, w.norm.gain, w.norm.bias, w.norm.eps)
+        expected = T.layernorm(x, w.norm.gain, w.norm.bias)
         assert np.array_equal(out.data, expected.data)
 
     def test_relu_gates_negative_preactivations(self):
@@ -585,7 +599,7 @@ class TestFfn:
         w.w2 = Tensor(rng.standard_normal((h, d)))
         x = Tensor(rng.standard_normal((3, d)))
         out = ffn(x, w)
-        expected = T.layernorm(x, w.norm.gain, w.norm.bias, w.norm.eps)
+        expected = T.layernorm(x, w.norm.gain, w.norm.bias)
         assert np.array_equal(out.data, expected.data)
 
     def test_against_straight_line_oracle(self):
@@ -601,5 +615,5 @@ class TestFfn:
         hidden = np.maximum(x @ w.w1.data + w.b1.data, 0.0)
         s = x + hidden @ w.w2.data + w.b2.data
         mu = s.mean(axis=1, keepdims=True)
-        expected = (s - mu) / np.sqrt(s.var(axis=1, keepdims=True) + w.norm.eps)
+        expected = (s - mu) / np.sqrt(s.var(axis=1, keepdims=True) + T.LAYERNORM_EPS)
         assert np.abs(out.data - expected).max() < 1e-12

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from attntrack.cli import main
-from attntrack.errors import ConfigurationError
 from attntrack.pipeline import (TrackerConfig, build_model, load_sequence,
                                 read_netpbm, read_rect_file, save_model)
 
@@ -65,12 +64,23 @@ class TestTrainToy:
         assert all(float(v) > 0 for v in lines)
 
 
-    def test_zero_steps_rejected_before_the_checkpoint(self, workspace, tmp_path):
+    def test_zero_steps_rejected_before_the_checkpoint(self, workspace, tmp_path,
+                                                       capsys):
         _, seq, _ = workspace
         out = tmp_path / "m.trtr"
-        with pytest.raises(ConfigurationError, match="steps must be at least 1"):
-            main(["train-toy", "--out", str(out), "--seq", seq, "--steps", "0",
-                  *FAST_MODEL])
+        assert main(["train-toy", "--out", str(out), "--seq", seq, "--steps", "0",
+                     *FAST_MODEL]) == 2
+        assert capsys.readouterr().err == \
+            "attntrack: error: steps must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_rejected_model_width_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", seq,
+                     "--steps", "1", *FAST_MODEL, "--d", "6"]) == 2
+        assert capsys.readouterr().err == \
+            "attntrack: error: model width must be divisible by 4\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("kept", [0, 3])
@@ -106,6 +116,14 @@ class TestTrack:
                      "--pe-mask", "off"]) == 0
         assert len(read_rect_file(results)) == 6
 
+    def test_rejected_search_size_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, ckpt = workspace
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", ckpt, "--seq", seq, "--out", str(results),
+                     "--search-size", "10"]) == 2
+        assert capsys.readouterr().err == \
+            "attntrack: error: search size must be >= template size\n"
+        assert not results.exists()
 
     def test_metrics_with_short_groundtruth_exit_before_tracking(
             self, workspace, tmp_path, capsys):
@@ -194,3 +212,5 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "full_stack" in out and "FAIL" not in out
+        # the longest check name sets the name column
+        assert len({line.index(" worst rel err") for line in out.splitlines()}) == 1

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from attntrack import loss
 from attntrack import tensor as T
 from attntrack.errors import ShapeError
-from attntrack.loss import (FocalParams, adaptive_sigma, focal_loss,
-                            gaussian_label, joint_loss, make_ground_truth,
-                            offset_loss, size_loss)
+from attntrack.loss import (adaptive_sigma, focal_loss, gaussian_label,
+                            joint_loss, make_ground_truth, offset_loss,
+                            size_loss)
 from attntrack.tensor import Tensor, finite_difference_check
 
 
@@ -60,9 +61,10 @@ def bisect_radius(w, h, overlap=0.7):
 
 
 class TestAdaptiveSigma:
-    def test_square_boxes_match_bisection_oracle(self):
+    def test_square_boxes_match_bisection_oracle(self, monkeypatch):
+        monkeypatch.setattr(loss, "SIGMA_FLOOR", 0.0)
         for side in (4.0, 8.0, 16.0, 30.0):
-            sigma = adaptive_sigma(side, side, sigma_floor=0.0)
+            sigma = adaptive_sigma(side, side)
             assert abs(3.0 * sigma - bisect_radius(side, side)) < 1.0
 
     def test_monotone_in_box_size(self):
@@ -130,10 +132,6 @@ class TestFocalLoss:
             lambda: focal_loss(pred, label), [pred])
         assert not failures and worst < 1e-4
 
-    def test_focal_params_validation(self):
-        with pytest.raises(ValueError):
-            FocalParams(alpha=0.0)
-
 
 class TestL1Losses:
     def test_offset_zero_on_grid_target(self):
@@ -179,10 +177,10 @@ class TestJointLoss:
         assert value.item() == 1.5
 
     def test_default_weights_are_one(self):
-        import inspect
-        sig = inspect.signature(joint_loss)
-        assert sig.parameters["lambda_offset"].default == 1.0
-        assert sig.parameters["lambda_size"].default == 1.0
+        # the weights' one home is the training settings
+        from attntrack.pipeline import TrainSettings
+        settings = TrainSettings()
+        assert (settings.lambda_offset, settings.lambda_size) == (1.0, 1.0)
 
 
 class TestTrainingSignal:
@@ -205,7 +203,8 @@ class TestTrainingSignal:
                 return joint_loss(
                     focal_loss(T.reshape(maps.score, (4, 4)), target.label),
                     offset_loss(maps.offset, target.center, target.cell, 8),
-                    size_loss(maps.size, target.norm_size, target.cell))
+                    size_loss(maps.size, target.norm_size, target.cell),
+                    1.0, 1.0)
 
             for p in params:
                 p.zero_grad()

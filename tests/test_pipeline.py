@@ -248,7 +248,7 @@ class TestGridPadMask:
         mask = np.zeros((16, 16), bool)
         mask[:8, :8] = True            # one fully padded block
         mask[8:, 8:12] = True          # half of another block
-        grid = grid_pad_mask(mask, 8)
+        grid = grid_pad_mask(mask)
         assert grid.tolist() == [[True, False], [False, False]]
 
 
@@ -424,19 +424,6 @@ class TestSequenceIo:
         # 8-bit quantization bounds the pixel error
         assert np.abs(loaded_frames[0].pixels - frames[0].pixels).max() <= 0.5 / 255
         assert abs(loaded_boxes[1].cx - boxes[1].cx) < 1e-3
-
-    def test_pluggable_frame_loader(self, tmp_path):
-        frames, boxes = generate_synthetic_sequence(0, 2)
-        save_sequence(tmp_path / "seq", frames, boxes)
-        calls = []
-
-        def loader(path):
-            calls.append(path)
-            return np.zeros((3, 4, 4))
-
-        loaded, _ = load_sequence(tmp_path / "seq", loader=loader)
-        assert len(calls) == 2
-        assert loaded[0].pixels.shape == (3, 4, 4)
 
 
 def _valid_frames() -> list[bytes]:

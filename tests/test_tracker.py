@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ import pytest
 from attntrack import tensor as T
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import BoundingBox
+from attntrack.loss import joint_loss
+from attntrack.online import (OnlineFilter, TrainingMemory, conjugate_gradient,
+                              init_online_filter, solve_cg, update_memory)
 from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
                                 TrainSettings, build_model, crop_template,
                                 encode_template, forward_pair,
                                 generate_synthetic_sequence, load_model,
                                 pair_loss, sample_training_pair, save_model,
-                                track_sequence, train_toy)
+                                init_backbone, track_sequence, train_toy)
 from attntrack.pipeline import tracker as tracker_mod
 from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features
 from attntrack.tensor import (Tensor, load_checkpoint, named_parameters,
                               save_checkpoint)
+from attntrack.transformer import init_transformer
 
 
 @pytest.fixture(scope="module")
@@ -478,7 +483,7 @@ class TestTrainToy:
         model = build_model(np.random.default_rng(2), config)
         rng = np.random.default_rng(2)
         template = crop_template(frames[0].pixels, boxes[0], config.template_size)
-        pair = sample_training_pair(frames, boxes, config, rng)
+        pair = sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
         params = T.parameters(model)
         optimizer = Adam(params, lr=2e-3)
         losses = []
@@ -488,7 +493,7 @@ class TestTrainToy:
             memory, template_pe = encode_template(model, config, template)
             maps = forward_pair(model, config, memory, template_pe,
                                 [pair.search_crop])
-            total, *_ = pair_loss(maps, [pair.target])
+            total, *_ = pair_loss(maps, [pair.target], 1.0, 1.0)
             total.backward()
             optimizer.step()
             losses.append(total.item())
@@ -502,13 +507,13 @@ class TestTrainToy:
         model = build_model(np.random.default_rng(4), config)
         template = crop_template(frames[0].pixels, boxes[0], config.template_size)
         rng = np.random.default_rng(4)
-        pairs = [sample_training_pair(frames, boxes, config, rng)
+        pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
                  for _ in range(2)]
 
         def pair_total(memory, template_pe, pair):
             maps = forward_pair(model, config, memory, template_pe,
                                 [pair.search_crop])
-            return pair_loss(maps, [pair.target])[0]
+            return pair_loss(maps, [pair.target], 1.0, 1.0)[0]
 
         params = T.parameters(model)
         separate = []
@@ -526,3 +531,29 @@ class TestTrainToy:
         for (name, p), expected in zip(named_parameters(model), expected_sum):
             np.testing.assert_allclose(p.grad, expected, rtol=1e-10,
                                        err_msg=name)
+
+
+# Each library parameter that receives a TrackerConfig or TrainSettings
+# value. A default on one of them would be a second place that value is
+# written, free to drift from the config's.
+CONFIG_PARAMETERS = [
+    (init_backbone, ("c_mid", "d")),
+    (init_transformer, ("n_encoder_layers", "n_decoder_layers", "ffn_hidden")),
+    (init_online_filter, ("hidden", "kernel", "reg")),
+    (OnlineFilter, ("reg",)),
+    (TrainingMemory, ("capacity",)),
+    (update_memory, ("lr",)),
+    (solve_cg, ("n_iters", "gn_steps")),
+    (conjugate_gradient, ("n_iters",)),
+    (sample_training_pair, ("center_jitter_cells", "scale_jitter")),
+    (pair_loss, ("lambda_offset", "lambda_size")),
+    (joint_loss, ("lambda_offset", "lambda_size")),
+    (Adam, ("lr",)),
+]
+
+
+@pytest.mark.parametrize("owner,names", CONFIG_PARAMETERS,
+                         ids=[owner.__name__ for owner, _ in CONFIG_PARAMETERS])
+def test_config_values_have_no_second_default(owner, names):
+    params = inspect.signature(owner).parameters
+    assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []

@@ -253,7 +253,7 @@ class TestDecode:
 
 
 class TestRunTransformer:
-    def test_constructed_passthrough_second_decoder_layer(self):
+    def test_constructed_passthrough_second_decoder_layer(self, monkeypatch):
         # a second decoder layer with zeroed attention/ffn outputs and
         # eps-free norms only renormalizes already-normalized rows
         rng = np.random.default_rng(9)
@@ -266,9 +266,7 @@ class TestRunTransformer:
             attn.wo = Tensor(np.zeros_like(attn.wo.data))
         passthrough.ffn.w2 = Tensor(np.zeros_like(passthrough.ffn.w2.data))
         passthrough.ffn.b2 = Tensor(np.zeros(8))
-        for norm in (passthrough.self_norm, passthrough.cross_norm,
-                     passthrough.ffn.norm):
-            norm.eps = 0.0
+        monkeypatch.setattr(T, "LAYERNORM_EPS", 0.0)
 
         z = Tensor(rng.standard_normal((2, 2, 8)))
         x = Tensor(rng.standard_normal((3, 3, 8)))
@@ -289,7 +287,7 @@ class TestRunTransformer:
 
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigurationError):
-            init_transformer(np.random.default_rng(0), 8, 2, 0, 1)
+            init_transformer(np.random.default_rng(0), 8, 2, 0, 1, 64)
 
 
 class TestWholeStackGradients:
