@@ -35,21 +35,32 @@ def _onoff(value: str) -> bool:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--template-size", type=int, default=64)
-    p.add_argument("--search-size", type=int, default=128)
-    p.add_argument("--d", type=int, default=32, help="transformer width")
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--enc-layers", type=int, default=1)
-    p.add_argument("--dec-layers", type=int, default=1)
-    p.add_argument("--pe-mask", type=_onoff, default=True,
+    p.add_argument("--template-size", type=int)
+    p.add_argument("--search-size", type=int)
+    p.add_argument("--d", type=int, help="transformer width")
+    p.add_argument("--heads", dest="n_heads", type=int)
+    p.add_argument("--enc-layers", dest="n_encoder_layers", type=int)
+    p.add_argument("--dec-layers", dest="n_decoder_layers", type=int)
+    p.add_argument("--pe-mask", type=_onoff,
                    help="zero positional codes over padded area (on|off)")
-    p.add_argument("--c-mid", type=int, default=32)
+    p.add_argument("--c-mid", type=int)
 
 
 def _add_override_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--online", type=_onoff, default=None)
-    p.add_argument("--search-size", type=int, default=None)
-    p.add_argument("--pe-mask", type=_onoff, default=None)
+    p.add_argument("--online", type=_onoff)
+    p.add_argument("--search-size", type=int)
+    p.add_argument("--pe-mask", type=_onoff)
+
+
+def _configured(base, args):
+    """``base`` with every field whose flag was given replaced by its value.
+
+    A flag that sets a ``TrackerConfig`` or ``TrainSettings`` field is stored
+    under the field's name and defaults to None, so a flag left out keeps
+    the value of ``base``."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(base, **given)
 
 
 def _add_seq_args(p: argparse.ArgumentParser) -> None:
@@ -99,21 +110,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    settings = TrainSettings(steps=args.steps, lr=args.lr, seed=args.seed)
+    settings = _configured(TrainSettings(), args)
     if args.seq:
         frames, boxes = load_sequence(args.seq)
     else:
-        frames, boxes = generate_synthetic_sequence(args.seed, args.frames,
+        frames, boxes = generate_synthetic_sequence(settings.seed, args.frames,
                                                     _make_spec(args))
-    config = TrackerConfig(template_size=args.template_size,
-                           search_size=args.search_size,
-                           d=args.d, n_heads=args.heads,
-                           n_encoder_layers=args.enc_layers,
-                           n_decoder_layers=args.dec_layers,
-                           pe_mask=args.pe_mask, c_mid=args.c_mid)
+    # a small geometry, so a toy run finishes quickly
+    config = _configured(TrackerConfig(template_size=64, search_size=128), args)
     if _short_ground_truth(frames, boxes):
         return 1
-    model = build_model(np.random.default_rng(args.seed), config)
+    model = build_model(np.random.default_rng(settings.seed), config)
     history = train_toy(model, config, frames, boxes, settings,
                         log=lambda msg: print(msg))
     save_model(args.out, model, config)
@@ -126,20 +133,9 @@ def _cmd_train_toy(args) -> int:
     return 0
 
 
-def _apply_overrides(config: TrackerConfig, args) -> TrackerConfig:
-    overrides = {}
-    if args.search_size is not None:
-        overrides["search_size"] = args.search_size
-    if args.online is not None:
-        overrides["online"] = args.online
-    if args.pe_mask is not None:
-        overrides["pe_mask"] = args.pe_mask
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
 def _cmd_track(args) -> int:
     model, config = load_model(args.ckpt)
-    config = _apply_overrides(config, args)
+    config = _configured(config, args)
     frames, boxes = load_sequence(args.seq)
     if not boxes:
         print("sequence has no ground truth; cannot initialize", file=sys.stderr)
@@ -172,18 +168,20 @@ def _cmd_eval(args) -> int:
 def _run_to_frame(args):
     """Shared tail for the dump commands: track up to --frame with a trace."""
     model, config = load_model(args.ckpt)
-    config = _apply_overrides(config, args)
+    config = _configured(config, args)
     frames, boxes = load_sequence(args.seq)
     if not boxes:
         raise SystemExit("sequence has no ground truth; cannot initialize")
     if len(frames) < 2:
         raise SystemExit(f"sequence has {len(frames)} frame(s); dumps need at "
                          "least 2, since frame 0 only initializes the tracker")
-    target = max(1, min(args.frame, len(frames) - 1))
+    if not 1 <= args.frame < len(frames):
+        raise SystemExit(f"--frame {args.frame} is outside 1..{len(frames) - 1} "
+                         f"for a sequence of {len(frames)} frames")
     tracker = Tracker(model, config)
     init_trace = AttentionTrace()
     tracker.init(frames[0], boxes[0], trace=init_trace)
-    for i in range(1, target + 1):
+    for i in range(1, args.frame + 1):
         trace = AttentionTrace()
         _, diag = tracker.track(frames[i], trace=trace)
     # encoder attention happens once, at init
@@ -242,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="train on a toy sequence")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seq", help="sequence dir (default: generate synthetic)")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--loss-log", help="write per-step losses to this file")
     _add_model_args(p)
     _add_seq_args(p)

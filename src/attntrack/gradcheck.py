@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (AttentionInputs, ffn, init_ffn, init_layernorm,
                         init_multi_head, multi_head_attention, residual_norm)
-from .localize import heads_forward, init_head_weights
+from .localize import STRIDE, heads_forward, init_head_weights
 from .loss import focal_loss, joint_loss, make_ground_truth, offset_loss, size_loss
 from .pipeline.backbone import backbone_forward, init_backbone
 from .tensor import Tensor, finite_difference_check, parameters
@@ -217,7 +217,7 @@ def check_heads(rng) -> tuple[float, int]:
     params = [x, *parameters(weights)]
 
     def loss():
-        maps = heads_forward(x, weights, stride=8)
+        maps = heads_forward(x, weights)
         return T.add(_projected(maps.score, rs),
                      T.add(_projected(maps.offset, ro),
                            _projected(maps.size, ro)))
@@ -228,15 +228,14 @@ def check_heads(rng) -> tuple[float, int]:
 def check_losses(rng) -> tuple[float, int]:
     hs = ws = 4
     target = make_ground_truth(center=(13.0, 17.5), box_size=(10.0, 14.0),
-                               patch_w=hs * 8, patch_h=ws * 8, stride=8,
-                               hs=hs, ws=ws)
+                               side=hs * STRIDE)
     logits = Tensor(rng.uniform(-1.5, 1.5, (hs, ws)), requires_grad=True)
     off = Tensor(rng.uniform(0.1, 0.9, (hs, ws, 2)), requires_grad=True)
     size = Tensor(rng.uniform(0.1, 0.9, (hs, ws, 2)), requires_grad=True)
 
     def loss():
         return joint_loss(focal_loss(T.sigmoid(logits), target.label),
-                          offset_loss(off, target.center, target.cell, 8),
+                          offset_loss(off, target.center, target.cell),
                           size_loss(size, target.norm_size, target.cell), 1.0, 1.0)
 
     return finite_difference_check(loss, [logits, off, size])
@@ -264,8 +263,7 @@ def check_full_stack(rng) -> tuple[float, int]:
     z = _leaf(rng, h, w, d)
     x = _leaf(rng, hh, ww, d)
     target = make_ground_truth(center=(17.0, 14.0), box_size=(12.0, 9.0),
-                               patch_w=hh * 8, patch_h=ww * 8, stride=8,
-                               hs=hh, ws=ww)
+                               side=hh * STRIDE)
     params = [z, x, *parameters(weights), *parameters(head_weights)]
     pe_z = build_positional_encoding(h, w, d)
     pe_x = build_positional_encoding(hh, ww, d)
@@ -273,10 +271,10 @@ def check_full_stack(rng) -> tuple[float, int]:
     def loss():
         memory = encode(z, weights.encoder, pe_z)
         decoded = decode(x, memory, pe_z, weights.decoder, pe_x)
-        maps = heads_forward(decoded, head_weights, stride=8)
+        maps = heads_forward(decoded, head_weights)
         score2d = T.reshape(maps.score, (hh, ww))
         return joint_loss(focal_loss(score2d, target.label),
-                          offset_loss(maps.offset, target.center, target.cell, 8),
+                          offset_loss(maps.offset, target.center, target.cell),
                           size_loss(maps.size, target.norm_size, target.cell),
                           1.0, 1.0)
 

@@ -1,4 +1,4 @@
-"""Prediction heads and center/size decoding on the stride-s grid.
+"""Prediction heads and center/size decoding on the output grid.
 
 Three independent head stacks (score, center offset, normalized size) map
 the decoder output to sigmoid-bounded maps. Decoding finds the peak of the
@@ -15,6 +15,10 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .tensor import Conv, Tensor
+
+# output stride: one grid cell of the heads' maps (and of the backbone's
+# tokens) spans STRIDE x STRIDE search-patch pixels
+STRIDE = 8
 
 
 @dataclass
@@ -45,7 +49,6 @@ class HeadMaps:
     score: Tensor
     offset: Tensor
     size: Tensor
-    stride: int
 
 
 @dataclass
@@ -99,7 +102,7 @@ def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
     return T.sigmoid(x)
 
 
-def heads_forward(decoder_out: Tensor, weights: HeadWeights, stride: int) -> HeadMaps:
+def heads_forward(decoder_out: Tensor, weights: HeadWeights) -> HeadMaps:
     """Run the three head stacks over an (Hs, Ws, d) decoder output.
 
     The 1x1 convs are products over the (cells, d) token rows. A
@@ -109,7 +112,7 @@ def heads_forward(decoder_out: Tensor, weights: HeadWeights, stride: int) -> Hea
     rows = T.reshape(decoder_out, (-1, decoder_out.shape[-1]))
     maps = [T.reshape(_run_stack(rows, stack), grid + (stack.conv[-1].kernel.shape[0],))
             for stack in (weights.score, weights.offset, weights.size)]
-    return HeadMaps(score=maps[0], offset=maps[1], size=maps[2], stride=stride)
+    return HeadMaps(score=maps[0], offset=maps[1], size=maps[2])
 
 
 def make_cosine_window(hs: int, ws: int, influence: float) -> CosineWindow:
@@ -136,11 +139,11 @@ def peak_cell(score: np.ndarray) -> tuple[int, int]:
     return gx, gy
 
 
-def decode_center(score: np.ndarray, offset: np.ndarray, stride: int) -> tuple[float, float]:
+def decode_center(score: np.ndarray, offset: np.ndarray) -> tuple[float, float]:
     """Peak cell plus its local offset, scaled to search-patch pixels."""
     gx, gy = peak_cell(score)
     off = offset[gy, gx]
-    return (stride * (gx + float(off[0])), stride * (gy + float(off[1])))
+    return (STRIDE * (gx + float(off[0])), STRIDE * (gy + float(off[1])))
 
 
 def decode_size(size: np.ndarray, cell: tuple[int, int],

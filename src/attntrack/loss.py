@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .localize import STRIDE
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
@@ -80,24 +81,25 @@ def gaussian_label(cell: tuple[int, int], sigma: float, hs: int, ws: int) -> np.
 
 
 def make_ground_truth(center: tuple[float, float], box_size: tuple[float, float],
-                      patch_w: int, patch_h: int, stride: int,
-                      hs: int, ws: int) -> GroundTruth:
-    """Build all targets for a ground-truth box inside a search patch.
+                      side: int) -> GroundTruth:
+    """Build all targets for a ground-truth box inside a square search patch
+    of ``side`` pixels, a multiple of ``STRIDE``.
 
-    Raises ``ValueError`` when the centre falls outside the patch's grid.
+    Raises ``ValueError`` when the centre falls outside the patch.
     """
     cx, cy = center
-    if not (0.0 <= cx < ws * stride and 0.0 <= cy < hs * stride):
+    if not (0.0 <= cx < side and 0.0 <= cy < side):
         raise ValueError(f"ground-truth centre ({cx}, {cy}) lies outside the "
-                         f"{patch_w}x{patch_h} patch ({ws}x{hs} cells of {stride} px)")
-    cell = (int(cx // stride), int(cy // stride))
-    sigma = adaptive_sigma(box_size[0] / stride, box_size[1] / stride)
+                         f"{side}x{side} patch")
+    grid = side // STRIDE
+    cell = (int(cx // STRIDE), int(cy // STRIDE))
+    sigma = adaptive_sigma(box_size[0] / STRIDE, box_size[1] / STRIDE)
     return GroundTruth(
         center=(cx, cy),
         cell=cell,
         box_size=box_size,
-        norm_size=(box_size[0] / patch_w, box_size[1] / patch_h),
-        label=gaussian_label(cell, sigma, hs, ws),
+        norm_size=(box_size[0] / side, box_size[1] / side),
+        label=gaussian_label(cell, sigma, grid, grid),
     )
 
 
@@ -129,17 +131,17 @@ def _at_cell(field: Tensor, cell) -> Tensor:
     """
     gx, gy = np.asarray(cell, dtype=np.int64).T
     if field.ndim == 4:
-        return field[np.arange(field.shape[0]), gy, gx]
-    return field[gy, gx]
+        return T.take(field, (np.arange(field.shape[0]), gy, gx))
+    return T.take(field, (gy, gx))
 
 
-def offset_loss(offset: Tensor, center, cell, stride: int) -> Tensor:
+def offset_loss(offset: Tensor, center, cell) -> Tensor:
     """L1 between the predicted offset at the target cell and the true residual.
 
     With a batch of offset maps, ``center`` and ``cell`` hold one (x, y)
     pair per sample, and the loss is their sum.
     """
-    residual = np.asarray(center, dtype=np.float64) / stride - np.asarray(cell)
+    residual = np.asarray(center, dtype=np.float64) / STRIDE - np.asarray(cell)
     return T.tensor_sum(T.absolute(T.sub(_at_cell(offset, cell), residual)))
 
 

@@ -1,9 +1,10 @@
 """Small strided convnet standing in for a deep backbone.
 
 Three 4x4 stride-2 stages halve the grid exactly (even inputs only),
-reaching overall stride 8; a stride-1 3x3 stage follows, and a final 1x1
-projection reduces channels to the transformer width. The stage-3
-activation is the mid-level tap that feeds the online classifier branch.
+reaching overall stride 8 (``localize.STRIDE``); a stride-1 3x3 stage
+follows, and a final 1x1 projection reduces channels to the transformer
+width. The stage-3 activation is the mid-level tap that feeds the online
+classifier branch.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ConfigurationError
+from ..localize import STRIDE
 from ..tensor import Conv, Tensor
 
 
@@ -46,8 +48,8 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
     """
     patch = T.astensor(patch)
     h, w = patch.shape[-2:]
-    if h % 8 or w % 8:
-        raise ConfigurationError(f"backbone input must be a multiple of 8, got {h}x{w}")
+    if h % STRIDE or w % STRIDE:
+        raise ConfigurationError(f"backbone input must be a multiple of {STRIDE}, got {h}x{w}")
     x = patch
     mid = None
     for i, (conv, stride) in enumerate(zip(weights.stage, weights.strides)):

@@ -165,11 +165,27 @@ def save_sequence(directory, frames: list[Frame], boxes: list[BoundingBox]) -> N
     write_rect_file(os.path.join(directory, GROUNDTRUTH_FILE), boxes)
 
 
+def _frame_order(directory, names: list[str]) -> list[str]:
+    """Frame files ordered by the number their stem spells (``2.ppm`` before
+    ``10.ppm``); ``ValueError`` names a stem that is not digits, or a
+    number that two files spell."""
+    numbered: dict[int, str] = {}
+    for name in names:
+        stem, path = os.path.splitext(name)[0], os.path.join(directory, name)
+        if not (stem.isascii() and stem.isdigit()):
+            raise ValueError(f"{path}: frame name is not a number")
+        number = int(stem)
+        if number in numbered:
+            raise ValueError(f"{path}: frame {number} is also {numbered[number]}")
+        numbered[number] = name
+    return [numbered[number] for number in sorted(numbered)]
+
+
 def load_sequence(directory) -> tuple[list[Frame], list[BoundingBox]]:
-    """Read numbered PPM/PGM frames (a PGM as three equal channels) plus
-    ground truth."""
-    names = sorted(n for n in os.listdir(directory)
-                   if n.lower().endswith((".ppm", ".pgm")))
+    """Read numbered PPM/PGM frames (a PGM as three equal channels), in the
+    order of their numbers, plus ground truth."""
+    names = _frame_order(directory, sorted(n for n in os.listdir(directory)
+                                           if n.lower().endswith((".ppm", ".pgm"))))
     if not names:
         raise ValueError(f"no PPM/PGM frames found in {directory}")
     frames = []

@@ -28,10 +28,10 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ConfigurationError, ShapeError, TrackingError
-from ..localize import (BoundingBox, CosineWindow, HeadMaps, HeadWeights,
-                        apply_window, decode_center, decode_size, heads_forward,
-                        init_head_weights, make_cosine_window, peak_cell,
-                        smooth_size)
+from ..localize import (STRIDE, BoundingBox, CosineWindow, HeadMaps,
+                        HeadWeights, apply_window, decode_center, decode_size,
+                        heads_forward, init_head_weights, make_cosine_window,
+                        peak_cell, smooth_size)
 from ..loss import adaptive_sigma, gaussian_label
 from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
                       online_forward, solve_cg, update_memory)
@@ -43,8 +43,6 @@ from .backbone import BackboneWeights, backbone_forward, init_backbone
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple, patch_to_image)
 from .seqio import Frame
-
-STRIDE = 8
 
 
 @dataclass
@@ -252,7 +250,7 @@ def decode_search(model: ModelWeights, feats: PatchFeatures, memory: Tensor,
     decoded = decode(feats.tokens, memory, template_pe,
                      model.transformer.decoder, _positional_encoding(feats),
                      trace=trace)
-    return heads_forward(decoded, model.heads, STRIDE)
+    return heads_forward(decoded, model.heads)
 
 
 @dataclass
@@ -392,7 +390,7 @@ class Tracker:
 
         cell = peak_cell(decode_map)
         peak_score = float(decode_map[cell[1], cell[0]])
-        center_patch = decode_center(decode_map, offset, STRIDE)
+        center_patch = decode_center(decode_map, offset)
         padded_size = padded.patch.shape[1]
         size_patch = decode_size(size, cell, padded_size, padded_size)
 
@@ -411,7 +409,7 @@ class Tracker:
             # label the sample memory at the offline decode: anchoring the
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
-            center_off = decode_center(windowed, offset, STRIDE)
+            center_off = decode_center(windowed, offset)
             self._online_step(mid, center_off, size_patch, peak_score)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ConfigurationError, ShapeError, TrainingDivergence
-from ..localize import BoundingBox, HeadMaps
+from ..localize import STRIDE, BoundingBox, HeadMaps
 from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
 from ..tensor import Tensor
@@ -22,7 +22,7 @@ from ..transformer import PositionalEncoding
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple)
 from .seqio import Frame
-from .tracker import (STRIDE, ModelWeights, TrackerConfig, decode_search,
+from .tracker import (ModelWeights, TrackerConfig, decode_search,
                       encode_template, extract_features)
 
 # not called here: the benchmark's tracer wraps these names on this module
@@ -104,15 +104,12 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
     crop = pad_to_multiple(
         crop_search(frames[t].pixels, center, config.search_size,
                     config.template_size), STRIDE)
-    padded = crop.patch.shape[1]
-    grid = padded // STRIDE
     truth = boxes[t]
     center_patch = image_to_patch((truth.cx, truth.cy), crop)
     size_patch = (truth.w / crop.scale, truth.h / crop.scale)
     return TrainingPair(
         search_crop=crop,
-        target=make_ground_truth(center_patch, size_patch, padded, padded,
-                                 STRIDE, grid, grid))
+        target=make_ground_truth(center_patch, size_patch, crop.patch.shape[1]))
 
 
 def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
@@ -136,8 +133,7 @@ def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
     cells = [t.cell for t in targets]
     sums = (focal_loss(T.reshape(maps.score, (b, hs, ws)),
                        np.stack([t.label for t in targets])),
-            offset_loss(maps.offset, [t.center for t in targets], cells,
-                        maps.stride),
+            offset_loss(maps.offset, [t.center for t in targets], cells),
             size_loss(maps.size, [t.norm_size for t in targets], cells))
     ly, lo, ls = (T.mul(part, 1.0 / b) for part in sums)
     return joint_loss(ly, lo, ls, lambda_offset, lambda_size), ly, lo, ls

@@ -6,6 +6,10 @@ graph of ``_parents`` links); calling :meth:`Tensor.backward` on a scalar
 result walks the graph in reverse topological order and accumulates
 ``grad`` on every tensor that was created with ``requires_grad=True``.
 
+Ops are module functions (``T.add``, ``T.matmul``, ``T.take``, ...), not
+operators or methods: a tensor has no ``+``, ``@``, ``[]`` or ``.sum()``,
+so each op has one spelling.
+
 Everything is float64: the whole package is sized for gradient checking
 and desk-scale experiments, not throughput.
 """
@@ -45,10 +49,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     @property
     def ndim(self) -> int:
@@ -100,51 +100,6 @@ class Tensor:
             if node._backward is not None:
                 grad, node.grad = node.grad, None
                 node._backward(grad)
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __getitem__(self, index):
-        return take(self, index)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def astensor(value) -> Tensor:
@@ -269,17 +224,6 @@ def sigmoid(a) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = astensor(a)
-    data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * data)
 
     return _make(data, (a,), backward)
 

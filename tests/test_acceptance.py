@@ -87,7 +87,7 @@ def test_criterion_2_equation_oracles():
     score[4, 3] = 1.0
     offsets = np.zeros((8, 8, 2))
     offsets[4, 3] = (0.5, 0.25)
-    ok_center = decode_center(score, offsets, 8) == (28.0, 34.0)
+    ok_center = decode_center(score, offsets) == (28.0, 34.0)
 
     # size decoding by direct substitution
     size = np.zeros((8, 8, 2))

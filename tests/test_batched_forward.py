@@ -14,13 +14,14 @@ from attntrack import tensor as T
 from attntrack.attention import (AttentionInputs, ffn, multi_head_attention,
                                  residual_norm)
 from attntrack.errors import ShapeError
+from attntrack.localize import STRIDE
 from attntrack.loss import focal_loss, joint_loss
 from attntrack.pipeline import (SequenceSpec, TrackerConfig, build_model,
                                 crop_template, encode_template, forward_pair,
                                 generate_synthetic_sequence, pair_loss,
                                 sample_training_pair)
 from attntrack.pipeline.crop import crop_search, pad_to_multiple
-from attntrack.pipeline.tracker import STRIDE, extract_features, grid_pad_mask
+from attntrack.pipeline.tracker import extract_features, grid_pad_mask
 from attntrack.tensor import Tensor
 from attntrack.transformer import build_positional_encoding
 
@@ -88,8 +89,9 @@ def per_sample_objective(score, offset, size, target):
     gx, gy = target.cell
     cx, cy = target.center
     residual = np.array([cx / STRIDE - gx, cy / STRIDE - gy])
-    lo = T.tensor_sum(T.absolute(T.sub(offset[gy, gx], residual)))
-    ls = T.tensor_sum(T.absolute(T.sub(size[gy, gx], np.asarray(target.norm_size))))
+    lo = T.tensor_sum(T.absolute(T.sub(T.take(offset, (gy, gx)), residual)))
+    ls = T.tensor_sum(T.absolute(T.sub(T.take(size, (gy, gx)),
+                                      np.asarray(target.norm_size))))
     return joint_loss(focal_loss(T.reshape(score, (hs, ws)), target.label), lo, ls,
                       1.0, 1.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -5,9 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
+from attntrack import cli
 from attntrack.cli import main
-from attntrack.pipeline import (TrackerConfig, build_model, load_sequence,
-                                read_netpbm, read_rect_file, save_model)
+from attntrack.pipeline import (TrackerConfig, TrainSettings, build_model,
+                                load_sequence, read_netpbm, read_rect_file,
+                                save_model)
 
 FAST_MODEL = ["--template-size", "48", "--search-size", "96", "--d", "8",
               "--heads", "2", "--c-mid", "8"]
@@ -82,6 +85,39 @@ class TestTrainToy:
         assert capsys.readouterr().err == \
             "attntrack: error: model width must be divisible by 4\n"
         assert not out.exists()
+
+    def test_flag_defaults_are_the_configs(self, workspace, tmp_path, monkeypatch):
+        # a flag left out takes the library's value, so a changed config
+        # default reaches the CLI; only the geometry is train-toy's own
+        @dataclasses.dataclass
+        class Narrower(TrackerConfig):
+            d: int = 16
+            c_mid: int = 8
+            n_decoder_layers: int = 2
+
+        @dataclasses.dataclass
+        class Shorter(TrainSettings):
+            steps: int = 2
+            lr: float = 5e-4
+            seed: int = 3
+
+        seen = {}
+
+        def fake_train_toy(model, config, frames, boxes, settings, log):
+            seen.update(config=config, settings=settings)
+            return [2.0, 1.0]
+
+        monkeypatch.setattr(cli, "TrackerConfig", Narrower)
+        monkeypatch.setattr(cli, "TrainSettings", Shorter)
+        monkeypatch.setattr(cli, "train_toy", fake_train_toy)
+        _, seq, _ = workspace
+        assert main(["train-toy", "--out", str(tmp_path / "m.trtr"), "--seq", seq,
+                     "--heads", "2"]) == 0
+        config, settings = seen["config"], seen["settings"]
+        assert (config.template_size, config.search_size) == (64, 128)
+        assert (config.d, config.c_mid, config.n_decoder_layers) == (16, 8, 2)
+        assert config.n_heads == 2 and config.pe_mask
+        assert (settings.steps, settings.lr, settings.seed) == (2, 5e-4, 3)
 
     @pytest.mark.parametrize("kept", [0, 3])
     def test_short_groundtruth_exits_with_counts(self, workspace, tmp_path,
@@ -205,6 +241,18 @@ class TestDumps:
         with pytest.raises(SystemExit, match="has 1 frame"):
             main([command, "--ckpt", ckpt, "--seq", seq,
                   "--out-prefix", str(tmp_path / "x")])
+
+
+    @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
+    @pytest.mark.parametrize("frame", [99, 6, 0, -3])
+    def test_frame_out_of_range_exits(self, workspace, tmp_path, command, frame):
+        # such a frame used to be clamped into range without a word
+        _, seq, ckpt = workspace
+        with pytest.raises(SystemExit, match=rf"^--frame {frame} is outside 1\.\.5 "
+                                             r"for a sequence of 6 frames$"):
+            main([command, "--ckpt", ckpt, "--seq", seq, "--frame", str(frame),
+                  "--out-prefix", str(tmp_path / "x")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradcheckCommand:

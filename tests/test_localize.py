@@ -46,7 +46,7 @@ class TestHeadsForward:
     def test_zero_network_gives_half(self):
         rng = np.random.default_rng(0)
         feat = Tensor(rng.standard_normal((3, 3, 4)))
-        maps = heads_forward(feat, constant_heads(4), stride=8)
+        maps = heads_forward(feat, constant_heads(4))
         assert np.allclose(maps.score.data, 0.5)
         assert np.allclose(maps.offset.data, 0.5)
         assert np.allclose(maps.size.data, 0.5)
@@ -54,14 +54,14 @@ class TestHeadsForward:
     def test_large_negative_bias_saturates_to_zero(self):
         rng = np.random.default_rng(1)
         feat = Tensor(rng.standard_normal((2, 2, 4)))
-        maps = heads_forward(feat, constant_heads(4, final_bias=-40.0), stride=8)
+        maps = heads_forward(feat, constant_heads(4, final_bias=-40.0))
         assert maps.score.data.max() < 1e-12
 
     def test_against_naive_oracle(self):
         rng = np.random.default_rng(2)
         weights = init_head_weights(rng, 4, score_bias=-1.0)
         feat = rng.standard_normal((2, 2, 4))
-        maps = heads_forward(Tensor(feat), weights, stride=8)
+        maps = heads_forward(Tensor(feat), weights)
         score, offset, size = heads_oracle(feat, weights)
         assert np.abs(maps.score.data - score).max() < 1e-12
         assert np.abs(maps.offset.data - offset).max() < 1e-12
@@ -71,7 +71,7 @@ class TestHeadsForward:
         rng = np.random.default_rng(4)
         weights = init_head_weights(rng, 4, score_bias=-1.0)
         feat = rng.standard_normal((3, 2, 3, 4))
-        maps = heads_forward(Tensor(feat), weights, stride=8)
+        maps = heads_forward(Tensor(feat), weights)
         assert maps.score.shape == (3, 2, 3, 1)
         for b in range(3):
             score, offset, size = heads_oracle(feat[b], weights)
@@ -83,7 +83,7 @@ class TestHeadsForward:
         rng = np.random.default_rng(3)
         weights = init_head_weights(rng, 4)
         feat = Tensor(rng.uniform(-1e3, 1e3, (4, 4, 4)))
-        maps = heads_forward(feat, weights, stride=8)
+        maps = heads_forward(feat, weights)
         for m in (maps.score, maps.offset, maps.size):
             assert np.all(m.data >= 0.0) and np.all(m.data <= 1.0)
             assert np.all(np.isfinite(m.data))
@@ -140,12 +140,12 @@ class TestDecode:
         score[4, 3] = 1.0                       # x-index 3, y-index 4
         offset = np.zeros((8, 8, 2))
         offset[4, 3] = (0.5, 0.25)
-        assert decode_center(score, offset, 8) == (28.0, 34.0)
+        assert decode_center(score, offset) == (28.0, 34.0)
 
     def test_zero_offset_lands_on_grid(self):
         rng = np.random.default_rng(8)
         score = rng.uniform(0, 1, (6, 6))
-        cx, cy = decode_center(score, np.zeros((6, 6, 2)), 8)
+        cx, cy = decode_center(score, np.zeros((6, 6, 2)))
         assert cx % 8 == 0 and cy % 8 == 0
 
     def test_peak_matches_full_scan(self):
@@ -162,7 +162,7 @@ class TestDecode:
         for _ in range(20):
             score = rng.uniform(0, 1, (6, 6))
             offset = rng.uniform(0, 1, (6, 6, 2))  # sigmoid range
-            cx, cy = decode_center(score, offset, 8)
+            cx, cy = decode_center(score, offset)
             assert 0 <= cx < 6 * 8 and 0 <= cy < 6 * 8
 
     def test_tie_breaks_at_lowest_row_major_index(self):
@@ -193,7 +193,7 @@ class TestDecode:
             offset = rng.uniform(0, 1, (n, n, 2))
             win = make_cosine_window(n, n, 0.4)
             combined = apply_window(score, win)
-            cx, cy = decode_center(combined, offset, 8)
+            cx, cy = decode_center(combined, offset)
 
             best_val, best_cell = -1.0, None
             for y in range(n):

@@ -136,16 +136,16 @@ class TestFocalLoss:
 class TestL1Losses:
     def test_offset_zero_on_grid_target(self):
         off = Tensor(np.zeros((4, 4, 2)))
-        assert offset_loss(off, (16.0, 24.0), (2, 3), 8).item() == 0.0
+        assert offset_loss(off, (16.0, 24.0), (2, 3)).item() == 0.0
 
     def test_offset_zero_for_exact_prediction(self):
         off = np.zeros((4, 4, 2))
         off[2, 1] = (0.5, 0.25)                      # cell x=1, y=2
-        assert offset_loss(Tensor(off), (12.0, 18.0), (1, 2), 8).item() < 1e-12
+        assert offset_loss(Tensor(off), (12.0, 18.0), (1, 2)).item() < 1e-12
 
     def test_offset_component_sum(self):
         off = Tensor(np.zeros((4, 4, 2)))
-        value = offset_loss(off, (12.0, 18.0), (1, 2), 8).item()
+        value = offset_loss(off, (12.0, 18.0), (1, 2)).item()
         assert abs(value - 0.75) < 1e-12             # |0.5| + |0.25|
 
     def test_size_zero_for_exact_prediction(self):
@@ -194,15 +194,14 @@ class TestTrainingSignal:
             weights = init_head_weights(rng, 8, score_bias=-1.0)
             feat = Tensor(rng.standard_normal((4, 4, 8)))
             target = make_ground_truth(center=(13.0, 19.0), box_size=(10.0, 12.0),
-                                       patch_w=32, patch_h=32, stride=8,
-                                       hs=4, ws=4)
+                                       side=32)
             params = T.parameters(weights)
 
             def compute():
-                maps = heads_forward(feat, weights, stride=8)
+                maps = heads_forward(feat, weights)
                 return joint_loss(
                     focal_loss(T.reshape(maps.score, (4, 4)), target.label),
-                    offset_loss(maps.offset, target.center, target.cell, 8),
+                    offset_loss(maps.offset, target.center, target.cell),
                     size_loss(maps.size, target.norm_size, target.cell),
                     1.0, 1.0)
 
@@ -219,8 +218,7 @@ class TestTrainingSignal:
 
 class TestGroundTruth:
     def test_cell_and_normalized_size(self):
-        gt = make_ground_truth(center=(37.0, 21.5), box_size=(40.0, 25.0),
-                               patch_w=128, patch_h=128, stride=8, hs=16, ws=16)
+        gt = make_ground_truth(center=(37.0, 21.5), box_size=(40.0, 25.0), side=128)
         assert gt.cell == (4, 2)
         assert gt.norm_size == (40.0 / 128.0, 25.0 / 128.0)
         assert gt.label[2, 4] == 1.0
@@ -232,16 +230,14 @@ class TestGroundTruth:
         # a centre left of or above the patch used to wrap the offset read
         # round to the last column or row; right of or below, an IndexError
         with pytest.raises(ValueError, match=r"centre \(.*\) lies outside the 32x32 patch"):
-            make_ground_truth(center=center, box_size=(8.0, 8.0), patch_w=32,
-                              patch_h=32, stride=8, hs=4, ws=4)
+            make_ground_truth(center=center, box_size=(8.0, 8.0), side=32)
 
     def test_offset_read_at_the_target_cell(self):
-        gt = make_ground_truth(center=(0.0, 31.9), box_size=(8.0, 8.0), patch_w=32,
-                               patch_h=32, stride=8, hs=4, ws=4)
+        gt = make_ground_truth(center=(0.0, 31.9), box_size=(8.0, 8.0), side=32)
         off = np.zeros((4, 4, 2))
         off[gt.cell[1], gt.cell[0]] = (0.0, 31.9 / 8 - 3)
         assert gt.cell == (0, 3)
-        assert offset_loss(Tensor(off), gt.center, gt.cell, 8).item() < 1e-12
+        assert offset_loss(Tensor(off), gt.center, gt.cell).item() < 1e-12
 
 
 class TestBatchedL1Losses:
@@ -252,7 +248,7 @@ class TestBatchedL1Losses:
         centers = [(3.0, 30.0), (17.5, 9.0), (31.0, 0.5)]
         cells = [(0, 3), (2, 1), (3, 0)]
         norms = [(0.2, 0.3), (0.5, 0.1), (0.9, 0.4)]
-        batched = T.add(offset_loss(off, centers, cells, 8),
+        batched = T.add(offset_loss(off, centers, cells),
                         size_loss(size, norms, cells))
         batched.backward()
         grads = off.grad.copy(), size.grad.copy()
@@ -260,8 +256,8 @@ class TestBatchedL1Losses:
         size.zero_grad()
         total = None
         for b in range(3):
-            one = T.add(offset_loss(off[b], centers[b], cells[b], 8),
-                        size_loss(size[b], norms[b], cells[b]))
+            one = T.add(offset_loss(T.take(off, b), centers[b], cells[b]),
+                        size_loss(T.take(size, b), norms[b], cells[b]))
             total = one if total is None else T.add(total, one)
         total.backward()
         assert abs(batched.item() - total.item()) < 1e-12

@@ -425,6 +425,27 @@ class TestSequenceIo:
         assert np.abs(loaded_frames[0].pixels - frames[0].pixels).max() <= 0.5 / 255
         assert abs(loaded_boxes[1].cx - boxes[1].cx) < 1e-3
 
+    def test_frames_load_in_number_order(self, tmp_path):
+        # sorted as strings, 10.ppm to 12.ppm came before 2.ppm
+        for number in range(1, 13):
+            write_ppm(tmp_path / f"{number}.ppm", np.full((3, 2, 2), number / 255.0))
+        frames, _ = load_sequence(tmp_path)
+        assert [round(f.pixels[0, 0, 0] * 255) for f in frames] == list(range(1, 13))
+        assert [f.index for f in frames] == list(range(12))
+
+    @pytest.mark.parametrize("names,message", [
+        (["1.ppm", "frame2.ppm"], "frame2.ppm: frame name is not a number"),
+        (["1.ppm", "-2.ppm"], "-2.ppm: frame name is not a number"),
+        (["007.ppm", "7.ppm"], "7.ppm: frame 7 is also 007.ppm"),
+        (["3.pgm", "3.ppm"], "3.ppm: frame 3 is also 3.pgm"),
+    ])
+    def test_frame_names_that_do_not_order_are_rejected(self, tmp_path, names,
+                                                       message):
+        for name in names:
+            write_ppm(tmp_path / name, np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match=message):
+            load_sequence(tmp_path)
+
 
 def _valid_frames() -> list[bytes]:
     """A PPM as ``write_ppm`` writes it, and a PGM with a header comment

@@ -1,19 +1,20 @@
 import dataclasses
 import hashlib
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from attntrack import tensor as T
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
-from attntrack.localize import BoundingBox
+from attntrack.localize import STRIDE, BoundingBox
 from attntrack.loss import joint_loss
 from attntrack.online import (OnlineFilter, TrainingMemory, conjugate_gradient,
                               init_online_filter, solve_cg, update_memory)
-from attntrack.pipeline import (Adam, SequenceSpec, Tracker, TrackerConfig,
-                                TrainSettings, build_model, crop_template,
-                                encode_template, forward_pair,
+from attntrack.pipeline import (Adam, BackboneWeights, SequenceSpec, Tracker,
+                                TrackerConfig, TrainSettings, build_model,
+                                crop_template, encode_template, forward_pair,
                                 generate_synthetic_sequence, load_model,
                                 pair_loss, sample_training_pair, save_model,
                                 init_backbone, track_sequence, train_toy)
@@ -238,6 +239,29 @@ class TestPaddedGrid:
                                dataclasses.replace(config, pe_mask=False))
         assert on.mask.any() and not off.mask.any()
         assert np.array_equal(on.tokens.data, off.tokens.data)
+
+    def test_stride_is_the_backbones(self):
+        assert math.prod(BackboneWeights.strides) == STRIDE
+
+    @pytest.mark.parametrize("template_size,search_size", [(127, 255), (64, 128)])
+    def test_token_grid_is_the_padded_side_over_the_stride(
+            self, toy_world, template_size, search_size):
+        frames, boxes, _, _ = toy_world
+        config = TrackerConfig(template_size=template_size,
+                               search_size=search_size, d=8, n_heads=2, c_mid=8)
+        model = build_model(np.random.default_rng(1), config)
+        pixels = frames[0].pixels
+        crops = [crop_template(pixels, boxes[0], template_size),
+                 crop_search(pixels, boxes[0], search_size, template_size)]
+        for crop, size in zip(crops, (template_size, search_size)):
+            with T.no_grad():
+                feats = extract_features([crop], model, config)
+            side = feats.crops[0].patch.shape[1]
+            assert side == math.ceil(size / STRIDE) * STRIDE
+            assert feats.tokens.shape[1:3] == (side // STRIDE, side // STRIDE)
+            assert feats.mid.shape[2:] == (side // STRIDE, side // STRIDE)
+        # the cosine window is laid over the search grid
+        assert Tracker(model, config)._search_grid_extent() == side // STRIDE
 
     def test_tracker_runs_at_255(self, toy_world):
         frames, boxes, _, _ = toy_world
