@@ -63,20 +63,32 @@ def _configured(base, args):
     return dataclasses.replace(base, **given)
 
 
+# the synthetic sequence's flags, by dest, with their defaults; the flags
+# themselves default to None, so train-toy can tell which were given
+SEQ_DEFAULTS = {"frames": 20, "image_size": 112, "distractor": False, "drift": 0.0}
+
+
 def _add_seq_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--image-size", type=int, default=112)
-    p.add_argument("--distractor", action="store_true")
-    p.add_argument("--drift", type=float, default=0.0,
+    p.add_argument("--frames", type=int)
+    p.add_argument("--image-size", type=int)
+    p.add_argument("--distractor", action="store_true", default=None)
+    p.add_argument("--drift", type=float,
                    help="total brightness drop by the final frame")
 
 
-def _make_spec(args) -> SequenceSpec:
-    size = args.image_size
-    return SequenceSpec(image_size=(size, size),
+def _given_seq_args(args) -> dict:
+    return {name: getattr(args, name) for name in SEQ_DEFAULTS
+            if getattr(args, name) is not None}
+
+
+def _synthetic_sequence(seed: int, args):
+    seq = {**SEQ_DEFAULTS, **_given_seq_args(args)}
+    size = seq["image_size"]
+    spec = SequenceSpec(image_size=(size, size),
                         start_box=(size / 2.0, size / 2.0, size * 0.22, size * 0.18),
-                        distractor=args.distractor,
-                        brightness_drift=args.drift)
+                        distractor=seq["distractor"],
+                        brightness_drift=seq["drift"])
+    return generate_synthetic_sequence(seed, seq["frames"], spec)
 
 
 def _short_ground_truth(frames, boxes) -> bool:
@@ -102,8 +114,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    frames, boxes = generate_synthetic_sequence(args.seed, args.frames,
-                                                _make_spec(args))
+    frames, boxes = _synthetic_sequence(args.seed, args)
     save_sequence(args.out, frames, boxes)
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
@@ -112,10 +123,13 @@ def _cmd_synth(args) -> int:
 def _cmd_train_toy(args) -> int:
     settings = _configured(TrainSettings(), args)
     if args.seq:
+        ignored = ["--" + name.replace("_", "-") for name in _given_seq_args(args)]
+        if ignored:
+            raise ConfigurationError(f"{', '.join(ignored)} only shape a synthetic "
+                                     f"sequence and cannot be used with --seq")
         frames, boxes = load_sequence(args.seq)
     else:
-        frames, boxes = generate_synthetic_sequence(settings.seed, args.frames,
-                                                    _make_spec(args))
+        frames, boxes = _synthetic_sequence(settings.seed, args)
     # a small geometry, so a toy run finishes quickly
     config = _configured(TrackerConfig(template_size=64, search_size=128), args)
     if _short_ground_truth(frames, boxes):

@@ -252,27 +252,17 @@ def objective(filt: OnlineFilter, memory: TrainingMemory,
                                + float(np.sum(filt.w2 ** 2)))
 
 
-def _pack(filt: OnlineFilter, train_w1: bool, train_w2: bool) -> np.ndarray:
-    parts = []
-    if train_w1:
-        parts.append(filt.w1.ravel())
-    if train_w2:
-        parts.append(filt.w2.ravel())
+def _pack(filt: OnlineFilter, train_w1: bool) -> np.ndarray:
+    parts = [filt.w1.ravel(), filt.w2.ravel()] if train_w1 else [filt.w2.ravel()]
     return np.concatenate(parts)
 
 
-def _unpack(theta: np.ndarray, filt: OnlineFilter,
-            train_w1: bool, train_w2: bool) -> OnlineFilter:
+def _unpack(theta: np.ndarray, filt: OnlineFilter, train_w1: bool) -> OnlineFilter:
     out = filt.copy()
-    pos = 0
+    n_w1 = out.w1.size if train_w1 else 0
     if train_w1:
-        n = out.w1.size
-        out.w1 = theta[pos:pos + n].reshape(out.w1.shape).copy()
-        pos += n
-    if train_w2:
-        n = out.w2.size
-        out.w2 = theta[pos:pos + n].reshape(out.w2.shape).copy()
-        pos += n
+        out.w1 = theta[:n_w1].reshape(out.w1.shape).copy()
+    out.w2 = theta[n_w1:].reshape(out.w2.shape).copy()
     return out
 
 
@@ -285,9 +275,8 @@ class _Linearization:
     and w2 as (hidden, k*k).
     """
 
-    def __init__(self, filt: OnlineFilter, forward: _Forward,
-                 train_w1: bool, train_w2: bool):
-        self.train_w1, self.train_w2 = train_w1, train_w2
+    def __init__(self, filt: OnlineFilter, forward: _Forward, train_w1: bool):
+        self.train_w1 = train_w1
         self.stack, self.mask, self.act = forward.stack, forward.mask, forward.act
         self.residual = forward.residual
         hidden, c_in = filt.w1.shape[:2]
@@ -295,29 +284,25 @@ class _Linearization:
         self.w2 = filt.w2[0].reshape(hidden, -1)
         self.n_w1 = hidden * c_in if train_w1 else 0
         self.lam = filt.reg
-        self.theta = _pack(filt, train_w1, train_w2)
+        self.theta = _pack(filt, train_w1)
 
     def jvp(self, vec: np.ndarray) -> np.ndarray:
         """J vec as score maps (S, H, W)."""
         hidden = self.w2.shape[0]
-        taps = 0.0
+        taps = vec[self.n_w1:].reshape(hidden, -1).T @ self.act
         if self.train_w1:
             v1 = vec[:self.n_w1].reshape(hidden, -1)
-            taps = self.w2.T @ (self.mask * (v1 @ self.stack.features))
-        if self.train_w2:
-            taps = taps + vec[self.n_w1:].reshape(hidden, -1).T @ self.act
+            taps += self.w2.T @ (self.mask * (v1 @ self.stack.features))
         return _shift_sum(taps.reshape((-1,) + self.stack.labels.shape), self.kernel)
 
     def vjp(self, maps: np.ndarray) -> np.ndarray:
         """J^T maps for score-space maps (S, H, W), packed like vec."""
         placed = _place(maps, self.kernel)
-        parts = []
-        if self.train_w1:
-            gpre = (self.w2 @ placed) * self.mask
-            parts.append((gpre @ self.stack.features.T).ravel())
-        if self.train_w2:
-            parts.append((self.act @ placed.T).ravel())
-        return np.concatenate(parts)
+        w2_part = (self.act @ placed.T).ravel()
+        if not self.train_w1:
+            return w2_part
+        gpre = (self.w2 @ placed) * self.mask
+        return np.concatenate([(gpre @ self.stack.features.T).ravel(), w2_part])
 
     def gradient(self) -> np.ndarray:
         """Objective gradient at theta: J^T W r + lam theta, W the sample weights."""
@@ -332,8 +317,7 @@ class _Linearization:
 
 @_quiet_fp
 def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
-             gn_steps: int, train_w1: bool = True,
-             train_w2: bool = True) -> CgUpdate:
+             gn_steps: int, train_w1: bool = True) -> CgUpdate:
     """Gauss-Newton refinement of the filter against the training memory.
 
     Each outer step fixes the relu activation pattern, solves the
@@ -346,8 +330,6 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         raise ValueError("training memory is empty")
     if n_iters < 1:
         raise ValueError("need at least one CG iteration")
-    if not (train_w1 or train_w2):
-        raise ValueError("nothing to train: both layers are frozen")
 
     stack = _stack(memory)
     current = filt.copy()
@@ -355,7 +337,7 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
     objectives = [objective(current, memory, forward)]
 
     for _ in range(gn_steps):
-        lin = _Linearization(current, forward, train_w1, train_w2)
+        lin = _Linearization(current, forward, train_w1)
         delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(), n_iters)
         if not np.all(np.isfinite(delta)):
             return CgUpdate(filter=filt, objectives=objectives, degraded=True)
@@ -363,7 +345,7 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         accepted = None
         step = 1.0
         for _ in range(5):
-            candidate = _unpack(lin.theta + step * delta, current, train_w1, train_w2)
+            candidate = _unpack(lin.theta + step * delta, current, train_w1)
             trial = _Forward(candidate, stack)
             value = objective(candidate, memory, trial)
             if not np.isfinite(value):

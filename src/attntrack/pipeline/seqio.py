@@ -96,12 +96,11 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(body.transpose(1, 2, 0).tobytes())
 
 
-def write_pgm(path, values: np.ndarray, normalize: str = "global") -> None:
+def write_pgm(path, values: np.ndarray, normalize: str) -> None:
     """Write a 2-D array as 8-bit PGM.
 
     normalize: "global" scales by the array max, "row" scales each row by
-    its own max (useful for row-stochastic attention maps), "none" assumes
-    values already in [0, 1].
+    its own max (useful for row-stochastic attention maps).
     """
     v = np.asarray(values, dtype=np.float64)
     if normalize == "global":
@@ -111,7 +110,7 @@ def write_pgm(path, values: np.ndarray, normalize: str = "global") -> None:
         peaks = v.max(axis=1, keepdims=True)
         peaks[peaks == 0] = 1.0
         v = v / peaks
-    elif normalize != "none":
+    else:
         raise ValueError(f"unknown normalize mode {normalize!r}")
     h, w = v.shape
     body = np.clip(np.rint(v * 255.0), 0, 255).astype(np.uint8)

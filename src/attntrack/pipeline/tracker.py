@@ -14,8 +14,8 @@ patch around the last box, decodes it as a batch of one, and maps the
 decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
-mid-level features and refreshes its filter with short Gauss-Newton/CG
-bursts.
+mid-level features and refits its filter with one short Gauss-Newton/CG
+solve per tracked frame.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from ..loss import adaptive_sigma, gaussian_label
 from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
                       online_forward, solve_cg, update_memory)
 from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
-from ..transformer import (AttentionTrace, PositionalEncoding,
-                           TransformerWeights, build_positional_encoding,
-                           decode, encode, init_transformer)
+from ..transformer import (AttentionTrace, TransformerWeights,
+                           build_positional_encoding, decode, encode,
+                           init_transformer)
 from .backbone import BackboneWeights, backbone_forward, init_backbone
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple, patch_to_image)
@@ -72,8 +72,6 @@ class TrackerConfig:
     online_init_cg_iters: int = 10
     online_update_gn_steps: int = 1
     online_update_cg_iters: int = 5
-    online_update_interval: int = 1
-    online_score_threshold: float = 0.7
 
     def __post_init__(self):
         if self.search_size < self.template_size:
@@ -90,8 +88,7 @@ class TrackerConfig:
         if not 0.0 < self.memory_lr <= 1.0:
             raise ConfigurationError(f"memory_lr must be in (0, 1], got {self.memory_lr}")
         for name in ("memory_capacity", "online_hidden", "online_kernel",
-                     "online_update_interval", "online_init_cg_iters",
-                     "online_update_cg_iters"):
+                     "online_init_cg_iters", "online_update_cg_iters"):
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
@@ -131,8 +128,13 @@ def save_model(path, model: ModelWeights, config: TrackerConfig) -> None:
     save_checkpoint(entries, path)
 
 
-# config keys older checkpoints carry that no longer configure anything
-_RETIRED_CONFIG_KEYS = {"config.stride"}
+# config keys older checkpoints carry that no longer configure anything,
+# each with the one value that means what the code now does (None: any)
+_RETIRED_CONFIG_KEYS = {
+    "config.stride": 8.0,
+    "config.online_update_interval": 1.0,   # a solve after every frame
+    "config.online_score_threshold": None,  # at interval 1 it decided nothing
+}
 
 
 def _packed_attention_entry(data: dict, name: str, n_heads: int):
@@ -155,12 +157,19 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     """Rebuild a model from a checkpoint, rejecting entries it cannot use.
 
     Raises ``ValueError`` naming the entry for a missing, misshapen, unknown
-    or non-finite one.
+    or non-finite one, and for a retired key at a value that no longer
+    holds.
     """
     data = load_checkpoint(path)
     for name, value in data.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint entry {name!r} is not finite")
+    for key, required in _RETIRED_CONFIG_KEYS.items():
+        value = data.pop(key, None)
+        if value is not None and required is not None \
+                and not np.array_equal(value, required):
+            raise ValueError(f"checkpoint entry {key!r} must be {required:g}, "
+                             f"got {value.tolist()}")
     kwargs = {}
     for f in dataclasses.fields(TrackerConfig):
         key = f"config.{f.name}"
@@ -182,7 +191,7 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
             raise ValueError(f"checkpoint shape mismatch for {name!r}: "
                              f"{value.shape} vs {param.data.shape}")
         param.data = value
-    unknown = sorted(set(data) - _RETIRED_CONFIG_KEYS)
+    unknown = sorted(data)
     if unknown:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
     return model, config
@@ -224,14 +233,14 @@ def extract_features(crops: Sequence[CropResult], model: ModelWeights,
                          mask=mask if config.pe_mask else np.zeros_like(mask))
 
 
-def _positional_encoding(feats: PatchFeatures) -> PositionalEncoding:
+def _positional_encoding(feats: PatchFeatures) -> Tensor:
     _, h, w, d = feats.tokens.shape
     return build_positional_encoding(h, w, d, feats.mask)
 
 
 def encode_template(model: ModelWeights, config: TrackerConfig,
                     crop: CropResult, trace: AttentionTrace | None = None
-                    ) -> tuple[Tensor, PositionalEncoding]:
+                    ) -> tuple[Tensor, Tensor]:
     """Backbone and encoder over a template crop.
 
     Returns the encoder memory and the template's positional code, which
@@ -243,7 +252,7 @@ def encode_template(model: ModelWeights, config: TrackerConfig,
 
 
 def decode_search(model: ModelWeights, feats: PatchFeatures, memory: Tensor,
-                  template_pe: PositionalEncoding,
+                  template_pe: Tensor,
                   trace: AttentionTrace | None = None) -> HeadMaps:
     """Decoder and heads over a batch of search features, against one
     template memory; the maps carry the batch axis."""
@@ -267,13 +276,11 @@ class FrameDiagnostics:
 @dataclass
 class TrackerState:
     template_memory: Tensor
-    template_pe: PositionalEncoding
+    template_pe: Tensor
     box: BoundingBox
     window: CosineWindow
     online_filter: OnlineFilter | None = None
     online_memory: TrainingMemory | None = None
-    frame_index: int = 0
-    frames_since_update: int = 0
 
 
 class Tracker:
@@ -359,7 +366,6 @@ class Tracker:
         pixels = frame.pixels if isinstance(frame, Frame) else frame
         cfg = self.config
         state = self.state
-        state.frame_index += 1
 
         with T.no_grad():
             crop = crop_search(pixels, state.box, cfg.search_size, cfg.template_size)
@@ -410,7 +416,7 @@ class Tracker:
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
             center_off = decode_center(windowed, offset)
-            self._online_step(mid, center_off, size_patch, peak_score)
+            self._online_step(mid, center_off, size_patch)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
@@ -418,23 +424,18 @@ class Tracker:
                                 crop=padded)
         return new_box, diag
 
-    def _online_step(self, mid: np.ndarray, center_patch, size_patch,
-                     peak_score: float) -> None:
+    def _online_step(self, mid: np.ndarray, center_patch, size_patch) -> None:
+        """Add the frame's sample to the memory and refit the filter once."""
         cfg = self.config
         state = self.state
         grid = self._search_grid_extent()
         label = self._online_label(center_patch, size_patch, grid)
         update_memory(state.online_memory, mid, label, cfg.memory_lr)
-        state.frames_since_update += 1
-        due = state.frames_since_update >= cfg.online_update_interval
-        confident = peak_score > cfg.online_score_threshold
-        if due or confident:
-            result = solve_cg(state.online_filter, state.online_memory,
-                              n_iters=cfg.online_update_cg_iters,
-                              gn_steps=cfg.online_update_gn_steps)
-            if not result.degraded:
-                state.online_filter = result.filter
-            state.frames_since_update = 0
+        result = solve_cg(state.online_filter, state.online_memory,
+                          n_iters=cfg.online_update_cg_iters,
+                          gn_steps=cfg.online_update_gn_steps)
+        if not result.degraded:
+            state.online_filter = result.filter
 
 
 def track_sequence(model: ModelWeights, config: TrackerConfig,

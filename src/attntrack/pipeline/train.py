@@ -18,7 +18,6 @@ from ..localize import STRIDE, BoundingBox, HeadMaps
 from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
 from ..tensor import Tensor
-from ..transformer import PositionalEncoding
 from .crop import (CropResult, context_side, crop_search, crop_template,
                    image_to_patch, pad_to_multiple)
 from .seqio import Frame
@@ -113,7 +112,7 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
 
 
 def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
-                 template_pe: PositionalEncoding,
+                 template_pe: Tensor,
                  searches: Sequence[CropResult]) -> HeadMaps:
     """Tape-recorded decode of a batch of search crops against an encoded
     template, in one forward; the maps carry the batch axis."""

@@ -266,17 +266,14 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # -- reductions and reshaping -------------------------------------------------
 
 
-def tensor_sum(a, axis=None) -> Tensor:
+def tensor_sum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = astensor(a)
-    data = np.sum(a.data, axis=axis)
+    data = np.sum(a.data)
 
     def backward(grad):
-        if not a.requires_grad:
-            return
-        g = grad
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(grad, a.shape).copy())
 
     return _make(data, (a,), backward)
 
@@ -729,13 +726,7 @@ def save_checkpoint(named_params: Iterable[tuple[str, Tensor]], path) -> None:
 def load_checkpoint(path) -> dict[str, Array]:
     """Read a "TRTR-CKPT v1" archive into {name: array}."""
     def read_line(fh) -> str:
-        raw = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch or ch == b"\n":
-                break
-            raw += ch
-        return raw.decode("ascii")
+        return fh.readline().rstrip(b"\n").decode("ascii")
 
     out: dict[str, Array] = {}
     with open(path, "rb") as fh:

@@ -24,14 +24,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class PositionalEncoding:
-    """Fixed 2-D sinusoidal codes, one row per grid cell (row-major)."""
-    table: Tensor            # (B*height*width, d), grid after grid; masked rows exactly zero
-    height: int
-    width: int
-
-
-@dataclass
 class EncoderLayerWeights:
     attn: MultiHeadWeights
     attn_norm: LayerNormWeights
@@ -51,8 +43,6 @@ class DecoderLayerWeights:
 class TransformerWeights:
     encoder: list[EncoderLayerWeights]
     decoder: list[DecoderLayerWeights]
-    d: int
-    n_heads: int
 
 
 @dataclass
@@ -79,7 +69,7 @@ def init_transformer(rng: np.random.Generator, d: int, n_heads: int,
                                    cross_norm=init_layernorm(d),
                                    ffn=init_ffn(rng, d, ffn_hidden))
                for _ in range(n_decoder_layers)]
-    return TransformerWeights(encoder=encoder, decoder=decoder, d=d, n_heads=n_heads)
+    return TransformerWeights(encoder=encoder, decoder=decoder)
 
 
 # base of the geometric frequency ladder, as in "Attention Is All You Need"
@@ -107,26 +97,27 @@ def _sinusoid_table(height: int, width: int, d: int) -> np.ndarray:
 
 
 def build_positional_encoding(height: int, width: int, d: int,
-                              pad_mask: np.ndarray | None = None) -> PositionalEncoding:
-    """Sinusoidal grid code: first d/2 channels encode y, the rest encode x.
+                              pad_mask: np.ndarray | None = None) -> Tensor:
+    """Sinusoidal grid code: one (d,) row per grid cell, row-major; the
+    first d/2 channels encode y, the rest encode x.
 
     Within each half, sin/cos pairs run over geometrically spaced
-    frequencies. Rows whose grid cell is marked padded are zeroed, which is
-    what makes padded positions interchangeable under attention. A
-    (B, height, width) mask gives the B grids' codes one after another,
-    each zeroed by its own mask.
+    frequencies. Rows whose grid cell is marked padded are exactly zero,
+    which is what makes padded positions interchangeable under attention.
+    A (B, height, width) mask gives the B grids' codes one after another,
+    (B*height*width, d), each zeroed by its own mask.
     """
     if d % 4:
         raise ConfigurationError(f"positional encoding needs d divisible by 4, got {d}")
     base = _sinusoid_table(height, width, d)
     if pad_mask is None:
-        return PositionalEncoding(table=Tensor(base.copy()), height=height, width=width)
+        return Tensor(base.copy())
     if pad_mask.shape[-2:] != (height, width) or pad_mask.ndim not in (2, 3):
         raise ShapeError(f"pad mask {pad_mask.shape} does not match grid "
                          f"{height}x{width}")
     table = np.tile(base, (pad_mask.size // base.shape[0], 1))
     table[pad_mask.reshape(-1)] = 0.0
-    return PositionalEncoding(table=Tensor(table), height=height, width=width)
+    return Tensor(table)
 
 
 def flatten_grid(x: Tensor) -> Tensor:
@@ -143,8 +134,7 @@ def _grid_count(features: Tensor) -> int:
 
 
 def encode(features: Tensor, layers: list[EncoderLayerWeights],
-           pe: PositionalEncoding,
-           trace: AttentionTrace | None = None) -> Tensor:
+           pe: Tensor, trace: AttentionTrace | None = None) -> Tensor:
     """Run the encoder stack over the flattened template grid.
 
     A (B, h, w, d) batch self-attends within each grid; the memory rows
@@ -155,15 +145,15 @@ def encode(features: Tensor, layers: list[EncoderLayerWeights],
     for i, layer in enumerate(layers):
         sink = trace.sink(f"encoder{i}.self") if trace is not None else None
         attn = multi_head_attention(
-            AttentionInputs(xq=x, xkv=x, pq=pe.table, pk=pe.table),
+            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe),
             layer.attn, attn_sink=sink, groups=groups)
         x = residual_norm(attn, x, layer.attn_norm)
         x = ffn(x, layer.ffn)
     return x
 
 
-def decode(features: Tensor, memory: Tensor, pe_template: PositionalEncoding,
-           layers: list[DecoderLayerWeights], pe: PositionalEncoding,
+def decode(features: Tensor, memory: Tensor, pe_template: Tensor,
+           layers: list[DecoderLayerWeights], pe: Tensor,
            trace: AttentionTrace | None = None) -> Tensor:
     """Run the decoder stack; every layer cross-attends to ``memory``.
 
@@ -180,13 +170,13 @@ def decode(features: Tensor, memory: Tensor, pe_template: PositionalEncoding,
     for i, layer in enumerate(layers):
         self_sink = trace.sink(f"decoder{i}.self") if trace is not None else None
         attn = multi_head_attention(
-            AttentionInputs(xq=x, xkv=x, pq=pe.table, pk=pe.table),
+            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe),
             layer.self_attn, attn_sink=self_sink, groups=groups)
         x = residual_norm(attn, x, layer.self_norm)
 
         cross_sink = trace.sink(f"decoder{i}.cross") if trace is not None else None
         attn = multi_head_attention(
-            AttentionInputs(xq=x, xkv=memory, pq=pe.table, pk=pe_template.table),
+            AttentionInputs(xq=x, xkv=memory, pq=pe, pk=pe_template),
             layer.cross_attn, attn_sink=cross_sink)
         x = residual_norm(attn, x, layer.cross_norm)
         x = ffn(x, layer.ffn)

@@ -45,7 +45,7 @@ def per_sample_tokens(crop, model, config):
     tokens = per_sample_backbone(padded.patch, model.backbone)
     h, w, d = tokens.shape
     mask = grid_pad_mask(padded.pad_mask) if config.pe_mask else None
-    return tokens, build_positional_encoding(h, w, d, mask).table
+    return tokens, build_positional_encoding(h, w, d, mask)
 
 
 def per_sample_encode(tokens, pe, layers):

@@ -48,6 +48,13 @@ class TestSynth:
         assert len(frames) == 6 and len(boxes) == 6
         assert frames[0].pixels.shape == (3, 96, 96)
 
+    def test_defaults(self, tmp_path):
+        out = str(tmp_path / "seq")
+        assert main(["synth", "--out", out]) == 0
+        frames, boxes = load_sequence(out)
+        assert len(frames) == len(boxes) == 20
+        assert frames[0].pixels.shape == (3, 112, 112)
+
 
 class TestTrainToy:
     def test_checkpoint_header(self, workspace):
@@ -118,6 +125,35 @@ class TestTrainToy:
         assert (config.d, config.c_mid, config.n_decoder_layers) == (16, 8, 2)
         assert config.n_heads == 2 and config.pe_mask
         assert (settings.steps, settings.lr, settings.seed) == (2, 5e-4, 3)
+
+    @pytest.mark.parametrize("flag", [["--frames", "3"], ["--image-size", "500"],
+                                      ["--distractor"], ["--drift", "0.5"]],
+                             ids=lambda flag: flag[0])
+    def test_sequence_flags_rejected_with_seq(self, workspace, tmp_path, capsys,
+                                              flag):
+        # they shape a synthetic sequence; a loaded one would ignore them
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", seq,
+                     "--steps", "1", *FAST_MODEL, *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attntrack: error: {flag[0]} ")
+        assert err.count("\n") == 1 and "--seq" in err
+        assert not out.exists()
+
+    def test_synthetic_sequence_fills_in_the_flags_left_out(self, tmp_path,
+                                                            monkeypatch):
+        seen = {}
+
+        def fake_train_toy(model, config, frames, boxes, settings, log):
+            seen.update(frames=frames)
+            return [2.0, 1.0]
+
+        monkeypatch.setattr(cli, "train_toy", fake_train_toy)
+        assert main(["train-toy", "--out", str(tmp_path / "m.trtr"),
+                     "--frames", "4", *FAST_MODEL]) == 0
+        assert len(seen["frames"]) == 4
+        assert seen["frames"][0].pixels.shape == (3, 112, 112)
 
     @pytest.mark.parametrize("kept", [0, 3])
     def test_short_groundtruth_exits_with_counts(self, workspace, tmp_path,

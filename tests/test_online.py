@@ -317,15 +317,6 @@ class TestSolveCg:
         assert result.degraded
         assert result.filter is filt
 
-    def test_both_layers_frozen_rejected(self):
-        filt = init_online_filter(np.random.default_rng(0), c_in=2, hidden=64,
-                                  kernel=4, reg=1e-2)
-        memory = TrainingMemory(capacity=2)
-        update_memory(memory, np.ones((2, 3, 3)), np.zeros((3, 3)), lr=0.01)
-        with pytest.raises(ValueError):
-            solve_cg(filt, memory, n_iters=1, gn_steps=1, train_w1=False,
-                     train_w2=False)
-
     def test_empty_memory_rejected(self):
         filt = init_online_filter(np.random.default_rng(0), c_in=2, hidden=64,
                                   kernel=4, reg=1e-2)
@@ -379,8 +370,8 @@ def oracle_objective(filt, memory):
 class OracleSystem:
     """Per-sample Gauss-Newton system at one linearization point."""
 
-    def __init__(self, filt, memory, train_w1, train_w2):
-        self.filt, self.train_w1, self.train_w2 = filt, train_w1, train_w2
+    def __init__(self, filt, memory, train_w1):
+        self.filt, self.train_w1 = filt, train_w1
         self.states = []
         for s in memory.samples:
             pre = np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0], s.features)
@@ -389,27 +380,22 @@ class OracleSystem:
             residual = _oracle_conv(act, filt.w2) - s.label
             self.states.append((s, mask, act, residual))
         parts = [filt.w1.ravel()] if train_w1 else []
-        parts += [filt.w2.ravel()] if train_w2 else []
-        self.theta = np.concatenate(parts)
+        self.theta = np.concatenate(parts + [filt.w2.ravel()])
 
     def split(self, vec):
-        v1 = v2 = None
+        v1 = None
         pos = 0
         if self.train_w1:
-            n = self.filt.w1.size
-            v1 = vec[pos:pos + n].reshape(self.filt.w1.shape)
-            pos += n
-        if self.train_w2:
-            v2 = vec[pos:pos + self.filt.w2.size].reshape(self.filt.w2.shape)
-        return v1, v2
+            pos = self.filt.w1.size
+            v1 = vec[:pos].reshape(self.filt.w1.shape)
+        return v1, vec[pos:].reshape(self.filt.w2.shape)
 
     def jvp(self, sample, mask, act, v1, v2):
         out = np.zeros(sample.label.shape)
         if v1 is not None:
             dact = mask * np.einsum("oc,chw->ohw", v1[:, :, 0, 0], sample.features)
             out += _oracle_conv(dact, self.filt.w2)
-        if v2 is not None:
-            out += _oracle_conv(act, v2)
+        out += _oracle_conv(act, v2)
         return out
 
     def vjp(self, sample, mask, act, u):
@@ -418,13 +404,12 @@ class OracleSystem:
             gact = _oracle_conv_adjoint(u, self.filt.w2, sample.label.shape)
             parts.append(np.einsum("ohw,chw->oc", gact * mask,
                                    sample.features).ravel())
-        if self.train_w2:
-            k = self.filt.kernel
-            lo, hi = _oracle_pad(k)
-            apad = np.pad(act, ((0, 0), (lo, hi), (lo, hi)))
-            windows = np.lib.stride_tricks.sliding_window_view(
-                apad, (k, k), axis=(1, 2))
-            parts.append(np.einsum("chwuv,hw->cuv", windows, u).ravel())
+        k = self.filt.kernel
+        lo, hi = _oracle_pad(k)
+        apad = np.pad(act, ((0, 0), (lo, hi), (lo, hi)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            apad, (k, k), axis=(1, 2))
+        parts.append(np.einsum("chwuv,hw->cuv", windows, u).ravel())
         return np.concatenate(parts)
 
     def matvec(self, vec):
@@ -442,11 +427,11 @@ class OracleSystem:
         return grad
 
 
-def oracle_solve(filt, memory, n_iters, gn_steps, train_w1, train_w2):
+def oracle_solve(filt, memory, n_iters, gn_steps, train_w1):
     current = filt.copy()
     objectives = [oracle_objective(current, memory)]
     for _ in range(gn_steps):
-        system = OracleSystem(current, memory, train_w1, train_w2)
+        system = OracleSystem(current, memory, train_w1)
         delta = conjugate_gradient(system.matvec, -system.gradient(),
                                    n_iters=n_iters)
         accepted = None
@@ -456,8 +441,7 @@ def oracle_solve(filt, memory, n_iters, gn_steps, train_w1, train_w2):
             v1, v2 = system.split(system.theta + step * delta)
             if v1 is not None:
                 candidate.w1 = v1.copy()
-            if v2 is not None:
-                candidate.w2 = v2.copy()
+            candidate.w2 = v2.copy()
             value = oracle_objective(candidate, memory)
             if value <= objectives[-1]:
                 accepted = (candidate, value)
@@ -484,7 +468,9 @@ def rel_err(actual, expected):
     return np.abs(np.asarray(actual) - expected).max() / np.abs(expected).max()
 
 
-TRAINED = [(True, True), (True, False), (False, True)]
+# (train_w1, train_w2): the solver always trains w2 and may freeze w1, as
+# acceptance criterion 4 does; the w2 flag stays only to name the cases
+TRAINED = [(True, True), (False, True)]
 CASES = [(k, s, grid) for k in (1, 2, 3, 4) for s in (1, 8)
          for grid in ((5, 5), (4, 6))]
 
@@ -496,9 +482,8 @@ class TestBatchedAgainstPerSample:
                                         train_w1, train_w2):
         rng = np.random.default_rng([kernel, n_samples, grid[1]])
         filt, memory = random_problem(rng, kernel, n_samples, grid)
-        batched = _Linearization(filt, _Forward(filt, _stack(memory)),
-                                 train_w1, train_w2)
-        oracle = OracleSystem(filt, memory, train_w1, train_w2)
+        batched = _Linearization(filt, _Forward(filt, _stack(memory)), train_w1)
+        oracle = OracleSystem(filt, memory, train_w1)
         assert np.array_equal(batched.theta, oracle.theta)
         for _ in range(3):
             vec = rng.standard_normal(oracle.theta.size)
@@ -525,9 +510,8 @@ class TestBatchedAgainstPerSample:
         filt, memory = random_problem(rng, kernel, n_samples, grid)
         n_iters = 1 + kernel % 3
         result = solve_cg(filt, memory, n_iters=n_iters, gn_steps=1,
-                          train_w1=train_w1, train_w2=train_w2)
-        expected, objectives = oracle_solve(filt, memory, n_iters, 1,
-                                            train_w1, train_w2)
+                          train_w1=train_w1)
+        expected, objectives = oracle_solve(filt, memory, n_iters, 1, train_w1)
         assert not result.degraded
         assert len(result.objectives) == len(objectives)
         assert rel_err(result.objectives, objectives) <= 1e-9
@@ -562,23 +546,21 @@ def padded_place(maps, kernel):
     return padded[:, :, lo:lo + h, lo:lo + w].reshape(kernel * kernel, -1)
 
 
-def solve_with_redundant_passes(filt, memory, n_iters, gn_steps,
-                                train_w1, train_w2):
+def solve_with_redundant_passes(filt, memory, n_iters, gn_steps, train_w1):
     """solve_cg with a fresh objective per value and a separate forward for
     each linearization."""
     stack = _stack(memory)
     current = filt.copy()
     objectives = [objective(current, memory)]
     for _ in range(gn_steps):
-        lin = _Linearization(current, _Forward(current, stack),
-                             train_w1, train_w2)
+        lin = _Linearization(current, _Forward(current, stack), train_w1)
         b = -lin.gradient()
         delta = conjugate_gradient(lin.normal_matvec, b, n_iters=n_iters)
         accepted = None
         step = 1.0
         for _ in range(5):
             candidate = online._unpack(lin.theta + step * delta, current,
-                                       train_w1, train_w2)
+                                       train_w1)
             value = objective(candidate, memory)
             if value <= objectives[-1]:
                 accepted = (candidate, value)
@@ -619,12 +601,11 @@ class TestPaddedOracles:
                            train_w1, train_w2):
         rng = np.random.default_rng([kernel, n_samples, *grid, 4])
         filt, memory = random_problem(rng, kernel, n_samples, grid)
-        result = solve_cg(filt, memory, n_iters=4, gn_steps=3,
-                          train_w1=train_w1, train_w2=train_w2)
+        result = solve_cg(filt, memory, n_iters=4, gn_steps=3, train_w1=train_w1)
         monkeypatch.setattr(online, "_shift_sum", padded_shift_sum)
         monkeypatch.setattr(online, "_place", padded_place)
         expected, objectives = solve_with_redundant_passes(
-            filt, memory, 4, 3, train_w1, train_w2)
+            filt, memory, 4, 3, train_w1)
         assert not result.degraded
         assert len(objectives) > 1
         assert np.array_equal(result.objectives, objectives)

@@ -11,7 +11,7 @@ from attntrack.pipeline import (SequenceSpec, backbone_forward, crop_search,
                                 image_to_patch, init_backbone, iou,
                                 load_sequence, pad_to_multiple, patch_to_image,
                                 read_netpbm, read_rect_file, save_sequence,
-                                write_ppm, write_rect_file)
+                                write_pgm, write_ppm, write_rect_file)
 from attntrack.pipeline.crop import context_side
 from attntrack.tensor import Tensor
 
@@ -386,6 +386,22 @@ class TestSequenceIo:
         path.write_bytes(b"P5\n2 1\n200\n" + bytes([200, 201]))
         with pytest.raises(ValueError, match="frame.pgm: pixel sample 201 above maxval 200"):
             read_netpbm(path)
+
+    @pytest.mark.parametrize("normalize,expected", [
+        ("global", [[0, 85], [170, 255]]),
+        ("row", [[0, 255], [170, 255]]),
+    ])
+    def test_pgm_normalize_modes(self, tmp_path, normalize, expected):
+        path = tmp_path / "map.pgm"
+        write_pgm(path, np.array([[0.0, 1.0], [2.0, 3.0]]), normalize)
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(sum(expected, []))
+
+    @pytest.mark.parametrize("normalize", ["none", "Row", ""])
+    def test_pgm_unknown_normalize_mode_rejected(self, tmp_path, normalize):
+        path = tmp_path / "map.pgm"
+        with pytest.raises(ValueError, match=f"unknown normalize mode {normalize!r}"):
+            write_pgm(path, np.ones((2, 2)), normalize)
+        assert not path.exists()
 
     def test_rect_file_roundtrip(self, tmp_path):
         boxes = [BoundingBox(10.5, 20.25, 8.0, 6.5), BoundingBox(1, 2, 3, 4)]

@@ -151,7 +151,6 @@ class TestOnlineConfig:
         ("memory_capacity", 0),
         ("online_hidden", 0),                # raw reshape error at init
         ("online_kernel", 0),                # ZeroDivisionError at init
-        ("online_update_interval", 0),
         ("online_init_cg_iters", 0),
         ("online_update_cg_iters", 0),
         ("online_init_gn_steps", -1),
@@ -165,8 +164,7 @@ class TestOnlineConfig:
 
     def test_limits_are_accepted(self):
         TrackerConfig(online=True, memory_lr=1.0, memory_capacity=1,
-                      online_hidden=1, online_kernel=1, online_update_interval=1,
-                      online_init_cg_iters=1, online_update_cg_iters=1,
+                      online_hidden=1, online_kernel=1, online_init_cg_iters=1, online_update_cg_iters=1,
                       online_init_gn_steps=0, online_update_gn_steps=0,
                       online_reg=0.0)
 
@@ -272,14 +270,16 @@ class TestPaddedGrid:
         assert len(pred) == 3
 
 
-# sha256 of ``save_model`` for ``build_model(default_rng(0), config)``,
-# recorded before parameter names came from the weight dataclasses
+# sha256 of ``save_model`` for ``build_model(default_rng(0), config)``. The
+# parameter entries are byte-equal to those recorded before parameter names
+# came from the weight dataclasses; the config entries have since lost
+# online_update_interval and online_score_threshold
 PINNED_CHECKPOINTS = [
     (TrackerConfig(),
-     "9d8481ebcdde5acff7725ad71f6ba6c25d07fa5bccebb4399266ebda63ccad58"),
+     "290c65e67a51cfb1d880ed8331943cc70153d4cbf2421c5dc7772fc2f2780c6a"),
     (TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2, c_mid=8,
                    n_encoder_layers=2, n_decoder_layers=3),
-     "15d13adbaf961916c805bbce0b3448efb1221472b6e2dd6debc277901cadbe26"),
+     "f09f6c85ed1a65e1be57df52828d02a2bca9e9274ee5cae965136c6de78a6fb1"),
 ]
 
 
@@ -342,8 +342,7 @@ class TestCheckpointRoundtrip:
             n_encoder_layers=2, n_decoder_layers=3, c_mid=8, online_hidden=16,
             online_kernel=3, memory_capacity=7, online_init_gn_steps=3,
             online_init_cg_iters=4, online_update_gn_steps=2,
-            online_update_cg_iters=6, online_update_interval=2, online=True,
-            pe_mask=False)
+            online_update_cg_iters=6, online=True, pe_mask=False)
         exact = [f for f in dataclasses.fields(TrackerConfig)
                  if type(f.default) in (int, bool)]
         for f in exact:
@@ -371,6 +370,32 @@ class TestCheckpointRoundtrip:
         entries = load_checkpoint(path)
         edit(entries)
         save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], path)
+
+    @pytest.mark.parametrize("key,value", [("config.stride", 4.0),
+                                           ("config.online_update_interval", 2.0)])
+    def test_retired_key_at_another_value_rejected(self, toy_world, tmp_path,
+                                                   key, value):
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {key: np.array(value)}))
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+    def test_retired_online_schedule_loads_and_tracks_the_same(self, toy_world,
+                                                               tmp_path):
+        # a file written while the online branch had an update interval and
+        # a score threshold carries both at their defaults, 1 and 0.7
+        frames, boxes, config, model = toy_world
+        online = dataclasses.replace(config, online=True)
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, online, path, lambda e: e.update(
+            {"config.online_update_interval": np.array(1.0),
+             "config.online_score_threshold": np.array(0.7)}))
+        loaded_model, loaded = load_model(path)
+        assert loaded == online
+        assert track_sequence(loaded_model, loaded, frames, boxes[0]) == \
+            track_sequence(model, online, frames, boxes[0])
 
     def test_unknown_config_key_rejected(self, toy_world, tmp_path):
         _, _, config, model = toy_world

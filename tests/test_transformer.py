@@ -14,21 +14,21 @@ from attntrack.transformer import (AttentionTrace, build_positional_encoding,
 class TestPositionalEncoding:
     def test_fully_masked_is_zero(self):
         pe = build_positional_encoding(3, 3, 8, pad_mask=np.ones((3, 3), bool))
-        assert np.array_equal(pe.table.data, np.zeros((9, 8)))
+        assert np.array_equal(pe.data, np.zeros((9, 8)))
 
     def test_origin_row_is_sin0_cos1(self):
         pe = build_positional_encoding(4, 4, 8)
-        row = pe.table.data[0]
+        row = pe.data[0]
         assert np.allclose(row[0::2], 0.0)   # sin channels at position 0
         assert np.allclose(row[1::2], 1.0)   # cos channels at position 0
 
     def test_values_bounded(self):
         pe = build_positional_encoding(6, 5, 16)
-        assert pe.table.data.min() >= -1.0 and pe.table.data.max() <= 1.0
+        assert pe.data.min() >= -1.0 and pe.data.max() <= 1.0
 
     def test_distinct_positions_distinct_rows(self):
         pe = build_positional_encoding(4, 4, 8)
-        rows = pe.table.data
+        rows = pe.data
         for i in range(16):
             for j in range(i + 1, 16):
                 assert np.linalg.norm(rows[i] - rows[j]) > 1e-6
@@ -38,9 +38,9 @@ class TestPositionalEncoding:
         mask[1, 2] = True
         pe = build_positional_encoding(3, 3, 8, pad_mask=mask)
         free = build_positional_encoding(3, 3, 8)
-        assert np.array_equal(pe.table.data[5], np.zeros(8))
+        assert np.array_equal(pe.data[5], np.zeros(8))
         keep = [i for i in range(9) if i != 5]
-        assert np.array_equal(pe.table.data[keep], free.table.data[keep])
+        assert np.array_equal(pe.data[keep], free.data[keep])
 
     def test_width_must_divide_four(self):
         with pytest.raises(ConfigurationError):
@@ -53,21 +53,21 @@ class TestPositionalEncoding:
             for _ in range(2):      # the second call is served from the cache
                 pe = build_positional_encoding(height, width, d, pad_mask)
                 expected = uncached_table(height, width, d, pad_mask)
-                assert np.array_equal(pe.table.data, expected)
+                assert np.array_equal(pe.data, expected)
 
     def test_returned_tables_are_independent_copies(self):
         first = build_positional_encoding(3, 3, 8)
-        first.table.data[:] = 7.0
+        first.data[:] = 7.0
         again = build_positional_encoding(3, 3, 8)
-        assert np.array_equal(again.table.data, uncached_table(3, 3, 8, None))
+        assert np.array_equal(again.data, uncached_table(3, 3, 8, None))
 
     def test_batched_mask_stacks_each_grids_code(self):
         rng = np.random.default_rng(5)
         masks = rng.random((3, 4, 5)) < 0.4
         pe = build_positional_encoding(4, 5, 8, masks)
-        expected = np.concatenate([build_positional_encoding(4, 5, 8, m).table.data
+        expected = np.concatenate([build_positional_encoding(4, 5, 8, m).data
                                    for m in masks])
-        assert np.array_equal(pe.table.data, expected)
+        assert np.array_equal(pe.data, expected)
 
     def test_mask_of_another_grid_rejected(self):
         with pytest.raises(ShapeError):
@@ -139,8 +139,8 @@ class TestEncode:
         x = flatten_grid(z)
         layer = w.encoder[0]
         attn = multi_head_attention(
-            AttentionInputs(x, x, build_positional_encoding(1, 1, 8).table,
-                            build_positional_encoding(1, 1, 8).table),
+            AttentionInputs(x, x, build_positional_encoding(1, 1, 8),
+                            build_positional_encoding(1, 1, 8)),
             layer.attn)
         expected = ffn(residual_norm(attn, x, layer.attn_norm), layer.ffn)
         assert np.abs(out.data - expected.data).max() < 1e-12
@@ -162,7 +162,7 @@ class TestEncode:
         pe = build_positional_encoding(2, 2, 8)
         x = flatten_grid(z)
         layer = w.encoder[0]
-        attn = multi_head_attention(AttentionInputs(x, x, pe.table, pe.table),
+        attn = multi_head_attention(AttentionInputs(x, x, pe, pe),
                                     layer.attn)
         expected = ffn(residual_norm(attn, x, layer.attn_norm), layer.ffn)
         assert np.abs(out.data - expected.data).max() < 1e-12
@@ -204,10 +204,10 @@ class TestDecode:
         layer = w.decoder[0]
         xs = flatten_grid(x)
         h = residual_norm(multi_head_attention(
-            AttentionInputs(xs, xs, pe_x.table, pe_x.table), layer.self_attn),
+            AttentionInputs(xs, xs, pe_x, pe_x), layer.self_attn),
             xs, layer.self_norm)
         h = residual_norm(multi_head_attention(
-            AttentionInputs(h, memory, pe_x.table, pe_z.table), layer.cross_attn),
+            AttentionInputs(h, memory, pe_x, pe_z), layer.cross_attn),
             h, layer.cross_norm)
         expected = T.reshape(ffn(h, layer.ffn), (2, 2, 8))
         assert np.abs(out.data - expected.data).max() < 1e-12
