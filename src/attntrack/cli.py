@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrackingError
 from .pipeline import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        build_model, evaluate, generate_synthetic_sequence,
                        load_model, load_sequence, read_rect_file, save_model,
@@ -91,13 +91,15 @@ def _synthetic_sequence(seed: int, args):
     return generate_synthetic_sequence(seed, seq["frames"], spec)
 
 
-def _short_ground_truth(frames, boxes) -> bool:
-    """Whether there are fewer boxes than frames; if so, says so on stderr."""
-    if len(boxes) >= len(frames):
-        return False
-    print(f"ground truth has {len(boxes)} boxes for {len(frames)} frames",
-          file=sys.stderr)
-    return True
+def _load_for_tracking(args):
+    """The checkpoint's model and config with the flags' overrides, and the
+    sequence, which needs a box for frame 0."""
+    model, config = load_model(args.ckpt)
+    config = _configured(config, args)
+    frames, boxes = load_sequence(args.seq)
+    if not boxes:
+        raise ValueError("sequence has no ground truth; cannot initialize")
+    return model, config, frames, boxes
 
 
 def _cmd_gradcheck(args) -> int:
@@ -132,8 +134,6 @@ def _cmd_train_toy(args) -> int:
         frames, boxes = _synthetic_sequence(settings.seed, args)
     # a small geometry, so a toy run finishes quickly
     config = _configured(TrackerConfig(template_size=64, search_size=128), args)
-    if _short_ground_truth(frames, boxes):
-        return 1
     model = build_model(np.random.default_rng(settings.seed), config)
     history = train_toy(model, config, frames, boxes, settings,
                         log=lambda msg: print(msg))
@@ -148,14 +148,10 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    model, config = load_model(args.ckpt)
-    config = _configured(config, args)
-    frames, boxes = load_sequence(args.seq)
-    if not boxes:
-        print("sequence has no ground truth; cannot initialize", file=sys.stderr)
-        return 1
-    if args.metrics and _short_ground_truth(frames, boxes):
-        return 1
+    model, config, frames, boxes = _load_for_tracking(args)
+    if args.metrics and len(boxes) < len(frames):
+        raise ValueError(f"ground truth has {len(boxes)} boxes for "
+                         f"{len(frames)} frames")
     results = track_sequence(model, config, frames, boxes[0])
     write_rect_file(args.out, results)
     print(f"wrote {len(results)} boxes to {args.out}")
@@ -180,39 +176,32 @@ def _cmd_eval(args) -> int:
 
 
 def _run_to_frame(args):
-    """Shared tail for the dump commands: track up to --frame with a trace."""
-    model, config = load_model(args.ckpt)
-    config = _configured(config, args)
-    frames, boxes = load_sequence(args.seq)
-    if not boxes:
-        raise SystemExit("sequence has no ground truth; cannot initialize")
+    """Shared tail for the dump commands: track up to --frame, tracing the
+    init (encoder attention happens once, there) and --frame itself."""
+    model, config, frames, boxes = _load_for_tracking(args)
     if len(frames) < 2:
-        raise SystemExit(f"sequence has {len(frames)} frame(s); dumps need at "
+        raise ValueError(f"sequence has {len(frames)} frame(s); dumps need at "
                          "least 2, since frame 0 only initializes the tracker")
     if not 1 <= args.frame < len(frames):
-        raise SystemExit(f"--frame {args.frame} is outside 1..{len(frames) - 1} "
+        raise ValueError(f"--frame {args.frame} is outside 1..{len(frames) - 1} "
                          f"for a sequence of {len(frames)} frames")
     tracker = Tracker(model, config)
-    init_trace = AttentionTrace()
-    tracker.init(frames[0], boxes[0], trace=init_trace)
-    for i in range(1, args.frame + 1):
-        trace = AttentionTrace()
-        _, diag = tracker.track(frames[i], trace=trace)
-    # encoder attention happens once, at init
-    trace.maps.update(init_trace.maps)
+    trace = AttentionTrace()
+    tracker.init(frames[0], boxes[0], trace=trace)
+    for frame in frames[1:args.frame]:
+        tracker.track(frame)
+    _, diag = tracker.track(frames[args.frame], trace=trace)
     return trace, diag
 
 
 def _cmd_dump_attn(args) -> int:
     trace, _ = _run_to_frame(args)
     if args.site not in trace.maps:
-        print(f"unknown attention site {args.site!r}; available: "
-              f"{sorted(trace.maps)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown attention site {args.site!r}; available: "
+                         f"{sorted(trace.maps)}")
     heads = trace.maps[args.site]
     if not 0 <= args.head < len(heads):
-        print(f"head index out of range (0..{len(heads) - 1})", file=sys.stderr)
-        return 1
+        raise ValueError(f"head index out of range (0..{len(heads) - 1})")
     weights = heads[args.head]
     write_csv(args.out_prefix + ".csv", weights)
     write_pgm(args.out_prefix + ".pgm", weights, normalize="row")
@@ -294,15 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit status. A rejected setting
-    prints one ``attntrack: error: ...`` line to stderr and gives status 2."""
+    """Run one subcommand and return its exit status. A command that fails
+    prints one ``attntrack: error: ...`` line to stderr: status 2 for a
+    rejected setting, 1 for unusable input (a malformed or missing file, a
+    box or sequence the tracker cannot use)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigurationError as exc:
+    except (ValueError, TrackingError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigurationError) else 1
 
 
 if __name__ == "__main__":

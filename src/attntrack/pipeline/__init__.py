@@ -2,7 +2,7 @@
 
 from .backbone import BackboneWeights, backbone_forward, init_backbone
 from .crop import (CropResult, crop_search, crop_template, image_to_patch,
-                   pad_to_multiple, patch_to_image)
+                   patch_to_image)
 from .metrics import TrackingMetrics, evaluate, iou
 from .seqio import (Frame, load_sequence, read_netpbm, read_rect_file,
                     save_sequence, write_csv, write_pgm, write_ppm,
@@ -22,7 +22,7 @@ __all__ = [
     "crop_search", "crop_template", "decode_search", "encode_template",
     "evaluate", "extract_features", "forward_pair",
     "generate_synthetic_sequence", "grid_pad_mask", "image_to_patch",
-    "init_backbone", "iou", "load_model", "load_sequence", "pad_to_multiple",
+    "init_backbone", "iou", "load_model", "load_sequence",
     "pair_loss", "patch_to_image",
     "read_netpbm", "read_rect_file", "sample_training_pair", "save_model",
     "save_sequence", "track_sequence", "train_toy", "write_csv", "write_pgm",

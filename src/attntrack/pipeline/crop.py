@@ -4,7 +4,9 @@ Crops follow the classic context rule: the template covers a square of
 side sqrt((w + p)(h + p)) with p = (w + h)/2 around the target, and the
 search patch scales that square by search_size / template_size. Samples
 that fall outside the source image take the per-channel image mean and
-are flagged in the pad mask.
+are flagged in the pad mask. Each crop comes out with a side that is a
+multiple of the backbone's stride: a size that is not one is sampled as
+asked, then extended at the bottom/right by flagged mean pixels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, TrackingError
-from ..localize import BoundingBox
+from ..localize import STRIDE, BoundingBox
 
 
 @dataclass
@@ -25,11 +27,16 @@ class CropResult:
     Patch pixel (u, v) samples image coordinate
     (origin[0] + u * scale, origin[1] + v * scale) in (x, y) order.
     """
-    patch: np.ndarray          # (3, T, T) float64
+    patch: np.ndarray          # (3, T, T) float64, T a multiple of STRIDE
     pad_mask: np.ndarray       # (T, T) bool, True where no in-image coverage
     scale: float               # image pixels per patch pixel
     origin: tuple[float, float]
-    channel_means: np.ndarray  # (3,)
+
+
+def aligned_side(size: int) -> int:
+    """The side of a crop sampled at ``size`` pixels: the next multiple of
+    ``STRIDE``, so the backbone's grid tiles it exactly."""
+    return (size + STRIDE - 1) // STRIDE * STRIDE
 
 
 def context_side(box: BoundingBox) -> float:
@@ -83,6 +90,10 @@ def _bilinear_mean_pad(image: np.ndarray, ys: np.ndarray, xs: np.ndarray,
 
 def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
           out_size: int) -> CropResult:
+    """Sample ``out_size`` pixels across the square, then mean-extend the
+    bottom/right edges to ``aligned_side(out_size)``. The extension is
+    flagged in the pad mask, so the positional-code masking treats it like
+    any other out-of-image area, and the affine map covers it too."""
     # image pixel i is centered at coordinate i; patch pixel u samples the
     # center of its cell inside the [center - side/2, center + side/2] square
     means = frame.reshape(3, -1).mean(axis=1)
@@ -92,8 +103,13 @@ def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
     idx = np.arange(out_size, dtype=np.float64)
     patch, mask = _bilinear_mean_pad(frame, origin[1] + idx * scale,
                                      origin[0] + idx * scale, means)
-    return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin,
-                      channel_means=means)
+    extra = aligned_side(out_size) - out_size
+    if extra:
+        patch = np.pad(patch, ((0, 0), (0, extra), (0, extra)))
+        patch[:, out_size:, :] = means[:, None, None]
+        patch[:, :, out_size:] = means[:, None, None]
+        mask = np.pad(mask, ((0, extra), (0, extra)), constant_values=True)
+    return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin)
 
 
 def _check_box(frame: np.ndarray, box: BoundingBox) -> None:
@@ -131,23 +147,3 @@ def patch_to_image(point: tuple[float, float], crop: CropResult) -> tuple[float,
 def image_to_patch(point: tuple[float, float], crop: CropResult) -> tuple[float, float]:
     return ((point[0] - crop.origin[0]) / crop.scale,
             (point[1] - crop.origin[1]) / crop.scale)
-
-
-def pad_to_multiple(crop: CropResult, multiple: int) -> CropResult:
-    """Mean-extend the patch bottom/right so its side divides ``multiple``.
-
-    The extension is flagged in the pad mask, so the positional-code
-    masking treats it like any other out-of-image area. The affine map is
-    unchanged (the new pixels simply extend the sampled grid).
-    """
-    t = crop.patch.shape[1]
-    target = ((t + multiple - 1) // multiple) * multiple
-    if target == t:
-        return crop
-    extra = target - t
-    patch = np.pad(crop.patch, ((0, 0), (0, extra), (0, extra)))
-    patch[:, t:, :] = crop.channel_means[:, None, None]
-    patch[:, :, t:] = crop.channel_means[:, None, None]
-    mask = np.pad(crop.pad_mask, ((0, extra), (0, extra)), constant_values=True)
-    return CropResult(patch=patch, pad_mask=mask, scale=crop.scale,
-                      origin=crop.origin, channel_means=crop.channel_means)

@@ -1,9 +1,10 @@
 """The model's forward path and the per-sequence tracking state machine.
 
 One batched chain serves tracking and training alike. ``extract_features``
-pads a batch of crops to the stride, runs the backbone once over all of
-them, and returns channel-last (B, h, w, d) tokens plus each grid's pad
-mask; it is the only place the ``pe_mask`` setting is read.
+runs the backbone once over a batch of crops, which ``crop`` already
+aligned to the stride, so it pads nothing. It returns channel-last
+(B, h, w, d) tokens plus each grid's pad mask; it is the only place the
+``pe_mask`` setting is read.
 ``encode_template`` runs the encoder over one template crop and returns
 the memory with the template's positional code. ``decode_search`` decodes
 a batch of search features against that one memory (self-attention stays
@@ -40,8 +41,8 @@ from ..transformer import (AttentionTrace, TransformerWeights,
                            build_positional_encoding, decode, encode,
                            init_transformer)
 from .backbone import BackboneWeights, backbone_forward, init_backbone
-from .crop import (CropResult, context_side, crop_search, crop_template,
-                   image_to_patch, pad_to_multiple, patch_to_image)
+from .crop import (CropResult, aligned_side, context_side, crop_search,
+                   crop_template, image_to_patch, patch_to_image)
 from .seqio import Frame
 
 
@@ -207,8 +208,7 @@ def grid_pad_mask(pixel_mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PatchFeatures:
-    """Backbone outputs for a batch of padded crops, one per leading index."""
-    crops: list[CropResult]
+    """Backbone outputs for a batch of crops, one per leading index."""
     tokens: Tensor               # (B, h, w, d) channel-last feature grids
     mid: np.ndarray              # (B, c_mid, h, w) online-branch tap
     mask: np.ndarray             # (B, h, w) cells whose positional code is zeroed
@@ -216,20 +216,18 @@ class PatchFeatures:
 
 def extract_features(crops: Sequence[CropResult], model: ModelWeights,
                      config: TrackerConfig) -> PatchFeatures:
-    """Pad each crop to the stride, run the backbone once over the batch,
-    and mask each grid.
+    """Run the backbone once over a batch of crops and mask each grid.
 
-    The crops must pad to one size. With ``config.pe_mask`` off the mask is
+    The crops must be of one size. With ``config.pe_mask`` off the mask is
     all False, so every cell keeps its positional code.
     """
-    padded = [pad_to_multiple(crop, STRIDE) for crop in crops]
-    sides = {crop.patch.shape for crop in padded}
+    sides = {crop.patch.shape for crop in crops}
     if len(sides) != 1:
         raise ShapeError(f"a batch needs crops of one size, got {sorted(sides)}")
-    mid, tokens = backbone_forward(Tensor(np.stack([crop.patch for crop in padded])),
+    mid, tokens = backbone_forward(Tensor(np.stack([crop.patch for crop in crops])),
                                    model.backbone)
-    mask = np.stack([grid_pad_mask(crop.pad_mask) for crop in padded])
-    return PatchFeatures(crops=padded, tokens=tokens, mid=mid.data,
+    mask = np.stack([grid_pad_mask(crop.pad_mask) for crop in crops])
+    return PatchFeatures(tokens=tokens, mid=mid.data,
                          mask=mask if config.pe_mask else np.zeros_like(mask))
 
 
@@ -301,17 +299,13 @@ class Tracker:
             crop = crop_template(pixels, box, cfg.template_size)
             memory, pe = encode_template(self.model, cfg, crop, trace=trace)
 
-        grid = self._search_grid_extent()
+        grid = aligned_side(cfg.search_size) // STRIDE
         window = make_cosine_window(grid, grid, cfg.window_influence)
         self.state = TrackerState(template_memory=memory,
                                   template_pe=pe, box=box, window=window)
         if cfg.online:
             self._init_online(pixels, box)
         return self.state
-
-    def _search_grid_extent(self) -> int:
-        padded = ((self.config.search_size + STRIDE - 1) // STRIDE) * STRIDE
-        return padded // STRIDE
 
     def _online_label(self, center_patch: tuple[float, float],
                       box_patch: tuple[float, float], grid: int) -> np.ndarray:
@@ -328,7 +322,6 @@ class Tracker:
             rng, cfg.c_mid, cfg.online_hidden, cfg.online_kernel, cfg.online_reg)
         self.state.online_memory = TrainingMemory(cfg.memory_capacity)
 
-        grid = self._search_grid_extent()
         shift_patch = cfg.search_size / 8.0
         shifts = [(0.0, 0.0), (shift_patch, 0.0), (-shift_patch, 0.0),
                   (0.0, shift_patch), (0.0, -shift_patch)]
@@ -342,13 +335,12 @@ class Tracker:
                                        cfg.template_size)
                 except TrackingError:
                     continue
-                feats = extract_features([crop], self.model, cfg)
-                padded = feats.crops[0]
-                center_patch = image_to_patch((box.cx, box.cy), padded)
+                mid = extract_features([crop], self.model, cfg).mid[0]
+                center_patch = image_to_patch((box.cx, box.cy), crop)
                 label = self._online_label(
-                    center_patch, (box.w / padded.scale, box.h / padded.scale),
-                    grid)
-                update_memory(self.state.online_memory, feats.mid[0], label,
+                    center_patch, (box.w / crop.scale, box.h / crop.scale),
+                    mid.shape[-1])
+                update_memory(self.state.online_memory, mid, label,
                               cfg.memory_lr)
         result = solve_cg(self.state.online_filter, self.state.online_memory,
                           n_iters=cfg.online_init_cg_iters,
@@ -372,7 +364,7 @@ class Tracker:
             feats = extract_features([crop], self.model, cfg)
             maps = decode_search(self.model, feats, state.template_memory,
                                  state.template_pe, trace=trace)
-        padded, mid = feats.crops[0], feats.mid[0]
+        mid = feats.mid[0]
         offset, size = maps.offset.data[0], maps.size.data[0]
 
         raw = maps.score.data[0, :, :, 0]
@@ -391,17 +383,17 @@ class Tracker:
             diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                     blended_map=blended, online_map=online_map,
                                     peak_score=float("nan"), lost=True,
-                                    crop=padded)
+                                    crop=crop)
             return state.box, diag
 
         cell = peak_cell(decode_map)
         peak_score = float(decode_map[cell[1], cell[0]])
         center_patch = decode_center(decode_map, offset)
-        padded_size = padded.patch.shape[1]
-        size_patch = decode_size(size, cell, padded_size, padded_size)
+        side = crop.patch.shape[1]
+        size_patch = decode_size(size, cell, side, side)
 
-        center_img = patch_to_image(center_patch, padded)
-        size_img = (size_patch[0] * padded.scale, size_patch[1] * padded.scale)
+        center_img = patch_to_image(center_patch, crop)
+        size_img = (size_patch[0] * crop.scale, size_patch[1] * crop.scale)
         new_w, new_h = smooth_size((state.box.w, state.box.h), size_img,
                                    cfg.size_smoothing)
         _, img_h, img_w = pixels.shape
@@ -421,15 +413,14 @@ class Tracker:
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
                                 peak_score=peak_score, lost=False,
-                                crop=padded)
+                                crop=crop)
         return new_box, diag
 
     def _online_step(self, mid: np.ndarray, center_patch, size_patch) -> None:
         """Add the frame's sample to the memory and refit the filter once."""
         cfg = self.config
         state = self.state
-        grid = self._search_grid_extent()
-        label = self._online_label(center_patch, size_patch, grid)
+        label = self._online_label(center_patch, size_patch, mid.shape[-1])
         update_memory(state.online_memory, mid, label, cfg.memory_lr)
         result = solve_cg(state.online_filter, state.online_memory,
                           n_iters=cfg.online_update_cg_iters,

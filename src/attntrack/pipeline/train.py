@@ -19,7 +19,7 @@ from ..loss import (GroundTruth, focal_loss, joint_loss, make_ground_truth,
                     offset_loss, size_loss)
 from ..tensor import Tensor
 from .crop import (CropResult, context_side, crop_search, crop_template,
-                   image_to_patch, pad_to_multiple)
+                   image_to_patch)
 from .seqio import Frame
 from .tracker import (ModelWeights, TrackerConfig, decode_search,
                       encode_template, extract_features)
@@ -100,9 +100,8 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
     center = BoundingBox(prev.cx + rng.uniform(-jitter, jitter),
                          prev.cy + rng.uniform(-jitter, jitter),
                          prev.w * factor, prev.h * factor)
-    crop = pad_to_multiple(
-        crop_search(frames[t].pixels, center, config.search_size,
-                    config.template_size), STRIDE)
+    crop = crop_search(frames[t].pixels, center, config.search_size,
+                       config.template_size)
     truth = boxes[t]
     center_patch = image_to_patch((truth.cx, truth.cy), crop)
     size_patch = (truth.w / crop.scale, truth.h / crop.scale)

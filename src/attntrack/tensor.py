@@ -769,20 +769,23 @@ def load_checkpoint(path) -> dict[str, Array]:
 
 # -- gradient checking ---------------------------------------------------------
 
+# central-difference step, and the tolerances a component must meet: relative
+# where the gradient is at least FD_SMALL, absolute below that
+FD_STEP = 1e-5
+FD_REL_TOL = 1e-4
+FD_ABS_TOL = 1e-7
+FD_SMALL = 1e-3
+
 
 def finite_difference_check(loss_fn: Callable[[], Tensor],
                             params: Sequence[Tensor],
-                            h: float = 1e-5,
-                            rel_tol: float = 1e-4,
-                            abs_tol: float = 1e-7,
-                            small: float = 1e-3,
                             max_entries: int | None = None,
                             rng: np.random.Generator | None = None):
     """Central-difference check of d(loss)/d(param) for every listed tensor.
 
-    Components with |analytic| >= ``small`` must match to relative error
-    ``rel_tol``; smaller components must match to absolute error ``abs_tol``.
-    Returns (worst_relative_error, failures) where failures is a list of
+    Components with |analytic| >= ``FD_SMALL`` must match to relative error
+    ``FD_REL_TOL``; smaller components must match to absolute error
+    ``FD_ABS_TOL``. Returns (worst_relative_error, failures) where failures is a list of
     (param_index, flat_index, analytic, numeric) tuples.
     """
     for p in params:
@@ -805,20 +808,20 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
             idxs = range(n)
         for i in idxs:
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + FD_STEP
             up = loss_fn().item()
-            flat[i] = keep - h
+            flat[i] = keep - FD_STEP
             down = loss_fn().item()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * FD_STEP)
             an = analytic[pi].reshape(-1)[i]
             denom = max(abs(an), abs(numeric))
-            if denom >= small:
+            if denom >= FD_SMALL:
                 err = abs(an - numeric) / denom
                 worst = max(worst, err)
-                if err >= rel_tol:
+                if err >= FD_REL_TOL:
                     failures.append((pi, int(i), float(an), float(numeric)))
             else:
-                if abs(an - numeric) >= abs_tol:
+                if abs(an - numeric) >= FD_ABS_TOL:
                     failures.append((pi, int(i), float(an), float(numeric)))
     return worst, failures

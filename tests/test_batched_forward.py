@@ -20,7 +20,7 @@ from attntrack.pipeline import (SequenceSpec, TrackerConfig, build_model,
                                 crop_template, encode_template, forward_pair,
                                 generate_synthetic_sequence, pair_loss,
                                 sample_training_pair)
-from attntrack.pipeline.crop import crop_search, pad_to_multiple
+from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features, grid_pad_mask
 from attntrack.tensor import Tensor
 from attntrack.transformer import build_positional_encoding
@@ -41,10 +41,9 @@ def per_sample_backbone(patch, weights):
 
 
 def per_sample_tokens(crop, model, config):
-    padded = pad_to_multiple(crop, STRIDE)
-    tokens = per_sample_backbone(padded.patch, model.backbone)
+    tokens = per_sample_backbone(crop.patch, model.backbone)
     h, w, d = tokens.shape
-    mask = grid_pad_mask(padded.pad_mask) if config.pe_mask else None
+    mask = grid_pad_mask(crop.pad_mask) if config.pe_mask else None
     return tokens, build_positional_encoding(h, w, d, mask)
 
 

@@ -8,9 +8,9 @@ import pytest
 
 from attntrack import cli
 from attntrack.cli import main
-from attntrack.pipeline import (TrackerConfig, TrainSettings, build_model,
-                                load_sequence, read_netpbm, read_rect_file,
-                                save_model)
+from attntrack.pipeline import (Tracker, TrackerConfig, TrainSettings,
+                                build_model, load_sequence, read_netpbm,
+                                read_rect_file, save_model, write_rect_file)
 
 FAST_MODEL = ["--template-size", "48", "--search-size", "96", "--d", "8",
               "--heads", "2", "--c-mid", "8"]
@@ -27,6 +27,13 @@ def workspace(tmp_path_factory):
     assert main(["train-toy", "--out", ckpt, "--seq", seq, "--steps", "8",
                  "--seed", "5", *FAST_MODEL]) == 0
     return root, seq, ckpt
+
+
+def _one_error_line(capsys, text):
+    """Stderr is the one ``attntrack: error:`` line, and it holds ``text``."""
+    err = capsys.readouterr().err
+    assert err.startswith("attntrack: error: ") and err.count("\n") == 1, err
+    assert text in err, err
 
 
 def _with_boxes(seq, dest, kept):
@@ -197,6 +204,49 @@ class TestTrack:
             "attntrack: error: search size must be >= template size\n"
         assert not results.exists()
 
+    def test_corrupt_checkpoint_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, _ = workspace
+        ckpt = tmp_path / "bad.trtr"
+        ckpt.write_bytes(b"not a checkpoint\n")
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", str(ckpt), "--seq", seq,
+                     "--out", str(results)]) == 1
+        _one_error_line(capsys, "not a TRTR-CKPT v1 file")
+        assert not results.exists()
+
+    @pytest.mark.parametrize("missing", ["ckpt", "seq"])
+    def test_missing_input_is_one_line(self, workspace, tmp_path, capsys,
+                                       missing):
+        _, seq, ckpt = workspace
+        paths = {"ckpt": ckpt, "seq": seq, missing: str(tmp_path / "nowhere")}
+        assert main(["track", "--ckpt", paths["ckpt"], "--seq", paths["seq"],
+                     "--out", str(tmp_path / "results.txt")]) == 1
+        _one_error_line(capsys, "nowhere")
+
+    def test_truncated_frame_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, ckpt = workspace
+        broken = _with_boxes(seq, tmp_path / "broken", 6)
+        frame = os.path.join(broken, sorted(n for n in os.listdir(broken)
+                                            if n.endswith(".ppm"))[2])
+        with open(frame, "rb+") as fh:
+            fh.truncate(os.path.getsize(frame) - 1)
+        assert main(["track", "--ckpt", ckpt, "--seq", broken,
+                     "--out", str(tmp_path / "results.txt")]) == 1
+        _one_error_line(capsys, "truncated pixel data")
+
+    def test_zero_size_first_box_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, ckpt = workspace
+        flat = _with_boxes(seq, tmp_path / "flat", 6)
+        gt = os.path.join(flat, "groundtruth_rect.txt")
+        boxes = read_rect_file(gt)
+        boxes[0] = dataclasses.replace(boxes[0], w=0.0)
+        write_rect_file(gt, boxes)
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", ckpt, "--seq", flat,
+                     "--out", str(results)]) == 1
+        _one_error_line(capsys, "non-positive extent")
+        assert not results.exists()
+
     def test_metrics_with_short_groundtruth_exit_before_tracking(
             self, workspace, tmp_path, capsys):
         _, seq, ckpt = workspace
@@ -224,6 +274,14 @@ class TestEval:
         with open(out) as fh:
             payload = json.load(fh)
         assert 0.0 <= payload["mean_iou"] <= 1.0
+
+    def test_length_mismatch_is_one_line(self, workspace, tmp_path, capsys):
+        _, seq, _ = workspace
+        truth = os.path.join(seq, "groundtruth_rect.txt")
+        pred = str(tmp_path / "short.txt")
+        write_rect_file(pred, read_rect_file(truth)[:3])
+        assert main(["eval", "--pred", pred, "--truth", truth]) == 1
+        _one_error_line(capsys, "prediction/truth length mismatch: 3 vs 6")
 
 
 class TestDumps:
@@ -254,6 +312,24 @@ class TestDumps:
                      "--out-prefix", str(tmp_path / "x"),
                      "--site", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
+    def test_only_the_dumped_frame_is_traced(self, workspace, tmp_path,
+                                             monkeypatch, command):
+        # a trace keeps every full attention map, so frames before --frame
+        # run without one
+        traced = []
+        track = Tracker.track
+
+        def spy(self, frame, trace=None):
+            traced.append(trace is not None)
+            return track(self, frame, trace=trace)
+
+        monkeypatch.setattr(Tracker, "track", spy)
+        _, seq, ckpt = workspace
+        assert main([command, "--ckpt", ckpt, "--seq", seq, "--frame", "4",
+                     "--out-prefix", str(tmp_path / "x")]) == 0
+        assert traced == [False, False, False, True]
+
     def test_dump_heatmap(self, workspace, tmp_path):
         _, seq, ckpt = workspace
         prefix = str(tmp_path / "heat")
@@ -266,7 +342,8 @@ class TestDumps:
             assert os.path.exists(f"{prefix}_{tag}.pgm")
 
     @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
-    def test_one_frame_sequence_exits_with_frame_count(self, command, tmp_path):
+    def test_one_frame_sequence_exits_with_frame_count(self, command, tmp_path,
+                                                       capsys):
         seq = str(tmp_path / "one")
         assert main(["synth", "--out", seq, "--seed", "5", "--frames", "1",
                      "--image-size", "96"]) == 0
@@ -274,20 +351,21 @@ class TestDumps:
         config = TrackerConfig(template_size=48, search_size=96, d=8,
                                n_heads=2, c_mid=8)
         save_model(ckpt, build_model(np.random.default_rng(0), config), config)
-        with pytest.raises(SystemExit, match="has 1 frame"):
-            main([command, "--ckpt", ckpt, "--seq", seq,
-                  "--out-prefix", str(tmp_path / "x")])
+        assert main([command, "--ckpt", ckpt, "--seq", seq,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        _one_error_line(capsys, "has 1 frame(s); dumps need at least 2")
 
 
     @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
     @pytest.mark.parametrize("frame", [99, 6, 0, -3])
-    def test_frame_out_of_range_exits(self, workspace, tmp_path, command, frame):
+    def test_frame_out_of_range_exits(self, workspace, tmp_path, capsys,
+                                      command, frame):
         # such a frame used to be clamped into range without a word
         _, seq, ckpt = workspace
-        with pytest.raises(SystemExit, match=rf"^--frame {frame} is outside 1\.\.5 "
-                                             r"for a sequence of 6 frames$"):
-            main([command, "--ckpt", ckpt, "--seq", seq, "--frame", str(frame),
-                  "--out-prefix", str(tmp_path / "x")])
+        assert main([command, "--ckpt", ckpt, "--seq", seq, "--frame", str(frame),
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (f"attntrack: error: --frame {frame} is "
+                                           f"outside 1..5 for a sequence of 6 frames\n")
         assert list(tmp_path.iterdir()) == []
 
 

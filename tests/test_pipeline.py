@@ -4,12 +4,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
-from attntrack.localize import BoundingBox
+from attntrack.localize import STRIDE, BoundingBox
 from attntrack.pipeline import (SequenceSpec, backbone_forward, crop_search,
                                 crop_template, evaluate,
                                 generate_synthetic_sequence, grid_pad_mask,
                                 image_to_patch, init_backbone, iou,
-                                load_sequence, pad_to_multiple, patch_to_image,
+                                load_sequence, patch_to_image,
                                 read_netpbm, read_rect_file, save_sequence,
                                 write_pgm, write_ppm, write_rect_file)
 from attntrack.pipeline.crop import context_side
@@ -33,6 +33,15 @@ def bilinear_oracle(image, ys, xs, means):
                     acc += wy * wx * val
             out[:, i, j] = acc
     return out
+
+
+def sample_grid(crop, size):
+    """Image coordinates (ys, xs) of a crop's first ``size`` x ``size``
+    pixels under its affine map."""
+    idx = np.arange(size, dtype=np.float64)
+    xs = crop.origin[0] + idx[None, :] * crop.scale + np.zeros((size, 1))
+    ys = crop.origin[1] + idx[:, None] * crop.scale + np.zeros((1, size))
+    return ys, xs
 
 
 def coverage_oracle(shape, ys, xs):
@@ -144,24 +153,31 @@ class TestCrop:
         with pytest.raises(TrackingError):
             crop_template(frame, BoundingBox(-40.0, -40.0, 10.0, 10.0), 32)
 
-    def test_pad_to_multiple(self):
+    def test_crop_side_is_stride_aligned(self):
         rng = np.random.default_rng(6)
         frame = self._frame(rng)
-        crop = crop_template(frame, BoundingBox(40, 40, 16, 12), 30)
-        padded = pad_to_multiple(crop, 8)
-        assert padded.patch.shape == (3, 32, 32)
-        assert padded.pad_mask[:, 30:].all() and padded.pad_mask[30:, :].all()
-        means = crop.channel_means
-        assert np.array_equal(padded.patch[:, :, 30], np.tile(means[:, None], (1, 32)))
-        assert np.array_equal(padded.patch[:, :30, :30], crop.patch[:, :30, :30])
-        # already-aligned crops come back unchanged
-        assert pad_to_multiple(padded, 8) is padded
+        box = BoundingBox(40, 40, 16, 12)
+        crop = crop_template(frame, box, 30)
+        assert crop.patch.shape == (3, 32, 32)
+        assert crop.pad_mask[:, 30:].all() and crop.pad_mask[30:, :].all()
+        assert not crop.pad_mask[:30, :30].any()
+        means = frame.reshape(3, -1).mean(axis=1)
+        assert np.array_equal(crop.patch[:, :, 30], np.tile(means[:, None], (1, 32)))
+        # the map samples the 30 pixels asked for across the context square
+        assert crop.scale == context_side(box) / 30
+        ys, xs = sample_grid(crop, 30)
+        expected = bilinear_oracle(frame, ys, xs, means)
+        assert np.abs(crop.patch[:, :30, :30] - expected).max() < 1e-12
+        # an aligned size is sampled as asked, with nothing added
+        aligned = crop_template(frame, box, 32)
+        assert aligned.patch.shape == (3, 32, 32) and not aligned.pad_mask.any()
 
 
 @st.composite
-def crops(draw):
-    """A template or search crop of a random frame around a box that
-    overlaps it (partly outside it at times), at a random patch size."""
+def crop_requests(draw):
+    """A random frame, a box that overlaps it (partly outside it at times),
+    a patch size, and the template size a search crop scales from (None
+    for a template crop)."""
     h, w = draw(st.integers(4, 48)), draw(st.integers(4, 48))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     frame = np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
@@ -169,37 +185,55 @@ def crops(draw):
                       draw(st.floats(0.5, 2.0 * w)), draw(st.floats(0.5, 2.0 * h)))
     size = draw(st.integers(1, 40))
     if draw(st.booleans()):
+        return frame, box, size, None
+    return frame, box, size + draw(st.integers(0, 24)), size
+
+
+def crop_of(frame, box, size, template_size):
+    if template_size is None:
         return crop_template(frame, box, size)
-    return crop_search(frame, box, size + draw(st.integers(0, 24)), size)
+    return crop_search(frame, box, size, template_size)
 
 
 class TestCropAffineFuzz:
-    """The patch/image affine map of a crop, and what padding keeps of it."""
+    """The patch/image affine map of a crop, and its stride-aligned side."""
 
     @settings(max_examples=300, deadline=None)
-    @given(crop=crops(), x=st.floats(-100.0, 200.0), y=st.floats(-100.0, 200.0))
-    def test_image_patch_round_trip(self, crop, x, y):
+    @given(request=crop_requests(), x=st.floats(-100.0, 200.0),
+           y=st.floats(-100.0, 200.0))
+    def test_image_patch_round_trip(self, request, x, y):
+        crop = crop_of(*request)
         back = patch_to_image(image_to_patch((x, y), crop), crop)
         for got, want, origin in zip(back, (x, y), crop.origin):
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want) + abs(origin))
 
     @settings(max_examples=300, deadline=None)
-    @given(crop=crops(), multiple=st.integers(1, 16))
-    def test_pad_to_multiple_keeps_map_and_flags_new_pixels(self, crop, multiple):
-        t = crop.patch.shape[1]
-        padded = pad_to_multiple(crop, multiple)
-        side = padded.patch.shape[1]
-        assert padded.patch.shape == (3, side, side)
-        assert side % multiple == 0 and t <= side < t + multiple
-        assert padded.scale == crop.scale and padded.origin == crop.origin
-        assert np.array_equal(padded.patch[:, :t, :t], crop.patch)
-        assert np.array_equal(padded.pad_mask[:t, :t], crop.pad_mask)
+    @given(request=crop_requests())
+    def test_side_is_aligned_and_the_strip_past_the_size_is_flagged(self, request):
+        frame, box, size, template_size = request
+        crop = crop_of(*request)
+        side = crop.patch.shape[1]
+        assert crop.patch.shape == (3, side, side)
+        assert crop.pad_mask.shape == (side, side)
+        assert side % STRIDE == 0 and size <= side < size + STRIDE
+        # the map is the one of the size asked for: ``size`` pixels across
+        # the context square, centred on the box
+        span = context_side(box) * size / (template_size or size)
+        assert crop.scale == pytest.approx(span / size, rel=1e-12)
+        centre = patch_to_image(((size - 1) / 2.0, (size - 1) / 2.0), crop)
+        for got, want in zip(centre, (box.cx, box.cy)):
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want) + span)
+        ys, xs = sample_grid(crop, size)
+        means = frame.reshape(3, -1).mean(axis=1)
+        expected = bilinear_oracle(frame, ys, xs, means)
+        assert np.abs(crop.patch[:, :size, :size] - expected).max() < 1e-12
+        assert np.array_equal(crop.pad_mask[:size, :size],
+                              coverage_oracle(frame.shape[1:], ys, xs) == 0.0)
         new = np.ones((side, side), dtype=bool)
-        new[:t, :t] = False
-        assert padded.pad_mask[new].all()
-        means = crop.channel_means[:, None]
-        assert np.array_equal(padded.patch[:, new],
-                              np.broadcast_to(means, (3, int(new.sum()))))
+        new[:size, :size] = False
+        assert crop.pad_mask[new].all()
+        assert np.array_equal(crop.patch[:, new],
+                              np.broadcast_to(means[:, None], (3, int(new.sum()))))
 
 
 class TestBackbone:

@@ -72,7 +72,7 @@ class TestTrackerBasics:
         box, diag = tracker.track(frames[3])
         # peak forced to the window's central plateau (ties break low);
         # the decoded center stays within one cell of the previous center
-        grid = tracker._search_grid_extent()
+        grid = diag.crop.patch.shape[1] // STRIDE
         peak = np.unravel_index(np.argmax(diag.windowed_map),
                                 diag.windowed_map.shape)
         assert peak == ((grid - 1) // 2, (grid - 1) // 2)
@@ -110,7 +110,7 @@ class TestTrackerBasics:
         tracker = Tracker(model, dataclasses.replace(config, online=True))
         tracker.init(frames[0], boxes[0])
         _, diag = tracker.track(frames[1])
-        grid = tracker._search_grid_extent()
+        grid = diag.crop.patch.shape[1] // STRIDE
         assert diag.score_map.shape == (grid, grid)
         assert diag.windowed_map.shape == (grid, grid)
         assert diag.blended_map is not None and diag.online_map is not None
@@ -221,9 +221,9 @@ class TestPaddedGrid:
         model = build_model(np.random.default_rng(1), config)
         crop = crop_search(frames[0].pixels, boxes[0], 255, 127)
         feats = extract_features([crop], model, config)
-        assert feats.crops[0].patch.shape == (3, 256, 256)
+        assert crop.patch.shape == (3, 256, 256)
         assert feats.tokens.shape == (1, 32, 32, 8)    # grid comes out as 32
-        assert feats.crops[0].pad_mask[:, -1].all()    # 1px mean strip added
+        assert crop.pad_mask[:, -1].all()              # 1px mean strip added
         # a single padded pixel column does not mask whole 8px grid cells
         assert not feats.mask[0, :, -1].any()
 
@@ -254,12 +254,13 @@ class TestPaddedGrid:
         for crop, size in zip(crops, (template_size, search_size)):
             with T.no_grad():
                 feats = extract_features([crop], model, config)
-            side = feats.crops[0].patch.shape[1]
+            side = crop.patch.shape[1]
             assert side == math.ceil(size / STRIDE) * STRIDE
             assert feats.tokens.shape[1:3] == (side // STRIDE, side // STRIDE)
             assert feats.mid.shape[2:] == (side // STRIDE, side // STRIDE)
         # the cosine window is laid over the search grid
-        assert Tracker(model, config)._search_grid_extent() == side // STRIDE
+        state = Tracker(model, config).init(frames[0], boxes[0])
+        assert state.window.window.shape == (side // STRIDE, side // STRIDE)
 
     def test_tracker_runs_at_255(self, toy_world):
         frames, boxes, _, _ = toy_world
