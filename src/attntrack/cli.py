@@ -19,13 +19,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, TrackingError
+from .errors import ConfigurationError, TrackingError, TrainingDivergence
 from .pipeline import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        build_model, evaluate, generate_synthetic_sequence,
                        load_model, load_sequence, read_rect_file, save_model,
                        save_sequence, track_sequence, train_toy, write_csv,
                        write_pgm, write_rect_file)
-from .transformer import AttentionTrace
+from .transformer import AttentionTrace, attention_sites
 
 
 def _onoff(value: str) -> bool:
@@ -175,10 +175,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _run_to_frame(args):
+def _run_to_frame(args, model, config, frames, boxes):
     """Shared tail for the dump commands: track up to --frame, tracing the
     init (encoder attention happens once, there) and --frame itself."""
-    model, config, frames, boxes = _load_for_tracking(args)
     if len(frames) < 2:
         raise ValueError(f"sequence has {len(frames)} frame(s); dumps need at "
                          "least 2, since frame 0 only initializes the tracker")
@@ -195,14 +194,16 @@ def _run_to_frame(args):
 
 
 def _cmd_dump_attn(args) -> int:
-    trace, _ = _run_to_frame(args)
-    if args.site not in trace.maps:
+    model, config, frames, boxes = _load_for_tracking(args)
+    # a traced site holds one map per head: the tracker decodes one crop
+    sites = attention_sites(config.n_encoder_layers, config.n_decoder_layers)
+    if args.site not in sites:
         raise ValueError(f"unknown attention site {args.site!r}; available: "
-                         f"{sorted(trace.maps)}")
-    heads = trace.maps[args.site]
-    if not 0 <= args.head < len(heads):
-        raise ValueError(f"head index out of range (0..{len(heads) - 1})")
-    weights = heads[args.head]
+                         f"{sorted(sites)}")
+    if not 0 <= args.head < config.n_heads:
+        raise ValueError(f"head index out of range (0..{config.n_heads - 1})")
+    trace, _ = _run_to_frame(args, model, config, frames, boxes)
+    weights = trace.maps[args.site][args.head]
     write_csv(args.out_prefix + ".csv", weights)
     write_pgm(args.out_prefix + ".pgm", weights, normalize="row")
     print(f"wrote {args.out_prefix}.csv and .pgm "
@@ -211,7 +212,7 @@ def _cmd_dump_attn(args) -> int:
 
 
 def _cmd_dump_heatmap(args) -> int:
-    _, diag = _run_to_frame(args)
+    _, diag = _run_to_frame(args, *_load_for_tracking(args))
     outputs = [("raw", diag.score_map), ("windowed", diag.windowed_map)]
     if diag.blended_map is not None:
         outputs.append(("blended", diag.blended_map))
@@ -286,12 +287,12 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit status. A command that fails
     prints one ``attntrack: error: ...`` line to stderr: status 2 for a
     rejected setting, 1 for unusable input (a malformed or missing file, a
-    box or sequence the tracker cannot use)."""
+    box or sequence the tracker cannot use) and for training that diverged."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TrackingError, OSError) as exc:
+    except (ValueError, TrackingError, TrainingDivergence, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 1
 

@@ -8,6 +8,7 @@ gradients against central differences. Shared by the test suite and the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,32 +59,24 @@ def check_matmul_bias(rng) -> tuple[float, int]:
         lambda: _projected(T.matmul(a, b, bias=bias), r), [a, b, bias])
 
 
-def check_conv2d(rng) -> tuple[float, int]:
-    x = _leaf(rng, 2, 7, 7)
+def check_conv2d(rng, batch: int = 1) -> tuple[float, int]:
+    x = _leaf(rng, batch, 2, 7, 7)
     k = _leaf(rng, 3, 2, 3, 3)
-    r = rng.standard_normal((3, 4, 4))
+    r = rng.standard_normal((batch, 3, 4, 4))
     return finite_difference_check(
         lambda: _projected(T.conv2d(x, k, stride=2, padding=1), r), [x, k])
 
 
-def check_conv2d_batched(rng) -> tuple[float, int]:
-    x = _leaf(rng, 2, 2, 7, 7)
-    k = _leaf(rng, 3, 2, 3, 3)
-    r = rng.standard_normal((2, 3, 4, 4))
-    return finite_difference_check(
-        lambda: _projected(T.conv2d(x, k, stride=2, padding=1), r), [x, k])
-
-
-def _check_biased_conv2d(rng, lead: tuple[int, ...]) -> tuple[float, int]:
+def check_conv2d_bias(rng, batch: int = 1) -> tuple[float, int]:
     """A 3x3 conv at stride 2 (padded) and stride 1, and a 1x1 conv, sharing
-    one bias, over an input with leading axes ``lead``."""
-    x = _leaf(rng, *lead, 2, 7, 7)
+    one bias, over a batch of ``batch`` inputs."""
+    x = _leaf(rng, batch, 2, 7, 7)
     k3 = _leaf(rng, 3, 2, 3, 3)
     k1 = _leaf(rng, 3, 2, 1, 1)
     bias = _leaf(rng, 3)
     convs = [(k3, 2, 1), (k3, 1, 0), (k1, 1, 0)]
-    rs = [rng.standard_normal(lead + (3, 4, 4)), rng.standard_normal(lead + (3, 5, 5)),
-          rng.standard_normal(lead + (3, 7, 7))]
+    rs = [rng.standard_normal((batch, 3, 4, 4)), rng.standard_normal((batch, 3, 5, 5)),
+          rng.standard_normal((batch, 3, 7, 7))]
 
     def loss():
         terms = [_projected(T.conv2d(x, k, stride=s, padding=p, bias=bias), r)
@@ -91,14 +84,6 @@ def _check_biased_conv2d(rng, lead: tuple[int, ...]) -> tuple[float, int]:
         return T.add(T.add(terms[0], terms[1]), terms[2])
 
     return finite_difference_check(loss, [x, k3, k1, bias])
-
-
-def check_conv2d_bias(rng) -> tuple[float, int]:
-    return _check_biased_conv2d(rng, ())
-
-
-def check_conv2d_batched_bias(rng) -> tuple[float, int]:
-    return _check_biased_conv2d(rng, (2,))
 
 
 def check_softmax(rng) -> tuple[float, int]:
@@ -211,9 +196,9 @@ def check_ffn(rng) -> tuple[float, int]:
 def check_heads(rng) -> tuple[float, int]:
     d = 6
     weights = init_head_weights(rng, d, score_bias=-0.5)
-    x = _leaf(rng, 3, 3, d)
-    rs = rng.standard_normal((3, 3, 1))
-    ro = rng.standard_normal((3, 3, 2))
+    x = _leaf(rng, 1, 3, 3, d)
+    rs = rng.standard_normal((1, 3, 3, 1))
+    ro = rng.standard_normal((1, 3, 3, 2))
     params = [x, *parameters(weights)]
 
     def loss():
@@ -230,22 +215,23 @@ def check_losses(rng) -> tuple[float, int]:
     target = make_ground_truth(center=(13.0, 17.5), box_size=(10.0, 14.0),
                                side=hs * STRIDE)
     logits = Tensor(rng.uniform(-1.5, 1.5, (hs, ws)), requires_grad=True)
-    off = Tensor(rng.uniform(0.1, 0.9, (hs, ws, 2)), requires_grad=True)
-    size = Tensor(rng.uniform(0.1, 0.9, (hs, ws, 2)), requires_grad=True)
+    off = Tensor(rng.uniform(0.1, 0.9, (1, hs, ws, 2)), requires_grad=True)
+    size = Tensor(rng.uniform(0.1, 0.9, (1, hs, ws, 2)), requires_grad=True)
 
     def loss():
         return joint_loss(focal_loss(T.sigmoid(logits), target.label),
-                          offset_loss(off, target.center, target.cell),
-                          size_loss(size, target.norm_size, target.cell), 1.0, 1.0)
+                          offset_loss(off, [target.center], [target.cell]),
+                          size_loss(size, [target.norm_size], [target.cell]),
+                          1.0, 1.0)
 
     return finite_difference_check(loss, [logits, off, size])
 
 
 def check_backbone(rng) -> tuple[float, int]:
     weights = init_backbone(rng, c_mid=4, d=4)
-    x = Tensor(rng.uniform(0.0, 1.0, (3, 16, 16)), requires_grad=True)
-    r1 = rng.standard_normal((4, 2, 2))
-    r2 = rng.standard_normal((2, 2, 4))
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 16, 16)), requires_grad=True)
+    r1 = rng.standard_normal((1, 4, 2, 2))
+    r2 = rng.standard_normal((1, 2, 2, 4))
     params = [x, *parameters(weights)]
 
     def loss():
@@ -260,8 +246,8 @@ def check_full_stack(rng) -> tuple[float, int]:
     h, w, hh, ww, d, heads = 2, 2, 4, 4, 8, 2
     weights = init_transformer(rng, d, heads, 1, 1, ffn_hidden=2 * d)
     head_weights = init_head_weights(rng, d, score_bias=-0.5)
-    z = _leaf(rng, h, w, d)
-    x = _leaf(rng, hh, ww, d)
+    z = _leaf(rng, 1, h, w, d)
+    x = _leaf(rng, 1, hh, ww, d)
     target = make_ground_truth(center=(17.0, 14.0), box_size=(12.0, 9.0),
                                side=hh * STRIDE)
     params = [z, x, *parameters(weights), *parameters(head_weights)]
@@ -274,8 +260,8 @@ def check_full_stack(rng) -> tuple[float, int]:
         maps = heads_forward(decoded, head_weights)
         score2d = T.reshape(maps.score, (hh, ww))
         return joint_loss(focal_loss(score2d, target.label),
-                          offset_loss(maps.offset, target.center, target.cell),
-                          size_loss(maps.size, target.norm_size, target.cell),
+                          offset_loss(maps.offset, [target.center], [target.cell]),
+                          size_loss(maps.size, [target.norm_size], [target.cell]),
                           1.0, 1.0)
 
     return finite_difference_check(loss, params, max_entries=12, rng=rng)
@@ -285,9 +271,9 @@ _CHECKS = [
     ("matmul", check_matmul),
     ("matmul_bias", check_matmul_bias),
     ("conv2d", check_conv2d),
-    ("conv2d_batched", check_conv2d_batched),
+    ("conv2d_batched", functools.partial(check_conv2d, batch=2)),
     ("conv2d_bias", check_conv2d_bias),
-    ("conv2d_batched_bias", check_conv2d_batched_bias),
+    ("conv2d_batched_bias", functools.partial(check_conv2d_bias, batch=2)),
     ("softmax_rows", check_softmax),
     ("multi_head_softmax_attention", check_multi_head_softmax_attention),
     ("block_diagonal_attention", check_block_diagonal_attention),

@@ -39,12 +39,12 @@ class BoundingBox:
 
 @dataclass
 class HeadMaps:
-    """Sigmoid-bounded prediction maps on the output grid.
+    """Sigmoid-bounded prediction maps on the output grids of a batch of
+    search patches.
 
-    score: (Hs, Ws, 1) target-presence probability;
-    offset: (Hs, Ws, 2) sub-cell center correction, channels (x, y);
-    size: (Hs, Ws, 2) box size normalized by patch extent, channels (w, h).
-    Maps of a batch of search patches carry a leading batch axis.
+    score: (B, Hs, Ws, 1) target-presence probability;
+    offset: (B, Hs, Ws, 2) sub-cell center correction, channels (x, y);
+    size: (B, Hs, Ws, 2) box size normalized by patch extent, channels (w, h).
     """
     score: Tensor
     offset: Tensor
@@ -103,10 +103,10 @@ def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
 
 
 def heads_forward(decoder_out: Tensor, weights: HeadWeights) -> HeadMaps:
-    """Run the three head stacks over an (Hs, Ws, d) decoder output.
+    """Run the three head stacks over a (B, Hs, Ws, d) decoder output.
 
-    The 1x1 convs are products over the (cells, d) token rows. A
-    (B, Hs, Ws, d) batch gives maps with the same leading axis.
+    The 1x1 convs are products over the (cells, d) token rows, so the maps
+    keep every leading axis of the input.
     """
     grid = decoder_out.shape[:-1]
     rows = T.reshape(decoder_out, (-1, decoder_out.shape[-1]))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .errors import ShapeError
 from .localize import STRIDE
 from .tensor import Tensor
 
@@ -112,7 +113,6 @@ def focal_loss(score: Tensor, label: np.ndarray) -> Tensor:
     beta = FOCAL_BETA.
     """
     if score.shape != label.shape:
-        from .errors import ShapeError
         raise ShapeError(f"score {score.shape} vs label {label.shape}")
     y = T.clamp(score, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pos = (label == 1.0).astype(np.float64)
@@ -124,32 +124,32 @@ def focal_loss(score: Tensor, label: np.ndarray) -> Tensor:
 
 
 def _at_cell(field: Tensor, cell) -> Tensor:
-    """The channel vector of an (Hs, Ws, C) field at an (x, y) cell.
-
-    A (B, Hs, Ws, C) field takes (B, 2) cells, one per sample, and gives
-    (B, C).
-    """
-    gx, gy = np.asarray(cell, dtype=np.int64).T
-    if field.ndim == 4:
-        return T.take(field, (np.arange(field.shape[0]), gy, gx))
-    return T.take(field, (gy, gx))
+    """The channel vectors of a (B, Hs, Ws, C) field at (B, 2) cells, one
+    (x, y) cell per sample: (B, C)."""
+    cells = np.asarray(cell, dtype=np.int64)
+    if field.ndim != 4 or cells.shape != (field.shape[0], 2):
+        raise ShapeError(f"expected a (B, Hs, Ws, C) field and (B, 2) cells, "
+                         f"got {field.shape} and {cells.shape}")
+    return T.take(field, (np.arange(field.shape[0]), cells[:, 1], cells[:, 0]))
 
 
 def offset_loss(offset: Tensor, center, cell) -> Tensor:
-    """L1 between the predicted offset at the target cell and the true residual.
+    """L1 between the predicted offsets at the target cells and the true
+    residuals, summed over the batch.
 
-    With a batch of offset maps, ``center`` and ``cell`` hold one (x, y)
-    pair per sample, and the loss is their sum.
+    ``offset`` is a (B, Hs, Ws, 2) batch of maps; ``center`` and ``cell``
+    hold one (x, y) pair per sample.
     """
     residual = np.asarray(center, dtype=np.float64) / STRIDE - np.asarray(cell)
     return T.tensor_sum(T.absolute(T.sub(_at_cell(offset, cell), residual)))
 
 
 def size_loss(size: Tensor, norm_size, cell) -> Tensor:
-    """L1 between the predicted normalized size at the target cell and truth.
+    """L1 between the predicted normalized sizes at the target cells and
+    the truth, summed over the batch.
 
-    With a batch of size maps, ``norm_size`` and ``cell`` hold one pair per
-    sample, and the loss is their sum.
+    ``size`` is a (B, Hs, Ws, 2) batch of maps; ``norm_size`` and ``cell``
+    hold one pair per sample.
     """
     return T.tensor_sum(T.absolute(T.sub(_at_cell(size, cell),
                                          np.asarray(norm_size, dtype=np.float64))))

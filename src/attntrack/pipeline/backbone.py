@@ -43,8 +43,7 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
     """(B, 3, T, T) -> (mid (B, c_mid, T/8, T/8), tokens (B, T/8, T/8, d)).
 
     Each stage is one conv over the whole batch. The 1x1 reduction is a
-    product over channel-last rows, so the tokens come out channel-last. A
-    single (3, T, T) patch gives mid and tokens without the batch axis.
+    product over channel-last rows, so the tokens come out channel-last.
     """
     patch = T.astensor(patch)
     h, w = patch.shape[-2:]
@@ -56,8 +55,7 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
         x = T.relu(T.conv2d(x, conv.kernel, stride=stride, padding=1, bias=conv.bias))
         if i == 2:
             mid = x
-    lead = x.ndim - 3
-    channel_last = T.transpose(x, tuple(range(lead)) + (lead + 1, lead + 2, lead))
+    channel_last = T.transpose(x, (0, 2, 3, 1))
     grid = channel_last.shape[:-1]
     rows = T.reshape(channel_last, (-1, channel_last.shape[-1]))
     tokens = T.conv1x1(rows, weights.reduce.kernel, weights.reduce.bias)

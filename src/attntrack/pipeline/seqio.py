@@ -125,9 +125,9 @@ def write_csv(path, values: np.ndarray) -> None:
 
 def _parse_rect_line(line: str) -> BoundingBox:
     parts = [p for p in re.split(r"[,\s]+", line.strip()) if p]
-    if len(parts) < 4:
+    if len(parts) != 4:
         raise ValueError(f"expected 4 fields x,y,w,h, got {len(parts)}")
-    x, y, w, h = (float(p) for p in parts[:4])
+    x, y, w, h = (float(p) for p in parts)
     if not np.all(np.isfinite((x, y, w, h))):
         raise ValueError(f"non-finite box {x},{y},{w},{h}")
     if w < 0 or h < 0:

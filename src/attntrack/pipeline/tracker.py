@@ -291,12 +291,11 @@ class Tracker:
 
     # -- initialization -----------------------------------------------------
 
-    def init(self, frame: Frame | np.ndarray, box: BoundingBox,
+    def init(self, frame: Frame, box: BoundingBox,
              trace: AttentionTrace | None = None) -> TrackerState:
-        pixels = frame.pixels if isinstance(frame, Frame) else frame
         cfg = self.config
         with T.no_grad():
-            crop = crop_template(pixels, box, cfg.template_size)
+            crop = crop_template(frame.pixels, box, cfg.template_size)
             memory, pe = encode_template(self.model, cfg, crop, trace=trace)
 
         grid = aligned_side(cfg.search_size) // STRIDE
@@ -304,7 +303,7 @@ class Tracker:
         self.state = TrackerState(template_memory=memory,
                                   template_pe=pe, box=box, window=window)
         if cfg.online:
-            self._init_online(pixels, box)
+            self._init_online(frame.pixels, box)
         return self.state
 
     def _online_label(self, center_patch: tuple[float, float],
@@ -350,17 +349,16 @@ class Tracker:
 
     # -- per-frame update ----------------------------------------------------
 
-    def track(self, frame: Frame | np.ndarray,
-              trace: AttentionTrace | None = None
+    def track(self, frame: Frame, trace: AttentionTrace | None = None
               ) -> tuple[BoundingBox, FrameDiagnostics]:
         if self.state is None:
             raise TrackingError("tracker not initialized")
-        pixels = frame.pixels if isinstance(frame, Frame) else frame
         cfg = self.config
         state = self.state
 
         with T.no_grad():
-            crop = crop_search(pixels, state.box, cfg.search_size, cfg.template_size)
+            crop = crop_search(frame.pixels, state.box, cfg.search_size,
+                               cfg.template_size)
             feats = extract_features([crop], self.model, cfg)
             maps = decode_search(self.model, feats, state.template_memory,
                                  state.template_pe, trace=trace)
@@ -396,7 +394,7 @@ class Tracker:
         size_img = (size_patch[0] * crop.scale, size_patch[1] * crop.scale)
         new_w, new_h = smooth_size((state.box.w, state.box.h), size_img,
                                    cfg.size_smoothing)
-        _, img_h, img_w = pixels.shape
+        _, img_h, img_w = frame.pixels.shape
         new_box = BoundingBox(
             cx=float(np.clip(center_img[0], 0.0, img_w - 1.0)),
             cy=float(np.clip(center_img[1], 0.0, img_h - 1.0)),

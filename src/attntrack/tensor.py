@@ -217,9 +217,16 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
+# exp(-a) overflows for a below this
+_SIGMOID_FLOOR = -math.log(np.finfo(np.float64).max)
+
+
 def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-a)). Below ``_SIGMOID_FLOOR`` exp(-a) is left at inf
+    instead of overflowing, so those entries read exactly 0."""
     a = astensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    tail = a.data < _SIGMOID_FLOOR
+    data = 1.0 / (1.0 + np.exp(-a.data, where=~tail, out=np.full(a.shape, np.inf)))
 
     def backward(grad):
         if a.requires_grad:
@@ -444,7 +451,6 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     kt = widened(k.data, nkg, 1.0).transpose(0, 2, 1).copy()   # [k, 1]^T
     va = widened(v.data, nkg, 1.0)                 # [v, 1]
     kmax, kmin = kt[:, :dh].max(axis=2), kt[:, :dh].min(axis=2)
-    qa[..., dh] = -np.maximum(qs * kmax[:, None], qs * kmin[:, None]).sum(axis=2)
 
     record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
                                       or v.requires_grad)
@@ -453,23 +459,29 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     weights = np.empty((stacks, nqg, nkg) if keep else (min(step, nqg), nkg))
     sums = np.empty((min(step, nqg), dh + 1))      # [A v, rowsum A] of a block
     out = np.empty((stacks, nqg, dh))
-    for s in range(stacks):
-        for start in range(0, nqg, step):
-            rows = slice(start, min(start + step, nqg))
-            a = weights[s, rows] if keep else weights[:rows.stop - start]
-            head = sums[:rows.stop - start]
-            np.matmul(qa[s, rows], kt[s], out=a)
-            np.exp(a, out=a)
-            np.matmul(a, va[s], out=head)
-            total = head[:, dh:]
-            if not (total.min() >= _ATTENTION_MIN_ROW_SUM and total.max() < np.inf):
-                np.matmul(qs[s, rows], kt[s, :dh], out=a)
-                a -= a.max(axis=1, keepdims=True)
+    caller_errors = np.geterr()
+    # the bound pass may overflow; its row sums catch that, and the block is
+    # redone at the exact row max under the caller's error settings
+    with np.errstate(over="ignore", invalid="ignore"):
+        qa[..., dh] = -np.maximum(qs * kmax[:, None], qs * kmin[:, None]).sum(axis=2)
+        for s in range(stacks):
+            for start in range(0, nqg, step):
+                rows = slice(start, min(start + step, nqg))
+                a = weights[s, rows] if keep else weights[:rows.stop - start]
+                head = sums[:rows.stop - start]
+                np.matmul(qa[s, rows], kt[s], out=a)
                 np.exp(a, out=a)
                 np.matmul(a, va[s], out=head)
-            np.divide(head[:, :dh], total, out=out[s, rows])
-            if keep:
-                a /= total
+                total = head[:, dh:]
+                if not (total.min() >= _ATTENTION_MIN_ROW_SUM and total.max() < np.inf):
+                    with np.errstate(**caller_errors):
+                        np.matmul(qs[s, rows], kt[s, :dh], out=a)
+                        a -= a.max(axis=1, keepdims=True)
+                        np.exp(a, out=a)
+                        np.matmul(a, va[s], out=head)
+                np.divide(head[:, :dh], total, out=out[s, rows])
+                if keep:
+                    a /= total
     if maps is not None:
         maps.extend(head_map.copy() for head_map in weights)
     data = merge(out)
@@ -539,8 +551,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel,
     plus an optional (O,) ``bias``.
 
-    A single (C,H,W) input is taken as a batch of one and comes back as
-    (O,oh,ow). The im2col columns are channel-major, ``(C*kh*kw, B*oh*ow)``:
+    The im2col columns are channel-major, ``(C*kh*kw, B*oh*ow)``:
     row ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
     output position of every sample. So the batch is one GEMM, building the
     columns copies along output rows, and ``kernel.reshape(O, C*kh*kw) @
@@ -549,8 +560,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     product, so a biased layer is one tape node; its gradient is the row
     sums of the output gradient. The padded input is laid out channel-major
     too. For a 1x1, stride-1, unpadded conv of an input in channel-major
-    memory (one sample, or the output of a previous conv) the columns are a
-    view of the input, not a copy.
+    memory (a batch of one, or the output of a previous conv) the columns
+    are a view of the input, not a copy.
 
     The input gradient is one GEMM over stride phases. Kernel tap ``u =
     s*a + r`` reaches only padded-input rows of residue r mod s, so row
@@ -563,12 +574,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     ``(C, B, s*ph, s*pw)`` padded-input gradient, then cropped to the input.
     """
     x, kernel = astensor(x), astensor(kernel)
-    if x.ndim not in (3, 4) or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects (B,C,H,W) or (C,H,W) and (O,C,kh,kw), "
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects (B,C,H,W) and (O,C,kh,kw), "
                          f"got {x.shape}, {kernel.shape}")
-    batched = x.ndim == 4
-    xb = x.data if batched else x.data[None]
-    b, c, h, w = xb.shape
+    b, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {ck}")
@@ -594,28 +603,26 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
 
     if padding:
         padded = np.zeros((c, b, hp, wp)).transpose(1, 0, 2, 3)
-        padded[inner] = xb
+        padded[inner] = x.data
     else:
-        padded = xb
+        padded = x.data
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]                 # (B, C, oh, ow, kh, kw)
     cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
     prod = kernel.data.reshape(o, c * kh * kw) @ cols
     if bias is not None:
         prod += bias.data[:, None]
-    out = prod.reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
-    data = out if batched else out[0]
+    data = prod.reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(grad):
-        g = grad if batched else grad[None]
-        gmat = g.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
+        gmat = grad.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
         if kernel.requires_grad:
             kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1))
         if x.requires_grad:
-            dx = _conv2d_input_grad(g, kernel.data, stride).transpose(1, 0, 2, 3)[inner]
-            x._accumulate(dx if batched else dx[0])
+            x._accumulate(_conv2d_input_grad(grad, kernel.data, stride)
+                          .transpose(1, 0, 2, 3)[inner])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(data, parents, backward)

@@ -120,33 +120,37 @@ def build_positional_encoding(height: int, width: int, d: int,
     return Tensor(table)
 
 
+def attention_sites(n_encoder_layers: int, n_decoder_layers: int) -> list[str]:
+    """The trace keys of every attention call, in the order the stack runs
+    them: ``encoder{i}.self`` per encoder layer, then ``decoder{i}.self``
+    and ``decoder{i}.cross`` per decoder layer."""
+    return ([f"encoder{i}.self" for i in range(n_encoder_layers)]
+            + [f"decoder{i}.{kind}" for i in range(n_decoder_layers)
+               for kind in ("self", "cross")])
+
+
 def flatten_grid(x: Tensor) -> Tensor:
-    """(h, w, d) -> (h*w, d), row-major; a (B, h, w, d) batch gives (B*h*w, d)."""
+    """(B, h, w, d) -> (B*h*w, d): the grids' cells one after another, each
+    grid row-major."""
+    if x.ndim != 4:
+        raise ShapeError(f"expected (B, h, w, d) features, got {x.shape}")
     return T.reshape(x, (-1, x.shape[-1]))
-
-
-def _grid_count(features: Tensor) -> int:
-    """Grids in an (h, w, d) grid (one) or a (B, h, w, d) batch (B)."""
-    if features.ndim not in (3, 4):
-        raise ShapeError(f"expected (h, w, d) or (B, h, w, d) features, "
-                         f"got {features.shape}")
-    return features.shape[0] if features.ndim == 4 else 1
 
 
 def encode(features: Tensor, layers: list[EncoderLayerWeights],
            pe: Tensor, trace: AttentionTrace | None = None) -> Tensor:
-    """Run the encoder stack over the flattened template grid.
+    """Run the encoder stack over a (B, h, w, d) batch of template grids.
 
-    A (B, h, w, d) batch self-attends within each grid; the memory rows
-    come out grid after grid.
+    Each grid self-attends within itself; the memory rows come out grid
+    after grid.
     """
-    groups = _grid_count(features)
     x = flatten_grid(features)
-    for i, layer in enumerate(layers):
-        sink = trace.sink(f"encoder{i}.self") if trace is not None else None
+    sites = attention_sites(len(layers), 0)
+    for layer, site in zip(layers, sites):
         attn = multi_head_attention(
-            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe),
-            layer.attn, attn_sink=sink, groups=groups)
+            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe), layer.attn,
+            attn_sink=trace.sink(site) if trace is not None else None,
+            groups=features.shape[0])
         x = residual_norm(attn, x, layer.attn_norm)
         x = ffn(x, layer.ffn)
     return x
@@ -157,27 +161,27 @@ def decode(features: Tensor, memory: Tensor, pe_template: Tensor,
            trace: AttentionTrace | None = None) -> Tensor:
     """Run the decoder stack; every layer cross-attends to ``memory``.
 
-    ``features`` is one (h, w, d) search grid or a (B, h, w, d) batch, with
-    ``pe`` holding the grids' codes one after another. Self-attention stays
-    within each grid. Cross-attention needs no grouping: every query row
-    attends to the same template memory. The output has the input's shape.
+    ``features`` is a (B, h, w, d) batch of search grids, with ``pe``
+    holding the grids' codes one after another. Self-attention stays within
+    each grid. Cross-attention needs no grouping: every query row attends
+    to the same template memory. The output has the input's shape.
     """
-    groups = _grid_count(features)
+    x = flatten_grid(features)
     d = features.shape[-1]
     if memory.shape[1] != d:
         raise ShapeError(f"memory width {memory.shape[1]} != decoder width {d}")
-    x = flatten_grid(features)
-    for i, layer in enumerate(layers):
-        self_sink = trace.sink(f"decoder{i}.self") if trace is not None else None
+    sites = attention_sites(0, len(layers))
+    for layer, self_site, cross_site in zip(layers, sites[0::2], sites[1::2]):
         attn = multi_head_attention(
-            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe),
-            layer.self_attn, attn_sink=self_sink, groups=groups)
+            AttentionInputs(xq=x, xkv=x, pq=pe, pk=pe), layer.self_attn,
+            attn_sink=trace.sink(self_site) if trace is not None else None,
+            groups=features.shape[0])
         x = residual_norm(attn, x, layer.self_norm)
 
-        cross_sink = trace.sink(f"decoder{i}.cross") if trace is not None else None
         attn = multi_head_attention(
             AttentionInputs(xq=x, xkv=memory, pq=pe, pk=pe_template),
-            layer.cross_attn, attn_sink=cross_sink)
+            layer.cross_attn,
+            attn_sink=trace.sink(cross_site) if trace is not None else None)
         x = residual_norm(attn, x, layer.cross_norm)
         x = ffn(x, layer.ffn)
     return T.reshape(x, features.shape)

@@ -507,6 +507,17 @@ class TestLooseBound:
         assert np.abs(out.data[:2] - [2.0, -1.0]).max() <= 1e-12
         assert np.abs(maps[0].sum(axis=1) - 1.0).max() <= 1e-14
 
+    def test_overflowing_bound_is_redone_without_a_warning(self):
+        # per channel q_c kmax_c is about 0.92e308, so the bound of query 0
+        # overflows, though each of its logits is one such product; query 1
+        # is ordinary and shares the redone block
+        big = 1e154
+        q = np.array([[1.3 * big, 1.3 * big], [0.4, -0.7]])
+        k = np.array([[big, 0.0], [0.0, big], [0.0, 0.0]])
+        v = np.array([[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]])
+        out, _ = check_against_max_shift(q, k, v, 1)
+        assert np.abs(out.data[0] - [2.0, -1.0]).max() <= 1e-12
+
     @pytest.mark.parametrize("block_rows", [1, 2, 8])
     def test_nan_query_row_stays_in_its_row(self, block_rows, monkeypatch):
         rng = np.random.default_rng(0)

@@ -4,7 +4,9 @@
 backbone convs take a batch axis, the 1x1 reduce conv and the head stacks
 are row products, and decoder self-attention is block-diagonal. The
 per-sample path below is the forward as it was before batching, one crop
-at a time with 1x1 convs through ``conv2d``; it is kept here as the oracle.
+at a time (each conv sees a batch of one) with 1x1 convs through
+``conv2d``; it is kept here as the oracle. The batch is the only layout:
+the last tests check that each layer rejects a lone sample.
 """
 
 import numpy as np
@@ -15,29 +17,35 @@ from attntrack.attention import (AttentionInputs, ffn, multi_head_attention,
                                  residual_norm)
 from attntrack.errors import ShapeError
 from attntrack.localize import STRIDE
-from attntrack.loss import focal_loss, joint_loss
-from attntrack.pipeline import (SequenceSpec, TrackerConfig, build_model,
-                                crop_template, encode_template, forward_pair,
-                                generate_synthetic_sequence, pair_loss,
-                                sample_training_pair)
+from attntrack.loss import focal_loss, joint_loss, offset_loss, size_loss
+from attntrack.pipeline import (SequenceSpec, TrackerConfig, backbone_forward,
+                                build_model, crop_template, encode_template,
+                                forward_pair, generate_synthetic_sequence,
+                                init_backbone, pair_loss, sample_training_pair)
 from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features, grid_pad_mask
 from attntrack.tensor import Tensor
-from attntrack.transformer import build_positional_encoding
+from attntrack.transformer import (build_positional_encoding, decode, encode,
+                                   flatten_grid, init_transformer)
 
 
 def _bias(b):
     return T.reshape(b, (b.shape[0], 1, 1))
 
 
+def _sole(x):
+    """The one sample of a batch of one."""
+    return T.reshape(x, x.shape[1:])
+
+
 def per_sample_backbone(patch, weights):
     """(3, T, T) -> (h, w, d) tokens, one conv2d per stage and a 1x1 conv2d."""
-    x = Tensor(patch)
+    x = Tensor(patch[None])
     for conv, stride in zip(weights.stage, weights.strides):
         x = T.relu(T.add(T.conv2d(x, conv.kernel, stride=stride, padding=1),
                          _bias(conv.bias)))
     out = T.add(T.conv2d(x, weights.reduce.kernel), _bias(weights.reduce.bias))
-    return T.transpose(out, (1, 2, 0))
+    return T.transpose(_sole(out), (1, 2, 0))
 
 
 def per_sample_tokens(crop, model, config):
@@ -75,11 +83,12 @@ def per_sample_heads(decoded, heads):
     maps = []
     for stack in (heads.score, heads.offset, heads.size):
         x = T.transpose(decoded, (2, 0, 1))
+        x = T.reshape(x, (1,) + x.shape)
         for i, conv in enumerate(stack.conv):
             x = T.add(T.conv2d(x, conv.kernel), _bias(conv.bias))
             if i < len(stack.conv) - 1:
                 x = T.relu(x)
-        maps.append(T.transpose(T.sigmoid(x), (1, 2, 0)))
+        maps.append(T.transpose(_sole(T.sigmoid(x)), (1, 2, 0)))
     return maps
 
 
@@ -201,3 +210,38 @@ def test_pair_loss_needs_one_target_per_map(sequence):
                             [pair.search_crop for pair in pairs])
     with pytest.raises(ShapeError, match="2 maps"):
         pair_loss(maps, [pairs[0].target], 1.0, 1.0)
+
+
+def _transformer():
+    return init_transformer(np.random.default_rng(9), 8, 2, 1, 1, ffn_hidden=16)
+
+
+GRID = Tensor(np.zeros((2, 2, 8)))
+GRID_PE = build_positional_encoding(2, 2, 8)
+
+# each batch-only entry point called with the lone sample it used to accept
+LONE_SAMPLE_CALLS = {
+    "conv2d": lambda: T.conv2d(Tensor(np.ones((2, 5, 5))), Tensor(np.ones((3, 2, 3, 3)))),
+    "backbone_forward": lambda: backbone_forward(
+        Tensor(np.zeros((3, 16, 16))),
+        init_backbone(np.random.default_rng(9), c_mid=4, d=4)),
+    "encode": lambda: encode(GRID, _transformer().encoder, GRID_PE),
+    "decode": lambda: decode(GRID, Tensor(np.zeros((4, 8))), GRID_PE,
+                             _transformer().decoder, GRID_PE),
+    "flatten_grid": lambda: flatten_grid(GRID),
+    "offset_loss": lambda: offset_loss(Tensor(np.zeros((4, 4, 2))), (12.0, 18.0), (1, 2)),
+    "size_loss": lambda: size_loss(Tensor(np.zeros((4, 4, 2))), (0.3, 0.6), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LONE_SAMPLE_CALLS))
+def test_lone_sample_layout_rejected(entry):
+    with pytest.raises(ShapeError):
+        LONE_SAMPLE_CALLS[entry]()
+
+
+@pytest.mark.parametrize("loss", [offset_loss, size_loss])
+def test_l1_losses_need_one_cell_per_sample(loss):
+    # one (x, y) pair for a batch of two used to be read at both samples
+    with pytest.raises(ShapeError, match=r"\(B, 2\) cells"):
+        loss(Tensor(np.zeros((2, 4, 4, 2))), [(12.0, 18.0)], [(1, 2)])

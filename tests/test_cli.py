@@ -8,6 +8,7 @@ import pytest
 
 from attntrack import cli
 from attntrack.cli import main
+from attntrack.errors import TrainingDivergence
 from attntrack.pipeline import (Tracker, TrackerConfig, TrainSettings,
                                 build_model, load_sequence, read_netpbm,
                                 read_rect_file, save_model, write_rect_file)
@@ -34,6 +35,15 @@ def _one_error_line(capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("attntrack: error: ") and err.count("\n") == 1, err
     assert text in err, err
+
+
+def _spy_on_track(monkeypatch):
+    """Replace ``Tracker.track`` with a stub; the returned list records its
+    calls."""
+    calls = []
+    monkeypatch.setattr(Tracker, "track",
+                        lambda self, *args, **kwargs: calls.append(args))
+    return calls
 
 
 def _with_boxes(seq, dest, kept):
@@ -161,6 +171,20 @@ class TestTrainToy:
                      "--frames", "4", *FAST_MODEL]) == 0
         assert len(seen["frames"]) == 4
         assert seen["frames"][0].pixels.shape == (3, 112, 112)
+
+    def test_divergence_is_one_line_without_a_checkpoint(self, workspace, tmp_path,
+                                                        capsys, monkeypatch):
+        def diverging(model, config, frames, boxes, settings, log):
+            raise TrainingDivergence("loss became non-finite at step 3")
+
+        monkeypatch.setattr(cli, "train_toy", diverging)
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", seq,
+                     "--steps", "5", *FAST_MODEL]) == 1
+        assert capsys.readouterr().err == \
+            "attntrack: error: loss became non-finite at step 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("kept", [0, 3])
     def test_short_groundtruth_exits_with_counts(self, workspace, tmp_path,
@@ -306,11 +330,29 @@ class TestDumps:
         weights = np.loadtxt(prefix + ".csv", delimiter=",")
         assert weights.shape == (36, 36)
 
-    def test_dump_attn_unknown_site_fails(self, workspace, tmp_path):
+    def test_dump_attn_unknown_site_fails(self, workspace, tmp_path, capsys,
+                                          monkeypatch):
+        # the site names follow from the checkpoint's layer counts, so a bad
+        # one fails before any frame is tracked
+        calls = _spy_on_track(monkeypatch)
         _, seq, ckpt = workspace
-        assert main(["dump-attn", "--ckpt", ckpt, "--seq", seq,
+        assert main(["dump-attn", "--ckpt", ckpt, "--seq", seq, "--frame", "5",
                      "--out-prefix", str(tmp_path / "x"),
                      "--site", "nonsense"]) == 1
+        _one_error_line(capsys, "unknown attention site 'nonsense'; available: "
+                                "['decoder0.cross', 'decoder0.self', 'encoder0.self']")
+        assert calls == []
+
+    @pytest.mark.parametrize("head", [2, -1])
+    def test_dump_attn_head_out_of_range_fails_before_tracking(
+            self, workspace, tmp_path, capsys, monkeypatch, head):
+        calls = _spy_on_track(monkeypatch)
+        _, seq, ckpt = workspace
+        assert main(["dump-attn", "--ckpt", ckpt, "--seq", seq, "--frame", "5",
+                     "--out-prefix", str(tmp_path / "x"),
+                     "--head", str(head)]) == 1
+        _one_error_line(capsys, "head index out of range (0..1)")
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["dump-attn", "dump-heatmap"])
     def test_only_the_dumped_frame_is_traced(self, workspace, tmp_path,

@@ -135,35 +135,35 @@ class TestFocalLoss:
 
 class TestL1Losses:
     def test_offset_zero_on_grid_target(self):
-        off = Tensor(np.zeros((4, 4, 2)))
-        assert offset_loss(off, (16.0, 24.0), (2, 3)).item() == 0.0
+        off = Tensor(np.zeros((1, 4, 4, 2)))
+        assert offset_loss(off, [(16.0, 24.0)], [(2, 3)]).item() == 0.0
 
     def test_offset_zero_for_exact_prediction(self):
-        off = np.zeros((4, 4, 2))
-        off[2, 1] = (0.5, 0.25)                      # cell x=1, y=2
-        assert offset_loss(Tensor(off), (12.0, 18.0), (1, 2)).item() < 1e-12
+        off = np.zeros((1, 4, 4, 2))
+        off[0, 2, 1] = (0.5, 0.25)                   # cell x=1, y=2
+        assert offset_loss(Tensor(off), [(12.0, 18.0)], [(1, 2)]).item() < 1e-12
 
     def test_offset_component_sum(self):
-        off = Tensor(np.zeros((4, 4, 2)))
-        value = offset_loss(off, (12.0, 18.0), (1, 2)).item()
+        off = Tensor(np.zeros((1, 4, 4, 2)))
+        value = offset_loss(off, [(12.0, 18.0)], [(1, 2)]).item()
         assert abs(value - 0.75) < 1e-12             # |0.5| + |0.25|
 
     def test_size_zero_for_exact_prediction(self):
-        size = np.zeros((4, 4, 2))
-        size[3, 2] = (0.3, 0.6)
-        assert size_loss(Tensor(size), (0.3, 0.6), (2, 3)).item() < 1e-12
+        size = np.zeros((1, 4, 4, 2))
+        size[0, 3, 2] = (0.3, 0.6)
+        assert size_loss(Tensor(size), [(0.3, 0.6)], [(2, 3)]).item() < 1e-12
 
     def test_size_component_sum(self):
-        size = np.full((4, 4, 2), 0.5)
-        value = size_loss(Tensor(size), (0.25, 0.75), (1, 1)).item()
+        size = np.full((1, 4, 4, 2), 0.5)
+        value = size_loss(Tensor(size), [(0.25, 0.75)], [(1, 1)]).item()
         assert abs(value - 0.5) < 1e-12
 
     def test_size_subgradient_is_unit(self):
-        size = Tensor(np.full((4, 4, 2), 0.5), requires_grad=True)
-        size_loss(size, (0.25, 0.75), (1, 1)).backward()
-        assert np.array_equal(size.grad[1, 1], [1.0, -1.0])
+        size = Tensor(np.full((1, 4, 4, 2), 0.5), requires_grad=True)
+        size_loss(size, [(0.25, 0.75)], [(1, 1)]).backward()
+        assert np.array_equal(size.grad[0, 1, 1], [1.0, -1.0])
         grad_elsewhere = size.grad.copy()
-        grad_elsewhere[1, 1] = 0.0
+        grad_elsewhere[0, 1, 1] = 0.0
         assert np.abs(grad_elsewhere).max() == 0.0   # evaluated only at the cell
 
 
@@ -192,7 +192,7 @@ class TestTrainingSignal:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             weights = init_head_weights(rng, 8, score_bias=-1.0)
-            feat = Tensor(rng.standard_normal((4, 4, 8)))
+            feat = Tensor(rng.standard_normal((1, 4, 4, 8)))
             target = make_ground_truth(center=(13.0, 19.0), box_size=(10.0, 12.0),
                                        side=32)
             params = T.parameters(weights)
@@ -201,8 +201,8 @@ class TestTrainingSignal:
                 maps = heads_forward(feat, weights)
                 return joint_loss(
                     focal_loss(T.reshape(maps.score, (4, 4)), target.label),
-                    offset_loss(maps.offset, target.center, target.cell),
-                    size_loss(maps.size, target.norm_size, target.cell),
+                    offset_loss(maps.offset, [target.center], [target.cell]),
+                    size_loss(maps.size, [target.norm_size], [target.cell]),
                     1.0, 1.0)
 
             for p in params:
@@ -234,10 +234,10 @@ class TestGroundTruth:
 
     def test_offset_read_at_the_target_cell(self):
         gt = make_ground_truth(center=(0.0, 31.9), box_size=(8.0, 8.0), side=32)
-        off = np.zeros((4, 4, 2))
-        off[gt.cell[1], gt.cell[0]] = (0.0, 31.9 / 8 - 3)
+        off = np.zeros((1, 4, 4, 2))
+        off[0, gt.cell[1], gt.cell[0]] = (0.0, 31.9 / 8 - 3)
         assert gt.cell == (0, 3)
-        assert offset_loss(Tensor(off), gt.center, gt.cell).item() < 1e-12
+        assert offset_loss(Tensor(off), [gt.center], [gt.cell]).item() < 1e-12
 
 
 class TestBatchedL1Losses:
@@ -256,8 +256,9 @@ class TestBatchedL1Losses:
         size.zero_grad()
         total = None
         for b in range(3):
-            one = T.add(offset_loss(T.take(off, b), centers[b], cells[b]),
-                        size_loss(T.take(size, b), norms[b], cells[b]))
+            sample = slice(b, b + 1)
+            one = T.add(offset_loss(T.take(off, sample), [centers[b]], [cells[b]]),
+                        size_loss(T.take(size, sample), [norms[b]], [cells[b]]))
             total = one if total is None else T.add(total, one)
         total.backward()
         assert abs(batched.item() - total.item()) < 1e-12

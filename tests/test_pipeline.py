@@ -240,12 +240,12 @@ class TestBackbone:
     def test_stride_arithmetic(self):
         rng = np.random.default_rng(7)
         weights = init_backbone(rng, c_mid=8, d=12)
-        mid, out = backbone_forward(Tensor(rng.uniform(0, 1, (3, 64, 64))), weights)
-        assert mid.shape == (8, 8, 8)
-        assert out.shape == (8, 8, 12)
-        mid2, out2 = backbone_forward(Tensor(rng.uniform(0, 1, (3, 128, 128))), weights)
-        assert mid2.shape == (8, 16, 16)
-        assert out2.shape == (16, 16, 12)
+        mid, out = backbone_forward(Tensor(rng.uniform(0, 1, (1, 3, 64, 64))), weights)
+        assert mid.shape == (1, 8, 8, 8)
+        assert out.shape == (1, 8, 8, 12)
+        mid2, out2 = backbone_forward(Tensor(rng.uniform(0, 1, (1, 3, 128, 128))), weights)
+        assert mid2.shape == (1, 8, 16, 16)
+        assert out2.shape == (1, 16, 16, 12)
 
     def test_batch_matches_single_patches(self):
         rng = np.random.default_rng(10)
@@ -254,26 +254,26 @@ class TestBackbone:
         mid, out = backbone_forward(Tensor(patches), weights)
         assert mid.shape == (3, 8, 4, 4) and out.shape == (3, 4, 4, 12)
         for b in range(3):
-            mid_b, out_b = backbone_forward(Tensor(patches[b]), weights)
-            assert np.abs(mid.data[b] - mid_b.data).max() < 1e-12
-            assert np.abs(out.data[b] - out_b.data).max() < 1e-12
+            mid_b, out_b = backbone_forward(Tensor(patches[b:b + 1]), weights)
+            assert np.abs(mid.data[b] - mid_b.data[0]).max() < 1e-12
+            assert np.abs(out.data[b] - out_b.data[0]).max() < 1e-12
 
     def test_rejects_non_multiple_of_eight(self):
         rng = np.random.default_rng(8)
         weights = init_backbone(rng, c_mid=8, d=12)
         with pytest.raises(ConfigurationError):
-            backbone_forward(Tensor(np.zeros((3, 60, 60))), weights)
+            backbone_forward(Tensor(np.zeros((1, 3, 60, 60))), weights)
 
     def test_translation_covariance(self):
         rng = np.random.default_rng(9)
         weights = init_backbone(rng, c_mid=8, d=12)
-        base = rng.uniform(0, 1, (3, 80, 80))
-        shifted = np.roll(base, 8, axis=2)
+        base = rng.uniform(0, 1, (1, 3, 80, 80))
+        shifted = np.roll(base, 8, axis=3)
         _, out_a = backbone_forward(Tensor(base), weights)
         _, out_b = backbone_forward(Tensor(shifted), weights)
         # interior cells shift by one grid cell
-        a = out_a.data[3:7, 3:6]
-        b = out_b.data[3:7, 4:7]
+        a = out_a.data[0, 3:7, 3:6]
+        b = out_b.data[0, 3:7, 4:7]
         assert np.abs(a - b).max() < 1e-6
 
 
@@ -454,6 +454,8 @@ class TestSequenceIo:
 
     @pytest.mark.parametrize("bad_line,reason", [
         ("5,6,7", "4 fields"),                # used to be a raw unpack error
+        ("1,2,3,4,5", "4 fields"),            # extra fields used to be dropped
+        ("1 2 3 4 junk", "4 fields"),
         ("nan,6,7,8", "non-finite"),          # used to load silently
         ("5,6,-7,8", "negative"),             # used to load silently
         ("5,6,7,-8", "negative"),

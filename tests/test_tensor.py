@@ -128,34 +128,32 @@ def assert_relative(actual, expected, tol=1e-12):
 
 
 def check_conv_against_oracles(rng, c, o, kh, kw, h, w, stride, padding):
-    x = Tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+    """A batch of one against the lone-sample oracles."""
+    x = Tensor(rng.standard_normal((1, c, h, w)), requires_grad=True)
     kernel = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
     out = T.conv2d(x, kernel, stride=stride, padding=padding)
     grad = rng.standard_normal(out.shape)
     T.tensor_sum(T.mul(out, grad)).backward()
-    ref_out, ref_dx, ref_dk = rowmajor_conv2d(x.data, kernel.data, grad, stride, padding)
-    loop_dx, loop_dk = conv_oracle_grads(x.data, kernel.data, grad, stride, padding)
-    for actual, expected in ((out.data, ref_out), (x.grad, ref_dx), (kernel.grad, ref_dk),
-                             (out.data, conv_oracle(x.data, kernel.data, stride, padding)),
-                             (x.grad, loop_dx), (kernel.grad, loop_dk)):
+    x0, g0 = x.data[0], grad[0]
+    ref_out, ref_dx, ref_dk = rowmajor_conv2d(x0, kernel.data, g0, stride, padding)
+    loop_dx, loop_dk = conv_oracle_grads(x0, kernel.data, g0, stride, padding)
+    for actual, expected in ((out.data[0], ref_out), (x.grad[0], ref_dx),
+                             (kernel.grad, ref_dk),
+                             (out.data[0], conv_oracle(x0, kernel.data, stride, padding)),
+                             (x.grad[0], loop_dx), (kernel.grad, loop_dk)):
         assert_relative(actual, expected)
 
 
-def check_conv_against_scatter(rng, b, c, o, kh, kw, h, w, stride, padding,
-                               biased, batched=True):
-    x = Tensor(rng.standard_normal((b, c, h, w) if batched else (c, h, w)),
-               requires_grad=True)
+def check_conv_against_scatter(rng, b, c, o, kh, kw, h, w, stride, padding, biased):
+    x = Tensor(rng.standard_normal((b, c, h, w)), requires_grad=True)
     kernel = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
     bias = Tensor(rng.standard_normal(o), requires_grad=True) if biased else None
     out = T.conv2d(x, kernel, stride=stride, padding=padding, bias=bias)
     grad = rng.standard_normal(out.shape)
     T.tensor_sum(T.mul(out, grad)).backward()
-    xb, gb = (x.data, grad) if batched else (x.data[None], grad[None])
-    ref = scatter_conv2d(xb, kernel.data, gb, stride, padding,
+    ref = scatter_conv2d(x.data, kernel.data, grad, stride, padding,
                          bias.data if biased else None)
-    actual = (out.data, x.grad, kernel.grad) if batched \
-        else (out.data[None], x.grad[None], kernel.grad)
-    for got, expected in zip(actual, ref):
+    for got, expected in zip((out.data, x.grad, kernel.grad), ref):
         assert_relative(got, expected)
     if biased:
         assert_relative(bias.grad, ref[3])
@@ -237,6 +235,25 @@ class TestMatmul:
                      bias=Tensor(np.ones(shape)))
 
 
+class TestSigmoid:
+    def test_saturates_to_exact_limits_without_overflow(self):
+        x = Tensor(np.array([-1000.0, -745.0, 745.0, 1000.0]), requires_grad=True)
+        out = T.sigmoid(x)
+        assert out.data.tolist() == [0.0, 0.0, 1.0, 1.0]
+        T.tensor_sum(out).backward()
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_matches_the_plain_formula_bit_for_bit(self):
+        x = np.linspace(-709.0, 709.0, 10001)
+        assert np.array_equal(T.sigmoid(x).data, 1.0 / (1.0 + np.exp(-x)))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(T.sigmoid(np.array([np.nan])).data).all()
+
+    def test_scalar(self):
+        assert T.sigmoid(-1000.0).item() == 0.0
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         out = T.softmax_rows(Tensor(np.zeros((1, 4))))
@@ -293,45 +310,46 @@ class TestLayernorm:
 class TestConv2d:
     def test_one_by_one_identity(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         k = np.ones((1, 1, 1, 1))
         out = T.conv2d(Tensor(x), Tensor(k))
         assert np.array_equal(out.data, x)
 
     def test_sum_of_ones(self):
-        out = T.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
-        assert np.array_equal(out.data, np.full((1, 2, 2), 4.0))
+        out = T.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
+        assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_against_naive_loops(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 5, 5))
+        x = rng.standard_normal((1, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(k))
-        assert np.abs(out.data - conv_oracle(x, k)).max() < 1e-12
+        assert np.abs(out.data[0] - conv_oracle(x[0], k)).max() < 1e-12
 
     def test_stride_and_padding_against_loops(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 7, 7))
+        x = rng.standard_normal((1, 2, 7, 7))
         k = rng.standard_normal((4, 2, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(k), stride=2, padding=1)
-        assert np.abs(out.data - conv_oracle(x, k, stride=2, padding=1)).max() < 1e-12
+        assert np.abs(out.data[0] - conv_oracle(x[0], k, stride=2, padding=1)).max() < 1e-12
 
     def test_non_integral_extent(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.ones((1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))),
+            T.conv2d(Tensor(np.ones((1, 1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))),
                      stride=2, padding=1)
 
     def test_zero_stride_rejected(self):
         with pytest.raises(ShapeError, match="stride"):
-            T.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=0)
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=0)
 
     def test_negative_padding_rejected(self):
         with pytest.raises(ShapeError, match="padding"):
-            T.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), padding=-1)
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))),
+                     padding=-1)
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ShapeError, match="larger"):
-            T.conv2d(Tensor(np.ones((1, 3, 5))), Tensor(np.ones((1, 1, 4, 2))))
+            T.conv2d(Tensor(np.ones((1, 1, 3, 5))), Tensor(np.ones((1, 1, 4, 2))))
 
     # (C, O, kh, kw, H, W, stride, padding): the four backbone stages, then
     # the reduce conv and the head convs
@@ -400,9 +418,10 @@ class TestConv2d:
 
     @pytest.mark.parametrize("biased", [False, True])
     def test_single_sample_matches_scatter_oracle(self, biased):
+        # a batch of one; for the 1x1 conv its columns are a view of the input
         rng = np.random.default_rng(15)
         for geometry in ((1, 3, 4, 4, 4, 10, 8, 2, 1), (1, 4, 2, 1, 1, 3, 5, 1, 0)):
-            check_conv_against_scatter(rng, *geometry, biased, batched=False)
+            check_conv_against_scatter(rng, *geometry, biased)
 
     def test_pointwise_view_of_a_conv_output_with_bias(self):
         # a 1x1 conv of the channel-major output of a previous conv reads
@@ -442,7 +461,7 @@ TAPE_OPS = {
     "multi_head_softmax_attention":
         lambda x: T.multi_head_softmax_attention(x, x, x, 3),
     "layernorm": lambda x: T.layernorm(x, np.ones(3), np.zeros(3)),
-    "conv2d": lambda x: T.conv2d(T.reshape(x, (1, 3, 3)), np.ones((1, 1, 2, 2))),
+    "conv2d": lambda x: T.conv2d(T.reshape(x, (1, 1, 3, 3)), np.ones((1, 1, 2, 2))),
 }
 
 

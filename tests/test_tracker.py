@@ -12,8 +12,8 @@ from attntrack.localize import STRIDE, BoundingBox
 from attntrack.loss import joint_loss
 from attntrack.online import (OnlineFilter, TrainingMemory, conjugate_gradient,
                               init_online_filter, solve_cg, update_memory)
-from attntrack.pipeline import (Adam, BackboneWeights, SequenceSpec, Tracker,
-                                TrackerConfig, TrainSettings, build_model,
+from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
+                                Tracker, TrackerConfig, TrainSettings, build_model,
                                 crop_template, encode_template, forward_pair,
                                 generate_synthetic_sequence, load_model,
                                 pair_loss, sample_training_pair, save_model,
@@ -101,7 +101,7 @@ class TestTrackerBasics:
         box_before, _ = tracker.track(frames[1])
         pixels = frames[2].pixels.copy()
         pixels[:, round(box_before.cy), round(box_before.cx)] = np.nan
-        box, diag = tracker.track(pixels)
+        box, diag = tracker.track(Frame(pixels, frames[2].index))
         assert diag.lost
         assert box == box_before
 
@@ -133,14 +133,14 @@ class TestInputBoundary:
         frames, boxes, config, model = toy_world
         grey = frames[0].pixels[0]
         with pytest.raises(ShapeError, match=r"\(3, H, W\)"):
-            Tracker(model, config).init(grey, boxes[0])
+            Tracker(model, config).init(Frame(grey, 0), boxes[0])
 
     def test_two_dimensional_frame_rejected_at_track(self, toy_world):
         frames, boxes, config, model = toy_world
         tracker = Tracker(model, config)
         tracker.init(frames[0], boxes[0])
         with pytest.raises(ShapeError, match=r"\(3, H, W\)"):
-            tracker.track(frames[1].pixels[0])
+            tracker.track(Frame(frames[1].pixels[0], 1))
 
 
 class TestOnlineConfig:

@@ -96,15 +96,15 @@ def uncached_table(height, width, d, pad_mask, temperature=10000.0):
 class TestFlatten:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((3, 5, 4)))
-        back = T.reshape(flatten_grid(x), (3, 5, 4))
+        x = Tensor(rng.standard_normal((1, 3, 5, 4)))
+        back = T.reshape(flatten_grid(x), (1, 3, 5, 4))
         assert np.array_equal(back.data, x.data)
 
     def test_row_major_order(self):
-        x = np.arange(12.0).reshape(2, 3, 2)
+        x = np.arange(12.0).reshape(1, 2, 3, 2)
         flat = flatten_grid(Tensor(x))
-        assert np.array_equal(flat.data[1], x[0, 1])   # (y=0, x=1) is row 1
-        assert np.array_equal(flat.data[3], x[1, 0])   # (y=1, x=0) is row w
+        assert np.array_equal(flat.data[1], x[0, 0, 1])   # (y=0, x=1) is row 1
+        assert np.array_equal(flat.data[3], x[0, 1, 0])   # (y=1, x=0) is row w
 
     def test_batch_rows_run_grid_after_grid(self):
         x = np.arange(24.0).reshape(2, 2, 3, 2)
@@ -117,7 +117,7 @@ def tiny_weights(rng, d=8, heads=2, n_enc=1, n_dec=1):
 
 
 def grid_pe(x, mask=None):
-    h, w, d = x.shape
+    _, h, w, d = x.shape
     return build_positional_encoding(h, w, d, mask)
 
 
@@ -130,7 +130,7 @@ class TestEncode:
     def test_singleton_sequence(self):
         rng = np.random.default_rng(1)
         w = tiny_weights(rng)
-        z = Tensor(rng.standard_normal((1, 1, 8)))
+        z = Tensor(rng.standard_normal((1, 1, 1, 8)))
         trace = AttentionTrace()
         out = encode(z, w.encoder, grid_pe(z), trace=trace)
         for a in trace.maps["encoder0.self"]:
@@ -149,7 +149,7 @@ class TestEncode:
         rng = np.random.default_rng(2)
         w = tiny_weights(rng)
         row = rng.standard_normal(8)
-        z = Tensor(np.tile(row, (2, 2, 1)))
+        z = Tensor(np.tile(row, (1, 2, 2, 1)))
         mask = np.ones((2, 2), bool)
         out = encode(z, w.encoder, grid_pe(z, mask))
         assert np.abs(out.data - out.data[0]).max() < 1e-12
@@ -157,7 +157,7 @@ class TestEncode:
     def test_against_composition_oracle(self):
         rng = np.random.default_rng(3)
         w = tiny_weights(rng)
-        z = Tensor(rng.standard_normal((2, 2, 8)))
+        z = Tensor(rng.standard_normal((1, 2, 2, 8)))
         out = encode(z, w.encoder, grid_pe(z))
         pe = build_positional_encoding(2, 2, 8)
         x = flatten_grid(z)
@@ -170,11 +170,11 @@ class TestEncode:
     def test_masked_pe_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         w = tiny_weights(rng)
-        z = rng.standard_normal((2, 3, 8))
+        z = rng.standard_normal((1, 2, 3, 8))
         mask = np.ones((2, 3), bool)   # fully masked positions
         out = encode(Tensor(z), w.encoder, grid_pe(z, mask)).data
         perm = rng.permutation(6)
-        z_perm = z.reshape(6, 8)[perm].reshape(2, 3, 8)
+        z_perm = z.reshape(6, 8)[perm].reshape(1, 2, 3, 8)
         out_perm = encode(Tensor(z_perm), w.encoder, grid_pe(z_perm, mask)).data
         assert np.abs(out.reshape(6, 8)[perm] - out_perm.reshape(6, 8)).max() < 1e-9
 
@@ -185,7 +185,7 @@ class TestDecode:
         w = tiny_weights(rng)
         memory = Tensor(rng.standard_normal((1, 8)))
         pe_z = build_positional_encoding(1, 1, 8)
-        x = Tensor(rng.standard_normal((2, 2, 8)))
+        x = Tensor(rng.standard_normal((1, 2, 2, 8)))
         trace = AttentionTrace()
         decode(x, memory, pe_z, w.decoder, grid_pe(x), trace=trace)
         for a in trace.maps["decoder0.cross"]:
@@ -194,10 +194,10 @@ class TestDecode:
     def test_against_composition_oracle(self):
         rng = np.random.default_rng(6)
         w = tiny_weights(rng)
-        z = Tensor(rng.standard_normal((1, 1, 8)))
+        z = Tensor(rng.standard_normal((1, 1, 1, 8)))
         pe_z = build_positional_encoding(1, 1, 8)
         memory = encode(z, w.encoder, pe_z)
-        x = Tensor(rng.standard_normal((2, 2, 8)))
+        x = Tensor(rng.standard_normal((1, 2, 2, 8)))
         out = decode(x, memory, pe_z, w.decoder, grid_pe(x))
 
         pe_x = build_positional_encoding(2, 2, 8)
@@ -209,13 +209,13 @@ class TestDecode:
         h = residual_norm(multi_head_attention(
             AttentionInputs(h, memory, pe_x, pe_z), layer.cross_attn),
             h, layer.cross_norm)
-        expected = T.reshape(ffn(h, layer.ffn), (2, 2, 8))
+        expected = T.reshape(ffn(h, layer.ffn), (1, 2, 2, 8))
         assert np.abs(out.data - expected.data).max() < 1e-12
 
     def test_batch_decodes_each_grid_on_its_own(self):
         rng = np.random.default_rng(8)
         w = tiny_weights(rng, n_dec=2)
-        z = Tensor(rng.standard_normal((2, 2, 8)))
+        z = Tensor(rng.standard_normal((1, 2, 2, 8)))
         pe_z = build_positional_encoding(2, 2, 8)
         memory = encode(z, w.encoder, pe_z)
         x = rng.standard_normal((3, 2, 3, 8))
@@ -225,9 +225,9 @@ class TestDecode:
                      build_positional_encoding(2, 3, 8, masks), trace=trace)
         assert out.shape == (3, 2, 3, 8)
         for b in range(3):
-            one = decode(Tensor(x[b]), memory, pe_z, w.decoder,
+            one = decode(Tensor(x[b:b + 1]), memory, pe_z, w.decoder,
                          build_positional_encoding(2, 3, 8, masks[b]))
-            assert np.abs(out.data[b] - one.data).max() < 1e-12
+            assert np.abs(out.data[b] - one.data[0]).max() < 1e-12
         # self-attention maps stay within a grid: one per head and grid
         assert [a.shape for a in trace.maps["decoder0.self"]] == [(6, 6)] * 6
         assert [a.shape for a in trace.maps["decoder0.cross"]] == [(18, 4)] * 2
@@ -236,18 +236,18 @@ class TestDecode:
         # two padded search cells with identical features come out identical
         rng = np.random.default_rng(7)
         w = tiny_weights(rng)
-        z = Tensor(rng.standard_normal((2, 2, 8)))
+        z = Tensor(rng.standard_normal((1, 2, 2, 8)))
         pe_z = build_positional_encoding(2, 2, 8)
         memory = encode(z, w.encoder, pe_z)
 
-        x = rng.standard_normal((3, 3, 8))
-        x[2, 1] = x[2, 2]
+        x = rng.standard_normal((1, 3, 3, 8))
+        x[0, 2, 1] = x[0, 2, 2]
         mask = np.zeros((3, 3), bool)
         mask[2, 1] = mask[2, 2] = True
         trace = AttentionTrace()
         out = decode(Tensor(x), memory, pe_z, w.decoder, grid_pe(x, mask),
                      trace=trace)
-        assert np.abs(out.data[2, 1] - out.data[2, 2]).max() < 1e-12
+        assert np.abs(out.data[0, 2, 1] - out.data[0, 2, 2]).max() < 1e-12
         for a in trace.maps["decoder0.self"]:
             assert np.abs(a[:, 7] - a[:, 8]).max() < 1e-12
 
@@ -268,21 +268,21 @@ class TestRunTransformer:
         passthrough.ffn.b2 = Tensor(np.zeros(8))
         monkeypatch.setattr(T, "LAYERNORM_EPS", 0.0)
 
-        z = Tensor(rng.standard_normal((2, 2, 8)))
-        x = Tensor(rng.standard_normal((3, 3, 8)))
+        z = Tensor(rng.standard_normal((1, 2, 2, 8)))
+        x = Tensor(rng.standard_normal((1, 3, 3, 8)))
         out1 = encode_decode(z, x, w1)
         out2 = encode_decode(z, x, w2)
         assert np.abs(out1.data - out2.data).max() < 1e-4
 
     def test_layer_count_sweep_runs(self):
         rng = np.random.default_rng(10)
-        z = Tensor(rng.standard_normal((2, 2, 8)))
-        x = Tensor(rng.standard_normal((3, 3, 8)))
+        z = Tensor(rng.standard_normal((1, 2, 2, 8)))
+        x = Tensor(rng.standard_normal((1, 3, 3, 8)))
         for n_enc, n_dec in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3)):
             w = tiny_weights(np.random.default_rng(n_enc * 10 + n_dec),
                              n_enc=n_enc, n_dec=n_dec)
             out = encode_decode(z, x, w)
-            assert out.shape == (3, 3, 8)
+            assert out.shape == (1, 3, 3, 8)
             assert np.all(np.isfinite(out.data))
 
     def test_zero_layers_rejected(self):
