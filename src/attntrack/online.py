@@ -94,31 +94,23 @@ def _stack(memory: TrainingMemory) -> _Stack:
         weights=np.array([s.weight for s in samples]))
 
 
-def _overlap(offset: int, n: int) -> tuple[slice, slice]:
-    """Slices (dst, src) of a length-n axis with src = dst + offset, clipped
-    to the grid; both are empty when the shift leaves no overlap."""
-    lo = max(0, -offset)
-    hi = max(lo, min(n, n - offset))
-    return slice(lo, hi), slice(lo + offset, hi + offset)
-
-
 def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
     """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
 
     Tap u*k+v holds every grid cell's contribution through kernel offset
     (u, v); the output cell sums the k*k taps read at its offsets on the
-    zero-padded grid. Each tap adds only its in-grid window: the cells
-    that would read padding would add zero.
+    zero-padded grid. A strided view puts tap (u, v)'s read for each cell
+    at [u, v, s, y, x], and the sum runs over the two kernel axes.
     """
     lo = _pad_before(kernel)
-    h, w = taps.shape[2:]
-    col_windows = [_overlap(v - lo, w) for v in range(kernel)]
-    out = np.zeros(taps.shape[1:])
-    for u in range(kernel):
-        rows, src_rows = _overlap(u - lo, h)
-        for v, (cols, src_cols) in enumerate(col_windows):
-            out[:, rows, cols] += taps[u * kernel + v, :, src_rows, src_cols]
-    return out
+    n, h, w = taps.shape[1:]
+    padded = np.zeros((kernel, kernel, n, h + kernel - 1, w + kernel - 1))
+    padded[:, :, :, lo:lo + h, lo:lo + w] = taps.reshape(padded.shape[:3] + (h, w))
+    su, sv, ss, sy, sx = padded.strides
+    reads = np.lib.stride_tricks.as_strided(
+        padded, (kernel, kernel, n, h, w), (su + sy, sv + sx, ss, sy, sx),
+        writeable=False)
+    return reads.sum(axis=(0, 1))
 
 
 def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
@@ -126,17 +118,20 @@ def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
 
     Copy u*k+v is the map shifted by offset (u, v) on the zero-padded grid
     and cropped back to the grid; the cells it shifts off the grid are
-    dropped.
+    dropped. On the map zero-padded by k-1-lo before and lo after, that
+    copy is the grid-sized window at (k-1-u, k-1-v), so the copies are the
+    windows flipped along both kernel axes.
     """
     lo = _pad_before(kernel)
-    s, h, w = maps.shape
-    col_windows = [_overlap(lo - v, w) for v in range(kernel)]
-    out = np.zeros((kernel * kernel, s, h, w))
-    for u in range(kernel):
-        rows, src_rows = _overlap(lo - u, h)
-        for v, (cols, src_cols) in enumerate(col_windows):
-            out[u * kernel + v, :, rows, cols] = maps[:, src_rows, src_cols]
-    return out.reshape(kernel * kernel, -1)
+    hi = kernel - 1 - lo
+    n, h, w = maps.shape
+    padded = np.zeros((n, h + kernel - 1, w + kernel - 1))
+    padded[:, hi:hi + h, hi:hi + w] = maps
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
+    # copied explicitly: on some grids the reshape alone would keep a
+    # negative-stride view, which later products read with other rounding
+    placed = np.ascontiguousarray(windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4))
+    return placed.reshape(kernel * kernel, -1)
 
 
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,16 @@
 
 Crops follow the classic context rule: the template covers a square of
 side sqrt((w + p)(h + p)) with p = (w + h)/2 around the target, and the
-search patch scales that square by search_size / template_size. Samples
-that fall outside the source image take the per-channel image mean and
-are flagged in the pad mask. Each crop comes out with a side that is a
-multiple of the backbone's stride: a size that is not one is sampled as
-asked, then extended at the bottom/right by flagged mean pixels.
+search patch scales that square by search_size / template_size. Each
+crop comes out with a side that is a multiple of the backbone's stride: a
+size that is not one is sampled as asked, then extended at the
+bottom/right.
+
+A sample is covered when at least one of its bilinear taps lands in the
+image. Sample coordinates increase along each axis, so the covered
+samples form one window, and only that window is resampled. Every other
+pixel of the patch, the extension included, is the per-channel image
+mean by definition and is flagged in the pad mask.
 """
 
 from __future__ import annotations
@@ -57,58 +62,76 @@ def _taps(coords: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(index, 0, extent - 1), weight
 
 
-def _bilinear_mean_pad(image: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                       means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (3,H,W) image on the grid rows ys x columns xs; outside taps use means.
+def _covered(weight: np.ndarray) -> tuple[int, int]:
+    """The run [lo, hi) of samples with an in-image tap, from (2, n) tap
+    weights. Sample coordinates increase, so the uncovered samples are a
+    prefix and a suffix of the axis."""
+    hit = np.flatnonzero(weight.sum(axis=0))
+    return (int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0)
+
+
+def _sample_window(image: np.ndarray, means: np.ndarray,
+                   rows: tuple[np.ndarray, np.ndarray],
+                   cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Bilinear samples of a (3,H,W) image at covered sample rows x columns,
+    each axis given as its ``_taps`` (index, weight); returns (3, rows, cols).
 
     The bilinear weights of the four taps sum to 1, so mean padding is
     ``mean + sum(w_y * w_x * (image - mean))`` over the in-image taps, and
     the sum separates into a column pass and a row pass over the
     mean-centred image. Columns go first: the larger second gather then
     copies whole rows, and its second tap needs only one channel's buffer.
+    The column pass reads only the image rows that the row taps reach.
     """
-    _, h, w = image.shape
-    row_index, row_weight = _taps(ys, h)
-    col_index, col_weight = _taps(xs, w)
-    centred = image - means[:, None, None]
-    cols = np.take(centred, col_index[0], axis=2) * col_weight[0]
-    cols += np.take(centred, col_index[1], axis=2) * col_weight[1]
-    out = np.take(cols, row_index[0], axis=1)
+    row_index, row_weight = rows
+    col_index, col_weight = cols
+    top = row_index.min()
+    centred = image[:, top:row_index.max() + 1] - means[:, None, None]
+    row_index = row_index - top
+    blend = np.take(centred, col_index[0], axis=2) * col_weight[0]
+    blend += np.take(centred, col_index[1], axis=2) * col_weight[1]
+    out = np.take(blend, row_index[0], axis=1)
     out *= row_weight[0][:, None]
-    mask = (row_weight.sum(axis=0) == 0.0)[:, None] \
-        | (col_weight.sum(axis=0) == 0.0)[None, :]
     tap = np.empty(out.shape[1:])
-    for channel, col_blend, mean in zip(out, cols, means):
+    for channel, col_blend, mean in zip(out, blend, means):
         np.take(col_blend, row_index[1], axis=0, out=tap)
         tap *= row_weight[1][:, None]
         channel += tap
         channel += mean
-        # zero-coverage pixels are exactly the channel mean, by definition
-        channel[mask] = mean
-    return out, mask
+    return out
 
 
 def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
           out_size: int) -> CropResult:
-    """Sample ``out_size`` pixels across the square, then mean-extend the
-    bottom/right edges to ``aligned_side(out_size)``. The extension is
-    flagged in the pad mask, so the positional-code masking treats it like
-    any other out-of-image area, and the affine map covers it too."""
+    """Sample ``out_size`` pixels across the square into a patch of side
+    ``aligned_side(out_size)``. Only the covered window is sampled; the
+    rest of the patch, the stride alignment at the bottom/right included,
+    is the channel mean and is flagged in the pad mask."""
     # image pixel i is centered at coordinate i; patch pixel u samples the
     # center of its cell inside the [center - side/2, center + side/2] square
+    _, h, w = frame.shape
     means = frame.reshape(3, -1).mean(axis=1)
     scale = side / out_size
     origin = (center[0] - side / 2.0 + 0.5 * scale,
               center[1] - side / 2.0 + 0.5 * scale)
     idx = np.arange(out_size, dtype=np.float64)
-    patch, mask = _bilinear_mean_pad(frame, origin[1] + idx * scale,
-                                     origin[0] + idx * scale, means)
-    extra = aligned_side(out_size) - out_size
-    if extra:
-        patch = np.pad(patch, ((0, 0), (0, extra), (0, extra)))
-        patch[:, out_size:, :] = means[:, None, None]
-        patch[:, :, out_size:] = means[:, None, None]
-        mask = np.pad(mask, ((0, extra), (0, extra)), constant_values=True)
+    rows = _taps(origin[1] + idx * scale, h)
+    cols = _taps(origin[0] + idx * scale, w)
+    r0, r1 = _covered(rows[1])
+    c0, c1 = _covered(cols[1])
+    aligned = aligned_side(out_size)
+    patch = np.empty((3, aligned, aligned))
+    fill = means[:, None, None]
+    patch[:, :r0] = fill
+    patch[:, r1:] = fill
+    patch[:, r0:r1, :c0] = fill
+    patch[:, r0:r1, c1:] = fill
+    mask = np.ones((aligned, aligned), dtype=bool)
+    if r0 < r1 and c0 < c1:
+        patch[:, r0:r1, c0:c1] = _sample_window(
+            frame, means, tuple(a[:, r0:r1] for a in rows),
+            tuple(a[:, c0:c1] for a in cols))
+        mask[r0:r1, c0:c1] = False
     return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin)
 
 

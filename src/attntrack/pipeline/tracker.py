@@ -129,48 +129,16 @@ def save_model(path, model: ModelWeights, config: TrackerConfig) -> None:
     save_checkpoint(entries, path)
 
 
-# config keys older checkpoints carry that no longer configure anything,
-# each with the one value that means what the code now does (None: any)
-_RETIRED_CONFIG_KEYS = {
-    "config.stride": 8.0,
-    "config.online_update_interval": 1.0,   # a solve after every frame
-    "config.online_score_threshold": None,  # at interval 1 it decided nothing
-}
-
-
-def _packed_attention_entry(data: dict, name: str, n_heads: int):
-    """Concatenate a checkpoint's per-head blocks of a packed projection.
-
-    Checkpoints written before the heads were packed store ``<prefix>.wq``
-    as ``<prefix>.head{i}.wq`` for each head (likewise wk, wv). The blocks
-    are consumed from ``data``. Returns None when they are not all there.
-    """
-    prefix, _, kind = name.rpartition(".")
-    if kind not in ("wq", "wk", "wv"):
-        return None
-    keys = [f"{prefix}.head{i}.{kind}" for i in range(n_heads)]
-    if not all(key in data for key in keys):
-        return None
-    return np.concatenate([data.pop(key) for key in keys], axis=1)
-
-
 def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     """Rebuild a model from a checkpoint, rejecting entries it cannot use.
 
     Raises ``ValueError`` naming the entry for a missing, misshapen, unknown
-    or non-finite one, and for a retired key at a value that no longer
-    holds.
+    or non-finite one.
     """
     data = load_checkpoint(path)
     for name, value in data.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint entry {name!r} is not finite")
-    for key, required in _RETIRED_CONFIG_KEYS.items():
-        value = data.pop(key, None)
-        if value is not None and required is not None \
-                and not np.array_equal(value, required):
-            raise ValueError(f"checkpoint entry {key!r} must be {required:g}, "
-                             f"got {value.tolist()}")
     kwargs = {}
     for f in dataclasses.fields(TrackerConfig):
         key = f"config.{f.name}"
@@ -184,8 +152,6 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     model = build_model(np.random.default_rng(0), config)
     for name, param in named_parameters(model):
         value = data.pop(name, None)
-        if value is None:
-            value = _packed_attention_entry(data, name, config.n_heads)
         if value is None:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
         if value.shape != param.data.shape:

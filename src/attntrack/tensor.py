@@ -551,27 +551,31 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel,
     plus an optional (O,) ``bias``.
 
-    The im2col columns are channel-major, ``(C*kh*kw, B*oh*ow)``:
-    row ``(c, u, v)`` holds kernel tap ``(u, v)`` of channel ``c`` at every
-    output position of every sample. So the batch is one GEMM, building the
-    columns copies along output rows, and ``kernel.reshape(O, C*kh*kw) @
-    cols`` is the output in channel-major memory, returned as a (B,O,oh,ow)
-    view without a transpose. The bias is added in place on that fresh
-    product, so a biased layer is one tape node; its gradient is the row
-    sums of the output gradient. The padded input is laid out channel-major
-    too. For a 1x1, stride-1, unpadded conv of an input in channel-major
-    memory (a batch of one, or the output of a previous conv) the columns
-    are a view of the input, not a copy.
+    Both directions work by stride phases, and no im2col columns are built.
+    Kernel tap ``u = s*a + r`` reads only padded-input rows of residue r mod
+    s, at phase row ``Y = i + a`` for output row i (columns alike). So the
+    padded input is copied once into its s*s phases, laid out as rows
+    ``(r, r', c)`` by columns ``(b, Y, X)``: ``(s*s*C, B*ph*pw)`` with ph =
+    oh+ka-1, pw = ow+kb-1, ka = ceil(kh/s) and kb = ceil(kw/s), plus a zero
+    tail. Tap block ``(a, a')`` of the kernel, its taps regrouped as rows
+    ``(r, r', c)``, times that array shifted by ``a*pw + a'`` is the block's
+    share of every output of every sample, computed on wide rows of pw
+    columns; the ka*kb products sum to the wide output, which is cropped to
+    ``(oh, ow)`` per sample and returned as a (B,O,oh,ow) view of
+    channel-major memory. The columns past ow and the rows past oh are
+    junk: they read across row and sample edges, and nothing keeps them. A
+    kernel that is not a multiple of the stride gives partial blocks at its
+    end, and those multiply only the phases that hold real taps, so no
+    output reads a pixel outside its window. The bias is added in place to
+    the wide sum, so a biased layer is one tape node; its gradient is the
+    sums of the output gradient over everything but the channel.
 
-    The input gradient is one GEMM over stride phases. Kernel tap ``u =
-    s*a + r`` reaches only padded-input rows of residue r mod s, so row
-    ``s*Y + r`` of the input gradient is a stride-1 full correlation of the
-    output gradient with the taps ``a`` of phase r, flipped. The phase
-    kernel is ``(s*s*C, O*ka*kb)`` with ka = ceil(kh/s), kb = ceil(kw/s) (the
-    kernel zero-extended to ``(ka*s, kb*s)``), the windows of the output
-    gradient padded by ka-1 and kb-1 are ``(O*ka*kb, B*ph*pw)`` with ph =
-    oh+ka-1 and pw = ow+kb-1, and their product is interleaved once into the
-    ``(C, B, s*ph, s*pw)`` padded-input gradient, then cropped to the input.
+    The kernel gradient is the same per-block products with the output
+    gradient zero-extended over the junk positions, against the phase array
+    that the tape keeps. A non-finite input pixel that a junk position reads
+    therefore turns those taps' gradient NaN too (0 * inf is NaN), where
+    only the taps whose windows read it would be. The input gradient is one GEMM
+    over the same phases, by :func:`_conv2d_input_grad`.
     """
     x, kernel = astensor(x), astensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -596,36 +600,94 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
         raise ShapeError(
             f"conv2d output extent not integral for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    s = stride
+    oh = (hp - kh) // s + 1
+    ow = (wp - kw) // s + 1
+    ka, kb = -(-kh // s), -(-kw // s)
+    ph, pw = oh + ka - 1, ow + kb - 1
+    n = b * ph * pw
+    # the zero tail keeps the last sample's junk positions inside the
+    # array; only the padding around each phase's copy is zeroed besides,
+    # which faulted in fewer fresh pages than a zero-filled allocation
+    flat = np.empty((s * s * c, n + (ka - 1) * pw + kb - 1))
+    flat[:, n:] = 0.0
+    phases = flat[:, :n].reshape(s, s, c, b, ph, pw)
+    src = x.data.transpose(1, 0, 2, 3)
+    for r in range(s):
+        # input row t sits at phase r = (t + padding) % s, row (t + padding) // s
+        t0 = (r - padding) % s
+        y0 = (t0 + padding) // s
+        residue_rows = src[:, :, t0::s]
+        y1 = y0 + residue_rows.shape[2]
+        for q in range(s):
+            u0 = (q - padding) % s
+            x0 = (u0 + padding) // s
+            block = residue_rows[:, :, :, u0::s]
+            x1 = x0 + block.shape[3]
+            phase = phases[r, q]
+            phase[:, :, :y0] = phase[:, :, y1:] = 0.0
+            phase[:, :, :, :x0] = phase[:, :, :, x1:] = 0.0
+            phase[:, :, y0:y1, x0:x1] = block
+    blocks = _conv2d_blocks(kh, kw, s, c, pw)
+    wide = np.empty((o, n))
+    prod = np.empty((o, n))
+    for i, (taps, rows, shift) in enumerate(blocks):
+        kmat = kernel.data[:, :, taps[0], taps[1]].transpose(0, 2, 3, 1).reshape(o, -1)
+        np.matmul(kmat, flat[rows, shift:shift + n], out=wide if i == 0 else prod)
+        if i:
+            wide += prod
+    if bias is not None:
+        wide += bias.data[:, None]
+    data = wide.reshape(o, b, ph, pw)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
     inner = (slice(None), slice(None), slice(padding, padding + h),
              slice(padding, padding + w))
 
-    if padding:
-        padded = np.zeros((c, b, hp, wp)).transpose(1, 0, 2, 3)
-        padded[inner] = x.data
-    else:
-        padded = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]                 # (B, C, oh, ow, kh, kw)
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
-    prod = kernel.data.reshape(o, c * kh * kw) @ cols
-    if bias is not None:
-        prod += bias.data[:, None]
-    data = prod.reshape(o, b, oh, ow).transpose(1, 0, 2, 3)
-
     def backward(grad):
-        gmat = grad.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)
         if kernel.requires_grad:
-            kernel._accumulate((gmat @ cols.T).reshape(kernel.shape))
+            # (B*ph*pw, O): of the layouts tried, the product of a phase
+            # view with this one ran fastest
+            gwide = np.zeros((b, ph, pw, o))
+            gwide[:, :oh, :ow] = grad.transpose(0, 2, 3, 1)
+            gwide = gwide.reshape(n, o)
+            dk = np.empty(kernel.shape)
+            for taps, rows, shift in blocks:
+                dtaps = dk[:, :, taps[0], taps[1]]
+                dtaps[...] = (flat[rows, shift:shift + n] @ gwide).reshape(
+                    dtaps.shape[2:] + (c, o)).transpose(3, 2, 0, 1)
+            kernel._accumulate(dk)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(gmat.sum(axis=1))
+            bias._accumulate(grad.transpose(1, 0, 2, 3).reshape(o, -1).sum(axis=1))
         if x.requires_grad:
             x._accumulate(_conv2d_input_grad(grad, kernel.data, stride)
                           .transpose(1, 0, 2, 3)[inner])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(data, parents, backward)
+
+
+def _conv2d_blocks(kh: int, kw: int, s: int, c: int, pw: int
+                   ) -> list[tuple[tuple[slice, slice], slice, int]]:
+    """The tap blocks of a stride-``s`` conv over the phase array of
+    :func:`conv2d`: for each, the kernel taps it holds (row and column
+    slices), the phase-array rows they multiply and the column shift.
+
+    Block ``(a, a')`` holds taps ``s*a + r``, ``s*a' + r'`` for the phases
+    that exist, r < kh - s*a and r' < kw - s*a'. Its rows ``(r, r', c)`` are
+    one run of the phase array when it has every r' phase or one r phase;
+    otherwise it is split into one block per r.
+    """
+    blocks = []
+    for a in range(-(-kh // s)):
+        n_r = min(s, kh - s * a)
+        for a2 in range(-(-kw // s)):
+            n_q = min(s, kw - s * a2)
+            runs = [(0, n_r)] if n_q == s else [(r, r + 1) for r in range(n_r)]
+            for r0, r1 in runs:
+                start = r0 * s * c
+                stop = start + ((r1 - r0 - 1) * s + n_q) * c
+                taps = (slice(s * a + r0, s * a + r1), slice(s * a2, s * a2 + n_q))
+                blocks.append((taps, slice(start, stop), a * pw + a2))
+    return blocks
 
 
 def _conv2d_input_grad(g: Array, kernel: Array, s: int) -> Array:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
@@ -12,7 +12,7 @@ from attntrack.pipeline import (SequenceSpec, backbone_forward, crop_search,
                                 load_sequence, patch_to_image,
                                 read_netpbm, read_rect_file, save_sequence,
                                 write_pgm, write_ppm, write_rect_file)
-from attntrack.pipeline.crop import context_side
+from attntrack.pipeline.crop import aligned_side, context_side
 from attntrack.tensor import Tensor
 
 
@@ -57,6 +57,49 @@ def coverage_oracle(shape, ys, xs):
                     if 0 <= y0 + dy < h and 0 <= x0 + dx < w:
                         cov[i, j] += wy * wx
     return cov
+
+
+def full_crop_oracle(frame, center, side, out_size):
+    """The crop sampler that the covered-window sampler replaced: both
+    bilinear passes over every sample, the uncovered ones reset to the
+    mean through the pad mask, then ``np.pad`` to the aligned side."""
+    _, h, w = frame.shape
+    means = frame.reshape(3, -1).mean(axis=1)
+    scale = side / out_size
+    origin = (center[0] - side / 2.0 + 0.5 * scale,
+              center[1] - side / 2.0 + 0.5 * scale)
+    idx = np.arange(out_size, dtype=np.float64)
+
+    def taps(coords, extent):
+        i0 = np.floor(coords).astype(np.int64)
+        frac = coords - i0
+        index = np.stack([i0, i0 + 1])
+        weight = np.stack([1.0 - frac, frac]) * ((index >= 0) & (index < extent))
+        return np.clip(index, 0, extent - 1), weight
+
+    row_index, row_weight = taps(origin[1] + idx * scale, h)
+    col_index, col_weight = taps(origin[0] + idx * scale, w)
+    centred = frame - means[:, None, None]
+    cols = np.take(centred, col_index[0], axis=2) * col_weight[0]
+    cols += np.take(centred, col_index[1], axis=2) * col_weight[1]
+    patch = np.take(cols, row_index[0], axis=1)
+    patch *= row_weight[0][:, None]
+    mask = (row_weight.sum(axis=0) == 0.0)[:, None] \
+        | (col_weight.sum(axis=0) == 0.0)[None, :]
+    tap = np.empty(patch.shape[1:])
+    for channel, col_blend, mean in zip(patch, cols, means):
+        np.take(col_blend, row_index[1], axis=0, out=tap)
+        tap *= row_weight[1][:, None]
+        channel += tap
+        channel += mean
+        channel[mask] = mean
+    extra = aligned_side(out_size) - out_size
+    if extra:
+        patch = np.pad(patch, ((0, 0), (0, extra), (0, extra)))
+        patch[:, out_size:, :] = means[:, None, None]
+        patch[:, :, out_size:] = means[:, None, None]
+        mask = np.pad(mask, ((0, extra), (0, extra)), constant_values=True)
+    return patch, mask
 
 
 class TestCrop:
@@ -234,6 +277,59 @@ class TestCropAffineFuzz:
         assert crop.pad_mask[new].all()
         assert np.array_equal(crop.patch[:, new],
                               np.broadcast_to(means[:, None], (3, int(new.sum()))))
+
+
+@st.composite
+def window_crops(draw):
+    """A frame, a box and a (size, template size) pair of the tracker's
+    geometries (template size None for a template crop). The box lies
+    inside the frame (a patch pixel under one image pixel), straddles its
+    edge, or is so large that the samples step over the whole frame (an
+    image pixel under many patch pixels; some crops then cover nothing)."""
+    h, w = draw(st.integers(4, 64)), draw(st.integers(4, 64))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    frame = np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
+    place = draw(st.sampled_from(["inside", "edge", "huge"]))
+    if place == "inside":
+        bw = draw(st.floats(0.5, w / 6.0))
+        bh = draw(st.floats(0.5, h / 6.0))
+        cx = draw(st.floats(w / 3.0, 2.0 * w / 3.0))
+        cy = draw(st.floats(h / 3.0, 2.0 * h / 3.0))
+    else:
+        grow = 2.0 if place == "edge" else 60.0
+        bw = draw(st.floats(0.5, grow * w))
+        bh = draw(st.floats(0.5, grow * h))
+        cx = draw(st.floats(-bw / 2.0 + 0.25, w + bw / 2.0 - 0.25))
+        cy = draw(st.floats(-bh / 2.0 + 0.25, h + bh / 2.0 - 0.25))
+    size, template_size = draw(st.sampled_from(
+        [(64, None), (128, 64), (127, None), (255, 127)]))
+    return frame, BoundingBox(cx, cy, bw, bh), size, template_size
+
+
+class TestCropWindowFuzz:
+    """The covered-window sampler against the full sampler it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=window_crops())
+    # the samples of this 128 crop, 9.4 pixels apart, step over the 6 x 5
+    # frame on both axes
+    @example(request=(np.random.default_rng(5).uniform(0.0, 1.0, (3, 5, 6)),
+                      BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64))
+    def test_patch_and_mask_are_bit_identical(self, request):
+        frame, box, size, template_size = request
+        crop = crop_of(*request)
+        side = context_side(box) * size / (template_size or size)
+        patch, mask = full_crop_oracle(frame, (box.cx, box.cy), side, size)
+        assert np.array_equal(crop.patch, patch)
+        assert np.array_equal(crop.pad_mask, mask)
+
+    def test_crop_that_covers_nothing_is_all_mean(self):
+        frame = np.random.default_rng(5).uniform(0.0, 1.0, (3, 5, 6))
+        crop = crop_search(frame, BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64)
+        means = frame.reshape(3, -1).mean(axis=1)
+        assert crop.pad_mask.all()
+        assert np.array_equal(crop.patch, np.broadcast_to(means[:, None, None],
+                                                          (3, 128, 128)))
 
 
 class TestBackbone:

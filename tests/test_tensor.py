@@ -92,11 +92,13 @@ def rowmajor_conv2d(x, kernel, grad, stride=1, padding=0):
 
 
 def scatter_conv2d(x, kernel, grad, stride=1, padding=0, bias=None):
-    """The channel-major conv2d whose input gradient ``T.conv2d`` replaced
-    by the stride-phase GEMM: output, dx, dk and db of a (B,C,H,W) batch.
+    """The channel-major im2col conv2d that ``T.conv2d``'s stride phases
+    replaced: output, dx, dk and db of a (B,C,H,W) batch.
 
-    The bias is a broadcast add after the GEMM, and the input gradient is
-    ``wmat.T @ gmat`` scattered back with kh*kw strided adds.
+    The output is one GEMM of the kernel with ``(C*kh*kw, B*oh*ow)``
+    columns plus a broadcast bias, the kernel gradient is the output
+    gradient times the columns, and the input gradient is ``wmat.T @ gmat``
+    scattered back with kh*kw strided adds.
     """
     b, c, h, w = x.shape
     o, _, kh, kw = kernel.shape
@@ -386,8 +388,9 @@ class TestConv2d:
         assert_relative(kernel.grad, sum(ref_dk for _, _, ref_dk in samples))
 
     # (B, C, O, kh, kw, H, W, stride, padding): the backbone stages of a
-    # training step's search (128) and template (64) crops, batch 2, and of
-    # the 255 search crop (padded to 256), batch 1
+    # training step's search (128) and template (64) crops, batch 2, of the
+    # 255 search crop (padded to 256), batch 1, and of the 128 search crop
+    # or 127 template crop, batch 1
     @pytest.mark.parametrize("geometry", [
         (2, 3, 8, 4, 4, 128, 128, 2, 1), (2, 8, 16, 4, 4, 64, 64, 2, 1),
         (2, 16, 32, 4, 4, 32, 32, 2, 1), (2, 32, 32, 3, 3, 16, 16, 1, 1),
@@ -395,6 +398,8 @@ class TestConv2d:
         (2, 16, 32, 4, 4, 16, 16, 2, 1), (2, 32, 32, 3, 3, 8, 8, 1, 1),
         (1, 3, 8, 4, 4, 256, 256, 2, 1), (1, 8, 16, 4, 4, 128, 128, 2, 1),
         (1, 16, 32, 4, 4, 64, 64, 2, 1), (1, 32, 32, 3, 3, 32, 32, 1, 1),
+        (1, 3, 8, 4, 4, 128, 128, 2, 1), (1, 8, 16, 4, 4, 64, 64, 2, 1),
+        (1, 16, 32, 4, 4, 32, 32, 2, 1), (1, 32, 32, 3, 3, 16, 16, 1, 1),
     ])
     def test_workload_stages_match_scatter_oracle(self, geometry):
         check_conv_against_scatter(np.random.default_rng(13), *geometry, biased=True)
@@ -418,14 +423,14 @@ class TestConv2d:
 
     @pytest.mark.parametrize("biased", [False, True])
     def test_single_sample_matches_scatter_oracle(self, biased):
-        # a batch of one; for the 1x1 conv its columns are a view of the input
+        # a batch of one, with a 4x4 kernel at stride 2 and a 1x1 kernel
         rng = np.random.default_rng(15)
         for geometry in ((1, 3, 4, 4, 4, 10, 8, 2, 1), (1, 4, 2, 1, 1, 3, 5, 1, 0)):
             check_conv_against_scatter(rng, *geometry, biased)
 
     def test_pointwise_view_of_a_conv_output_with_bias(self):
-        # a 1x1 conv of the channel-major output of a previous conv reads
-        # its columns as a view of that output
+        # a 1x1 conv of a previous conv's output, a strided view cropped
+        # out of that conv's wide product
         rng = np.random.default_rng(16)
         x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
         k1 = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
@@ -441,6 +446,52 @@ class TestConv2d:
         for got, expected in ((out.data, ref_out), (k2.grad, ref_dk2),
                               (bias.grad, ref_db), (k1.grad, ref_dk1), (x.grad, ref_dx)):
             assert_relative(got, expected)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("geometry", [
+        (3, 8, 4, 4, 256, 2), (8, 16, 4, 4, 128, 2), (16, 32, 4, 4, 64, 2),
+        (32, 32, 3, 3, 32, 1), (3, 8, 4, 4, 64, 2), (32, 32, 3, 3, 8, 1),
+    ])
+    def test_constant_input_gives_equal_interior_outputs(self, batch, geometry):
+        # every output whose window stays off the zero padding reads the
+        # same values, so it must come out bit for bit the same
+        c, o, kh, kw, size, stride = geometry
+        rng = np.random.default_rng(18)
+        x = np.full((batch, c, size, size), 0.37)
+        kernel = rng.standard_normal((o, c, kh, kw))
+        bias = rng.standard_normal(o)
+        out = T.conv2d(Tensor(x), Tensor(kernel), stride=stride, padding=1,
+                       bias=Tensor(bias)).data
+        inner = out[:, :, 1:-1, 1:-1]
+        assert inner.size
+        assert np.array_equal(inner, np.broadcast_to(inner[:1, :, :1, :1], inner.shape))
+
+    # (B, C, O, kh, kw, H, W, stride, padding)
+    @pytest.mark.parametrize("geometry", [
+        (2, 3, 4, 4, 4, 16, 16, 2, 1), (2, 4, 3, 3, 3, 8, 8, 1, 1),
+        (2, 2, 3, 3, 3, 9, 7, 2, 1), (1, 2, 2, 2, 5, 13, 10, 3, 2),
+        (3, 1, 2, 1, 1, 5, 7, 2, 0),
+    ])
+    def test_nan_pixel_reaches_only_the_windows_that_read_it(self, geometry):
+        # the junk columns and rows of the wide product read across row and
+        # sample edges; none of that may reach a kept output
+        b, c, o, kh, kw, h, w, stride, padding = geometry
+        rng = np.random.default_rng(19)
+        kernel = rng.standard_normal((o, c, kh, kw))
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        for sample, channel, y, x in ((0, 0, 0, 0), (b - 1, c - 1, h - 1, w - 1),
+                                      (b // 2, 0, h // 2, w - 1), (0, c - 1, h - 1, 0)):
+            pixels = rng.standard_normal((b, c, h, w))
+            pixels[sample, channel, y, x] = np.nan
+            out = T.conv2d(Tensor(pixels), Tensor(kernel), stride=stride,
+                           padding=padding).data
+            py, px = y + padding, x + padding
+            rows = (np.arange(oh) * stride <= py) & (py < np.arange(oh) * stride + kh)
+            cols = (np.arange(ow) * stride <= px) & (px < np.arange(ow) * stride + kw)
+            expected = np.zeros(out.shape, dtype=bool)
+            expected[sample, :, rows[:, None] & cols[None, :]] = True
+            assert np.array_equal(np.isnan(out), expected)
 
     @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), ()])
     def test_bias_of_wrong_length_rejected(self, shape):

@@ -355,15 +355,16 @@ class TestCheckpointRoundtrip:
         for f in exact:
             assert type(getattr(loaded, f.name)) is type(f.default), f.name
 
-    def test_checkpoint_with_retired_stride_field_loads(self, toy_world, tmp_path):
+    def test_checkpoint_with_retired_stride_field_rejected(self, toy_world, tmp_path):
+        # written while the output stride was configurable, at its one value
         _, _, config, model = toy_world
         path = tmp_path / "model.trtr"
         save_model(path, model, config)
         entries = [("config.stride", Tensor(8.0))]
         entries += [(name, Tensor(v)) for name, v in load_checkpoint(path).items()]
         save_checkpoint(entries, path)
-        _, loaded = load_model(path)
-        assert loaded == config
+        with pytest.raises(ValueError, match=r"unknown entries: \['config\.stride'\]"):
+            load_model(path)
 
     @staticmethod
     def _edited_checkpoint(model, config, path, edit):
@@ -383,20 +384,19 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError, match=key):
             load_model(path)
 
-    def test_retired_online_schedule_loads_and_tracks_the_same(self, toy_world,
-                                                               tmp_path):
+    def test_retired_online_schedule_rejected(self, toy_world, tmp_path):
         # a file written while the online branch had an update interval and
         # a score threshold carries both at their defaults, 1 and 0.7
-        frames, boxes, config, model = toy_world
+        _, _, config, model = toy_world
         online = dataclasses.replace(config, online=True)
         path = tmp_path / "model.trtr"
         self._edited_checkpoint(model, online, path, lambda e: e.update(
             {"config.online_update_interval": np.array(1.0),
              "config.online_score_threshold": np.array(0.7)}))
-        loaded_model, loaded = load_model(path)
-        assert loaded == online
-        assert track_sequence(loaded_model, loaded, frames, boxes[0]) == \
-            track_sequence(model, online, frames, boxes[0])
+        with pytest.raises(ValueError, match=r"unknown entries: \["
+                           r"'config\.online_score_threshold', "
+                           r"'config\.online_update_interval'\]"):
+            load_model(path)
 
     def test_unknown_config_key_rejected(self, toy_world, tmp_path):
         _, _, config, model = toy_world
@@ -431,10 +431,10 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError, match=name):
             load_model(path)
 
-    def test_per_head_checkpoint_loads_identically(self, toy_world, tmp_path):
+    def test_per_head_checkpoint_rejected(self, toy_world, tmp_path):
         # the layout written before the heads were packed: wq/wk/wv stored
         # as one (d, d_head) block per head, named <prefix>.head{i}.wq etc.
-        frames, boxes, config, model = toy_world
+        _, _, config, model = toy_world
         d_head = config.d // config.n_heads
 
         def split_heads(entries):
@@ -458,16 +458,9 @@ class TestCheckpointRoundtrip:
         names = set(load_checkpoint(path))
         assert "transformer.decoder0.self_attn.head3.wv" in names
         assert "transformer.decoder0.self_attn.wv" not in names
-        loaded_model, loaded_config = load_model(path)
-        assert loaded_config == config
-        for (na, pa), (nb, pb) in zip(named_parameters(model),
-                                      named_parameters(loaded_model)):
-            assert na == nb
-            assert np.array_equal(pa.data, pb.data)
-        a = track_sequence(model, config, frames[:4], boxes[0])
-        b = track_sequence(loaded_model, loaded_config, frames[:4], boxes[0])
-        for x, y in zip(a, b):
-            assert (x.cx, x.cy, x.w, x.h) == (y.cx, y.cy, y.w, y.h)
+        with pytest.raises(ValueError, match=r"missing parameter "
+                           r"'transformer\.encoder0\.attn\.wq'"):
+            load_model(path)
 
     def test_loaded_model_tracks_identically(self, toy_world, tmp_path):
         frames, boxes, config, model = toy_world
