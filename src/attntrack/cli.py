@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -26,6 +27,34 @@ from .pipeline import (SequenceSpec, Tracker, TrackerConfig, TrainSettings,
                        save_sequence, track_sequence, train_toy, write_csv,
                        write_pgm, write_rect_file)
 from .transformer import AttentionTrace, attention_sites
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let the heap keep what a tracked frame frees, for the next frame.
+
+    Each frame frees its large temporaries. By default glibc hands the
+    heap top back to the kernel and serves blocks above a moving threshold
+    with fresh mmaps, so the next frame faults the same pages in again:
+    about 1,000 minor faults per frame at 127/255. A 256 MB trim threshold
+    and the 32 MB mmap ceiling keep those pages in the process. Where the
+    C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _onoff(value: str) -> bool:
@@ -290,6 +319,7 @@ def main(argv=None) -> int:
     box or sequence the tracker cannot use) and for training that diverged."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.fn(args)
     except (ValueError, TrackingError, TrainingDivergence, OSError) as exc:

@@ -12,6 +12,11 @@ image. Sample coordinates increase along each axis, so the covered
 samples form one window, and only that window is resampled. Every other
 pixel of the patch, the extension included, is the per-channel image
 mean by definition and is flagged in the pad mask.
+
+The crop takes a ``Frame`` (or a bare (3, H, W) float64 array, the values
+of a frame) and reads its pixel values as samples over ``maxval``. It
+divides before it sums, in the frame's own layout, so an 8-bit frame crops
+bit for bit like the float64 frame of its values.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError, TrackingError
+from ..errors import TrackingError
 from ..localize import STRIDE, BoundingBox
+from .seqio import Frame
 
 
 @dataclass
@@ -70,11 +76,17 @@ def _covered(weight: np.ndarray) -> tuple[int, int]:
     return (int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0)
 
 
-def _sample_window(image: np.ndarray, means: np.ndarray,
+def _values(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """The float64 pixel values of some of a frame's samples: float64
+    samples as they are, 8-bit samples over maxval."""
+    return samples if samples.dtype == np.float64 else samples / maxval
+
+
+def _sample_window(frame: Frame, means: np.ndarray,
                    rows: tuple[np.ndarray, np.ndarray],
                    cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Bilinear samples of a (3,H,W) image at covered sample rows x columns,
-    each axis given as its ``_taps`` (index, weight); returns (3, rows, cols).
+    """Bilinear samples of a frame at covered sample rows x columns, each
+    axis given as its ``_taps`` (index, weight); returns (3, rows, cols).
 
     The bilinear weights of the four taps sum to 1, so mean padding is
     ``mean + sum(w_y * w_x * (image - mean))`` over the in-image taps, and
@@ -86,7 +98,8 @@ def _sample_window(image: np.ndarray, means: np.ndarray,
     row_index, row_weight = rows
     col_index, col_weight = cols
     top = row_index.min()
-    centred = image[:, top:row_index.max() + 1] - means[:, None, None]
+    band = frame.pixels[:, top:row_index.max() + 1]
+    centred = _values(band, frame.maxval) - means[:, None, None]
     row_index = row_index - top
     blend = np.take(centred, col_index[0], axis=2) * col_weight[0]
     blend += np.take(centred, col_index[1], axis=2) * col_weight[1]
@@ -101,7 +114,7 @@ def _sample_window(image: np.ndarray, means: np.ndarray,
     return out
 
 
-def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
+def _crop(frame: Frame, center: tuple[float, float], side: float,
           out_size: int) -> CropResult:
     """Sample ``out_size`` pixels across the square into a patch of side
     ``aligned_side(out_size)``. Only the covered window is sampled; the
@@ -109,8 +122,8 @@ def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
     is the channel mean and is flagged in the pad mask."""
     # image pixel i is centered at coordinate i; patch pixel u samples the
     # center of its cell inside the [center - side/2, center + side/2] square
-    _, h, w = frame.shape
-    means = frame.reshape(3, -1).mean(axis=1)
+    _, h, w = frame.pixels.shape
+    means = _values(frame.pixels.reshape(3, -1), frame.maxval).mean(axis=1)
     scale = side / out_size
     origin = (center[0] - side / 2.0 + 0.5 * scale,
               center[1] - side / 2.0 + 0.5 * scale)
@@ -135,10 +148,12 @@ def _crop(frame: np.ndarray, center: tuple[float, float], side: float,
     return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin)
 
 
-def _check_box(frame: np.ndarray, box: BoundingBox) -> None:
-    if frame.ndim != 3 or frame.shape[0] != 3:
-        raise ShapeError(f"frame must be a (3, H, W) array, got shape {frame.shape}")
-    _, img_h, img_w = frame.shape
+def _checked(frame: Frame | np.ndarray, box: BoundingBox) -> Frame:
+    """The frame to crop, a bare array taken as float64 values, once the
+    box is known to be usable on it."""
+    if not isinstance(frame, Frame):
+        frame = Frame(frame, index=0)
+    _, img_h, img_w = frame.pixels.shape
     if not all(math.isfinite(v) for v in (box.cx, box.cy, box.w, box.h)):
         raise TrackingError(f"box {box} has a non-finite field")
     x, y, w, h = box.as_corner()
@@ -146,18 +161,22 @@ def _check_box(frame: np.ndarray, box: BoundingBox) -> None:
         raise TrackingError(f"box {box} lies fully outside the {img_w}x{img_h} image")
     if box.w <= 0 or box.h <= 0:
         raise TrackingError(f"box {box} has non-positive extent")
+    return frame
 
 
-def crop_template(frame: np.ndarray, box: BoundingBox, out_size: int) -> CropResult:
-    """Context-padded square around the target, resampled to out_size."""
-    _check_box(frame, box)
+def crop_template(frame: Frame | np.ndarray, box: BoundingBox,
+                  out_size: int) -> CropResult:
+    """Context-padded square around the target in ``frame``, resampled to
+    out_size."""
+    frame = _checked(frame, box)
     return _crop(frame, (box.cx, box.cy), context_side(box), out_size)
 
 
-def crop_search(frame: np.ndarray, prev_box: BoundingBox, search_size: int,
-                template_size: int) -> CropResult:
-    """Search patch: the template square scaled by search_size/template_size."""
-    _check_box(frame, prev_box)
+def crop_search(frame: Frame | np.ndarray, prev_box: BoundingBox,
+                search_size: int, template_size: int) -> CropResult:
+    """Search patch of ``frame``: the template square around ``prev_box``,
+    scaled by search_size/template_size."""
+    frame = _checked(frame, prev_box)
     side = context_side(prev_box) * search_size / template_size
     return _crop(frame, (prev_box.cx, prev_box.cy), side, search_size)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ShapeError
 from ..localize import BoundingBox
 
 GROUNDTRUTH_FILE = "groundtruth_rect.txt"
@@ -21,8 +22,33 @@ GROUNDTRUTH_FILE = "groundtruth_rect.txt"
 
 @dataclass
 class Frame:
-    pixels: np.ndarray     # (3, H, W) float64 in [0, 1]
+    """One video frame, whose pixel values are ``pixels / maxval``.
+
+    ``pixels`` is (3, H, W): either 8-bit samples (uint8, 0..maxval), as
+    ``load_sequence`` gives them, a view of the file's row-major RGB bytes
+    (a PGM's one channel broadcast to three), or float64 values in [0, 1]
+    with ``maxval`` 1, as ``generate_synthetic_sequence`` renders them.
+    The crop is the only code that reads the values.
+    """
+    pixels: np.ndarray
     index: int
+    maxval: int = 1
+
+    def __post_init__(self):
+        if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
+            raise ShapeError(f"frame must be a (3, H, W) array, got shape "
+                             f"{self.pixels.shape}")
+        if self.pixels.dtype == np.uint8:
+            if not 1 <= self.maxval <= 255:
+                raise ValueError(f"an 8-bit frame's maxval must be 1..255, "
+                                 f"got {self.maxval}")
+        elif self.pixels.dtype == np.float64:
+            if self.maxval != 1:
+                raise ValueError(f"a float64 frame holds values in [0, 1] and "
+                                 f"has maxval 1, got {self.maxval}")
+        else:
+            raise ValueError(f"frame pixels must be uint8 samples or float64 "
+                             f"values, got {self.pixels.dtype}")
 
 
 def _read_token(fh) -> bytes:
@@ -51,11 +77,14 @@ def _read_header_int(fh, path, what: str) -> int:
         raise ValueError(f"{path}: netpbm {what} {token!r} is not an integer") from None
 
 
-def read_netpbm(path) -> np.ndarray:
-    """Read a binary PPM (P6) as (3, H, W) or PGM (P5) as (H, W), in [0, 1].
+def read_netpbm(path) -> tuple[np.ndarray, int]:
+    """Read a binary PPM (P6) or PGM (P5) as its 8-bit samples and maxval.
 
-    Raises ``ValueError`` naming the file for a malformed header, truncated
-    pixel data or a sample above maxval.
+    The samples are uint8 views of the file's bytes: (3, H, W) for a PPM
+    (row-major RGB, so the channel axis has stride 1) and (H, W) for a PGM;
+    a pixel value is a sample over maxval. Raises ``ValueError`` naming
+    the file for a malformed header, truncated pixel data or a sample above
+    maxval.
     """
     with open(path, "rb") as fh:
         magic = _read_token(fh)
@@ -81,19 +110,30 @@ def read_netpbm(path) -> np.ndarray:
     samples = np.frombuffer(raw, dtype=np.uint8)
     if maxval < 255 and samples.max() > maxval:
         raise ValueError(f"{path}: pixel sample {samples.max()} above maxval {maxval}")
-    data = samples.astype(np.float64) / maxval
     if channels == 3:
-        return data.reshape(height, width, 3).transpose(2, 0, 1)
-    return data.reshape(height, width)
+        return samples.reshape(height, width, 3).transpose(2, 0, 1), maxval
+    return samples.reshape(height, width), maxval
+
+
+def _write_netpbm(path, samples: np.ndarray, maxval: int) -> None:
+    """Write 8-bit samples, (3, H, W) as binary PPM or (H, W) as PGM."""
+    if samples.ndim == 3:
+        magic, body = "P6", samples.transpose(1, 2, 0)
+    else:
+        magic, body = "P5", samples
+    h, w = body.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(body.tobytes())
+
+
+def _to_8_bit(values: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
     """Write a (3, H, W) array in [0, 1] as binary PPM."""
-    _, h, w = pixels.shape
-    body = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(body.transpose(1, 2, 0).tobytes())
+    _write_netpbm(path, _to_8_bit(pixels), 255)
 
 
 def write_pgm(path, values: np.ndarray, normalize: str) -> None:
@@ -112,11 +152,7 @@ def write_pgm(path, values: np.ndarray, normalize: str) -> None:
         v = v / peaks
     else:
         raise ValueError(f"unknown normalize mode {normalize!r}")
-    h, w = v.shape
-    body = np.clip(np.rint(v * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(body.tobytes())
+    _write_netpbm(path, _to_8_bit(v), 255)
 
 
 def write_csv(path, values: np.ndarray) -> None:
@@ -158,9 +194,15 @@ def write_rect_file(path, boxes: list[BoundingBox]) -> None:
 
 
 def save_sequence(directory, frames: list[Frame], boxes: list[BoundingBox]) -> None:
+    """Write each frame as a PPM, 8-bit samples with their maxval unchanged
+    and float64 values rounded to 8 bits, plus the ground truth."""
     os.makedirs(directory, exist_ok=True)
     for frame in frames:
-        write_ppm(os.path.join(directory, f"{frame.index:06d}.ppm"), frame.pixels)
+        path = os.path.join(directory, f"{frame.index:06d}.ppm")
+        if frame.pixels.dtype == np.uint8:
+            _write_netpbm(path, frame.pixels, frame.maxval)
+        else:
+            write_ppm(path, frame.pixels)
     write_rect_file(os.path.join(directory, GROUNDTRUTH_FILE), boxes)
 
 
@@ -181,18 +223,19 @@ def _frame_order(directory, names: list[str]) -> list[str]:
 
 
 def load_sequence(directory) -> tuple[list[Frame], list[BoundingBox]]:
-    """Read numbered PPM/PGM frames (a PGM as three equal channels), in the
-    order of their numbers, plus ground truth."""
+    """Read numbered PPM/PGM frames as 8-bit ``Frame``s, in the order of
+    their numbers, plus ground truth. A PGM's one channel is broadcast to
+    three, so its frame holds one byte per pixel."""
     names = _frame_order(directory, sorted(n for n in os.listdir(directory)
                                            if n.lower().endswith((".ppm", ".pgm"))))
     if not names:
         raise ValueError(f"no PPM/PGM frames found in {directory}")
     frames = []
     for i, name in enumerate(names):
-        pixels = read_netpbm(os.path.join(directory, name))
-        if pixels.ndim == 2:
-            pixels = np.stack([pixels] * 3)
-        frames.append(Frame(pixels=pixels, index=i))
+        samples, maxval = read_netpbm(os.path.join(directory, name))
+        if samples.ndim == 2:
+            samples = np.broadcast_to(samples, (3,) + samples.shape)
+        frames.append(Frame(pixels=samples, index=i, maxval=maxval))
     gt_path = os.path.join(directory, GROUNDTRUTH_FILE)
     boxes = read_rect_file(gt_path) if os.path.exists(gt_path) else []
     return frames, boxes

@@ -261,7 +261,7 @@ class Tracker:
              trace: AttentionTrace | None = None) -> TrackerState:
         cfg = self.config
         with T.no_grad():
-            crop = crop_template(frame.pixels, box, cfg.template_size)
+            crop = crop_template(frame, box, cfg.template_size)
             memory, pe = encode_template(self.model, cfg, crop, trace=trace)
 
         grid = aligned_side(cfg.search_size) // STRIDE
@@ -269,7 +269,7 @@ class Tracker:
         self.state = TrackerState(template_memory=memory,
                                   template_pe=pe, box=box, window=window)
         if cfg.online:
-            self._init_online(frame.pixels, box)
+            self._init_online(frame, box)
         return self.state
 
     def _online_label(self, center_patch: tuple[float, float],
@@ -280,7 +280,7 @@ class Tracker:
                                max(box_patch[1] / STRIDE, 0.25))
         return gaussian_label(cell, sigma, grid, grid)
 
-    def _init_online(self, pixels: np.ndarray, box: BoundingBox) -> None:
+    def _init_online(self, frame: Frame, box: BoundingBox) -> None:
         cfg = self.config
         rng = np.random.default_rng(0)
         self.state.online_filter = init_online_filter(
@@ -296,7 +296,7 @@ class Tracker:
                 shifted_box = BoundingBox(box.cx + dx * scale,
                                           box.cy + dy * scale, box.w, box.h)
                 try:
-                    crop = crop_search(pixels, shifted_box, cfg.search_size,
+                    crop = crop_search(frame, shifted_box, cfg.search_size,
                                        cfg.template_size)
                 except TrackingError:
                     continue
@@ -323,7 +323,7 @@ class Tracker:
         state = self.state
 
         with T.no_grad():
-            crop = crop_search(frame.pixels, state.box, cfg.search_size,
+            crop = crop_search(frame, state.box, cfg.search_size,
                                cfg.template_size)
             feats = extract_features([crop], self.model, cfg)
             maps = decode_search(self.model, feats, state.template_memory,

@@ -100,7 +100,7 @@ def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
     center = BoundingBox(prev.cx + rng.uniform(-jitter, jitter),
                          prev.cy + rng.uniform(-jitter, jitter),
                          prev.w * factor, prev.h * factor)
-    crop = crop_search(frames[t].pixels, center, config.search_size,
+    crop = crop_search(frames[t], center, config.search_size,
                        config.template_size)
     truth = boxes[t]
     center_patch = image_to_patch((truth.cx, truth.cy), crop)
@@ -153,7 +153,7 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
         raise ValueError(f"ground truth has {len(boxes)} boxes for "
                          f"{len(frames)} frames")
     rng = np.random.default_rng(settings.seed)
-    template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+    template = crop_template(frames[0], boxes[0], config.template_size)
     params = T.parameters(model)
     optimizer = Adam(params, lr=settings.lr)
     history = []

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -318,9 +319,9 @@ class TestDumps:
         weights = np.loadtxt(prefix + ".csv", delimiter=",")
         assert weights.shape == (12 * 12, 6 * 6)      # search x template tokens
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
-        pgm = read_netpbm(prefix + ".pgm")
+        pgm, maxval = read_netpbm(prefix + ".pgm")
         assert pgm.shape == (12 * 12, 6 * 6)
-        assert pgm.max() == 1.0                        # row-normalized output
+        assert pgm.max() / maxval == 1.0               # row-normalized output
 
     def test_dump_attn_encoder_site(self, workspace, tmp_path):
         _, seq, ckpt = workspace
@@ -409,6 +410,37 @@ class TestDumps:
         assert capsys.readouterr().err == (f"attntrack: error: --frame {frame} is "
                                            f"outside 1..5 for a sequence of 6 frames\n")
         assert list(tmp_path.iterdir()) == []
+
+
+def _no_c_library(name):
+    raise OSError("no C library to load")
+
+
+class TestMallocThresholds:
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                             ids=["no-mallopt", "no-libc"])
+    def test_without_mallopt_main_runs_silently(self, workspace, monkeypatch,
+                                                capsys, cdll):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        _, seq, _ = workspace
+        truth = os.path.join(seq, "groundtruth_rect.txt")
+        capsys.readouterr()
+        assert main(["eval", "--pred", truth, "--truth", truth]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and json.loads(out.out)["mean_iou"] == pytest.approx(1.0)
+
+    def test_pins_the_trim_and_mmap_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_memory()
+        # M_TRIM_THRESHOLD 256 MB, then M_MMAP_THRESHOLD at glibc's 32 MB ceiling
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
 
 
 class TestGradcheckCommand:

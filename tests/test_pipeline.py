@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import STRIDE, BoundingBox
-from attntrack.pipeline import (SequenceSpec, backbone_forward, crop_search,
-                                crop_template, evaluate,
+from attntrack.pipeline import (Frame, SequenceSpec, backbone_forward,
+                                crop_search, crop_template, evaluate,
                                 generate_synthetic_sequence, grid_pad_mask,
                                 image_to_patch, init_backbone, iou,
                                 load_sequence, patch_to_image,
@@ -332,6 +332,83 @@ class TestCropWindowFuzz:
                                                           (3, 128, 128)))
 
 
+@st.composite
+def eight_bit_crops(draw):
+    """A frame of ``window_crops`` as the (H, W, 3) bytes of a PPM file with
+    a drawn maxval, and that request's box and sizes."""
+    frame, box, size, template_size = draw(window_crops())
+    maxval = draw(st.sampled_from([255, 200, 7, 1]))
+    rows = np.rint(frame.transpose(1, 2, 0) * maxval).astype(np.uint8)
+    return rows, maxval, box, size, template_size
+
+
+class TestEightBitFrames:
+    """Frames as ``load_sequence`` gives them: 8-bit samples and maxval."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=eight_bit_crops())
+    def test_crops_equal_the_float_values_in_the_file_layout(self, request):
+        rows, maxval, box, size, template_size = request
+        samples = Frame(rows.transpose(2, 0, 1), 0, maxval)
+        # how a loaded frame was held before: float64, in the file's layout
+        values = (rows.astype(np.float64) / maxval).transpose(2, 0, 1)
+        got = crop_of(samples, box, size, template_size)
+        want = crop_of(values, box, size, template_size)
+        assert np.array_equal(got.patch, want.patch)
+        assert np.array_equal(got.pad_mask, want.pad_mask)
+
+    def test_ppm_frame_holds_one_byte_per_sample(self, tmp_path):
+        frames, boxes = generate_synthetic_sequence(0, 2)
+        save_sequence(tmp_path, frames, boxes)
+        loaded, _ = load_sequence(tmp_path)
+        pixels = loaded[0].pixels
+        _, h, w = pixels.shape
+        assert pixels.dtype == np.uint8 and loaded[0].maxval == 255
+        assert pixels.nbytes == 3 * h * w
+
+    def test_pgm_frame_broadcasts_its_channel_and_crops_as_a_ppm(self, tmp_path):
+        grey = np.random.default_rng(12).integers(0, 201, (30, 40), dtype=np.uint8)
+        (tmp_path / "pgm").mkdir()
+        (tmp_path / "ppm").mkdir()
+        (tmp_path / "pgm" / "1.pgm").write_bytes(b"P5\n40 30\n200\n" + grey.tobytes())
+        rgb = np.repeat(grey[:, :, None], 3, axis=2)
+        (tmp_path / "ppm" / "1.ppm").write_bytes(b"P6\n40 30\n200\n" + rgb.tobytes())
+        (pgm,), _ = load_sequence(tmp_path / "pgm")
+        (ppm,), _ = load_sequence(tmp_path / "ppm")
+        assert pgm.pixels.shape == (3, 30, 40) and pgm.pixels.strides[0] == 0
+        assert np.shares_memory(pgm.pixels[0], pgm.pixels[2])
+        for box in (BoundingBox(20.0, 15.0, 8.0, 6.0), BoundingBox(2.0, 28.0, 20.0, 9.0)):
+            for crop in (lambda f: crop_template(f, box, 32),
+                         lambda f: crop_search(f, box, 64, 32)):
+                a, b = crop(pgm), crop(ppm)
+                assert np.array_equal(a.patch, b.patch)
+                assert np.array_equal(a.pad_mask, b.pad_mask)
+
+    def test_saved_samples_are_written_back_unchanged(self, tmp_path):
+        rgb = np.random.default_rng(13).integers(0, 201, (5, 7, 3), dtype=np.uint8)
+        data = b"P6\n7 5\n200\n" + rgb.tobytes()
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "000000.ppm").write_bytes(data)
+        frames, _ = load_sequence(tmp_path / "a")
+        save_sequence(tmp_path / "b", frames, [])
+        assert (tmp_path / "b" / "000000.ppm").read_bytes() == data
+
+
+class TestFrame:
+    @pytest.mark.parametrize("pixels,maxval,error,reason", [
+        (np.zeros((4, 4)), 1, ShapeError, r"\(3, H, W\)"),
+        (np.zeros((1, 4, 4)), 1, ShapeError, r"\(3, H, W\)"),
+        (np.zeros((3, 4, 4), np.float32), 1, ValueError, "float32"),
+        (np.zeros((3, 4, 4), np.uint16), 255, ValueError, "uint16"),
+        (np.zeros((3, 4, 4), np.uint8), 0, ValueError, "maxval must be 1..255"),
+        (np.zeros((3, 4, 4), np.uint8), 256, ValueError, "maxval must be 1..255"),
+        (np.zeros((3, 4, 4)), 255, ValueError, "has maxval 1"),
+    ])
+    def test_rejects_what_it_cannot_mean(self, pixels, maxval, error, reason):
+        with pytest.raises(error, match=reason):
+            Frame(pixels, 0, maxval)
+
+
 class TestBackbone:
     def test_stride_arithmetic(self):
         rng = np.random.default_rng(7)
@@ -474,9 +551,9 @@ class TestSequenceIo:
         pixels = np.round(rng.uniform(0, 1, (3, 10, 14)) * 255) / 255.0
         path = tmp_path / "frame.ppm"
         write_ppm(path, pixels)
-        back = read_netpbm(path)
+        back, maxval = read_netpbm(path)
         assert back.shape == (3, 10, 14)
-        assert np.abs(back - pixels).max() < 1e-12
+        assert np.abs(back / maxval - pixels).max() < 1e-12
 
     @pytest.mark.parametrize("maxval", [0, 256, 65535])
     def test_maxval_outside_8_bit_rejected(self, tmp_path, maxval):
@@ -570,7 +647,8 @@ class TestSequenceIo:
         loaded_frames, loaded_boxes = load_sequence(tmp_path / "seq")
         assert len(loaded_frames) == 3 and len(loaded_boxes) == 3
         # 8-bit quantization bounds the pixel error
-        assert np.abs(loaded_frames[0].pixels - frames[0].pixels).max() <= 0.5 / 255
+        loaded = loaded_frames[0]
+        assert np.abs(loaded.pixels / loaded.maxval - frames[0].pixels).max() <= 0.5 / 255
         assert abs(loaded_boxes[1].cx - boxes[1].cx) < 1e-3
 
     def test_frames_load_in_number_order(self, tmp_path):
@@ -578,7 +656,7 @@ class TestSequenceIo:
         for number in range(1, 13):
             write_ppm(tmp_path / f"{number}.ppm", np.full((3, 2, 2), number / 255.0))
         frames, _ = load_sequence(tmp_path)
-        assert [round(f.pixels[0, 0, 0] * 255) for f in frames] == list(range(1, 13))
+        assert [round(f.pixels[0, 0, 0] / f.maxval * 255) for f in frames] == list(range(1, 13))
         assert [f.index for f in frames] == list(range(12))
 
     @pytest.mark.parametrize("names,message", [
@@ -632,9 +710,10 @@ class TestReaderFuzz:
         path = tmp_path / "frame.pnm"
         path.write_bytes(data)
         try:
-            pixels = read_netpbm(path)
+            samples, maxval = read_netpbm(path)
         except READER_ERRORS:
             return
+        pixels = samples / maxval
         assert pixels.ndim in (2, 3) and pixels.size > 0
         assert np.all((pixels >= 0.0) & (pixels <= 1.0))
 

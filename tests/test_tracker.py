@@ -16,7 +16,8 @@ from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 Tracker, TrackerConfig, TrainSettings, build_model,
                                 crop_template, encode_template, forward_pair,
                                 generate_synthetic_sequence, load_model,
-                                pair_loss, sample_training_pair, save_model,
+                                load_sequence, pair_loss, sample_training_pair,
+                                save_model, save_sequence,
                                 init_backbone, track_sequence, train_toy)
 from attntrack.pipeline import tracker as tracker_mod
 from attntrack.pipeline.crop import crop_search
@@ -104,6 +105,19 @@ class TestTrackerBasics:
         box, diag = tracker.track(Frame(pixels, frames[2].index))
         assert diag.lost
         assert box == box_before
+
+    def test_loaded_sequence_tracks_as_its_float_twin(self, toy_world, tmp_path):
+        # 8-bit loaded frames against the float64 values they stand for,
+        # held in the file's layout as loaded frames were before
+        frames, boxes, config, model = toy_world
+        save_sequence(tmp_path, frames, boxes)
+        loaded, _ = load_sequence(tmp_path)
+        twins = [Frame((f.pixels.transpose(1, 2, 0) / f.maxval).transpose(2, 0, 1),
+                       f.index) for f in loaded]
+        config = dataclasses.replace(config, online=True)
+        assert loaded[0].pixels.dtype == np.uint8
+        assert (track_sequence(model, config, loaded, boxes[0])
+                == track_sequence(model, config, twins, boxes[0]))
 
     def test_diagnostics_carry_all_maps(self, toy_world):
         frames, boxes, config, model = toy_world
