@@ -9,6 +9,13 @@ equations with conjugate gradient, started from zero so its first
 residual is the right-hand side and costs no product. A backtracking
 acceptance step keeps the squared-error objective non-increasing.
 
+The tracker fits both layers jointly on the first frame, then refits only
+w2 once per tracked frame. With w1 frozen the residuals are linear in w2,
+so a frame's update is one linear least-squares problem solved by CG: its
+Jacobian products skip the w1 GEMMs, its full CG step is accepted (CG
+iterates lower a quadratic), and the hidden activations relu(w1 F) are
+computed once per solve.
+
 The memory is stacked once per solve, and each filter the solve visits
 runs forward once: the forward that gives a filter's objective value is
 the one its linearization reuses when the filter is accepted.
@@ -224,11 +231,19 @@ def conjugate_gradient(matvec, b: np.ndarray, n_iters: int,
 
 
 class _Forward:
-    """One filter's relu mask, activations and residual maps on the stacked memory."""
+    """One filter's relu mask, activations and residual maps on the stacked memory.
 
-    def __init__(self, filt: OnlineFilter, stack: _Stack):
+    ``hidden``, when given, is the (mask, activations) pair of another
+    forward on the same stack whose filter has this filter's ``w1``; it is
+    reused instead of running the hidden layer again.
+    """
+
+    def __init__(self, filt: OnlineFilter, stack: _Stack,
+                 hidden: tuple[np.ndarray, np.ndarray] | None = None):
         self.stack = stack
-        self.mask, self.act = _relu(filt.w1, stack.features)
+        if hidden is None:
+            hidden = _relu(filt.w1, stack.features)
+        self.mask, self.act = hidden
         self.residual = _conv(self.act, filt.w2, stack.labels.shape) - stack.labels
 
 
@@ -318,8 +333,9 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
     Each outer step fixes the relu activation pattern, solves the
     regularized normal equations with ``n_iters`` CG iterations, and
     accepts the (possibly backtracked) step only if the true objective
-    does not increase. A non-finite intermediate aborts the whole update
-    and returns the input filter flagged as degraded.
+    does not increase. With ``train_w1`` False only w2 moves. A non-finite
+    intermediate aborts the whole update and returns the input filter
+    flagged as degraded.
     """
     if not memory.samples:
         raise ValueError("training memory is empty")
@@ -330,6 +346,9 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
     current = filt.copy()
     forward = _Forward(current, stack)
     objectives = [objective(current, memory, forward)]
+    # with w1 frozen every filter the solve visits has the starting hidden
+    # layer, so relu(w1 F) runs once per solve
+    hidden = None if train_w1 else (forward.mask, forward.act)
 
     for _ in range(gn_steps):
         lin = _Linearization(current, forward, train_w1)
@@ -341,7 +360,7 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         step = 1.0
         for _ in range(5):
             candidate = _unpack(lin.theta + step * delta, current, train_w1)
-            trial = _Forward(candidate, stack)
+            trial = _Forward(candidate, stack, hidden)
             value = objective(candidate, memory, trial)
             if not np.isfinite(value):
                 return CgUpdate(filter=filt, objectives=objectives, degraded=True)

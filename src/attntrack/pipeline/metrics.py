@@ -12,13 +12,19 @@ SUCCESS_THRESHOLDS = np.round(np.arange(0.0, 1.0001, 0.05), 10)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes in continuous geometry."""
+    """Intersection over union of two boxes in continuous geometry.
+
+    Both areas are taken from the same rounded corner spans as the
+    intersection, so a box scores exactly 1 against itself, and, rounding
+    being monotone, the result never leaves [0, 1].
+    """
     ax0, ay0, aw, ah = a.as_corner()
     bx0, by0, bw, bh = b.as_corner()
-    ix = max(0.0, min(ax0 + aw, bx0 + bw) - max(ax0, bx0))
-    iy = max(0.0, min(ay0 + ah, by0 + bh) - max(ay0, by0))
+    ax1, ay1, bx1, by1 = ax0 + aw, ay0 + ah, bx0 + bw, by0 + bh
+    ix = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    iy = max(0.0, min(ay1, by1) - max(ay0, by0))
     inter = ix * iy
-    union = aw * ah + bw * bh - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     return inter / union if union > 0 else 0.0
 
 

@@ -15,8 +15,9 @@ patch around the last box, decodes it as a batch of one, and maps the
 decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
-mid-level features and refits its filter with one short Gauss-Newton/CG
-solve per tracked frame.
+mid-level features. ``Tracker.init`` fits both layers of its filter with a
+joint Gauss-Newton/CG solve; each tracked frame then refits only the score
+filter w2 with one linear CG solve, and w1 keeps its init fit.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class TrackerConfig:
     # target under appearance drift; slower schedules leave it anchored to
     # the first-frame appearance and drag the blended map behind the target
     memory_lr: float = 0.1
+    # init fits w1 and w2 jointly (GN steps x CG iterations); each frame's
+    # update refits w2 alone, a linear problem, so one GN step is one CG solve
     online_init_gn_steps: int = 10
     online_init_cg_iters: int = 10
     online_update_gn_steps: int = 1
@@ -381,14 +384,14 @@ class Tracker:
         return new_box, diag
 
     def _online_step(self, mid: np.ndarray, center_patch, size_patch) -> None:
-        """Add the frame's sample to the memory and refit the filter once."""
+        """Add the frame's sample to the memory and refit w2, w1 fixed."""
         cfg = self.config
         state = self.state
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
         update_memory(state.online_memory, mid, label, cfg.memory_lr)
         result = solve_cg(state.online_filter, state.online_memory,
                           n_iters=cfg.online_update_cg_iters,
-                          gn_steps=cfg.online_update_gn_steps)
+                          gn_steps=cfg.online_update_gn_steps, train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
 

@@ -427,7 +427,7 @@ class TestMallocThresholds:
         capsys.readouterr()
         assert main(["eval", "--pred", truth, "--truth", truth]) == 0
         out = capsys.readouterr()
-        assert out.err == "" and json.loads(out.out)["mean_iou"] == pytest.approx(1.0)
+        assert out.err == "" and json.loads(out.out)["mean_iou"] == 1.0
 
     def test_pins_the_trim_and_mmap_thresholds(self, monkeypatch):
         calls = []

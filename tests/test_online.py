@@ -626,9 +626,12 @@ class TestSolveWork:
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    @pytest.mark.parametrize("n_iters,gn_steps", [(1, 1), (5, 4), (10, 10)])
+    @pytest.mark.parametrize("n_iters,gn_steps,train_w1", [
+        pytest.param(n, g, w1, id=f"{n}-{g}" + ("" if w1 else "-w1_frozen"))
+        for w1 in (True, False) for n, g in ((1, 1), (5, 4), (10, 10))])
     def test_one_forward_per_filter_and_no_zero_product(self, monkeypatch,
-                                                         n_iters, gn_steps):
+                                                         n_iters, gn_steps,
+                                                         train_w1):
         rng = np.random.default_rng([n_iters, gn_steps])
         filt, memory = random_problem(rng, kernel=4, n_samples=8, grid=(6, 6),
                                       c_in=6, hidden=8)
@@ -637,12 +640,18 @@ class TestSolveWork:
                             (online, "conjugate_gradient"),
                             (online._Linearization, "normal_matvec")):
             self.count(monkeypatch, counts, owner, name)
-        result = solve_cg(filt, memory, n_iters=n_iters, gn_steps=gn_steps)
+        result = solve_cg(filt, memory, n_iters=n_iters, gn_steps=gn_steps,
+                          train_w1=train_w1)
         assert not result.degraded
         assert counts["conjugate_gradient"] >= len(result.objectives) - 1 >= 1
         # the parameter count far exceeds n_iters, so CG never stops early
         assert counts["normal_matvec"] == n_iters * counts["conjugate_gradient"]
-        # the starting point's forward gives objectives[0], and every later
-        # forward is a candidate's, read by its objective
-        assert counts["_relu"] == counts["objective"]
+        if train_w1:
+            # the starting point's forward gives objectives[0], and every
+            # later forward is a candidate's, read by its objective
+            assert counts["_relu"] == counts["objective"]
+        else:
+            # every candidate shares the starting point's w1, so the hidden
+            # layer runs once per solve
+            assert counts["_relu"] == 1
         assert counts["objective"] >= len(result.objectives)

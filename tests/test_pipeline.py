@@ -511,6 +511,11 @@ def pixel_count_iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union if union else 0.0
 
 
+_COORD = st.floats(-1e4, 1e4)
+_SIDE = st.floats(1e-3, 1e4)
+BOXES = st.builds(BoundingBox, _COORD, _COORD, _SIDE, _SIDE)
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         boxes = [BoundingBox(10, 10, 4, 4), BoundingBox(12, 11, 4, 4)]
@@ -539,6 +544,17 @@ class TestMetrics:
             counted = pixel_count_iou(a, b)
             area = min(a.w * a.h, b.w * b.h)
             assert abs(analytic - counted) <= 1.0 / area + 1e-12
+
+    @given(BOXES, BOXES)
+    @example(BoundingBox(63.69616873214543, 26.97867137638703,
+                         2.597967433511593, 1.6445777856126347),
+             BoundingBox(0.0, 0.0, 1.0, 1.0))
+    def test_in_unit_interval_and_exactly_one_on_itself(self, a, b):
+        # the example's box scored 1.0000000000000009 against itself when
+        # the areas were taken as w * h rather than from the corner spans
+        assert 0.0 <= iou(a, b) <= 1.0
+        assert iou(a, a) == 1.0
+        assert iou(a, b) == iou(b, a)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,24 @@ class TestTrackerBasics:
         assert 0.0 <= diag.peak_score <= 1.0
 
 
+class TestOnlineSchedule:
+    def test_init_fits_both_layers_and_frames_refit_only_w2(self, toy_world):
+        frames, boxes, config, model = toy_world
+        config = dataclasses.replace(config, online=True)
+        tracker = Tracker(model, config)
+        state = tracker.init(frames[0], boxes[0])
+        untrained = init_online_filter(np.random.default_rng(0), config.c_mid,
+                                       config.online_hidden, config.online_kernel,
+                                       config.online_reg)
+        assert not np.array_equal(state.online_filter.w1, untrained.w1)
+        w1 = state.online_filter.w1.copy()
+        for frame in frames[1:]:
+            w2 = state.online_filter.w2.copy()
+            tracker.track(frame)
+            assert np.array_equal(state.online_filter.w1, w1)
+            assert not np.array_equal(state.online_filter.w2, w2)
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("box", [BoundingBox(float("nan"), 40.0, 20.0, 16.0),
                                      BoundingBox(40.0, float("nan"), 20.0, 16.0),
