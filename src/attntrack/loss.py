@@ -37,7 +37,6 @@ class GroundTruth:
     """Localization targets for one search patch."""
     center: tuple[float, float]        # patch pixels
     cell: tuple[int, int]              # low-resolution cell (x, y) of center
-    box_size: tuple[float, float]      # patch pixels
     norm_size: tuple[float, float]     # box size / patch extent
     label: np.ndarray = field(repr=False)  # (Hs, Ws), peak exactly 1 at cell
 
@@ -98,7 +97,6 @@ def make_ground_truth(center: tuple[float, float], box_size: tuple[float, float]
     return GroundTruth(
         center=(cx, cy),
         cell=cell,
-        box_size=box_size,
         norm_size=(box_size[0] / side, box_size[1] / side),
         label=gaussian_label(cell, sigma, grid, grid),
     )

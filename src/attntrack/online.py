@@ -16,9 +16,10 @@ Jacobian products skip the w1 GEMMs, its full CG step is accepted (CG
 iterates lower a quadratic), and the hidden activations relu(w1 F) are
 computed once per solve.
 
-The memory is stacked once per solve, and each filter the solve visits
-runs forward once: the forward that gives a filter's objective value is
-the one its linearization reuses when the filter is accepted.
+The memory holds its samples stacked as the solver reads them, so a
+solve copies none of them, and each filter the solve visits runs forward
+once: the linearization that gives a filter's objective value is the one
+the next Gauss-Newton step uses when the filter is accepted.
 """
 
 from __future__ import annotations
@@ -47,19 +48,17 @@ class OnlineFilter:
 
 
 @dataclass
-class MemorySample:
-    features: np.ndarray     # (c_in, Hs, Ws)
-    label: np.ndarray        # (Hs, Ws)
-    weight: float
-
-
-@dataclass
 class TrainingMemory:
+    """Weighted (features, target map) samples side by side, in insertion
+    order, so one GEMM applies a filter to all of them."""
     capacity: int
-    samples: list[MemorySample] = field(default_factory=list)
+    # (c_in, S, H, W), channel-major: reshape(c_in, -1) is a view
+    features: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0, 0)))
+    labels: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0)))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.weights.size
 
 
 @dataclass
@@ -82,23 +81,6 @@ def _pad_before(kernel: int) -> int:
     # kernel//2 after: total pad kernel-1 keeps the output grid equal to
     # the input grid
     return (kernel - 1) // 2
-
-
-@dataclass
-class _Stack:
-    """Samples side by side, so one GEMM applies a filter to all of them."""
-    features: np.ndarray     # (c_in, S*H*W), channel-major
-    labels: np.ndarray       # (S, H, W)
-    weights: np.ndarray      # (S,)
-
-
-def _stack(memory: TrainingMemory) -> _Stack:
-    samples = memory.samples
-    c_in = samples[0].features.shape[0]
-    return _Stack(
-        features=np.stack([s.features for s in samples], axis=1).reshape(c_in, -1),
-        labels=np.stack([s.label for s in samples]),
-        weights=np.array([s.weight for s in samples]))
 
 
 def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
@@ -183,22 +165,34 @@ def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndar
 
 def update_memory(memory: TrainingMemory, features: np.ndarray,
                   label: np.ndarray, lr: float) -> TrainingMemory:
-    """Append a sample with weight lr, decaying and renormalizing the rest."""
+    """Append a sample with weight lr, decaying and renormalizing the rest;
+    over capacity, evict the first lowest weight, the new sample's included."""
     if not 0.0 < lr <= 1.0:
         raise ValueError(f"memory learning rate must be in (0, 1], got {lr}")
     if features.shape[1:] != label.shape:
         raise ShapeError(f"feature grid {features.shape[1:]} vs label {label.shape}")
-    for s in memory.samples:
-        s.weight *= (1.0 - lr)
-    memory.samples.append(MemorySample(features=features.copy(),
-                                       label=label.copy(), weight=lr))
-    if len(memory.samples) > memory.capacity:
-        lowest = min(range(len(memory.samples)),
-                     key=lambda i: memory.samples[i].weight)
-        memory.samples.pop(lowest)
-    total = sum(s.weight for s in memory.samples)
-    for s in memory.samples:
-        s.weight /= total
+    n = len(memory)
+    if not n:
+        # an empty memory takes the first sample's shape
+        memory.features = np.empty((features.shape[0], 0) + label.shape)
+        memory.labels = np.empty((0,) + label.shape)
+    c_in, _, *grid = memory.features.shape
+    if features.shape != (c_in, *grid):
+        raise ShapeError(f"sample features {features.shape} do not match the "
+                         f"memory's {(c_in, *grid)}")
+    weights = np.append(memory.weights * (1.0 - lr), lr)
+    # index n + 1, past the new sample, evicts none
+    drop = int(np.argmin(weights)) if n >= memory.capacity else n + 1
+    features_kept = [memory.features[:, :drop], memory.features[:, drop + 1:]]
+    labels_kept = [memory.labels[:drop], memory.labels[drop + 1:]]
+    if drop != n:
+        features_kept.append(features[:, None])
+        labels_kept.append(label[None])
+    memory.features = np.concatenate(features_kept, axis=1)
+    memory.labels = np.concatenate(labels_kept)
+    weights = weights[np.arange(n + 1) != drop]
+    # summed left to right: np.sum's pairwise order rounds differently
+    memory.weights = weights / sum(weights.tolist())
     return memory
 
 
@@ -230,34 +224,15 @@ def conjugate_gradient(matvec, b: np.ndarray, n_iters: int,
     return x
 
 
-class _Forward:
-    """One filter's relu mask, activations and residual maps on the stacked memory.
-
-    ``hidden``, when given, is the (mask, activations) pair of another
-    forward on the same stack whose filter has this filter's ``w1``; it is
-    reused instead of running the hidden layer again.
-    """
-
-    def __init__(self, filt: OnlineFilter, stack: _Stack,
-                 hidden: tuple[np.ndarray, np.ndarray] | None = None):
-        self.stack = stack
-        if hidden is None:
-            hidden = _relu(filt.w1, stack.features)
-        self.mask, self.act = hidden
-        self.residual = _conv(self.act, filt.w2, stack.labels.shape) - stack.labels
-
-
 def objective(filt: OnlineFilter, memory: TrainingMemory,
-              forward: _Forward | None = None) -> float:
+              lin: _Linearization | None = None) -> float:
     """Weighted squared error over the memory plus the ridge penalty.
 
-    ``forward``, when given, must be ``filt``'s forward on the stacked
-    ``memory``; its residual is read instead of computing it again.
+    ``lin``, when given, must be ``filt``'s linearization on ``memory``;
+    its residual is read instead of computing it again.
     """
-    if forward is None:
-        forward = _Forward(filt, _stack(memory))
-    r = forward.residual
-    total = float(forward.stack.weights @ np.sum(r * r, axis=(1, 2)))
+    r = (lin or _Linearization(filt, memory, train_w1=False)).residual
+    total = float(memory.weights @ np.sum(r * r, axis=(1, 2)))
     return total + filt.reg * (float(np.sum(filt.w1 ** 2))
                                + float(np.sum(filt.w2 ** 2)))
 
@@ -277,22 +252,24 @@ def _unpack(theta: np.ndarray, filt: OnlineFilter, train_w1: bool) -> OnlineFilt
 
 
 class _Linearization:
-    """The filter's residuals over the stacked memory, linear at a fixed relu mask.
+    """One filter's relu mask, activations and residual maps on the memory,
+    and its Jacobian J at that mask: each product with J or its transpose
+    is a few GEMMs over all samples. Parameters are packed as in _pack.
 
-    It is built on the filter's ``_Forward``. Each product with the
-    Jacobian J or its transpose is a few GEMMs over all samples at once.
-    Trained parameters are packed as in _pack, with w1 as (hidden, c_in)
-    and w2 as (hidden, k*k).
+    ``hidden``, the (mask, activations) of a filter with this ``w1`` on
+    the same memory, is reused instead of running the hidden layer again.
     """
 
-    def __init__(self, filt: OnlineFilter, forward: _Forward, train_w1: bool):
+    def __init__(self, filt: OnlineFilter, memory: TrainingMemory, train_w1: bool,
+                 hidden: tuple[np.ndarray, np.ndarray] | None = None):
         self.train_w1 = train_w1
-        self.stack, self.mask, self.act = forward.stack, forward.mask, forward.act
-        self.residual = forward.residual
-        hidden, c_in = filt.w1.shape[:2]
+        self.features = memory.features.reshape(memory.features.shape[0], -1)
+        self.weights = memory.weights
+        self.mask, self.act = hidden or _relu(filt.w1, self.features)
+        self.residual = _conv(self.act, filt.w2, memory.labels.shape) - memory.labels
         self.kernel = filt.kernel
-        self.w2 = filt.w2[0].reshape(hidden, -1)
-        self.n_w1 = hidden * c_in if train_w1 else 0
+        self.w2 = filt.w2[0].reshape(filt.w2.shape[1], -1)     # (hidden, k*k)
+        self.n_w1 = filt.w1.size if train_w1 else 0
         self.lam = filt.reg
         self.theta = _pack(filt, train_w1)
 
@@ -302,8 +279,8 @@ class _Linearization:
         taps = vec[self.n_w1:].reshape(hidden, -1).T @ self.act
         if self.train_w1:
             v1 = vec[:self.n_w1].reshape(hidden, -1)
-            taps += self.w2.T @ (self.mask * (v1 @ self.stack.features))
-        return _shift_sum(taps.reshape((-1,) + self.stack.labels.shape), self.kernel)
+            taps += self.w2.T @ (self.mask * (v1 @ self.features))
+        return _shift_sum(taps.reshape((-1,) + self.residual.shape), self.kernel)
 
     def vjp(self, maps: np.ndarray) -> np.ndarray:
         """J^T maps for score-space maps (S, H, W), packed like vec."""
@@ -312,16 +289,16 @@ class _Linearization:
         if not self.train_w1:
             return w2_part
         gpre = (self.w2 @ placed) * self.mask
-        return np.concatenate([(gpre @ self.stack.features.T).ravel(), w2_part])
+        return np.concatenate([(gpre @ self.features.T).ravel(), w2_part])
 
     def gradient(self) -> np.ndarray:
         """Objective gradient at theta: J^T W r + lam theta, W the sample weights."""
         return (self.lam * self.theta
-                + self.vjp(self.stack.weights[:, None, None] * self.residual))
+                + self.vjp(self.weights[:, None, None] * self.residual))
 
     def normal_matvec(self, vec: np.ndarray) -> np.ndarray:
         """Gauss-Newton normal matrix times vec: (J^T W J + lam I) vec."""
-        weighted = self.stack.weights[:, None, None] * self.jvp(vec)
+        weighted = self.weights[:, None, None] * self.jvp(vec)
         return self.lam * vec + self.vjp(weighted)
 
 
@@ -337,21 +314,19 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
     intermediate aborts the whole update and returns the input filter
     flagged as degraded.
     """
-    if not memory.samples:
+    if not len(memory):
         raise ValueError("training memory is empty")
     if n_iters < 1:
         raise ValueError("need at least one CG iteration")
 
-    stack = _stack(memory)
     current = filt.copy()
-    forward = _Forward(current, stack)
-    objectives = [objective(current, memory, forward)]
+    lin = _Linearization(current, memory, train_w1)
+    objectives = [objective(current, memory, lin)]
     # with w1 frozen every filter the solve visits has the starting hidden
     # layer, so relu(w1 F) runs once per solve
-    hidden = None if train_w1 else (forward.mask, forward.act)
+    hidden = None if train_w1 else (lin.mask, lin.act)
 
     for _ in range(gn_steps):
-        lin = _Linearization(current, forward, train_w1)
         delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(), n_iters)
         if not np.all(np.isfinite(delta)):
             return CgUpdate(filter=filt, objectives=objectives, degraded=True)
@@ -360,21 +335,21 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         step = 1.0
         for _ in range(5):
             candidate = _unpack(lin.theta + step * delta, current, train_w1)
-            trial = _Forward(candidate, stack, hidden)
+            trial = _Linearization(candidate, memory, train_w1, hidden)
             value = objective(candidate, memory, trial)
             if not np.isfinite(value):
                 return CgUpdate(filter=filt, objectives=objectives, degraded=True)
             if value <= objectives[-1]:
                 accepted = (candidate, trial, value)
                 break
-            # free a rejected candidate's forward before the next is built
+            # free a rejected candidate's linearization before the next is built
             del trial
             step *= 0.5
         if accepted is None:
             # deterministic recomputation would reject again; stop early
             break
-        # the accepted candidate's forward is the next step's linearization
-        current, forward, value = accepted
+        # the accepted candidate's linearization is the next step's
+        current, lin, value = accepted
         objectives.append(value)
 
     return CgUpdate(filter=current, objectives=objectives, degraded=False)

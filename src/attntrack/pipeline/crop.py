@@ -13,10 +13,9 @@ samples form one window, and only that window is resampled. Every other
 pixel of the patch, the extension included, is the per-channel image
 mean by definition and is flagged in the pad mask.
 
-The crop takes a ``Frame`` (or a bare (3, H, W) float64 array, the values
-of a frame) and reads its pixel values as samples over ``maxval``. It
-divides before it sums, in the frame's own layout, so an 8-bit frame crops
-bit for bit like the float64 frame of its values.
+The crop takes a ``Frame`` and reads its pixel values as samples over
+``maxval``. It divides before it sums, in the frame's own layout, so an
+8-bit frame crops bit for bit like the float64 frame of its values.
 """
 
 from __future__ import annotations
@@ -148,11 +147,8 @@ def _crop(frame: Frame, center: tuple[float, float], side: float,
     return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin)
 
 
-def _checked(frame: Frame | np.ndarray, box: BoundingBox) -> Frame:
-    """The frame to crop, a bare array taken as float64 values, once the
-    box is known to be usable on it."""
-    if not isinstance(frame, Frame):
-        frame = Frame(frame, index=0)
+def _check_box(frame: Frame, box: BoundingBox) -> None:
+    """Raise ``TrackingError`` unless ``box`` is usable on ``frame``."""
     _, img_h, img_w = frame.pixels.shape
     if not all(math.isfinite(v) for v in (box.cx, box.cy, box.w, box.h)):
         raise TrackingError(f"box {box} has a non-finite field")
@@ -161,22 +157,21 @@ def _checked(frame: Frame | np.ndarray, box: BoundingBox) -> Frame:
         raise TrackingError(f"box {box} lies fully outside the {img_w}x{img_h} image")
     if box.w <= 0 or box.h <= 0:
         raise TrackingError(f"box {box} has non-positive extent")
-    return frame
 
 
-def crop_template(frame: Frame | np.ndarray, box: BoundingBox,
+def crop_template(frame: Frame, box: BoundingBox,
                   out_size: int) -> CropResult:
     """Context-padded square around the target in ``frame``, resampled to
     out_size."""
-    frame = _checked(frame, box)
+    _check_box(frame, box)
     return _crop(frame, (box.cx, box.cy), context_side(box), out_size)
 
 
-def crop_search(frame: Frame | np.ndarray, prev_box: BoundingBox,
+def crop_search(frame: Frame, prev_box: BoundingBox,
                 search_size: int, template_size: int) -> CropResult:
     """Search patch of ``frame``: the template square around ``prev_box``,
     scaled by search_size/template_size."""
-    frame = _checked(frame, prev_box)
+    _check_box(frame, prev_box)
     side = context_side(prev_box) * search_size / template_size
     return _crop(frame, (prev_box.cx, prev_box.cy), side, search_size)
 

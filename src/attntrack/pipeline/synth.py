@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..localize import BoundingBox
 from .seqio import Frame
 
@@ -32,6 +33,16 @@ class SequenceSpec:
     # fine static grain keeps background positions distinguishable even
     # after frames round-trip through 8-bit files
     background_noise: float = 0.02
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not all(side >= 1 for side in self.image_size):
+            raise ConfigurationError(
+                f"image_size sides must be at least 1, got {self.image_size}")
+        for name in ("brightness_drift", "drift_start"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def _smooth_texture(rng: np.random.Generator, cells: int, h: int, w: int) -> np.ndarray:

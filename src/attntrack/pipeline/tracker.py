@@ -78,28 +78,32 @@ class TrackerConfig:
     online_update_cg_iters: int = 5
 
     def __post_init__(self):
+        # each check is written so that NaN fails too, and the sizes are
+        # checked before the divisibility tests divide by them
+        for name in ("template_size", "search_size", "d", "n_heads", "c_mid",
+                     "n_encoder_layers", "n_decoder_layers", "memory_capacity",
+                     "online_hidden", "online_kernel", "online_init_cg_iters",
+                     "online_update_cg_iters"):
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("ffn_hidden", "online_init_gn_steps", "online_update_gn_steps",
+                     "online_reg"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(
+                    f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("window_influence", "size_smoothing", "blend_weight"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0.0 < self.memory_lr <= 1.0:
+            raise ConfigurationError(f"memory_lr must be in (0, 1], got {self.memory_lr}")
         if self.search_size < self.template_size:
             raise ConfigurationError("search size must be >= template size")
         if self.d % 4:
             raise ConfigurationError("model width must be divisible by 4")
         if self.d % self.n_heads:
             raise ConfigurationError("head count must divide model width")
-        if self.n_encoder_layers < 1 or self.n_decoder_layers < 1:
-            raise ConfigurationError("need at least one encoder and decoder layer")
-        if not (0.0 <= self.window_influence <= 1.0 and 0.0 <= self.blend_weight <= 1.0):
-            raise ConfigurationError("window and blend weights must be in [0, 1]")
-        # each check is written so that NaN fails too
-        if not 0.0 < self.memory_lr <= 1.0:
-            raise ConfigurationError(f"memory_lr must be in (0, 1], got {self.memory_lr}")
-        for name in ("memory_capacity", "online_hidden", "online_kernel",
-                     "online_init_cg_iters", "online_update_cg_iters"):
-            if not getattr(self, name) >= 1:
-                raise ConfigurationError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("online_init_gn_steps", "online_update_gn_steps", "online_reg"):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(
-                    f"{name} must not be negative, got {getattr(self, name)}")
 
     @property
     def ffn_width(self) -> int:

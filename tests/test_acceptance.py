@@ -120,9 +120,8 @@ def test_criterion_3_pe_mask_property():
                            velocity=(0.0, 0.0)))
     config = TrackerConfig(template_size=64, search_size=192)
     model = build_model(np.random.default_rng(1), config)
-    pixels = frames[0].pixels
 
-    crop = crop_search(pixels, boxes[0], config.search_size, config.template_size)
+    crop = crop_search(frames[0], boxes[0], config.search_size, config.template_size)
     feats = extract_features([crop], model, config)
     mask = feats.mask[0]
     h, w = mask.shape
@@ -145,7 +144,7 @@ def test_criterion_3_pe_mask_property():
     (ya, xa), (yb, xb) = pair
     ja, jb = ya * w + xa, yb * w + xb
 
-    tcrop = crop_template(pixels, boxes[0], config.template_size)
+    tcrop = crop_template(frames[0], boxes[0], config.template_size)
     memory, pe_z = encode_template(model, config, tcrop)
     pe_x = build_positional_encoding(h, w, feats.tokens.shape[-1], mask)
     trace = AttentionTrace()

@@ -152,7 +152,7 @@ def test_batched_step_matches_per_sample_oracle(sequence, geometry, batch):
     frames, boxes = sequence
     config = GEOMETRIES[geometry]
     model = build_model(np.random.default_rng(5), config)
-    template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+    template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(batch)
     pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
              for _ in range(batch)]
@@ -171,7 +171,7 @@ def test_batch_members_do_not_interact(sequence):
     frames, boxes = sequence
     config = GEOMETRIES["127/280"]
     model = build_model(np.random.default_rng(6), config)
-    template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+    template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(6)
     a, b, c = (sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
                for _ in range(3))
@@ -190,7 +190,7 @@ def test_crops_of_unequal_size_rejected(sequence):
     frames, boxes = sequence
     config = GEOMETRIES["127/280"]
     model = build_model(np.random.default_rng(7), config)
-    crops = [crop_search(frames[0].pixels, boxes[0], side, config.template_size)
+    crops = [crop_search(frames[0], boxes[0], side, config.template_size)
              for side in (128, 136)]
     with pytest.raises(ShapeError, match="one size"):
         extract_features(crops, model, config)
@@ -200,7 +200,7 @@ def test_pair_loss_needs_one_target_per_map(sequence):
     frames, boxes = sequence
     config = GEOMETRIES["127/280"]
     model = build_model(np.random.default_rng(8), config)
-    template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+    template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(8)
     pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
              for _ in range(2)]

@@ -73,6 +73,17 @@ class TestSynth:
         assert len(frames) == len(boxes) == 20
         assert frames[0].pixels.shape == (3, 112, 112)
 
+    @pytest.mark.parametrize("flag,value", [("--image-size", "0"),
+                                            ("--drift", "nan")])
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flag, value):
+        # 0 used to write 0x0 PPMs that load_sequence rejects; NaN rendered
+        # no drift at all
+        out = tmp_path / "seq"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attntrack: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainToy:
     def test_checkpoint_header(self, workspace):
@@ -109,6 +120,16 @@ class TestTrainToy:
                      "--steps", "1", *FAST_MODEL, "--d", "6"]) == 2
         assert capsys.readouterr().err == \
             "attntrack: error: model width must be divisible by 4\n"
+        assert not out.exists()
+
+    def test_zero_head_count_is_one_line(self, workspace, tmp_path, capsys):
+        # it used to end in a ZeroDivisionError traceback
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", seq,
+                     "--steps", "1", *FAST_MODEL, "--heads", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "attntrack: error: n_heads must be at least 1, got 0\n"
         assert not out.exists()
 
     def test_flag_defaults_are_the_configs(self, workspace, tmp_path, monkeypatch):

@@ -1,15 +1,22 @@
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 
 from attntrack import online
 from attntrack.errors import ShapeError
-from attntrack.online import (MemorySample, OnlineFilter, TrainingMemory,
-                              _Forward, _Linearization, _place, _shift_sum,
-                              _stack, blend, conjugate_gradient,
+from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
+                              _place, _shift_sum, blend, conjugate_gradient,
                               init_online_filter, objective, online_forward,
                               solve_cg, update_memory)
+
+Sample = namedtuple("Sample", "features label weight")
+
+
+def samples(memory):
+    """The memory's samples one at a time, as views of its stacked arrays."""
+    return [Sample(memory.features[:, i], memory.labels[i], memory.weights[i])
+            for i in range(len(memory))]
 
 
 def forward_oracle(filt: OnlineFilter, feat: np.ndarray) -> np.ndarray:
@@ -98,7 +105,7 @@ class TestMemory:
         memory = TrainingMemory(capacity=5)
         update_memory(memory, np.zeros((2, 4, 4)), np.zeros((4, 4)), lr=0.01)
         assert len(memory) == 1
-        assert memory.samples[0].weight == 1.0
+        assert memory.weights.tolist() == [1.0]
 
     def test_eviction_drops_lowest_weight(self):
         memory = TrainingMemory(capacity=2)
@@ -106,7 +113,7 @@ class TestMemory:
             update_memory(memory, np.full((1, 2, 2), float(i)),
                           np.zeros((2, 2)), lr=0.5)
         assert len(memory) == 2
-        kept = sorted(s.features[0, 0, 0] for s in memory.samples)
+        kept = sorted(memory.features[0, :, 0, 0])
         assert kept == [1.0, 2.0]              # the oldest sample is gone
 
     def test_weights_always_sum_to_one(self):
@@ -115,7 +122,7 @@ class TestMemory:
         for _ in range(40):
             update_memory(memory, rng.standard_normal((1, 3, 3)),
                           rng.standard_normal((3, 3)), lr=0.05)
-            total = sum(s.weight for s in memory.samples)
+            total = sum(memory.weights.tolist())
             assert abs(total - 1.0) < 1e-12
 
     def test_recent_samples_weigh_more(self):
@@ -124,7 +131,7 @@ class TestMemory:
         memory = TrainingMemory(capacity=10)
         for _ in range(5):
             update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=0.1)
-        weights = [s.weight for s in memory.samples]
+        weights = memory.weights.tolist()
         assert weights[1:] == sorted(weights[1:])
         assert all(w > 0 for w in weights)
         assert weights[0] == max(weights)
@@ -137,13 +144,60 @@ class TestMemory:
         update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=0.5)
         with pytest.raises(ValueError, match="learning rate"):
             update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=lr)
-        assert [s.weight for s in memory.samples] == [1.0]
+        assert memory.weights.tolist() == [1.0]
 
     def test_learning_rate_one_keeps_only_the_new_sample_weight(self):
         memory = TrainingMemory(capacity=5)
         for _ in range(2):
             update_memory(memory, np.zeros((1, 2, 2)), np.zeros((2, 2)), lr=1.0)
-        assert [s.weight for s in memory.samples] == [0.0, 1.0]
+        assert memory.weights.tolist() == [0.0, 1.0]
+
+    def test_sample_of_another_shape_rejected(self):
+        # it used to be stored, and the next solve failed inside np.stack
+        memory = TrainingMemory(capacity=5)
+        update_memory(memory, np.zeros((2, 4, 4)), np.zeros((4, 4)), lr=0.5)
+        for features in (np.zeros((3, 4, 4)), np.zeros((2, 4, 5))):
+            with pytest.raises(ShapeError) as info:
+                update_memory(memory, features, np.zeros(features.shape[1:]),
+                              lr=0.5)
+            assert str(features.shape) in str(info.value)
+            assert "(2, 4, 4)" in str(info.value)
+        assert len(memory) == 1 and memory.features.shape == (2, 1, 4, 4)
+
+    @pytest.mark.parametrize("capacity,lr", [(1, 0.1), (3, 0.5), (5, 1.0),
+                                             (50, 0.1)])
+    def test_same_samples_and_weights_as_one_sample_at_a_time(self, capacity, lr):
+        # the rule kept per sample: decay, append, evict the first lowest
+        # weight over all of them (the new one included), then divide by a
+        # left-to-right sum
+        rng = np.random.default_rng([capacity, 16])
+        memory = TrainingMemory(capacity=capacity)
+        reference = []
+        for _ in range(capacity + 12):
+            features = rng.standard_normal((2, 3, 4))
+            label = rng.standard_normal((3, 4))
+            update_memory(memory, features, label, lr)
+            for s in reference:
+                s[2] *= 1.0 - lr
+            reference.append([features, label, lr])
+            if len(reference) > capacity:
+                reference.pop(min(range(len(reference)),
+                                  key=lambda i: reference[i][2]))
+            total = sum(s[2] for s in reference)
+            for s in reference:
+                s[2] /= total
+            assert memory.weights.tolist() == [s[2] for s in reference]
+            assert np.array_equal(memory.features,
+                                  np.stack([s[0] for s in reference], axis=1))
+            assert np.array_equal(memory.labels,
+                                  np.stack([s[1] for s in reference]))
+        assert memory.features.flags.c_contiguous
+
+    def test_solver_reads_the_memory_without_copying_it(self):
+        rng = np.random.default_rng(17)
+        filt, memory = random_problem(rng, kernel=3, n_samples=4)
+        lin = _Linearization(filt, memory, train_w1=True)
+        assert np.shares_memory(lin.features, memory.features)
 
 
 class TestConjugateGradient:
@@ -206,17 +260,19 @@ def linear_six_parameter_problem(rng, n_samples=3, reg=0.0):
     filt = OnlineFilter(w1=np.abs(rng.standard_normal((hidden, c_in, 1, 1))) + 0.2,
                         w2=rng.standard_normal((1, hidden, 1, 1)) * 0.1,
                         reg=reg)
-    memory = TrainingMemory(capacity=10)
+    feats, labels = [], []
     for _ in range(n_samples):
-        feat = np.abs(rng.standard_normal((c_in, 4, 4))) + 0.1
-        label = rng.standard_normal((4, 4))
-        memory.samples.append(MemorySample(feat, label, 1.0 / n_samples))
+        feats.append(np.abs(rng.standard_normal((c_in, 4, 4))) + 0.1)
+        labels.append(rng.standard_normal((4, 4)))
+    memory = TrainingMemory(capacity=10, features=np.stack(feats, axis=1),
+                            labels=np.stack(labels),
+                            weights=np.full(n_samples, 1.0 / n_samples))
     return filt, memory
 
 
 def dense_design_matrix(filt, memory):
     rows, targets, weights = [], [], []
-    for s in memory.samples:
+    for s in samples(memory):
         act = np.maximum(np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0],
                                    s.features), 0.0)
         for i in range(s.label.shape[0]):
@@ -232,8 +288,8 @@ class TestSolveCg:
     def test_zero_residual_is_fixed_point(self):
         rng = np.random.default_rng(10)
         filt, memory = linear_six_parameter_problem(rng, reg=0.0)
-        for s in memory.samples:
-            s.label = online_forward(filt, s.features)   # residuals exactly 0
+        for i, s in enumerate(samples(memory)):
+            memory.labels[i] = online_forward(filt, s.features)   # residuals exactly 0
         result = solve_cg(filt, memory, n_iters=6, gn_steps=2)
         assert not result.degraded
         assert np.array_equal(result.filter.w1, filt.w1)
@@ -256,8 +312,8 @@ class TestSolveCg:
         feat[0, 0, 0] = 1.0
         feat[1, 1, 0] = 1.0
         label = np.array([[3.0], [-2.0]])
-        memory = TrainingMemory(capacity=50,
-                                samples=[MemorySample(feat, label, 1.0)])
+        memory = TrainingMemory(capacity=50, features=feat[:, None],
+                                labels=label[None], weights=np.ones(1))
         result = solve_cg(filt, memory, n_iters=1, gn_steps=1, train_w1=False)
         assert np.abs(online_forward(result.filter, feat) - label).max() < 1e-12
 
@@ -291,7 +347,7 @@ class TestSolveCg:
         memory = TrainingMemory(capacity=4)
         update_memory(memory, rng.standard_normal((2, 4, 4)),
                       rng.uniform(0, 1, (4, 4)), lr=0.1)
-        memory.samples[0].features[0, 0, 0] = np.inf
+        memory.features[0, 0, 0, 0] = np.inf
         result = solve_cg(filt, memory, n_iters=4, gn_steps=2)
         assert result.degraded
         assert result.filter is filt                 # previous filter kept
@@ -308,7 +364,7 @@ class TestSolveCg:
         for _ in range(2):
             update_memory(memory, rng.standard_normal((2, 4, 4)),
                           rng.uniform(0, 1, (4, 4)), lr=0.1)
-        target = memory.samples[1]
+        target = samples(memory)[1]
         if where == "features":
             target.features[1, 2, 3] = value
         else:
@@ -360,7 +416,7 @@ def oracle_forward(filt, features):
 
 def oracle_objective(filt, memory):
     total = 0.0
-    for s in memory.samples:
+    for s in samples(memory):
         r = oracle_forward(filt, s.features) - s.label
         total += s.weight * float(np.sum(r * r))
     return total + filt.reg * (float(np.sum(filt.w1 ** 2))
@@ -373,7 +429,7 @@ class OracleSystem:
     def __init__(self, filt, memory, train_w1):
         self.filt, self.train_w1 = filt, train_w1
         self.states = []
-        for s in memory.samples:
+        for s in samples(memory):
             pre = np.einsum("oc,chw->ohw", filt.w1[:, :, 0, 0], s.features)
             mask = (pre > 0.0).astype(np.float64)
             act = pre * mask
@@ -482,7 +538,7 @@ class TestBatchedAgainstPerSample:
                                         train_w1, train_w2):
         rng = np.random.default_rng([kernel, n_samples, grid[1]])
         filt, memory = random_problem(rng, kernel, n_samples, grid)
-        batched = _Linearization(filt, _Forward(filt, _stack(memory)), train_w1)
+        batched = _Linearization(filt, memory, train_w1)
         oracle = OracleSystem(filt, memory, train_w1)
         assert np.array_equal(batched.theta, oracle.theta)
         for _ in range(3):
@@ -496,7 +552,7 @@ class TestBatchedAgainstPerSample:
         filt, memory = random_problem(rng, kernel, n_samples, grid)
         assert rel_err(objective(filt, memory),
                        oracle_objective(filt, memory)) <= 1e-12
-        for s in memory.samples:
+        for s in samples(memory):
             assert rel_err(online_forward(filt, s.features),
                            oracle_forward(filt, s.features)) <= 1e-12
 
@@ -549,11 +605,10 @@ def padded_place(maps, kernel):
 def solve_with_redundant_passes(filt, memory, n_iters, gn_steps, train_w1):
     """solve_cg with a fresh objective per value and a separate forward for
     each linearization."""
-    stack = _stack(memory)
     current = filt.copy()
     objectives = [objective(current, memory)]
     for _ in range(gn_steps):
-        lin = _Linearization(current, _Forward(current, stack), train_w1)
+        lin = _Linearization(current, memory, train_w1)
         b = -lin.gradient()
         delta = conjugate_gradient(lin.normal_matvec, b, n_iters=n_iters)
         accepted = None

@@ -109,13 +109,13 @@ class TestCrop:
     def test_interior_crop_has_no_padding(self):
         rng = np.random.default_rng(0)
         frame = self._frame(rng)
-        crop = crop_template(frame, BoundingBox(40, 40, 16, 12), 32)
+        crop = crop_template(Frame(frame, 0), BoundingBox(40, 40, 16, 12), 32)
         assert not crop.pad_mask.any()
 
     def test_corner_crop_padding_is_exact_channel_mean(self):
         rng = np.random.default_rng(1)
         frame = self._frame(rng)
-        crop = crop_template(frame, BoundingBox(2, 2, 16, 12), 32)
+        crop = crop_template(Frame(frame, 0), BoundingBox(2, 2, 16, 12), 32)
         assert crop.pad_mask.any()
         means = frame.reshape(3, -1).mean(axis=1)
         padded_vals = crop.patch[:, crop.pad_mask]
@@ -146,7 +146,7 @@ class TestCrop:
         for image in (frame, textured):
             means = image.reshape(3, -1).mean(axis=1)
             for box in boxes:
-                crop = crop_template(image, box, out_size)
+                crop = crop_template(Frame(image, 0), box, out_size)
                 xs = crop.origin[0] + idx[None, :] * crop.scale + np.zeros((out_size, 1))
                 ys = crop.origin[1] + idx[:, None] * crop.scale + np.zeros((1, out_size))
                 expected = bilinear_oracle(image, ys, xs, means)
@@ -165,7 +165,7 @@ class TestCrop:
         rng = np.random.default_rng(3)
         frame = self._frame(rng, 200, 200)
         box = BoundingBox(100.0, 90.0, 20.0, 16.0)
-        crop = crop_search(frame, box, 128, template_size=64)
+        crop = crop_search(Frame(frame, 0), box, 128, template_size=64)
         px, py = image_to_patch((box.cx, box.cy), crop)
         assert abs(px - (128 - 1) / 2.0) < 1e-9
         assert abs(py - (128 - 1) / 2.0) < 1e-9
@@ -174,8 +174,8 @@ class TestCrop:
         rng = np.random.default_rng(4)
         frame = self._frame(rng, 300, 300)
         box = BoundingBox(150.0, 150.0, 30.0, 24.0)
-        small = crop_search(frame, box, 255, template_size=127)
-        large = crop_search(frame, box, 320, template_size=127)
+        small = crop_search(Frame(frame, 0), box, 255, template_size=127)
+        large = crop_search(Frame(frame, 0), box, 320, template_size=127)
         small_span = 255 * small.scale
         large_span = 320 * large.scale
         assert large_span > small_span
@@ -184,7 +184,7 @@ class TestCrop:
     def test_patch_image_roundtrip(self):
         rng = np.random.default_rng(5)
         frame = self._frame(rng, 120, 150)
-        crop = crop_search(frame, BoundingBox(70, 60, 22, 18), 128, 64)
+        crop = crop_search(Frame(frame, 0), BoundingBox(70, 60, 22, 18), 128, 64)
         for _ in range(10):
             pt = (rng.uniform(0, 128), rng.uniform(0, 128))
             img = patch_to_image(pt, crop)
@@ -194,13 +194,13 @@ class TestCrop:
     def test_box_fully_outside_raises(self):
         frame = np.zeros((3, 50, 50))
         with pytest.raises(TrackingError):
-            crop_template(frame, BoundingBox(-40.0, -40.0, 10.0, 10.0), 32)
+            crop_template(Frame(frame, 0), BoundingBox(-40.0, -40.0, 10.0, 10.0), 32)
 
     def test_crop_side_is_stride_aligned(self):
         rng = np.random.default_rng(6)
         frame = self._frame(rng)
         box = BoundingBox(40, 40, 16, 12)
-        crop = crop_template(frame, box, 30)
+        crop = crop_template(Frame(frame, 0), box, 30)
         assert crop.patch.shape == (3, 32, 32)
         assert crop.pad_mask[:, 30:].all() and crop.pad_mask[30:, :].all()
         assert not crop.pad_mask[:30, :30].any()
@@ -212,7 +212,7 @@ class TestCrop:
         expected = bilinear_oracle(frame, ys, xs, means)
         assert np.abs(crop.patch[:, :30, :30] - expected).max() < 1e-12
         # an aligned size is sampled as asked, with nothing added
-        aligned = crop_template(frame, box, 32)
+        aligned = crop_template(Frame(frame, 0), box, 32)
         assert aligned.patch.shape == (3, 32, 32) and not aligned.pad_mask.any()
 
 
@@ -245,7 +245,8 @@ class TestCropAffineFuzz:
     @given(request=crop_requests(), x=st.floats(-100.0, 200.0),
            y=st.floats(-100.0, 200.0))
     def test_image_patch_round_trip(self, request, x, y):
-        crop = crop_of(*request)
+        frame, box, size, template_size = request
+        crop = crop_of(Frame(frame, 0), box, size, template_size)
         back = patch_to_image(image_to_patch((x, y), crop), crop)
         for got, want, origin in zip(back, (x, y), crop.origin):
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want) + abs(origin))
@@ -254,7 +255,7 @@ class TestCropAffineFuzz:
     @given(request=crop_requests())
     def test_side_is_aligned_and_the_strip_past_the_size_is_flagged(self, request):
         frame, box, size, template_size = request
-        crop = crop_of(*request)
+        crop = crop_of(Frame(frame, 0), box, size, template_size)
         side = crop.patch.shape[1]
         assert crop.patch.shape == (3, side, side)
         assert crop.pad_mask.shape == (side, side)
@@ -317,7 +318,7 @@ class TestCropWindowFuzz:
                       BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64))
     def test_patch_and_mask_are_bit_identical(self, request):
         frame, box, size, template_size = request
-        crop = crop_of(*request)
+        crop = crop_of(Frame(frame, 0), box, size, template_size)
         side = context_side(box) * size / (template_size or size)
         patch, mask = full_crop_oracle(frame, (box.cx, box.cy), side, size)
         assert np.array_equal(crop.patch, patch)
@@ -325,7 +326,7 @@ class TestCropWindowFuzz:
 
     def test_crop_that_covers_nothing_is_all_mean(self):
         frame = np.random.default_rng(5).uniform(0.0, 1.0, (3, 5, 6))
-        crop = crop_search(frame, BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64)
+        crop = crop_search(Frame(frame, 0), BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64)
         means = frame.reshape(3, -1).mean(axis=1)
         assert crop.pad_mask.all()
         assert np.array_equal(crop.patch, np.broadcast_to(means[:, None, None],
@@ -353,7 +354,7 @@ class TestEightBitFrames:
         # how a loaded frame was held before: float64, in the file's layout
         values = (rows.astype(np.float64) / maxval).transpose(2, 0, 1)
         got = crop_of(samples, box, size, template_size)
-        want = crop_of(values, box, size, template_size)
+        want = crop_of(Frame(values, 0), box, size, template_size)
         assert np.array_equal(got.patch, want.patch)
         assert np.array_equal(got.pad_mask, want.pad_mask)
 
@@ -496,6 +497,15 @@ class TestSynthetic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_synthetic_sequence(0, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("image_size", (0, 112)), ("image_size", (112, -3)),
+        ("brightness_drift", float("nan")),      # used to render no drift
+        ("brightness_drift", 1.5), ("brightness_drift", -0.2),
+        ("drift_start", float("nan")), ("drift_start", 2.0)])
+    def test_bad_spec_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SequenceSpec(**{field: value})
 
 
 def pixel_count_iou(a: BoundingBox, b: BoundingBox) -> float:

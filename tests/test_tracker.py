@@ -188,11 +188,24 @@ class TestOnlineConfig:
         ("online_init_gn_steps", -1),
         ("online_update_gn_steps", -1),
         ("online_reg", -1.0),                # indefinite normal matrix
+        ("template_size", 0),                # ZeroDivisionError in the crop
+        ("template_size", -8),               # negative dimensions in the crop
+        ("search_size", 0),
+        ("d", 0),                            # ZeroDivisionError at build
+        ("d", -4),
+        ("n_heads", 0),                      # ZeroDivisionError in the check
+        ("n_heads", -2),
+        ("c_mid", 0),                        # ZeroDivisionError at build
+        ("ffn_hidden", -4),
+        ("n_encoder_layers", 0),
+        ("size_smoothing", float("nan")),
+        ("size_smoothing", 1.5),
+        ("size_smoothing", -0.1),
     ])
     def test_bad_online_setting_names_the_field(self, field, value):
+        settings = {"template_size": 64, "search_size": 128, "online": True}
         with pytest.raises(ConfigurationError, match=field):
-            TrackerConfig(template_size=64, search_size=128, online=True,
-                          **{field: value})
+            TrackerConfig(**{**settings, field: value})
 
     def test_limits_are_accepted(self):
         TrackerConfig(online=True, memory_lr=1.0, memory_capacity=1,
@@ -251,7 +264,7 @@ class TestPaddedGrid:
         config = TrackerConfig(template_size=127, search_size=255, d=8,
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(1), config)
-        crop = crop_search(frames[0].pixels, boxes[0], 255, 127)
+        crop = crop_search(frames[0], boxes[0], 255, 127)
         feats = extract_features([crop], model, config)
         assert crop.patch.shape == (3, 256, 256)
         assert feats.tokens.shape == (1, 32, 32, 8)    # grid comes out as 32
@@ -262,7 +275,7 @@ class TestPaddedGrid:
     def test_pe_mask_off_gives_empty_mask(self, toy_world):
         frames, _, config, model = toy_world
         corner = BoundingBox(6.0, 6.0, 20.0, 16.0)     # crop reaches off-image
-        crop = crop_search(frames[0].pixels, corner, config.search_size,
+        crop = crop_search(frames[0], corner, config.search_size,
                            config.template_size)
         on = extract_features([crop], model, config)
         off = extract_features([crop], model,
@@ -280,9 +293,8 @@ class TestPaddedGrid:
         config = TrackerConfig(template_size=template_size,
                                search_size=search_size, d=8, n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(1), config)
-        pixels = frames[0].pixels
-        crops = [crop_template(pixels, boxes[0], template_size),
-                 crop_search(pixels, boxes[0], search_size, template_size)]
+        crops = [crop_template(frames[0], boxes[0], template_size),
+                 crop_search(frames[0], boxes[0], search_size, template_size)]
         for crop, size in zip(crops, (template_size, search_size)):
             with T.no_grad():
                 feats = extract_features([crop], model, config)
@@ -557,7 +569,7 @@ class TestTrainToy:
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(2), config)
         rng = np.random.default_rng(2)
-        template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+        template = crop_template(frames[0], boxes[0], config.template_size)
         pair = sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
         params = T.parameters(model)
         optimizer = Adam(params, lr=2e-3)
@@ -580,7 +592,7 @@ class TestTrainToy:
         config = TrackerConfig(template_size=48, search_size=96, d=8,
                                n_heads=2, c_mid=8)
         model = build_model(np.random.default_rng(4), config)
-        template = crop_template(frames[0].pixels, boxes[0], config.template_size)
+        template = crop_template(frames[0], boxes[0], config.template_size)
         rng = np.random.default_rng(4)
         pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
                  for _ in range(2)]
