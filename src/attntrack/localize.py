@@ -116,9 +116,13 @@ def heads_forward(decoder_out: Tensor, weights: HeadWeights) -> HeadMaps:
 
 
 def make_cosine_window(hs: int, ws: int, influence: float) -> CosineWindow:
-    """Separable raised-cosine window, renormalized so the peak is exactly 1."""
-    wy = np.hanning(hs) if hs > 1 else np.ones(1)
-    wx = np.hanning(ws) if ws > 1 else np.ones(1)
+    """Separable raised-cosine window, renormalized so the peak is exactly 1.
+
+    An axis of fewer than 3 cells is flat: ``np.hanning`` is zero at both
+    ends, so on 2 cells it would be all zeros.
+    """
+    wy = np.hanning(hs) if hs > 2 else np.ones(hs)
+    wx = np.hanning(ws) if ws > 2 else np.ones(ws)
     win = np.outer(wy, wx)
     win = win / win.max()
     return CosineWindow(window=win, influence=float(influence))

@@ -84,7 +84,7 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
                                 ) -> tuple[list[Frame], list[BoundingBox]]:
     """Render n_frames frames and exact ground-truth boxes."""
     if n_frames < 1:
-        raise ValueError("need at least one frame")
+        raise ConfigurationError(f"n_frames must be at least 1, got {n_frames}")
     if spec is None:
         spec = SequenceSpec()
     rng = np.random.default_rng(seed)

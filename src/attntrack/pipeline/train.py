@@ -72,13 +72,15 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for i, p in enumerate(self.params):
+        correction1, correction2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1 ** self.t)
-            vhat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p.data = p.data - self.lr * (m / correction1) / (
+                np.sqrt(v / correction2) + ADAM_EPS)
 
 
 def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
@@ -137,13 +139,44 @@ def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
     return joint_loss(ly, lo, ls, lambda_offset, lambda_size), ly, lo, ls
 
 
+def train_step(model: ModelWeights, config: TrackerConfig,
+               template: CropResult, frames: list[Frame],
+               boxes: list[BoundingBox], optimizer: Adam,
+               rng: np.random.Generator, settings: TrainSettings,
+               step: int) -> tuple[float, float, float, float]:
+    """One Adam step on a fresh batch; returns (total, score, offset, size).
+
+    The step's tape, from the encoded template to the loss, is built and
+    dropped here: only floats leave, so the next step records its graph
+    after this one is freed.
+    """
+    for p in optimizer.params:
+        p.zero_grad()
+    memory, template_pe = encode_template(model, config, template)
+    pairs = [sample_training_pair(frames, boxes, config, rng,
+                                  settings.center_jitter_cells,
+                                  settings.scale_jitter)
+             for _ in range(settings.batch_size)]
+    maps = forward_pair(model, config, memory, template_pe,
+                        [pair.search_crop for pair in pairs])
+    batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs],
+                                  settings.lambda_offset, settings.lambda_size)
+    value = batch.item()
+    if not np.isfinite(value):
+        raise TrainingDivergence(f"loss became non-finite at step {step}")
+    batch.backward()
+    optimizer.step()
+    return value, ly.item(), lo.item(), ls.item()
+
+
 def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
               boxes: list[BoundingBox], settings: TrainSettings | None = None,
               log=None) -> list[float]:
     """Overfit the model to one sequence; returns the per-step loss history.
 
-    Each step encodes the template once and sends the batch's search crops
-    through one forward.
+    Each step (:func:`train_step`) encodes the template once and sends the
+    batch's search crops through one forward. A step's graph dies with the
+    step, so one step's tape is alive at a time.
     """
     if settings is None:
         settings = TrainSettings()
@@ -154,30 +187,14 @@ def train_toy(model: ModelWeights, config: TrackerConfig, frames: list[Frame],
                          f"{len(frames)} frames")
     rng = np.random.default_rng(settings.seed)
     template = crop_template(frames[0], boxes[0], config.template_size)
-    params = T.parameters(model)
-    optimizer = Adam(params, lr=settings.lr)
+    optimizer = Adam(T.parameters(model), lr=settings.lr)
     history = []
     for step in range(settings.steps):
-        for p in params:
-            p.zero_grad()
-        memory, template_pe = encode_template(model, config, template)
-        pairs = [sample_training_pair(frames, boxes, config, rng,
-                                      settings.center_jitter_cells,
-                                      settings.scale_jitter)
-                 for _ in range(settings.batch_size)]
-        maps = forward_pair(model, config, memory, template_pe,
-                            [pair.search_crop for pair in pairs])
-        batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs],
-                                      settings.lambda_offset,
-                                      settings.lambda_size)
-        value = batch.item()
-        if not np.isfinite(value):
-            raise TrainingDivergence(f"loss became non-finite at step {step}")
-        batch.backward()
-        optimizer.step()
+        value, score, offset, size = train_step(model, config, template,
+                                                frames, boxes, optimizer, rng,
+                                                settings, step)
         history.append(value)
         if log is not None and (step % 25 == 0 or step == settings.steps - 1):
             log(f"step {step:4d}  loss {value:.4f}  "
-                f"(score {ly.item():.4f} offset {lo.item():.4f} "
-                f"size {ls.item():.4f})")
+                f"(score {score:.4f} offset {offset:.4f} size {size:.4f})")
     return history

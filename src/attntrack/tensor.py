@@ -414,7 +414,11 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
 
     Backward takes the softmax row term from the output, rowsum(dO * O)
     over (Nq, dh) rather than rowsum(dA * A) over the map, and gets
-    dA - rowsum from one GEMM, [dO, -rowsum] @ [v, 1]^T.
+    dA - rowsum from one GEMM, [dO, -rowsum] @ [v, 1]^T. The softmax
+    adjoint dS is built one (head, group) stack at a time in one reused
+    (Nq/G, Nk/G) buffer, and each stack's q and k gradients are written
+    before the next, so backward adds one map's worth of memory to the
+    kept stack, not another (h*G, Nq/G, Nk/G) stack.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -497,13 +501,22 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
         ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
                                  heads_of(data)).reshape(stacks, nqg)
         # softmax adjoint: dS = A * (dA - rowsum(dA * A)) with dA = dO V^T;
-        # rowsum(dA * A) = rowsum(dO * O), so the bracket is ga @ [v, 1]^T
-        ds = np.matmul(ga, va.transpose(0, 2, 1))
-        ds *= weights
-        if q.requires_grad:
-            q._accumulate(merge(np.matmul(ds, kt[:, :dh].transpose(0, 2, 1))) * scale)
-        if k.requires_grad:
-            k._accumulate(merge(np.matmul(ds.transpose(0, 2, 1), qs)))
+        # rowsum(dA * A) = rowsum(dO * O), so the bracket is ga @ [v, 1]^T.
+        # One (head, group) stack of dS is live at a time.
+        ds = np.empty((nqg, nkg))
+        gq = np.empty((stacks, nqg, dh)) if q.requires_grad else None
+        gk = np.empty((stacks, nkg, dh)) if k.requires_grad else None
+        for s in range(stacks):
+            np.matmul(ga[s], va[s].T, out=ds)
+            ds *= weights[s]
+            if gq is not None:
+                np.matmul(ds, kt[s, :dh].T, out=gq[s])
+            if gk is not None:
+                np.matmul(ds.T, qs[s], out=gk[s])
+        if gq is not None:
+            q._accumulate(merge(gq) * scale)
+        if gk is not None:
+            k._accumulate(merge(gk))
 
     return _make(data, (q, k, v), backward)
 

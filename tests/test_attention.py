@@ -370,6 +370,92 @@ class TestPackedAttentionOp:
             T.multi_head_softmax_attention(q, k, v, 2, groups=2)
 
 
+def stacked_attention_grads(q, k, v, heads, groups, maps, out, grad):
+    """The packed op's backward with the whole (h*G, Nq/G, Nk/G) softmax
+    adjoint built at once, from the forward's maps and output."""
+    (nq, d), nk = q.shape, k.shape[0]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    stacks, nqg, nkg = heads * groups, nq // groups, nk // groups
+
+    def heads_of(a):
+        return a.reshape(groups, -1, heads, dh).transpose(2, 0, 1, 3)
+
+    def merge(a):
+        rows = a.shape[1]
+        return a.reshape(heads, groups, rows, dh).transpose(1, 2, 0, 3) \
+            .reshape(groups * rows, d)
+
+    def widened(a, rows, last):
+        wide = np.empty((stacks, rows, dh + 1))
+        wide.reshape(heads, groups, rows, dh + 1)[..., :dh] = heads_of(a)
+        wide[..., dh] = last
+        return wide
+
+    qs = widened(q * scale, nqg, 0.0)[..., :dh]
+    kt = widened(k, nkg, 1.0).transpose(0, 2, 1).copy()
+    va = widened(v, nkg, 1.0)
+    weights = np.stack(maps)
+    ga = widened(grad, nqg, 0.0)
+    gv = merge(np.matmul(weights.transpose(0, 2, 1), ga[..., :dh]))
+    ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
+                             heads_of(out)).reshape(stacks, nqg)
+    ds = np.matmul(ga, va.transpose(0, 2, 1))
+    ds *= weights
+    gq = merge(np.matmul(ds, kt[:, :dh].transpose(0, 2, 1))) * scale
+    gk = merge(np.matmul(ds.transpose(0, 2, 1), qs))
+    return gq, gk, gv
+
+
+class TestBackwardOneStackAtATime:
+    # backward builds the softmax adjoint one (head, group) stack at a
+    # time; the gradients are the stacked formula's, bit for bit
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("nq,nk,padded", [(5, 7, False), (6, 4, True),
+                                              (9, 9, True)])
+    def test_matches_stacked_formula(self, groups, heads, nq, nk, padded):
+        rng = np.random.default_rng(1000 * groups + 10 * heads + nq)
+        q, k, v = qkv_case(rng, heads, groups * nq, groups * nk, padded)
+        grad = rng.standard_normal(q.shape)
+        maps = []
+        out = T.multi_head_softmax_attention(q, k, v, heads, maps=maps,
+                                             groups=groups)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        oracle = stacked_attention_grads(q.data, k.data, v.data, heads, groups,
+                                         maps, out.data, grad)
+        for t, expected in zip((q, k, v), oracle):
+            assert np.array_equal(t.grad, expected)
+
+    def test_backward_holds_one_adjoint_map(self):
+        n, heads, groups = 512, 4, 2
+        one_map = (n // groups) ** 2 * 8
+        q, k, v = qkv_case(np.random.default_rng(0), heads, n, n, False)
+        loss = T.tensor_sum(T.multi_head_softmax_attention(q, k, v, heads,
+                                                           groups=groups))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (head, group) stack of adjoints would be heads * groups maps
+        assert peak < 2 * one_map
+
+    def test_grads_of_inputs_that_need_them(self):
+        rng = np.random.default_rng(3)
+        q, k, v = qkv_case(rng, 2, 6, 8, False)
+        k.requires_grad = False
+        grad = rng.standard_normal(q.shape)
+        maps = []
+        out = T.multi_head_softmax_attention(q, k, v, 2, maps=maps, groups=2)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        gq, _, gv = stacked_attention_grads(q.data, k.data, v.data, 2, 2, maps,
+                                            out.data, grad)
+        assert k.grad is None
+        assert np.array_equal(q.grad, gq) and np.array_equal(v.grad, gv)
+
+
 def max_shift_attention(q, k, v, n_heads, groups=1):
     """The packed op as it was before the bound shift, on plain arrays.
 

@@ -85,6 +85,16 @@ class TestSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_frames_is_a_rejected_setting(self, tmp_path, capsys, count):
+        out = tmp_path / "seq"
+        assert main(["synth", "--out", str(out), "--frames", count]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attntrack: error: ") and err.count("\n") == 1
+        assert "n_frames" in err
+        assert not out.exists()
+
+
 class TestTrainToy:
     def test_checkpoint_header(self, workspace):
         _, _, ckpt = workspace

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from attntrack.localize import (BoundingBox, HeadStack, HeadWeights,
                                 apply_window, decode_center, decode_size,
@@ -94,6 +95,16 @@ class TestWindow:
         win = make_cosine_window(9, 9, 0.4)
         assert win.window.max() == 1.0
         assert win.window[4, 4] == 1.0
+
+    @pytest.mark.parametrize("hs,ws", [(1, 1), (2, 2), (1, 2)])
+    def test_under_three_cells_is_flat(self, hs, ws):
+        # np.hanning(2) is [0, 0]: a 2-cell grid used to give 0/0 = NaN
+        assert np.array_equal(make_cosine_window(hs, ws, 0.4).window,
+                              np.ones((hs, ws)))
+
+    def test_two_cell_axis_keeps_the_other_axis_cosine(self):
+        win = make_cosine_window(2, 5, 0.4).window
+        assert np.array_equal(win, np.stack([np.hanning(5)] * 2))
 
     def test_zero_influence_is_identity(self):
         rng = np.random.default_rng(4)

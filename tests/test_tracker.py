@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 save_model, save_sequence,
                                 init_backbone, track_sequence, train_toy)
 from attntrack.pipeline import tracker as tracker_mod
+from attntrack.pipeline import train as train_mod
 from attntrack.pipeline.crop import crop_search
 from attntrack.pipeline.tracker import extract_features
 from attntrack.tensor import (Tensor, load_checkpoint, named_parameters,
@@ -129,6 +132,20 @@ class TestTrackerBasics:
         assert diag.windowed_map.shape == (grid, grid)
         assert diag.blended_map is not None and diag.online_map is not None
         assert 0.0 <= diag.peak_score <= 1.0
+
+
+def test_two_cell_search_grid_tracks(toy_world):
+    # a 16-pixel search is a 2x2 grid, whose cosine window used to be NaN
+    frames, boxes, _, _ = toy_world
+    config = TrackerConfig(template_size=8, search_size=16, d=8, n_heads=2,
+                           c_mid=8)
+    tracker = Tracker(build_model(np.random.default_rng(0), config), config)
+    tracker.init(frames[0], boxes[0])
+    assert np.array_equal(tracker.state.window.window, np.ones((2, 2)))
+    for frame in frames[1:4]:
+        box, diag = tracker.track(frame)
+        assert not diag.lost
+        assert all(math.isfinite(x) for x in (box.cx, box.cy, box.w, box.h))
 
 
 class TestOnlineSchedule:
@@ -562,6 +579,91 @@ class TestTrainToy:
         with pytest.raises(ConfigurationError,
                            match=f"{field} must be at least 1, got {value}"):
             TrainSettings(**{field: value})
+
+    def test_one_step_tape_alive_at_a_time(self, toy_world, monkeypatch):
+        # with the cyclic collector off, only reference counts free a step's
+        # graph: its score map must be gone before the next step encodes
+        frames, boxes, _, _ = toy_world
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        model = build_model(np.random.default_rng(3), config)
+        scores = []
+        starts = []
+        forward, encode = train_mod.forward_pair, train_mod.encode_template
+
+        def keep_score(*args):
+            maps = forward(*args)
+            scores.append(weakref.ref(maps.score.data))
+            return maps
+
+        def check_previous(*args):
+            starts.append(len(scores))
+            if scores:
+                assert scores[-1]() is None, "the last step's tape is alive"
+            return encode(*args)
+
+        monkeypatch.setattr(train_mod, "forward_pair", keep_score)
+        monkeypatch.setattr(train_mod, "encode_template", check_previous)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            history = train_toy(model, config, frames, boxes,
+                                TrainSettings(steps=3, lr=1e-3))
+        finally:
+            if enabled:
+                gc.enable()
+        assert starts == [0, 1, 2] and len(scores) == 3
+        assert all(type(value) is float for value in history)
+
+    def test_log_lines_read_the_step_losses(self, toy_world):
+        frames, boxes, _, _ = toy_world
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        lines = []
+        history = train_toy(build_model(np.random.default_rng(3), config),
+                            config, frames, boxes,
+                            TrainSettings(steps=2, lr=1e-3), log=lines.append)
+        assert len(lines) == 2
+        for step, (line, value) in enumerate(zip(lines, history)):
+            assert line.startswith(f"step {step:4d}  loss {value:.4f}  (score ")
+
+    def test_adam_matches_the_out_of_place_rule(self, toy_world):
+        # the in-place moments and once-per-step bias corrections are the
+        # same operations in the same order as the rule spelled out here
+        frames, boxes, _, _ = toy_world
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8)
+        model = build_model(np.random.default_rng(5), config)
+        params = T.parameters(model)
+        optimizer = Adam(params, lr=2e-3)
+        data = [p.data.copy() for p in params]
+        m = [np.zeros_like(p) for p in data]
+        v = [np.zeros_like(p) for p in data]
+        b1, b2, eps = train_mod.ADAM_BETA1, train_mod.ADAM_BETA2, train_mod.ADAM_EPS
+        rng = np.random.default_rng(5)
+        template = crop_template(frames[0], boxes[0], config.template_size)
+        for t in range(1, 5):
+            for p in params:
+                p.zero_grad()
+            pair = sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
+            memory, template_pe = encode_template(model, config, template)
+            maps = forward_pair(model, config, memory, template_pe,
+                                [pair.search_crop])
+            pair_loss(maps, [pair.target], 1.0, 1.0)[0].backward()
+            if t == 2:      # a parameter without a gradient steps on zeros
+                params[0].zero_grad()
+            for i, p in enumerate(params):
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1 ** t)
+                vhat = v[i] / (1 - b2 ** t)
+                data[i] = data[i] - 2e-3 * mhat / (np.sqrt(vhat) + eps)
+            optimizer.step()
+            for p, expected in zip(params, data):
+                assert np.array_equal(p.data, expected)
+            for got, expected in zip(optimizer.m + optimizer.v, m + v):
+                assert np.array_equal(got, expected)
 
     def test_two_hundred_steps_on_fixed_pair_drop_tenfold(self, toy_world):
         frames, boxes, _, _ = toy_world
