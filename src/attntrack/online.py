@@ -12,14 +12,22 @@ acceptance step keeps the squared-error objective non-increasing.
 The tracker fits both layers jointly on the first frame, then refits only
 w2 once per tracked frame. With w1 frozen the residuals are linear in w2,
 so a frame's update is one linear least-squares problem solved by CG: its
-Jacobian products skip the w1 GEMMs, its full CG step is accepted (CG
-iterates lower a quadratic), and the hidden activations relu(w1 F) are
-computed once per solve.
+Jacobian products skip the w1 GEMMs and its full CG step is accepted (CG
+iterates lower a quadratic).
+
+Until the init fit the memory holds each sample's backbone features, so a
+solve can move w1. ``project_memory`` then swaps them, as ATOM does, for
+their projection relu(w1 F) under the fitted w1, and records each
+sample's residual at the filter. From there on a frame's sample enters
+the memory projected, with its residual, and a w2 solve reads both as
+they are: it starts from the residuals the last accepted solve left, and
+runs the hidden layer for no stored sample.
 
 The memory holds its samples stacked as the solver reads them, so a
 solve copies none of them, and each filter the solve visits runs forward
 once: the linearization that gives a filter's objective value is the one
-the next Gauss-Newton step uses when the filter is accepted.
+the next Gauss-Newton step uses when the filter is accepted. The
+linearizations of one solve share one set of padded work buffers.
 """
 
 from __future__ import annotations
@@ -50,15 +58,31 @@ class OnlineFilter:
 @dataclass
 class TrainingMemory:
     """Weighted (features, target map) samples side by side, in insertion
-    order, so one GEMM applies a filter to all of them."""
+    order, so one GEMM applies a filter to all of them.
+
+    A new memory holds backbone features. Once ``project_memory`` has run,
+    ``features`` holds their projection relu(w1 F) under one fixed w1, and
+    ``residuals`` each sample's residual at the current filter.
+    """
     capacity: int
-    # (c_in, S, H, W), channel-major: reshape(c_in, -1) is a view
+    # (c, S, H, W), channel-major: reshape(c, -1) is a view; c is the
+    # filter's input channels, or its hidden channels once projected
     features: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0, 0)))
     labels: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0)))
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # (S, H, W) score map minus label per sample; None until projected
+    residuals: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not self.capacity >= 1:
+            raise ValueError(f"capacity must be at least 1, got {self.capacity}")
 
     def __len__(self) -> int:
         return self.weights.size
+
+    @property
+    def projected(self) -> bool:
+        return self.residuals is not None
 
 
 @dataclass
@@ -67,6 +91,8 @@ class CgUpdate:
     filter: OnlineFilter
     objectives: list[float]
     degraded: bool = False
+    # the new filter's residual maps on the memory; None when degraded
+    residuals: np.ndarray | None = None
 
 
 def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int,
@@ -83,44 +109,70 @@ def _pad_before(kernel: int) -> int:
     return (kernel - 1) // 2
 
 
-def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
-    """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
+class _Padded:
+    """Work buffers of the k x k conv on maps of one shape (S, H, W).
 
-    Tap u*k+v holds every grid cell's contribution through kernel offset
-    (u, v); the output cell sums the k*k taps read at its offsets on the
-    zero-padded grid. A strided view puts tap (u, v)'s read for each cell
-    at [u, v, s, y, x], and the sum runs over the two kernel axes.
+    ``shift_sum`` and ``place`` write only the interior of their
+    zero-padded buffers, so the zero borders hold, and one set serves
+    every product on a memory. The array ``place`` returns is reused by
+    the next call.
     """
-    lo = _pad_before(kernel)
-    n, h, w = taps.shape[1:]
-    padded = np.zeros((kernel, kernel, n, h + kernel - 1, w + kernel - 1))
-    padded[:, :, :, lo:lo + h, lo:lo + w] = taps.reshape(padded.shape[:3] + (h, w))
-    su, sv, ss, sy, sx = padded.strides
-    reads = np.lib.stride_tricks.as_strided(
-        padded, (kernel, kernel, n, h, w), (su + sy, sv + sx, ss, sy, sx),
-        writeable=False)
-    return reads.sum(axis=(0, 1))
+
+    def __init__(self, kernel: int, shape: tuple[int, int, int]):
+        n, h, w = shape
+        grown = (h + kernel - 1, w + kernel - 1)
+        self.kernel = kernel
+        self.taps = np.zeros((kernel, kernel, n) + grown)
+        self.maps = np.zeros((n,) + grown)
+        # C-contiguous like a fresh copy: a placed array with other strides
+        # is read by the GEMMs after it with other rounding
+        self.placed = np.empty((kernel, kernel) + shape)
+
+    def shift_sum(self, taps: np.ndarray) -> np.ndarray:
+        """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
+
+        Tap u*k+v holds every grid cell's contribution through kernel
+        offset (u, v); the output cell sums the k*k taps read at its
+        offsets on the zero-padded grid. A strided view puts tap (u, v)'s
+        read for each cell at [u, v, s, y, x], and the sum runs over the
+        two kernel axes.
+        """
+        k, padded = self.kernel, self.taps
+        lo = _pad_before(k)
+        n, h, w = taps.shape[1:]
+        padded[:, :, :, lo:lo + h, lo:lo + w] = taps.reshape(padded.shape[:3] + (h, w))
+        su, sv, ss, sy, sx = padded.strides
+        reads = np.lib.stride_tricks.as_strided(
+            padded, (k, k, n, h, w), (su + sy, sv + sx, ss, sy, sx),
+            writeable=False)
+        return reads.sum(axis=(0, 1))
+
+    def place(self, maps: np.ndarray) -> np.ndarray:
+        """Adjoint of shift_sum: maps (S, H, W) -> k*k placed copies (k*k, S*H*W).
+
+        Copy u*k+v is the map shifted by offset (u, v) on the zero-padded
+        grid and cropped back to the grid; the cells it shifts off the
+        grid are dropped. On the map zero-padded by k-1-lo before and lo
+        after, that copy is the grid-sized window at (k-1-u, k-1-v), so
+        the copies are the windows flipped along both kernel axes.
+        """
+        k, padded = self.kernel, self.maps
+        hi = k - 1 - _pad_before(k)
+        _, h, w = maps.shape
+        padded[:, hi:hi + h, hi:hi + w] = maps
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
+        self.placed[...] = windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4)
+        return self.placed.reshape(k * k, -1)
+
+
+def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
+    """``_Padded.shift_sum`` on fresh buffers."""
+    return _Padded(kernel, taps.shape[1:]).shift_sum(taps)
 
 
 def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
-    """Adjoint of _shift_sum: maps (S, H, W) -> k*k placed copies (k*k, S*H*W).
-
-    Copy u*k+v is the map shifted by offset (u, v) on the zero-padded grid
-    and cropped back to the grid; the cells it shifts off the grid are
-    dropped. On the map zero-padded by k-1-lo before and lo after, that
-    copy is the grid-sized window at (k-1-u, k-1-v), so the copies are the
-    windows flipped along both kernel axes.
-    """
-    lo = _pad_before(kernel)
-    hi = kernel - 1 - lo
-    n, h, w = maps.shape
-    padded = np.zeros((n, h + kernel - 1, w + kernel - 1))
-    padded[:, hi:hi + h, hi:hi + w] = maps
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
-    # copied explicitly: on some grids the reshape alone would keep a
-    # negative-stride view, which later products read with other rounding
-    placed = np.ascontiguousarray(windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4))
-    return placed.reshape(kernel * kernel, -1)
+    """``_Padded.place`` on fresh buffers."""
+    return _Padded(kernel, maps.shape).place(maps)
 
 
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +197,20 @@ _quiet_fp = np.errstate(invalid="ignore", over="ignore")
 
 
 @_quiet_fp
-def online_forward(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
-    """Score map for one feature grid; range unconstrained."""
+def project(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
+    """Hidden layer relu(w1 F) of one feature grid: (c_in, H, W) -> (hidden, H, W)."""
     if features.ndim != 3 or features.shape[0] != filt.w1.shape[1]:
         raise ShapeError(f"features {features.shape} do not match filter "
                          f"input channels {filt.w1.shape[1]}")
     _, act = _relu(filt.w1, features.reshape(features.shape[0], -1))
-    return _conv(act, filt.w2, (1,) + features.shape[1:])[0]
+    return act.reshape((-1,) + features.shape[1:])
+
+
+@_quiet_fp
+def online_forward(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
+    """Score map for one feature grid; range unconstrained."""
+    act = project(filt, features)
+    return _conv(act.reshape(act.shape[0], -1), filt.w2, (1,) + act.shape[1:])[0]
 
 
 def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndarray:
@@ -164,13 +223,24 @@ def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndar
 
 
 def update_memory(memory: TrainingMemory, features: np.ndarray,
-                  label: np.ndarray, lr: float) -> TrainingMemory:
+                  label: np.ndarray, lr: float,
+                  residual: np.ndarray | None = None) -> TrainingMemory:
     """Append a sample with weight lr, decaying and renormalizing the rest;
-    over capacity, evict the first lowest weight, the new sample's included."""
+    over capacity, evict the first lowest weight, the new sample's included.
+
+    A projected memory takes the sample projected, ``project(filt, F)``,
+    with its ``residual`` at the current filter; a feature memory takes
+    neither.
+    """
     if not 0.0 < lr <= 1.0:
         raise ValueError(f"memory learning rate must be in (0, 1], got {lr}")
     if features.shape[1:] != label.shape:
         raise ShapeError(f"feature grid {features.shape[1:]} vs label {label.shape}")
+    if (residual is None) == memory.projected:
+        raise ValueError("a projected memory takes each sample's residual, "
+                         "and only a projected memory does")
+    if residual is not None and residual.shape != label.shape:
+        raise ShapeError(f"residual {residual.shape} vs label {label.shape}")
     n = len(memory)
     if not n:
         # an empty memory takes the first sample's shape
@@ -183,16 +253,39 @@ def update_memory(memory: TrainingMemory, features: np.ndarray,
     weights = np.append(memory.weights * (1.0 - lr), lr)
     # index n + 1, past the new sample, evicts none
     drop = int(np.argmin(weights)) if n >= memory.capacity else n + 1
-    features_kept = [memory.features[:, :drop], memory.features[:, drop + 1:]]
-    labels_kept = [memory.labels[:drop], memory.labels[drop + 1:]]
-    if drop != n:
-        features_kept.append(features[:, None])
-        labels_kept.append(label[None])
-    memory.features = np.concatenate(features_kept, axis=1)
-    memory.labels = np.concatenate(labels_kept)
+
+    def restack(stacked: np.ndarray, sample: np.ndarray, axis: int) -> np.ndarray:
+        # the samples on ``axis`` but the dropped one, then the new one
+        before, _, after = np.split(stacked, [drop, drop + 1], axis=axis)
+        kept = [before, after]
+        if drop != n:
+            kept.append(np.expand_dims(sample, axis))
+        return np.concatenate(kept, axis=axis)
+
+    memory.features = restack(memory.features, features, 1)
+    memory.labels = restack(memory.labels, label, 0)
+    if residual is not None:
+        memory.residuals = restack(memory.residuals, residual, 0)
     weights = weights[np.arange(n + 1) != drop]
     # summed left to right: np.sum's pairwise order rounds differently
     memory.weights = weights / sum(weights.tolist())
+    return memory
+
+
+@_quiet_fp
+def project_memory(filt: OnlineFilter, memory: TrainingMemory) -> TrainingMemory:
+    """Replace the stored features with their projection relu(w1 F) under
+    ``filt``'s w1, and record each sample's residual at ``filt``.
+
+    From then on a solve on the memory fits w2 alone, and w1 must stay
+    the one given here.
+    """
+    if memory.projected:
+        raise ValueError("the memory is projected already")
+    # what a w2 solve on the features starts from, kept
+    lin = _Linearization(filt, memory, train_w1=False)
+    memory.features = lin.act.reshape((-1,) + memory.labels.shape)
+    memory.residuals = lin.residual
     return memory
 
 
@@ -256,22 +349,37 @@ class _Linearization:
     and its Jacobian J at that mask: each product with J or its transpose
     is a few GEMMs over all samples. Parameters are packed as in _pack.
 
-    ``hidden``, the (mask, activations) of a filter with this ``w1`` on
-    the same memory, is reused instead of running the hidden layer again.
+    On a projected memory the activations are the memory's own, and only
+    w2 may train. ``residual``, when given, is ``filt``'s residual maps
+    on the memory, read instead of computed. ``base``, a linearization on
+    the same memory, lends its padded buffers and, when w1 is frozen, its
+    hidden layer.
     """
 
     def __init__(self, filt: OnlineFilter, memory: TrainingMemory, train_w1: bool,
-                 hidden: tuple[np.ndarray, np.ndarray] | None = None):
+                 residual: np.ndarray | None = None,
+                 base: _Linearization | None = None):
         self.train_w1 = train_w1
         self.features = memory.features.reshape(memory.features.shape[0], -1)
         self.weights = memory.weights
-        self.mask, self.act = hidden or _relu(filt.w1, self.features)
-        self.residual = _conv(self.act, filt.w2, memory.labels.shape) - memory.labels
-        self.kernel = filt.kernel
+        if memory.projected:
+            self.mask, self.act = None, self.features
+        elif base is not None and not train_w1:
+            self.mask, self.act = base.mask, base.act
+        else:
+            self.mask, self.act = _relu(filt.w1, self.features)
+        self.shape = memory.labels.shape
+        self.pads = base.pads if base else _Padded(filt.kernel, self.shape)
         self.w2 = filt.w2[0].reshape(filt.w2.shape[1], -1)     # (hidden, k*k)
+        if residual is None:
+            residual = self._sum_taps(self.w2.T @ self.act) - memory.labels
+        self.residual = residual
         self.n_w1 = filt.w1.size if train_w1 else 0
         self.lam = filt.reg
         self.theta = _pack(filt, train_w1)
+
+    def _sum_taps(self, taps: np.ndarray) -> np.ndarray:
+        return self.pads.shift_sum(taps.reshape((-1,) + self.shape))
 
     def jvp(self, vec: np.ndarray) -> np.ndarray:
         """J vec as score maps (S, H, W)."""
@@ -280,11 +388,11 @@ class _Linearization:
         if self.train_w1:
             v1 = vec[:self.n_w1].reshape(hidden, -1)
             taps += self.w2.T @ (self.mask * (v1 @ self.features))
-        return _shift_sum(taps.reshape((-1,) + self.residual.shape), self.kernel)
+        return self._sum_taps(taps)
 
     def vjp(self, maps: np.ndarray) -> np.ndarray:
         """J^T maps for score-space maps (S, H, W), packed like vec."""
-        placed = _place(maps, self.kernel)
+        placed = self.pads.place(maps)
         w2_part = (self.act @ placed.T).ravel()
         if not self.train_w1:
             return w2_part
@@ -310,21 +418,25 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
     Each outer step fixes the relu activation pattern, solves the
     regularized normal equations with ``n_iters`` CG iterations, and
     accepts the (possibly backtracked) step only if the true objective
-    does not increase. With ``train_w1`` False only w2 moves. A non-finite
-    intermediate aborts the whole update and returns the input filter
-    flagged as degraded.
+    does not increase. With ``train_w1`` False only w2 moves; a projected
+    memory allows only that, and its residuals must be ``filt``'s. A
+    non-finite intermediate aborts the whole update and returns the input
+    filter flagged as degraded.
     """
     if not len(memory):
         raise ValueError("training memory is empty")
-    if n_iters < 1:
-        raise ValueError("need at least one CG iteration")
+    if not n_iters >= 1:
+        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
+    if not gn_steps >= 0:
+        raise ValueError(f"gn_steps must not be negative, got {gn_steps}")
+    if train_w1 and memory.projected:
+        raise ValueError("a projected memory holds no features to fit w1 on")
 
     current = filt.copy()
-    lin = _Linearization(current, memory, train_w1)
+    # a projected memory carries the starting residuals: the hidden layer
+    # and the first forward run for no stored sample
+    lin = _Linearization(current, memory, train_w1, residual=memory.residuals)
     objectives = [objective(current, memory, lin)]
-    # with w1 frozen every filter the solve visits has the starting hidden
-    # layer, so relu(w1 F) runs once per solve
-    hidden = None if train_w1 else (lin.mask, lin.act)
 
     for _ in range(gn_steps):
         delta = conjugate_gradient(lin.normal_matvec, -lin.gradient(), n_iters)
@@ -335,7 +447,9 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         step = 1.0
         for _ in range(5):
             candidate = _unpack(lin.theta + step * delta, current, train_w1)
-            trial = _Linearization(candidate, memory, train_w1, hidden)
+            # with w1 frozen every filter the solve visits has the starting
+            # hidden layer, so relu(w1 F) runs at most once per solve
+            trial = _Linearization(candidate, memory, train_w1, base=lin)
             value = objective(candidate, memory, trial)
             if not np.isfinite(value):
                 return CgUpdate(filter=filt, objectives=objectives, degraded=True)
@@ -352,4 +466,4 @@ def solve_cg(filt: OnlineFilter, memory: TrainingMemory, n_iters: int,
         current, lin, value = accepted
         objectives.append(value)
 
-    return CgUpdate(filter=current, objectives=objectives, degraded=False)
+    return CgUpdate(filter=current, objectives=objectives, residuals=lin.residual)

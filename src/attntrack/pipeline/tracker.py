@@ -16,8 +16,13 @@ decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
 mid-level features. ``Tracker.init`` fits both layers of its filter with a
-joint Gauss-Newton/CG solve; each tracked frame then refits only the score
-filter w2 with one linear CG solve, and w1 keeps its init fit.
+joint Gauss-Newton/CG solve over the init samples' features, then projects
+the memory: it keeps each sample's hidden activations relu(w1 F) under the
+fitted w1, and its residual at the filter, in place of its features. Each
+tracked frame adds its sample projected, with its residual read off the
+frame's unclipped online map, and refits only the score filter w2 with one
+linear CG solve, which leaves the memory the residuals at the new filter;
+w1 keeps its init fit.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from ..localize import (STRIDE, BoundingBox, CosineWindow, HeadMaps,
                         peak_cell, smooth_size)
 from ..loss import adaptive_sigma, gaussian_label
 from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
-                      online_forward, solve_cg, update_memory)
+                      online_forward, project, project_memory, solve_cg,
+                      update_memory)
 from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
 from ..transformer import (AttentionTrace, TransformerWeights,
                            build_positional_encoding, decode, encode,
@@ -319,6 +325,7 @@ class Tracker:
                           gn_steps=cfg.online_init_gn_steps)
         if not result.degraded:
             self.state.online_filter = result.filter
+        project_memory(self.state.online_filter, self.state.online_memory)
 
     # -- per-frame update ----------------------------------------------------
 
@@ -343,8 +350,8 @@ class Tracker:
         online_map = None
         blended = None
         if cfg.online and state.online_filter is not None:
-            online_map = np.clip(online_forward(state.online_filter, mid),
-                                 0.0, 1.0)
+            online_score = online_forward(state.online_filter, mid)
+            online_map = np.clip(online_score, 0.0, 1.0)
             blended = blend(windowed, online_map, cfg.blend_weight)
             decode_map = blended
         else:
@@ -379,7 +386,7 @@ class Tracker:
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
             center_off = decode_center(windowed, offset)
-            self._online_step(mid, center_off, size_patch)
+            self._online_step(mid, online_score, center_off, size_patch)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
@@ -387,17 +394,25 @@ class Tracker:
                                 crop=crop)
         return new_box, diag
 
-    def _online_step(self, mid: np.ndarray, center_patch, size_patch) -> None:
-        """Add the frame's sample to the memory and refit w2, w1 fixed."""
+    def _online_step(self, mid: np.ndarray, online_score: np.ndarray,
+                     center_patch, size_patch) -> None:
+        """Add the frame's sample to the memory and refit w2, w1 fixed.
+
+        The sample is stored projected, with its residual at the current
+        filter: the frame's unclipped online map ``online_score`` minus
+        its label.
+        """
         cfg = self.config
         state = self.state
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, mid, label, cfg.memory_lr)
+        update_memory(state.online_memory, project(state.online_filter, mid),
+                      label, cfg.memory_lr, residual=online_score - label)
         result = solve_cg(state.online_filter, state.online_memory,
                           n_iters=cfg.online_update_cg_iters,
                           gn_steps=cfg.online_update_gn_steps, train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
+            state.online_memory.residuals = result.residuals
 
 
 def track_sequence(model: ModelWeights, config: TrackerConfig,

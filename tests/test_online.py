@@ -1,3 +1,4 @@
+import copy
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from attntrack.errors import ShapeError
 from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
                               _place, _shift_sum, blend, conjugate_gradient,
                               init_online_filter, objective, online_forward,
-                              solve_cg, update_memory)
+                              project, project_memory, solve_cg, update_memory)
 
 Sample = namedtuple("Sample", "features label weight")
 
@@ -193,6 +194,13 @@ class TestMemory:
                                   np.stack([s[1] for s in reference]))
         assert memory.features.flags.c_contiguous
 
+    @pytest.mark.parametrize("capacity", [0, -1, float("nan")])
+    def test_capacity_below_one_rejected(self, capacity):
+        # a zero capacity used to store nothing, and the first solve then
+        # failed with "training memory is empty"
+        with pytest.raises(ValueError, match="capacity"):
+            TrainingMemory(capacity=capacity)
+
     def test_solver_reads_the_memory_without_copying_it(self):
         rng = np.random.default_rng(17)
         filt, memory = random_problem(rng, kernel=3, n_samples=4)
@@ -372,6 +380,13 @@ class TestSolveCg:
         result = solve_cg(filt, memory, n_iters=4, gn_steps=2)
         assert result.degraded
         assert result.filter is filt
+
+    def test_negative_gn_steps_rejected(self):
+        # -1 used to run zero steps and return the input filter
+        rng = np.random.default_rng(18)
+        filt, memory = random_problem(rng, kernel=2, n_samples=2)
+        with pytest.raises(ValueError, match="gn_steps"):
+            solve_cg(filt, memory, n_iters=2, gn_steps=-1)
 
     def test_empty_memory_rejected(self):
         filt = init_online_filter(np.random.default_rng(0), c_in=2, hidden=64,
@@ -710,3 +725,94 @@ class TestSolveWork:
             # layer runs once per solve
             assert counts["_relu"] == 1
         assert counts["objective"] >= len(result.objectives)
+
+
+class TestBufferReuse:
+    """One linearization's products share one set of padded buffers; each
+    product must equal the same product on fresh ``_shift_sum``/``_place``
+    arrays."""
+
+    @pytest.mark.parametrize("train_w1", [True, False])
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 1), (1, 7), (7, 9), (16, 16)])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_successive_products_equal_fresh_kernels(self, kernel, grid, train_w1):
+        for n_samples in range(1, 10):
+            rng = np.random.default_rng([kernel, *grid, n_samples, 19])
+            filt, memory = random_problem(rng, kernel, n_samples, grid)
+            lin = _Linearization(filt, memory, train_w1)
+            hidden = lin.w2.shape[0]
+            for _ in range(3):
+                vec = rng.standard_normal(lin.theta.size)
+                taps = vec[lin.n_w1:].reshape(hidden, -1).T @ lin.act
+                if train_w1:
+                    v1 = vec[:lin.n_w1].reshape(hidden, -1)
+                    taps += lin.w2.T @ (lin.mask * (v1 @ lin.features))
+                assert np.array_equal(
+                    lin.jvp(vec),
+                    _shift_sum(taps.reshape((-1, n_samples) + grid), kernel))
+
+                maps = rng.standard_normal((n_samples,) + grid)
+                placed = _place(maps, kernel)
+                expected = (lin.act @ placed.T).ravel()
+                if train_w1:
+                    gpre = (lin.w2 @ placed) * lin.mask
+                    expected = np.concatenate([(gpre @ lin.features.T).ravel(),
+                                               expected])
+                assert np.array_equal(lin.vjp(maps), expected)
+                # what the GEMMs read; on 2x1 grids at kernels 4 and 5 a
+                # reshaped view keeps other strides, which round differently
+                assert lin.pads.place(maps).flags.c_contiguous
+
+
+class TestProjectedMemory:
+    """A memory of relu(w1 F) with carried residuals solves as the memory
+    of features it came from, without running the hidden layer."""
+
+    @pytest.mark.parametrize("kernel,n_samples,grid",
+                             [c for c in KERNEL_GRIDS if c[2] in ((5, 5), (2, 1))])
+    def test_w2_solve_matches_the_feature_memory_bitwise(self, monkeypatch,
+                                                         kernel, n_samples, grid):
+        rng = np.random.default_rng([kernel, n_samples, *grid, 20])
+        filt, memory = random_problem(rng, kernel, n_samples, grid)
+        expected = solve_cg(filt, memory, n_iters=4, gn_steps=3, train_w1=False)
+        project_memory(filt, memory)
+        assert memory.features.shape == (4, n_samples) + grid
+        assert memory.features.flags.c_contiguous
+        calls = []
+        relu = online._relu
+        monkeypatch.setattr(online, "_relu", lambda *a: calls.append(a) or relu(*a))
+        result = solve_cg(filt, memory, n_iters=4, gn_steps=3, train_w1=False)
+        assert calls == []
+        assert not result.degraded
+        assert np.array_equal(result.objectives, expected.objectives)
+        assert np.array_equal(result.filter.w2, expected.filter.w2)
+        assert np.array_equal(result.residuals, expected.residuals)
+
+    def test_sample_enters_with_its_projection_and_residual(self):
+        rng = np.random.default_rng(21)
+        filt, memory = random_problem(rng, kernel=3, n_samples=2)
+        reference = copy.deepcopy(memory)
+        project_memory(filt, memory)
+        for _ in range(3):      # at capacity 2 each insert evicts
+            new, label = rng.standard_normal((3, 5, 5)), rng.uniform(0, 1, (5, 5))
+            update_memory(memory, project(filt, new), label, lr=0.2,
+                          residual=online_forward(filt, new) - label)
+            update_memory(reference, new, label, lr=0.2)
+        assert np.array_equal(memory.weights, reference.weights)
+        lin = _Linearization(filt, reference, train_w1=False)
+        assert np.array_equal(memory.features.reshape(lin.act.shape), lin.act)
+        assert np.array_equal(memory.residuals, lin.residual)
+
+    def test_misuse_rejected(self):
+        rng = np.random.default_rng(22)
+        filt, memory = random_problem(rng, kernel=2, n_samples=2)
+        sample, label = rng.standard_normal((3, 5, 5)), np.zeros((5, 5))
+        with pytest.raises(ValueError, match="residual"):
+            update_memory(memory, sample, label, lr=0.2, residual=label)
+        project_memory(filt, memory)
+        with pytest.raises(ValueError, match="residual"):
+            update_memory(memory, project(filt, sample), label, lr=0.2)
+        with pytest.raises(ValueError, match="w1"):
+            solve_cg(filt, memory, n_iters=2, gn_steps=1, train_w1=True)
+        with pytest.raises(ValueError, match="projected"):
+            project_memory(filt, memory)

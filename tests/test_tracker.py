@@ -12,8 +12,9 @@ from attntrack import tensor as T
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import STRIDE, BoundingBox
 from attntrack.loss import joint_loss
-from attntrack.online import (OnlineFilter, TrainingMemory, conjugate_gradient,
-                              init_online_filter, solve_cg, update_memory)
+from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
+                              conjugate_gradient, init_online_filter, solve_cg,
+                              update_memory)
 from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 Tracker, TrackerConfig, TrainSettings, build_model,
                                 crop_template, encode_template, forward_pair,
@@ -166,6 +167,111 @@ class TestOnlineSchedule:
             assert not np.array_equal(state.online_filter.w2, w2)
 
 
+class FeatureMemoryTracker(Tracker):
+    """The online rule over a memory of backbone features, kept as an
+    oracle: every frame runs relu(w1 F) and the residuals over the whole
+    memory again, through ``solve_cg(..., train_w1=False)``."""
+
+    def _init_online(self, frame, box):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tracker_mod, "project_memory", lambda filt, memory: memory)
+            super()._init_online(frame, box)
+
+    def _online_step(self, mid, online_score, center_patch, size_patch):
+        cfg, state = self.config, self.state
+        label = self._online_label(center_patch, size_patch, mid.shape[-1])
+        update_memory(state.online_memory, mid, label, cfg.memory_lr)
+        result = tracker_mod.solve_cg(
+            state.online_filter, state.online_memory,
+            n_iters=cfg.online_update_cg_iters,
+            gn_steps=cfg.online_update_gn_steps, train_w1=False)
+        if not result.degraded:
+            state.online_filter = result.filter
+
+
+class TestProjectedMemory:
+    """The tracker's projected memory against the feature-memory oracle:
+    the same boxes, filters, weights, hidden activations and residuals,
+    bit for bit, after every frame."""
+
+    DRIFT = SequenceSpec(velocity=(0.6, -0.4), brightness_drift=0.5,
+                         drift_start=0.3)
+
+    def run_both(self, monkeypatch, config, n_frames, nan_call=None):
+        frames, boxes = generate_synthetic_sequence(3, n_frames, self.DRIFT)
+        model = build_model(np.random.default_rng(0), config)
+        degraded = []
+
+        def recording_solve(*args, **kwargs):
+            result = solve_cg(*args, **kwargs)
+            degraded.append(result.degraded)
+            return result
+
+        def features_with_nan(calls):
+            # extract_features with a NaN in the online tap on call nan_call
+            def wrapper(crops, model, config):
+                feats = extract_features(crops, model, config)
+                calls.append(None)
+                if len(calls) == nan_call:
+                    feats.mid[0, 1, 2, 3] = np.nan
+                return feats
+            return wrapper
+
+        monkeypatch.setattr(tracker_mod, "solve_cg", recording_solve)
+        fast, slow = Tracker(model, config), FeatureMemoryTracker(model, config)
+        for tracker in (fast, slow):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(tracker_mod, "extract_features", features_with_nan([]))
+                tracker.init(frames[0], boxes[0])
+        assert fast.state.online_memory.projected
+        assert not slow.state.online_memory.projected
+        self.assert_same(fast.state, slow.state)
+
+        flags = []
+        for frame in frames[1:]:
+            del degraded[:]
+            box_fast, _ = fast.track(frame)
+            box_slow, _ = slow.track(frame)
+            assert box_fast == box_slow
+            assert len(degraded) == 2 and degraded[0] == degraded[1]
+            flags.append(degraded[0])
+            self.assert_same(fast.state, slow.state)
+        return fast.state.online_memory, flags
+
+    @staticmethod
+    def assert_same(fast, slow):
+        f, s = fast.online_filter, slow.online_filter
+        assert np.array_equal(f.w1, s.w1) and np.array_equal(f.w2, s.w2)
+        projected, features = fast.online_memory, slow.online_memory
+        assert np.array_equal(projected.weights, features.weights)
+        assert np.array_equal(projected.labels, features.labels)
+        oracle = _Linearization(s, features, train_w1=False)
+        assert np.array_equal(projected.features.reshape(oracle.act.shape),
+                              oracle.act, equal_nan=True)
+        assert np.array_equal(projected.residuals, oracle.residual, equal_nan=True)
+
+    def test_benchmark_geometry_at_capacity_8(self, monkeypatch):
+        config = TrackerConfig(template_size=64, search_size=128, online=True,
+                               memory_capacity=8)
+        memory, flags = self.run_both(monkeypatch, config, 26)
+        assert len(memory) == 8 and not any(flags)
+
+    def test_samples_evicted_at_capacity_50(self, monkeypatch):
+        config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
+                               c_mid=8, online=True, memory_capacity=50)
+        memory, flags = self.run_both(monkeypatch, config, 71)
+        assert len(memory) == 50 and not any(flags)
+
+    def test_nan_sample_degrades_the_same_frames(self, monkeypatch):
+        # call 1 encodes the template; call 4 is the third init sample,
+        # which the memory evicts a few frames after it fills
+        config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
+                               c_mid=8, online=True, memory_capacity=8)
+        memory, flags = self.run_both(monkeypatch, config, 16, nan_call=4)
+        assert flags[0] and not flags[-1]
+        assert np.all(np.isfinite(memory.residuals))
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("box", [BoundingBox(float("nan"), 40.0, 20.0, 16.0),
                                      BoundingBox(40.0, float("nan"), 20.0, 16.0),
@@ -250,7 +356,7 @@ class TestPluginProperty:
             raise AssertionError("online path invoked in offline mode")
 
         for name in ("online_forward", "solve_cg", "update_memory", "blend",
-                     "init_online_filter"):
+                     "init_online_filter", "project", "project_memory"):
             monkeypatch.setattr(tracker_mod, name, boom)
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
