@@ -207,10 +207,20 @@ def project(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
 
 
 @_quiet_fp
-def online_forward(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
-    """Score map for one feature grid; range unconstrained."""
-    act = project(filt, features)
-    return _conv(act.reshape(act.shape[0], -1), filt.w2, (1,) + act.shape[1:])[0]
+def online_forward(filt: OnlineFilter, features: np.ndarray,
+                   projected: bool = False) -> np.ndarray:
+    """Score map for one feature grid; range unconstrained.
+
+    With ``projected`` the grid is its hidden activations already,
+    ``project(filt, features)``, and the hidden layer does not run again.
+    """
+    if not projected:
+        features = project(filt, features)
+    elif features.ndim != 3 or features.shape[0] != filt.w2.shape[1]:
+        raise ShapeError(f"hidden activations {features.shape} do not match "
+                         f"filter hidden channels {filt.w2.shape[1]}")
+    return _conv(features.reshape(features.shape[0], -1), filt.w2,
+                 (1,) + features.shape[1:])[0]
 
 
 def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndarray:

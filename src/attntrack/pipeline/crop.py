@@ -13,9 +13,11 @@ samples form one window, and only that window is resampled. Every other
 pixel of the patch, the extension included, is the per-channel image
 mean by definition and is flagged in the pad mask.
 
-The crop takes a ``Frame`` and reads its pixel values as samples over
-``maxval``. It divides before it sums, in the frame's own layout, so an
-8-bit frame crops bit for bit like the float64 frame of its values.
+The crop takes a ``Frame`` and reads it once, into one C-contiguous
+channel-planar float64 array of its pixel values: 8-bit samples divided
+by ``maxval``, float64 values as they are. The channel means and the
+window both come from that array, so a frame crops bit for bit like the
+planar float64 frame of its values, whatever its dtype and layout.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ def _taps(coords: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
     Returns source indices clipped into the image and their weights, both
     (2, n); a tap that falls outside [0, extent) gets weight 0.
     """
+    # a coordinate below -2 or past the extent has both taps outside either
+    # way; clipping keeps the cast to int64 in range for a huge square
+    coords = np.clip(coords, -2.0, extent)
     i0 = np.floor(coords).astype(np.int64)
     frac = coords - i0
     index = np.stack([i0, i0 + 1])
@@ -75,57 +80,78 @@ def _covered(weight: np.ndarray) -> tuple[int, int]:
     return (int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0)
 
 
-def _values(samples: np.ndarray, maxval: int) -> np.ndarray:
-    """The float64 pixel values of some of a frame's samples: float64
-    samples as they are, 8-bit samples over maxval."""
-    return samples if samples.dtype == np.float64 else samples / maxval
+def _planar_values(frame: Frame) -> np.ndarray:
+    """The frame's pixel values as one C-contiguous (3, H, W) float64
+    array: float64 values as they are, or copied planar, and 8-bit samples
+    over maxval, written into a fresh array."""
+    if frame.pixels.dtype == np.float64:
+        return np.ascontiguousarray(frame.pixels)
+    values = np.empty(frame.pixels.shape)
+    np.divide(frame.pixels, frame.maxval, out=values)
+    return values
 
 
-def _sample_window(frame: Frame, means: np.ndarray,
+def _sample_window(values: np.ndarray, means: np.ndarray,
                    rows: tuple[np.ndarray, np.ndarray],
-                   cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Bilinear samples of a frame at covered sample rows x columns, each
-    axis given as its ``_taps`` (index, weight); returns (3, rows, cols).
+                   cols: tuple[np.ndarray, np.ndarray],
+                   out: np.ndarray) -> None:
+    """Write into ``out`` (3, rows, cols) the bilinear samples of planar
+    frame values at covered sample rows x columns, each axis given as its
+    ``_taps`` (index, weight).
 
     The bilinear weights of the four taps sum to 1, so mean padding is
     ``mean + sum(w_y * w_x * (image - mean))`` over the in-image taps, and
     the sum separates into a column pass and a row pass over the
     mean-centred image. Columns go first: the larger second gather then
-    copies whole rows, and its second tap needs only one channel's buffer.
-    The column pass reads only the image rows that the row taps reach.
+    copies whole rows. The column pass reads only the block of the image
+    that the taps reach. Each channel runs both passes on its own, in
+    buffers that the three channels share, so they stay in cache.
     """
     row_index, row_weight = rows
     col_index, col_weight = cols
-    top = row_index.min()
-    band = frame.pixels[:, top:row_index.max() + 1]
-    centred = _values(band, frame.maxval) - means[:, None, None]
-    row_index = row_index - top
-    blend = np.take(centred, col_index[0], axis=2) * col_weight[0]
-    blend += np.take(centred, col_index[1], axis=2) * col_weight[1]
-    out = np.take(blend, row_index[0], axis=1)
-    out *= row_weight[0][:, None]
-    tap = np.empty(out.shape[1:])
-    for channel, col_blend, mean in zip(out, blend, means):
-        np.take(col_blend, row_index[1], axis=0, out=tap)
-        tap *= row_weight[1][:, None]
-        channel += tap
+    top, bottom = row_index.min(), row_index.max() + 1
+    left, right = col_index.min(), col_index.max() + 1
+    row_index, col_index = row_index - top, col_index - left
+    row_weight = row_weight[:, :, None]
+    # the indices are in range already; in mode "clip" np.take fills the
+    # buffer it is given, where mode "raise" would take into a copy
+    blend = np.empty((bottom - top, col_index.shape[1]))
+    col_tap = np.empty_like(blend)
+    row_tap = np.empty(out.shape[1:])
+    for channel, plane, mean in zip(out, values, means):
+        centred = plane[top:bottom, left:right] - mean
+        np.take(centred, col_index[0], axis=1, out=blend, mode="clip")
+        blend *= col_weight[0]
+        np.take(centred, col_index[1], axis=1, out=col_tap, mode="clip")
+        col_tap *= col_weight[1]
+        blend += col_tap
+        np.take(blend, row_index[0], axis=0, out=row_tap, mode="clip")
+        np.multiply(row_tap, row_weight[0], out=channel)
+        np.take(blend, row_index[1], axis=0, out=row_tap, mode="clip")
+        row_tap *= row_weight[1]
+        channel += row_tap
         channel += mean
-    return out
 
 
-def _crop(frame: Frame, center: tuple[float, float], side: float,
+def _crop(frame: Frame, box: BoundingBox, side: float,
           out_size: int) -> CropResult:
-    """Sample ``out_size`` pixels across the square into a patch of side
-    ``aligned_side(out_size)``. Only the covered window is sampled; the
-    rest of the patch, the stride alignment at the bottom/right included,
-    is the channel mean and is flagged in the pad mask."""
+    """Sample ``out_size`` pixels across the square of ``side`` around
+    ``box`` into a patch of side ``aligned_side(out_size)``. Only the
+    covered window is sampled; the rest of the patch, the stride alignment
+    at the bottom/right included, is the channel mean and is flagged in
+    the pad mask. Raises ``TrackingError`` naming the box when the crop's
+    scale is not finite and positive."""
+    scale = side / out_size
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise TrackingError(f"box {box} gives a crop scale of {scale}: "
+                            f"its context square overflows or underflows")
+    values = _planar_values(frame)
+    means = values.reshape(3, -1).mean(axis=1)
+    _, h, w = values.shape
     # image pixel i is centered at coordinate i; patch pixel u samples the
     # center of its cell inside the [center - side/2, center + side/2] square
-    _, h, w = frame.pixels.shape
-    means = _values(frame.pixels.reshape(3, -1), frame.maxval).mean(axis=1)
-    scale = side / out_size
-    origin = (center[0] - side / 2.0 + 0.5 * scale,
-              center[1] - side / 2.0 + 0.5 * scale)
+    origin = (box.cx - side / 2.0 + 0.5 * scale,
+              box.cy - side / 2.0 + 0.5 * scale)
     idx = np.arange(out_size, dtype=np.float64)
     rows = _taps(origin[1] + idx * scale, h)
     cols = _taps(origin[0] + idx * scale, w)
@@ -140,9 +166,9 @@ def _crop(frame: Frame, center: tuple[float, float], side: float,
     patch[:, r0:r1, c1:] = fill
     mask = np.ones((aligned, aligned), dtype=bool)
     if r0 < r1 and c0 < c1:
-        patch[:, r0:r1, c0:c1] = _sample_window(
-            frame, means, tuple(a[:, r0:r1] for a in rows),
-            tuple(a[:, c0:c1] for a in cols))
+        _sample_window(values, means, tuple(a[:, r0:r1] for a in rows),
+                       tuple(a[:, c0:c1] for a in cols),
+                       patch[:, r0:r1, c0:c1])
         mask[r0:r1, c0:c1] = False
     return CropResult(patch=patch, pad_mask=mask, scale=scale, origin=origin)
 
@@ -164,7 +190,7 @@ def crop_template(frame: Frame, box: BoundingBox,
     """Context-padded square around the target in ``frame``, resampled to
     out_size."""
     _check_box(frame, box)
-    return _crop(frame, (box.cx, box.cy), context_side(box), out_size)
+    return _crop(frame, box, context_side(box), out_size)
 
 
 def crop_search(frame: Frame, prev_box: BoundingBox,
@@ -173,7 +199,7 @@ def crop_search(frame: Frame, prev_box: BoundingBox,
     scaled by search_size/template_size."""
     _check_box(frame, prev_box)
     side = context_side(prev_box) * search_size / template_size
-    return _crop(frame, (prev_box.cx, prev_box.cy), side, search_size)
+    return _crop(frame, prev_box, side, search_size)
 
 
 def patch_to_image(point: tuple[float, float], crop: CropResult) -> tuple[float, float]:

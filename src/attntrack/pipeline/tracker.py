@@ -19,10 +19,11 @@ mid-level features. ``Tracker.init`` fits both layers of its filter with a
 joint Gauss-Newton/CG solve over the init samples' features, then projects
 the memory: it keeps each sample's hidden activations relu(w1 F) under the
 fitted w1, and its residual at the filter, in place of its features. Each
-tracked frame adds its sample projected, with its residual read off the
-frame's unclipped online map, and refits only the score filter w2 with one
-linear CG solve, which leaves the memory the residuals at the new filter;
-w1 keeps its init fit.
+tracked frame runs the hidden layer once: those activations give the
+frame's online map and are the sample it adds, with its residual read off
+the unclipped online map. The frame then refits only the score filter w2
+with one linear CG solve, which leaves the memory the residuals at the new
+filter; w1 keeps its init fit.
 """
 
 from __future__ import annotations
@@ -203,8 +204,10 @@ def extract_features(crops: Sequence[CropResult], model: ModelWeights,
     sides = {crop.patch.shape for crop in crops}
     if len(sides) != 1:
         raise ShapeError(f"a batch needs crops of one size, got {sorted(sides)}")
-    mid, tokens = backbone_forward(Tensor(np.stack([crop.patch for crop in crops])),
-                                   model.backbone)
+    # a batch of one is its patch as a view, not a stacked copy
+    patches = (crops[0].patch[None] if len(crops) == 1
+               else np.stack([crop.patch for crop in crops]))
+    mid, tokens = backbone_forward(Tensor(patches), model.backbone)
     mask = np.stack([grid_pad_mask(crop.pad_mask) for crop in crops])
     return PatchFeatures(tokens=tokens, mid=mid.data,
                          mask=mask if config.pe_mask else np.zeros_like(mask))
@@ -350,7 +353,10 @@ class Tracker:
         online_map = None
         blended = None
         if cfg.online and state.online_filter is not None:
-            online_score = online_forward(state.online_filter, mid)
+            # the hidden layer runs once: for the online map and the sample
+            hidden = project(state.online_filter, mid)
+            online_score = online_forward(state.online_filter, hidden,
+                                          projected=True)
             online_map = np.clip(online_score, 0.0, 1.0)
             blended = blend(windowed, online_map, cfg.blend_weight)
             decode_map = blended
@@ -386,7 +392,8 @@ class Tracker:
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
             center_off = decode_center(windowed, offset)
-            self._online_step(mid, online_score, center_off, size_patch)
+            self._online_step(mid, (hidden, online_score), center_off,
+                              size_patch)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
@@ -394,19 +401,22 @@ class Tracker:
                                 crop=crop)
         return new_box, diag
 
-    def _online_step(self, mid: np.ndarray, online_score: np.ndarray,
+    def _online_step(self, mid: np.ndarray,
+                     online: tuple[np.ndarray, np.ndarray],
                      center_patch, size_patch) -> None:
         """Add the frame's sample to the memory and refit w2, w1 fixed.
 
-        The sample is stored projected, with its residual at the current
-        filter: the frame's unclipped online map ``online_score`` minus
-        its label.
+        ``online`` is what ``track`` read off the online tap ``mid``: its
+        hidden activations relu(w1 F) and its unclipped online map. The
+        sample is stored as those activations, with its residual at the
+        current filter: the online map minus its label.
         """
         cfg = self.config
         state = self.state
+        hidden, online_score = online
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, project(state.online_filter, mid),
-                      label, cfg.memory_lr, residual=online_score - label)
+        update_memory(state.online_memory, hidden, label, cfg.memory_lr,
+                      residual=online_score - label)
         result = solve_cg(state.online_filter, state.online_memory,
                           n_iters=cfg.online_update_cg_iters,
                           gn_steps=cfg.online_update_gn_steps, train_w1=False)

@@ -75,6 +75,16 @@ class TestOnlineForward:
         with pytest.raises(ShapeError):
             online_forward(filt, np.zeros((3, 6, 6)))
 
+    def test_projected_grid_gives_the_map_of_its_features(self):
+        rng = np.random.default_rng(4)
+        filt = init_online_filter(rng, c_in=3, hidden=5, kernel=4, reg=1e-2)
+        features = rng.standard_normal((3, 7, 9))
+        assert np.array_equal(online_forward(filt, project(filt, features),
+                                             projected=True),
+                              online_forward(filt, features))
+        with pytest.raises(ShapeError, match="hidden activations"):
+            online_forward(filt, features, projected=True)
+
 
 class TestBlend:
     def test_weight_one_is_pure_offline(self):

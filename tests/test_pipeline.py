@@ -196,6 +196,31 @@ class TestCrop:
         with pytest.raises(TrackingError):
             crop_template(Frame(frame, 0), BoundingBox(-40.0, -40.0, 10.0, 10.0), 32)
 
+    # the context square overflows to inf (its product, or its sides'
+    # sum) or underflows to 0, and the crop scale with it
+    @pytest.mark.parametrize("box", [BoundingBox(20.0, 20.0, 1e308, 1e308),
+                                     BoundingBox(20.0, 20.0, 1e200, 5.0),
+                                     BoundingBox(20.0, 20.0, 1e-320, 1e-320)])
+    @pytest.mark.parametrize("crop", [lambda f, b: crop_template(f, b, 127),
+                                      lambda f, b: crop_search(f, b, 255, 127)],
+                             ids=["template", "search"])
+    def test_square_that_overflows_or_underflows_raises(self, box, crop):
+        frame = Frame(np.random.default_rng(0).uniform(0, 1, (3, 40, 40)), 0)
+        with pytest.raises(TrackingError, match=r"box BoundingBox\(.*crop scale"):
+            crop(frame, box)
+
+    # finite squares whose sample coordinates lie past the int64 range
+    @pytest.mark.parametrize("side", [1e19, 1e150])
+    def test_huge_square_crops_to_its_mean(self, side):
+        values = np.random.default_rng(0).uniform(0, 1, (3, 40, 40))
+        crop = crop_search(Frame(values, 0), BoundingBox(20.0, 20.0, side, side),
+                           255, 127)
+        assert 0.0 < crop.scale < np.inf
+        assert np.all(np.isfinite(crop.patch))
+        means = values.reshape(3, -1).mean(axis=1)
+        pad = np.broadcast_to(means[:, None], (3, int(crop.pad_mask.sum())))
+        assert np.array_equal(crop.patch[:, crop.pad_mask], pad)
+
     def test_crop_side_is_stride_aligned(self):
         rng = np.random.default_rng(6)
         frame = self._frame(rng)
@@ -236,6 +261,15 @@ def crop_of(frame, box, size, template_size):
     if template_size is None:
         return crop_template(frame, box, size)
     return crop_search(frame, box, size, template_size)
+
+
+def side_of(box, size, template_size):
+    """The side of the square that ``crop_of`` samples. A template crop's
+    is the context side itself: scaled by size / size it can round to a
+    neighbouring float."""
+    if template_size is None:
+        return context_side(box)
+    return context_side(box) * size / template_size
 
 
 class TestCropAffineFuzz:
@@ -316,11 +350,47 @@ class TestCropWindowFuzz:
     # frame on both axes
     @example(request=(np.random.default_rng(5).uniform(0.0, 1.0, (3, 5, 6)),
                       BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64))
+    # a template crop whose context side, times 127 over 127, moves by an ulp
+    @example(request=(np.random.default_rng(0).uniform(0.0, 1.0, (3, 4, 4)),
+                      BoundingBox(0.0, 0.0, 4.705408199094785, 0.5), 127, None))
     def test_patch_and_mask_are_bit_identical(self, request):
         frame, box, size, template_size = request
         crop = crop_of(Frame(frame, 0), box, size, template_size)
-        side = context_side(box) * size / (template_size or size)
+        side = side_of(box, size, template_size)
         patch, mask = full_crop_oracle(frame, (box.cx, box.cy), side, size)
+        assert np.array_equal(crop.patch, patch)
+        assert np.array_equal(crop.pad_mask, mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=window_crops(),
+           layout=st.sampled_from(["8-bit file", "float64 file", "pgm"]),
+           maxval=st.sampled_from([255, 200, 7, 1]))
+    @example(request=(np.random.default_rng(5).uniform(0.0, 1.0, (3, 5, 6)),
+                      BoundingBox(3.0, 2.5, 300.0, 300.0), 128, 64),
+             layout="8-bit file", maxval=255)
+    def test_every_layout_crops_like_its_planar_values(self, request, layout,
+                                                       maxval):
+        """A frame crops like the oracle on the C-contiguous planar float64
+        values of its samples, whatever its dtype and memory layout."""
+        values, box, size, template_size = request
+        samples = np.rint(values * maxval).astype(np.uint8)
+        if layout == "pgm":
+            # one channel broadcast to three, as load_sequence reads a PGM
+            frame = Frame(np.broadcast_to(samples[0], samples.shape), 0, maxval)
+            planar = np.broadcast_to(samples[0] / maxval, samples.shape).copy()
+        else:
+            # the (H, W, 3) rows of a PPM file, seen as (3, H, W)
+            rows = np.ascontiguousarray(samples.transpose(1, 2, 0))
+            planar = rows.transpose(2, 0, 1) / maxval
+            if layout == "8-bit file":
+                frame = Frame(rows.transpose(2, 0, 1), 0, maxval)
+            else:
+                frame = Frame((rows / maxval).transpose(2, 0, 1), 0)
+            assert frame.pixels.strides[0] == frame.pixels.itemsize
+        planar = np.ascontiguousarray(planar)
+        crop = crop_of(frame, box, size, template_size)
+        side = side_of(box, size, template_size)
+        patch, mask = full_crop_oracle(planar, (box.cx, box.cy), side, size)
         assert np.array_equal(crop.patch, patch)
         assert np.array_equal(crop.pad_mask, mask)
 

@@ -8,13 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
+from attntrack import online as online_mod
 from attntrack import tensor as T
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
 from attntrack.localize import STRIDE, BoundingBox
 from attntrack.loss import joint_loss
 from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
-                              conjugate_gradient, init_online_filter, solve_cg,
-                              update_memory)
+                              conjugate_gradient, init_online_filter,
+                              online_forward, project, solve_cg, update_memory)
 from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 Tracker, TrackerConfig, TrainSettings, build_model,
                                 crop_template, encode_template, forward_pair,
@@ -270,6 +271,59 @@ class TestProjectedMemory:
         memory, flags = self.run_both(monkeypatch, config, 16, nan_call=4)
         assert flags[0] and not flags[-1]
         assert np.all(np.isfinite(memory.residuals))
+
+
+class TwoPassTracker(Tracker):
+    """The frame rule with the hidden layer run twice, kept as an oracle:
+    the online map runs relu(w1 F) over the online tap itself, and the
+    stored sample runs it again."""
+
+    def track(self, frame, trace=None):
+        with pytest.MonkeyPatch.context() as m:
+            # the tap reaches online_forward as features, not activations
+            m.setattr(tracker_mod, "project", lambda filt, mid: mid)
+            m.setattr(tracker_mod, "online_forward",
+                      lambda filt, mid, projected: online_forward(filt, mid))
+            return super().track(frame, trace)
+
+    def _online_step(self, mid, online, center_patch, size_patch):
+        _, online_score = online
+        super()._online_step(mid, (project(self.state.online_filter, mid),
+                                   online_score), center_patch, size_patch)
+
+
+class TestSharedHiddenLayer:
+    """One hidden-layer evaluation per tracked frame serves both the online
+    map and the stored sample."""
+
+    def test_once_per_frame_and_boxes_of_the_two_pass_rule(self, monkeypatch):
+        # criterion 6's drift sequence
+        drift = dataclasses.replace(SequenceSpec(), brightness_drift=0.35)
+        frames, boxes = generate_synthetic_sequence(0, 20, drift)
+        config = TrackerConfig(template_size=64, search_size=128, online=True)
+        model = build_model(np.random.default_rng(0), config)
+        calls, relu = [], online_mod._relu
+
+        def counting_relu(w1, features):
+            calls.append(None)
+            return relu(w1, features)
+
+        monkeypatch.setattr(online_mod, "_relu", counting_relu)
+        fast, slow = Tracker(model, config), TwoPassTracker(model, config)
+        for tracker in (fast, slow):
+            tracker.init(frames[0], boxes[0])
+        for frame in frames[1:]:
+            del calls[:]
+            box_fast, _ = fast.track(frame)
+            assert len(calls) == 1
+            box_slow, _ = slow.track(frame)
+            assert len(calls) == 3
+            assert box_fast == box_slow
+            f, s = fast.state.online_filter, slow.state.online_filter
+            assert np.array_equal(f.w2, s.w2)
+            f, s = fast.state.online_memory, slow.state.online_memory
+            assert np.array_equal(f.features, s.features)
+            assert np.array_equal(f.residuals, s.residuals)
 
 
 class TestInputBoundary:
