@@ -18,6 +18,8 @@ channel-planar float64 array of its pixel values: 8-bit samples divided
 by ``maxval``, float64 values as they are. The channel means and the
 window both come from that array, so a frame crops bit for bit like the
 planar float64 frame of its values, whatever its dtype and layout.
+``planar_frame`` does that read on its own, for a caller that takes
+several crops of one frame.
 """
 
 from __future__ import annotations
@@ -89,6 +91,13 @@ def _planar_values(frame: Frame) -> np.ndarray:
     values = np.empty(frame.pixels.shape)
     np.divide(frame.pixels, frame.maxval, out=values)
     return values
+
+
+def planar_frame(frame: Frame) -> Frame:
+    """``frame`` read once: a float64 frame of its planar pixel values.
+    Every crop of it is bit for bit the crop of ``frame``, and no crop of
+    it reads the frame again, so several crops of one frame share one read."""
+    return Frame(_planar_values(frame), frame.index)
 
 
 def _sample_window(values: np.ndarray, means: np.ndarray,

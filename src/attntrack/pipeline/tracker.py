@@ -50,7 +50,7 @@ from ..transformer import (AttentionTrace, TransformerWeights,
                            init_transformer)
 from .backbone import BackboneWeights, backbone_forward, init_backbone
 from .crop import (CropResult, aligned_side, context_side, crop_search,
-                   crop_template, image_to_patch, patch_to_image)
+                   crop_template, image_to_patch, patch_to_image, planar_frame)
 from .seqio import Frame
 
 
@@ -276,6 +276,9 @@ class Tracker:
     def init(self, frame: Frame, box: BoundingBox,
              trace: AttentionTrace | None = None) -> TrackerState:
         cfg = self.config
+        # the template crop and the online branch's five search crops
+        # share one read of the frame
+        frame = planar_frame(frame)
         with T.no_grad():
             crop = crop_template(frame, box, cfg.template_size)
             memory, pe = encode_template(self.model, cfg, crop, trace=trace)

@@ -373,13 +373,17 @@ def softmax_rows(x) -> Tensor:
     return _make(s, (x,), backward)
 
 
-# Bytes of one attention-map block: about 512 KB of rows stays in cache
-# from the logits product through exp and the product with v.
+# Bytes of one key-major block of an attention map, (keys, query columns),
+# which stays in cache from the logits product through exp and the product
+# with [v^T; 1]. Timed on decoder self- and cross-attention inputs of a
+# search-255 episode (2-vCPU Xeon VM, OpenBLAS, one thread): 256 KB to
+# 768 KB ran alike, and 128 KB (16 columns of 1024 keys) and 1 MB took
+# 18-25% longer.
 _ATTENTION_BLOCK_BYTES = 1 << 19
 
-# A block whose smallest row sum falls below this, or is not finite, is
-# redone with its exact row max: the bound sat more than about 460 above a
-# row's largest logit, or an input is not finite.
+# A query whose row sum falls below this, or is not finite, has its block
+# redone with the exact per-query max: the bound sat more than about 460
+# above the query's largest logit, or an input is not finite.
 _ATTENTION_MIN_ROW_SUM = 1e-200
 
 
@@ -397,28 +401,32 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     to run g of the keys, as G separate calls would. Each (head, group)
     pair is one map.
 
-    Each block of map rows is one GEMM, ``exp`` in place and one GEMM.
-    Softmax does not change under a per-row shift, so the shift is an
-    upper bound on each query's logits over the bounding box of its keys,
-    ``b_i = sum_c max(q_ic kmax_c, q_ic kmin_c)``, not the row max. It
-    rides in the first GEMM as a ``-b`` column of q against a ones row of
-    k^T, so that GEMM returns the logits minus the bound. A ones column on
-    v makes the second GEMM return the unnormalised head output next to
-    its row sums, and the (rows, dh) output is divided once. A block whose
-    smallest row sum is below 1e-200 or not finite (the bound sat more than
-    about 460 above a row max, or an input is not finite) is redone with
-    its exact row max. Off the tape one block is live at a time; the
-    (h*G, Nq/G, Nk/G) stack of normalised maps is kept when the node is
-    recorded for backward, or when ``maps`` is a list, which then gets a
-    copy of each map, head-major.
+    Maps are laid out key-major, keys x queries, and each block of query
+    columns is one GEMM, ``exp`` in place and one GEMM. Softmax does not
+    change under a per-query shift, so the shift is an upper bound on each
+    query's logits over the bounding box of its keys,
+    ``b_i = sum_c max(q_ic kmax_c, q_ic kmin_c)``, not the exact max. It
+    rides in the first GEMM as a ``-b`` row under the scaled q^T, against
+    a ones column beside k: ``[k, 1] @ [q^T; -b]`` is the logits minus the
+    bound. A ones row under v^T makes the second GEMM, ``[v^T; 1] @ E``,
+    write a block's unnormalised head output and its row sums into one
+    (h*G, dh + 1, Nq/G) array. After all blocks, one check runs over the
+    row sums, and only the blocks holding a query whose sum is below
+    1e-200 or not finite (the bound sat more than about 460 above that
+    query's largest logit, or an input is not finite) are redone with
+    their exact per-query max. One divide then gives the output. Off the
+    tape one block is live at a time; when the node is recorded for
+    backward, the (h*G, Nk/G, Nq/G) stack of normalised key-major maps is
+    kept. When ``maps`` is a list it gets a head-major (Nq/G, Nk/G) copy of
+    each map, transposed block by block as the blocks are made.
 
     Backward takes the softmax row term from the output, rowsum(dO * O)
     over (Nq, dh) rather than rowsum(dA * A) over the map, and gets
-    dA - rowsum from one GEMM, [dO, -rowsum] @ [v, 1]^T. The softmax
-    adjoint dS is built one (head, group) stack at a time in one reused
-    (Nq/G, Nk/G) buffer, and each stack's q and k gradients are written
-    before the next, so backward adds one map's worth of memory to the
-    kept stack, not another (h*G, Nq/G, Nk/G) stack.
+    (dA - rowsum)^T from one GEMM, [v, 1] @ [dO, -rowsum]^T, key-major like
+    the kept maps. The softmax adjoint dS^T is built one (head, group)
+    stack at a time in one reused (Nk/G, Nq/G) buffer, and each stack's q
+    and k gradients are written before the next, so backward adds one
+    map's worth of memory to the kept stack, not another stack.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -450,69 +458,100 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
         wide[..., dh] = last
         return wide
 
-    qa = widened(q.data * scale, nqg, 0.0)         # [q, -b]
-    qs = qa[..., :dh]
-    kt = widened(k.data, nkg, 1.0).transpose(0, 2, 1).copy()   # [k, 1]^T
-    va = widened(v.data, nkg, 1.0)                 # [v, 1]
-    kmax, kmin = kt[:, :dh].max(axis=2), kt[:, :dh].min(axis=2)
+    ka = widened(k.data, nkg, 1.0)                 # [k, 1]
+    qt = np.empty((stacks, dh + 1, nqg))           # [q^T; -b], q scaled
+    np.multiply(heads_of(q.data).transpose(0, 1, 3, 2), scale,
+                out=qt.reshape(n_heads, groups, dh + 1, nqg)[:, :, :dh])
+    qs = qt[:, :dh]
+    vt = np.empty((stacks, dh + 1, nkg))           # [v^T; 1]
+    vt.reshape(n_heads, groups, dh + 1, nkg)[:, :, :dh] = \
+        heads_of(v.data).transpose(0, 1, 3, 2)
+    vt[:, dh] = 1.0
+    # per (head, group): the keys' bounding box, over (G, Nk/G, h, dh) runs
+    runs = k.data.reshape(groups, nkg, n_heads, dh)
+    kmax, kmin = (box.transpose(1, 0, 2).reshape(stacks, dh)
+                  for box in (runs.max(axis=1), runs.min(axis=1)))
 
     record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
                                       or v.requires_grad)
-    keep = record or maps is not None
-    step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nkg))
-    weights = np.empty((stacks, nqg, nkg) if keep else (min(step, nqg), nkg))
-    sums = np.empty((min(step, nqg), dh + 1))      # [A v, rowsum A] of a block
-    out = np.empty((stacks, nqg, dh))
+    step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nkg))     # query columns
+    blocks = [slice(start, min(start + step, nqg)) for start in range(0, nqg, step)]
+    weights = np.empty((stacks, nkg, nqg) if record else nkg * min(step, nqg))
+    # the sink's head-major maps, each block written while it is in cache
+    sink = np.empty((stacks, nqg, nkg)) if maps is not None else None
+    # [A^T v, rowsum A]^T: each head's unnormalised output over its row sums
+    heads = np.empty((stacks, dh + 1, nqg))
+    totals = heads[:, dh]
+    bound = np.empty((2, stacks, dh, nqg))
+
+    def block(s: int, cols: slice) -> Array:
+        if record:
+            return weights[s, :, cols]
+        return weights[:nkg * (cols.stop - cols.start)].reshape(nkg, -1)
+
     caller_errors = np.geterr()
-    # the bound pass may overflow; its row sums catch that, and the block is
-    # redone at the exact row max under the caller's error settings
+    # the bound pass may overflow; its row sums catch that, and the blocks
+    # are redone at the exact per-query max under the caller's error settings
     with np.errstate(over="ignore", invalid="ignore"):
-        qa[..., dh] = -np.maximum(qs * kmax[:, None], qs * kmin[:, None]).sum(axis=2)
+        np.multiply(qs, kmax[..., None], out=bound[0])
+        np.multiply(qs, kmin[..., None], out=bound[1])
+        np.maximum(bound[0], bound[1], out=bound[0])
+        np.sum(bound[0], axis=1, out=qt[:, dh])
+        np.negative(qt[:, dh], out=qt[:, dh])
         for s in range(stacks):
-            for start in range(0, nqg, step):
-                rows = slice(start, min(start + step, nqg))
-                a = weights[s, rows] if keep else weights[:rows.stop - start]
-                head = sums[:rows.stop - start]
-                np.matmul(qa[s, rows], kt[s], out=a)
+            for cols in blocks:
+                a = block(s, cols)
+                np.matmul(ka[s], qt[s, :, cols], out=a)
                 np.exp(a, out=a)
-                np.matmul(a, va[s], out=head)
-                total = head[:, dh:]
-                if not (total.min() >= _ATTENTION_MIN_ROW_SUM and total.max() < np.inf):
-                    with np.errstate(**caller_errors):
-                        np.matmul(qs[s, rows], kt[s, :dh], out=a)
-                        a -= a.max(axis=1, keepdims=True)
+                np.matmul(vt[s], a, out=heads[s, :, cols])
+                if sink is not None:
+                    sink[s, cols] = a.T
+        if not (totals.min() >= _ATTENTION_MIN_ROW_SUM and totals.max() < np.inf):
+            failed = ~((totals >= _ATTENTION_MIN_ROW_SUM) & (totals < np.inf))
+            with np.errstate(**caller_errors):
+                for s in range(stacks):
+                    for cols in blocks:
+                        if not failed[s, cols].any():
+                            continue
+                        a = block(s, cols)
+                        np.matmul(ka[s, :, :dh], qs[s, :, cols], out=a)
+                        a -= a.max(axis=0)
                         np.exp(a, out=a)
-                        np.matmul(a, va[s], out=head)
-                np.divide(head[:, :dh], total, out=out[s, rows])
-                if keep:
-                    a /= total
-    if maps is not None:
-        maps.extend(head_map.copy() for head_map in weights)
-    data = merge(out)
+                        np.matmul(vt[s], a, out=heads[s, :, cols])
+                        if sink is not None:
+                            sink[s, cols] = a.T
+        if record:
+            weights /= totals[:, None]
+        if sink is not None:
+            sink /= totals[..., None]
+            maps.extend(sink)
+        data = np.empty((nq, d))
+        np.divide(heads[:, :dh].reshape(n_heads, groups, dh, nqg),
+                  heads[:, dh:].reshape(n_heads, groups, 1, nqg),
+                  out=data.reshape(groups, nqg, n_heads, dh).transpose(2, 0, 3, 1))
 
     def backward(grad):
         # [dO, -rowsum(dO * O)]; its first dh columns are the heads of dO
         ga = widened(grad, nqg, 0.0)
-        gh = ga[..., :dh]
         if v.requires_grad:
-            v._accumulate(merge(np.matmul(weights.transpose(0, 2, 1), gh)))
+            v._accumulate(merge(np.matmul(weights, ga[..., :dh])))
         if not (q.requires_grad or k.requires_grad):
             return
         ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
                                  heads_of(data)).reshape(stacks, nqg)
-        # softmax adjoint: dS = A * (dA - rowsum(dA * A)) with dA = dO V^T;
-        # rowsum(dA * A) = rowsum(dO * O), so the bracket is ga @ [v, 1]^T.
-        # One (head, group) stack of dS is live at a time.
-        ds = np.empty((nqg, nkg))
+        # softmax adjoint, key-major: dS^T = A^T * (dA - rowsum(dA * A))^T
+        # with dA = dO V^T; rowsum(dA * A) = rowsum(dO * O), so the bracket
+        # is [v, 1] @ ga^T. One (head, group) stack of dS^T is live at a time.
+        ds = np.empty((nkg, nqg))
         gq = np.empty((stacks, nqg, dh)) if q.requires_grad else None
         gk = np.empty((stacks, nkg, dh)) if k.requires_grad else None
         for s in range(stacks):
-            np.matmul(ga[s], va[s].T, out=ds)
+            np.matmul(vt[s].T, ga[s].T, out=ds)
             ds *= weights[s]
             if gq is not None:
-                np.matmul(ds, kt[s, :dh].T, out=gq[s])
+                np.matmul(ds.T, ka[s, :, :dh], out=gq[s])
             if gk is not None:
-                np.matmul(ds.T, qs[s], out=gk[s])
+                np.matmul(ds, qs[s].T, out=gk[s])
         if gq is not None:
             q._accumulate(merge(gq) * scale)
         if gk is not None:
@@ -533,11 +572,12 @@ def layernorm(x, gain, bias) -> Tensor:
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layernorm gain/bias must match the row width")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    var = np.square(xhat).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x.data - mu) * inv_std
-    data = xhat * gain.data + bias.data
+    xhat *= inv_std
+    data = xhat * gain.data
+    data += bias.data
 
     def backward(grad):
         if gain.requires_grad:

@@ -275,21 +275,25 @@ class TestPackedAttentionOp:
         oracle_maps = []
         oracle = composed_attention(q, k, v, heads, oracle_maps)
         outputs = [T.multi_head_softmax_attention(q, k, v, heads)]
-        # blocks of 4 rows, so Nq = 5 and 6 end on a partial block
-        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", 4 * 8 * nk)
-        maps = []
-        outputs.append(T.multi_head_softmax_attention(q, k, v, heads, maps=maps))
-        with T.no_grad():       # off the tape: one block buffer, no stack
-            outputs.append(T.multi_head_softmax_attention(q, k, v, heads))
+        # blocks of one and of 4 query columns: Nq = 5 and 6 end on a
+        # partial block of 4
+        for block_cols in (1, 4):
+            monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", block_cols * 8 * nk)
+            maps = []
+            outputs.append(T.multi_head_softmax_attention(q, k, v, heads,
+                                                          maps=maps))
+            with T.no_grad():       # off the tape: one block buffer, no stack
+                outputs.append(T.multi_head_softmax_attention(q, k, v, heads))
+            assert len(maps) == heads
+            for a, b in zip(maps, oracle_maps):     # head-major (Nq, Nk)
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-12
+            if padded:
+                for a in maps:
+                    assert np.abs(a[:, -3:] - a[:, -1:]).max() <= 1e-12
         for out in outputs:
             assert out.shape == (nq, 2 * heads)
             assert np.abs(out.data - oracle.data).max() <= 1e-12
-        assert len(maps) == heads
-        for a, b in zip(maps, oracle_maps):
-            assert np.abs(a - b).max() <= 1e-12
-        if padded:
-            for a in maps:
-                assert np.abs(a[:, -3:] - a[:, -1:]).max() <= 1e-12
 
     @pytest.mark.parametrize("heads,nq,nk,padded", CASES)
     def test_backward_matches_per_head_composition(self, heads, nq, nk, padded):
@@ -335,18 +339,8 @@ class TestPackedAttentionOp:
         q, k, v = qkv_case(np.random.default_rng(groups * 10 + heads),
                            heads, groups * nq, groups * nk, False)
         r = np.random.default_rng(1).standard_normal(q.shape)
-        # blocks of 3 rows, so the runs end on partial blocks
-        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", 3 * 8 * nk)
-        maps = []
-        out = T.multi_head_softmax_attention(q, k, v, heads, maps=maps,
-                                             groups=groups)
-        T.tensor_sum(T.mul(out, r)).backward()
-        fast = [out.data] + [t.grad for t in (q, k, v)]
-
         parts = [slice(g * nq, (g + 1) * nq) for g in range(groups)]
         keys = [slice(g * nk, (g + 1) * nk) for g in range(groups)]
-        for t in (q, k, v):
-            t.zero_grad()
         group_maps = []
         outs = []
         for rows, cols in zip(parts, keys):
@@ -356,13 +350,26 @@ class TestPackedAttentionOp:
             group_maps.append(one)
         T.tensor_sum(T.mul(concat(outs, axis=0), r)).backward()
         slow = [np.concatenate([o.data for o in outs])] + [t.grad for t in (q, k, v)]
-        for a, b in zip(fast, slow):
-            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
         # one map per (head, group), head-major
         expected = [group_maps[g][h] for h in range(heads) for g in range(groups)]
-        assert len(maps) == len(expected)
-        for a, b in zip(maps, expected):
-            assert np.abs(a - b).max() <= 1e-12
+
+        # blocks of one and of 3 query columns: runs of 4 and 5 queries end
+        # on partial blocks of 3
+        for block_cols in (1, 3):
+            monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", block_cols * 8 * nk)
+            for t in (q, k, v):
+                t.zero_grad()
+            maps = []
+            out = T.multi_head_softmax_attention(q, k, v, heads, maps=maps,
+                                                 groups=groups)
+            T.tensor_sum(T.mul(out, r)).backward()
+            fast = [out.data] + [t.grad for t in (q, k, v)]
+            for a, b in zip(fast, slow):
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+            assert len(maps) == len(expected)
+            for a, b in zip(maps, expected):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-12
 
     def test_rejects_groups_that_do_not_divide_rows(self):
         q, k, v = qkv_case(np.random.default_rng(0), 2, 4, 5, False)
@@ -528,9 +535,10 @@ def check_against_max_shift(q, k, v, heads, groups=1, tape=True, keep_maps=True)
         with T.no_grad():
             fast = attend()
     assert_matches(fast.data, out)
-    if keep_maps:
+    if keep_maps:       # head-major: one (Nq/G, Nk/G) map per (head, group)
         assert len(maps) == len(weights)
         for a, b in zip(maps, weights):
+            assert a.shape == b.shape
             assert_matches(a, b)
     return fast, maps
 
@@ -553,11 +561,12 @@ class TestAgainstMaxShift:
 
     @settings(max_examples=150, deadline=None)
     @given(case=attention_cases(), tape=st.booleans(), keep_maps=st.booleans(),
-           block_rows=st.integers(1, 4))
-    def test_random_cases(self, case, tape, keep_maps, block_rows):
+           block_cols=st.integers(1, 4))
+    def test_random_cases(self, case, tape, keep_maps, block_cols):
+        # blocks of 1-4 query columns split runs of 1-9 queries unevenly
         q, k, v, heads, groups = case
         saved = T._ATTENTION_BLOCK_BYTES
-        T._ATTENTION_BLOCK_BYTES = block_rows * 8 * (k.shape[0] // groups)
+        T._ATTENTION_BLOCK_BYTES = block_cols * 8 * (k.shape[0] // groups)
         try:
             check_against_max_shift(q, k, v, heads, groups, tape, keep_maps)
         finally:
@@ -572,6 +581,20 @@ class TestAgainstMaxShift:
         rng = np.random.default_rng(nq + nk)
         q, k, v = (rng.standard_normal((n, 32)) * 2.0 for n in (nq, nk, nk))
         check_against_max_shift(q, k, v, 4, groups)
+
+
+class ExpCallsOfNumpy:
+    """numpy, counting its ``exp`` calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
 
 
 class TestLooseBound:
@@ -604,12 +627,48 @@ class TestLooseBound:
         out, _ = check_against_max_shift(q, k, v, 1)
         assert np.abs(out.data[0] - [2.0, -1.0]).max() <= 1e-12
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 8])
-    def test_nan_query_row_stays_in_its_row(self, block_rows, monkeypatch):
+    def test_only_the_overflowing_block_is_redone(self, monkeypatch):
+        # 2 heads and 2 groups of 7 queries over 3 keys, in blocks of 3, 3
+        # and 1 query columns: 12 blocks. In head 0 of group 1, query 4's
+        # bound sums two products of about 1.06e308 and overflows, though
+        # each of its logits stays finite; its head-1 channels are ordinary.
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.standard_normal((n, 4)) for n in (14, 6, 6))
+        k[3:, :2] = [[1.5, -0.5], [-0.5, 1.5], [0.2, 0.1]]
+        passing = q.copy()
+        q[7 + 4, :2] = 1e308
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", 3 * 8 * 3)
+        counting = ExpCallsOfNumpy()
+        monkeypatch.setattr(T, "np", counting)
+        runs = []
+        for queries in (passing, q):
+            counting.exp_calls = 0
+            maps = []
+            out = T.multi_head_softmax_attention(queries, k, v, 2, maps=maps,
+                                                 groups=2)
+            runs.append((out.data, np.stack(maps), counting.exp_calls))
+        (pass_out, pass_maps, pass_exps), (out, maps, exps) = runs
+        assert (pass_exps, exps) == (12, 13)
+        # the redone block: head 0 (columns 0:2) of group 1's queries 3:6,
+        # which is map (head 0, group 1), columns 3:6
+        redone = np.zeros(out.shape, dtype=bool)
+        redone[7 + 3:7 + 6, :2] = True
+        assert np.array_equal(out[~redone], pass_out[~redone])
+        redone_map = np.zeros(maps.shape, dtype=bool)
+        redone_map[1, 3:6] = True
+        assert np.array_equal(maps[~redone_map], pass_maps[~redone_map])
+        slow, weights, _ = max_shift_attention(q, k, v, 2, groups=2)
+        assert_matches(out, slow)
+        assert_matches(maps, weights)
+        # its two largest logits tie: the mean of their values
+        assert_matches(out[7 + 4, :2], (v[3, :2] + v[4, :2]) / 2)
+
+    @pytest.mark.parametrize("block_cols", [1, 2, 8])
+    def test_nan_query_row_stays_in_its_row(self, block_cols, monkeypatch):
         rng = np.random.default_rng(0)
         q, k, v = (rng.standard_normal((n, 4)) for n in (6, 5, 5))
         q[2, 1] = np.nan
-        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", block_rows * 8 * 5)
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_BYTES", block_cols * 8 * 5)
         maps = []
         with np.errstate(invalid="ignore"):
             out = T.multi_head_softmax_attention(q, k, v, 2, maps=maps)

@@ -308,6 +308,33 @@ class TestLayernorm:
         b = T.layernorm(Tensor(x + 42.0), gain, bias)
         assert np.abs(a.data - b.data).max() < 1e-6
 
+    @staticmethod
+    def formula(x, gain, bias, grad):
+        """Value and (x, gain, bias) gradients, the mean subtracted twice."""
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + T.LAYERNORM_EPS)
+        xhat = (x - mu) * inv_std
+        gxhat = grad * gain
+        gx = (gxhat - gxhat.mean(axis=1, keepdims=True)
+              - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)) * inv_std
+        return (xhat * gain + bias, gx, (grad * xhat).sum(axis=0),
+                grad.sum(axis=0))
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_bitwise_against_the_formula(self, constant):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((64, 32)) * 3.0 + 1.0
+        if constant:
+            x[:] = rng.standard_normal((64, 1))
+        gain, bias, grad = (rng.standard_normal(s) for s in (32, 32, (64, 32)))
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layernorm(*leaves)
+        T.tensor_sum(T.mul(out, grad)).backward()
+        expected = self.formula(x, gain, bias, grad)
+        for got, want in zip([out.data] + [t.grad for t in leaves], expected):
+            assert np.array_equal(got, want)
+
 
 class TestConv2d:
     def test_one_by_one_identity(self):

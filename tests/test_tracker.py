@@ -23,6 +23,7 @@ from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 load_sequence, pair_loss, sample_training_pair,
                                 save_model, save_sequence,
                                 init_backbone, track_sequence, train_toy)
+from attntrack.pipeline import crop as crop_mod
 from attntrack.pipeline import tracker as tracker_mod
 from attntrack.pipeline import train as train_mod
 from attntrack.pipeline.crop import crop_search
@@ -324,6 +325,47 @@ class TestSharedHiddenLayer:
             f, s = fast.state.online_memory, slow.state.online_memory
             assert np.array_equal(f.features, s.features)
             assert np.array_equal(f.residuals, s.residuals)
+
+
+class TestInitReadsTheFrameOnce:
+    """``Tracker.init`` reads its frame once for the template crop and the
+    online branch's five search crops."""
+
+    def test_one_read_per_online_init(self, toy_world, tmp_path, monkeypatch):
+        frames, boxes, config, model = toy_world
+        save_sequence(tmp_path, frames[:1], boxes[:1])
+        loaded, _ = load_sequence(tmp_path)
+        reads, planar_values = [], crop_mod._planar_values
+
+        def counting(frame):
+            if frame.pixels.dtype == np.uint8:
+                reads.append(frame.index)
+            return planar_values(frame)
+
+        monkeypatch.setattr(crop_mod, "_planar_values", counting)
+        tracker = Tracker(model, dataclasses.replace(config, online=True))
+        tracker.init(loaded[0], boxes[0])
+        assert reads == [0]
+        assert len(tracker.state.online_memory) == 5
+
+    def test_online_boxes_of_per_crop_reads(self, toy_world, tmp_path, monkeypatch):
+        frames, boxes, config, model = toy_world
+        save_sequence(tmp_path, frames, boxes)
+        loaded, _ = load_sequence(tmp_path)
+        assert loaded[0].pixels.dtype == np.uint8
+        config = dataclasses.replace(config, online=True)
+        fast = Tracker(model, config)
+        fast.init(loaded[0], boxes[0])
+        fast_boxes = track_sequence(model, config, loaded, boxes[0])
+        # the oracle crops the 8-bit frame itself, reading it once per crop
+        monkeypatch.setattr(tracker_mod, "planar_frame", lambda frame: frame)
+        slow = Tracker(model, config)
+        slow.init(loaded[0], boxes[0])
+        assert np.array_equal(fast.state.online_filter.w2,
+                              slow.state.online_filter.w2)
+        assert np.array_equal(fast.state.online_memory.features,
+                              slow.state.online_memory.features)
+        assert fast_boxes == track_sequence(model, config, loaded, boxes[0])
 
 
 class TestInputBoundary:
