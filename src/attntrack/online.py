@@ -13,7 +13,8 @@ The tracker fits both layers jointly on the first frame, then refits only
 w2 once per tracked frame. With w1 frozen the residuals are linear in w2,
 so a frame's update is one linear least-squares problem solved by CG: its
 Jacobian products skip the w1 GEMMs and its full CG step is accepted (CG
-iterates lower a quadratic).
+iterates lower a quadratic). The filter's shape and ridge, the memory's
+rate and the CG iteration counts are constants of the method, as in ATOM.
 
 Until the init fit the memory holds each sample's backbone features, so a
 solve can move w1. ``project_memory`` then swaps them, as ATOM does, for
@@ -38,6 +39,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import xavier_uniform
+
+HIDDEN, KERNEL, RIDGE = 64, 4, 1e-2     # filter channels, k, ridge
+# a new sample's weight: 0.1 a frame follows appearance drift, while slower
+# rates anchor the filter to the first frame and drag the blend behind it
+MEMORY_LR = 0.1
+INIT_CG_ITERS, FRAME_CG_ITERS = 10, 5   # per init GN step; per frame solve
 
 
 @dataclass
@@ -207,20 +214,14 @@ def project(filt: OnlineFilter, features: np.ndarray) -> np.ndarray:
 
 
 @_quiet_fp
-def online_forward(filt: OnlineFilter, features: np.ndarray,
-                   projected: bool = False) -> np.ndarray:
-    """Score map for one feature grid; range unconstrained.
-
-    With ``projected`` the grid is its hidden activations already,
-    ``project(filt, features)``, and the hidden layer does not run again.
-    """
-    if not projected:
-        features = project(filt, features)
-    elif features.ndim != 3 or features.shape[0] != filt.w2.shape[1]:
-        raise ShapeError(f"hidden activations {features.shape} do not match "
+def online_forward(filt: OnlineFilter, hidden: np.ndarray) -> np.ndarray:
+    """Score map of one grid's hidden activations ``project(filt, F)``:
+    (hidden, H, W) -> (H, W); range unconstrained."""
+    if hidden.ndim != 3 or hidden.shape[0] != filt.w2.shape[1]:
+        raise ShapeError(f"hidden activations {hidden.shape} do not match "
                          f"filter hidden channels {filt.w2.shape[1]}")
-    return _conv(features.reshape(features.shape[0], -1), filt.w2,
-                 (1,) + features.shape[1:])[0]
+    return _conv(hidden.reshape(hidden.shape[0], -1), filt.w2,
+                 (1,) + hidden.shape[1:])[0]
 
 
 def blend(score: np.ndarray, online_score: np.ndarray, weight: float) -> np.ndarray:

@@ -15,15 +15,15 @@ patch around the last box, decodes it as a batch of one, and maps the
 decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
-mid-level features. ``Tracker.init`` fits both layers of its filter with a
-joint Gauss-Newton/CG solve over the init samples' features, then projects
-the memory: it keeps each sample's hidden activations relu(w1 F) under the
-fitted w1, and its residual at the filter, in place of its features. Each
-tracked frame runs the hidden layer once: those activations give the
-frame's online map and are the sample it adds, with its residual read off
-the unclipped online map. The frame then refits only the score filter w2
-with one linear CG solve, which leaves the memory the residuals at the new
-filter; w1 keeps its init fit.
+mid-level features. ``Tracker.init`` fits both layers of its filter with
+``online_init_gn_steps`` joint Gauss-Newton/CG steps over the init samples'
+features, then projects the memory: it keeps each sample's hidden
+activations relu(w1 F) under the fitted w1, and its residual at the
+filter, in place of its features. Each tracked frame runs the hidden layer
+once: those activations give the frame's online map and are the sample it
+adds, with its residual read off the unclipped online map. The frame then
+refits only the score filter w2 with one linear CG solve, which leaves the
+memory the residuals at the new filter; w1 keeps its init fit.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from ..localize import (STRIDE, BoundingBox, CosineWindow, HeadMaps,
                         heads_forward, init_head_weights, make_cosine_window,
                         peak_cell, smooth_size)
 from ..loss import adaptive_sigma, gaussian_label
-from ..online import (OnlineFilter, TrainingMemory, blend, init_online_filter,
-                      online_forward, project, project_memory, solve_cg,
-                      update_memory)
+from ..online import (FRAME_CG_ITERS, HIDDEN, INIT_CG_ITERS, KERNEL,
+                      MEMORY_LR, RIDGE, OnlineFilter, TrainingMemory, blend,
+                      init_online_filter, online_forward, project,
+                      project_memory, solve_cg, update_memory)
 from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
 from ..transformer import (AttentionTrace, TransformerWeights,
                            build_positional_encoding, decode, encode,
@@ -69,33 +70,19 @@ class TrackerConfig:
     blend_weight: float = 0.6
     online: bool = False
     pe_mask: bool = True
-    online_hidden: int = 64
-    online_kernel: int = 4
-    online_reg: float = 1e-2
     memory_capacity: int = 50
-    # sample decay 0.1 / refresh every frame keep the filter tracking the
-    # target under appearance drift; slower schedules leave it anchored to
-    # the first-frame appearance and drag the blended map behind the target
-    memory_lr: float = 0.1
-    # init fits w1 and w2 jointly (GN steps x CG iterations); each frame's
-    # update refits w2 alone, a linear problem, so one GN step is one CG solve
+    # Gauss-Newton steps of the joint init fit; the rest is in online.py
     online_init_gn_steps: int = 10
-    online_init_cg_iters: int = 10
-    online_update_gn_steps: int = 1
-    online_update_cg_iters: int = 5
 
     def __post_init__(self):
         # each check is written so that NaN fails too, and the sizes are
         # checked before the divisibility tests divide by them
         for name in ("template_size", "search_size", "d", "n_heads", "c_mid",
-                     "n_encoder_layers", "n_decoder_layers", "memory_capacity",
-                     "online_hidden", "online_kernel", "online_init_cg_iters",
-                     "online_update_cg_iters"):
+                     "n_encoder_layers", "n_decoder_layers", "memory_capacity"):
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("ffn_hidden", "online_init_gn_steps", "online_update_gn_steps",
-                     "online_reg"):
+        for name in ("ffn_hidden", "online_init_gn_steps"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(
                     f"{name} must not be negative, got {getattr(self, name)}")
@@ -103,8 +90,6 @@ class TrackerConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not 0.0 < self.memory_lr <= 1.0:
-            raise ConfigurationError(f"memory_lr must be in (0, 1], got {self.memory_lr}")
         if self.search_size < self.template_size:
             raise ConfigurationError("search size must be >= template size")
         if self.d % 4:
@@ -147,7 +132,7 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     """Rebuild a model from a checkpoint, rejecting entries it cannot use.
 
     Raises ``ValueError`` naming the entry for a missing, misshapen, unknown
-    or non-finite one.
+    or non-finite one, a fractional int or flag, or a size it contradicts.
     """
     data = load_checkpoint(path)
     for name, value in data.items():
@@ -162,7 +147,24 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
             cast = type(f.default)
             value = float(data.pop(key))
             kwargs[f.name] = value if cast is float else cast(round(value))
+            if kwargs[f.name] != value:
+                raise ValueError(f"checkpoint entry {key!r} is {value}, not "
+                                 f"{'0 or 1' if cast is bool else 'an integer'}")
     config = TrackerConfig(**kwargs)
+    # each width and layer count against a stored parameter that carries
+    # it, so a corrupt ``config.d`` fails before a model of its size is built
+    n_enc, n_dec = config.n_encoder_layers - 1, config.n_decoder_layers - 1
+    for field, name, axis, size in (
+            ("d", "backbone.reduce.kernel", 0, config.d),
+            ("c_mid", "backbone.reduce.kernel", 1, config.c_mid),
+            ("ffn_hidden", "transformer.encoder0.ffn.w1", 1, config.ffn_width),
+            ("n_encoder_layers", f"transformer.encoder{n_enc}.ffn.w1", 0, config.d),
+            ("n_decoder_layers", f"transformer.decoder{n_dec}.ffn.w1", 0, config.d)):
+        shape = data[name].shape if name in data else None
+        if shape is None or shape[axis:axis + 1] != (size,):
+            raise ValueError(
+                f"checkpoint entry 'config.{field}' does not match the stored "
+                f"{name!r}: {'missing' if shape is None else shape}")
     model = build_model(np.random.default_rng(0), config)
     for name, param in named_parameters(model):
         value = data.pop(name, None)
@@ -301,9 +303,8 @@ class Tracker:
 
     def _init_online(self, frame: Frame, box: BoundingBox) -> None:
         cfg = self.config
-        rng = np.random.default_rng(0)
         self.state.online_filter = init_online_filter(
-            rng, cfg.c_mid, cfg.online_hidden, cfg.online_kernel, cfg.online_reg)
+            np.random.default_rng(0), cfg.c_mid, HIDDEN, KERNEL, RIDGE)
         self.state.online_memory = TrainingMemory(cfg.memory_capacity)
 
         shift_patch = cfg.search_size / 8.0
@@ -324,10 +325,9 @@ class Tracker:
                 label = self._online_label(
                     center_patch, (box.w / crop.scale, box.h / crop.scale),
                     mid.shape[-1])
-                update_memory(self.state.online_memory, mid, label,
-                              cfg.memory_lr)
+                update_memory(self.state.online_memory, mid, label, MEMORY_LR)
         result = solve_cg(self.state.online_filter, self.state.online_memory,
-                          n_iters=cfg.online_init_cg_iters,
+                          n_iters=INIT_CG_ITERS,
                           gn_steps=cfg.online_init_gn_steps)
         if not result.degraded:
             self.state.online_filter = result.filter
@@ -358,8 +358,7 @@ class Tracker:
         if cfg.online and state.online_filter is not None:
             # the hidden layer runs once: for the online map and the sample
             hidden = project(state.online_filter, mid)
-            online_score = online_forward(state.online_filter, hidden,
-                                          projected=True)
+            online_score = online_forward(state.online_filter, hidden)
             online_map = np.clip(online_score, 0.0, 1.0)
             blended = blend(windowed, online_map, cfg.blend_weight)
             decode_map = blended
@@ -414,15 +413,14 @@ class Tracker:
         sample is stored as those activations, with its residual at the
         current filter: the online map minus its label.
         """
-        cfg = self.config
         state = self.state
         hidden, online_score = online
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, hidden, label, cfg.memory_lr,
+        update_memory(state.online_memory, hidden, label, MEMORY_LR,
                       residual=online_score - label)
+        # w2 alone is linear: one Gauss-Newton step is one CG solve
         result = solve_cg(state.online_filter, state.online_memory,
-                          n_iters=cfg.online_update_cg_iters,
-                          gn_steps=cfg.online_update_gn_steps, train_w1=False)
+                          n_iters=FRAME_CG_ITERS, gn_steps=1, train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
             state.online_memory.residuals = result.residuals

@@ -61,8 +61,8 @@ def test_traced_online_track_records_solves_and_counters(monkeypatch):
 
     frames, boxes = generate_synthetic_sequence(0, 3, SequenceSpec())
     config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
-                           c_mid=8, online=True, online_hidden=8,
-                           memory_capacity=4, online_init_gn_steps=2)
+                           c_mid=8, online=True, memory_capacity=4,
+                           online_init_gn_steps=2)
     model = build_model(np.random.default_rng(0), config)
     tracer = Tracer()
     with Probes(tracer):

@@ -13,6 +13,7 @@ from attntrack.errors import TrainingDivergence
 from attntrack.pipeline import (Tracker, TrackerConfig, TrainSettings,
                                 build_model, load_sequence, read_netpbm,
                                 read_rect_file, save_model, write_rect_file)
+from attntrack.tensor import Tensor, load_checkpoint, save_checkpoint
 
 FAST_MODEL = ["--template-size", "48", "--search-size", "96", "--d", "8",
               "--heads", "2", "--c-mid", "8"]
@@ -268,6 +269,21 @@ class TestTrack:
         assert main(["track", "--ckpt", str(ckpt), "--seq", seq,
                      "--out", str(results)]) == 1
         _one_error_line(capsys, "not a TRTR-CKPT v1 file")
+        assert not results.exists()
+
+    def test_checkpoint_width_at_odds_with_its_weights_is_one_line(
+            self, workspace, tmp_path, capsys):
+        # a model 2**40 wide used to be built before its shapes were
+        # checked, and died allocating it
+        _, seq, ckpt = workspace
+        entries = load_checkpoint(ckpt)
+        entries["config.d"] = np.array(2.0 ** 40)
+        bad = tmp_path / "wide.trtr"
+        save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], bad)
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", str(bad), "--seq", seq,
+                     "--out", str(results)]) == 1
+        _one_error_line(capsys, "'config.d'")
         assert not results.exists()
 
     @pytest.mark.parametrize("missing", ["ckpt", "seq"])

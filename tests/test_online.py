@@ -45,45 +45,48 @@ def forward_oracle(filt: OnlineFilter, feat: np.ndarray) -> np.ndarray:
 class TestOnlineForward:
     def test_zero_filter_gives_zero_map(self):
         filt = OnlineFilter(np.zeros((4, 2, 1, 1)), np.zeros((1, 4, 4, 4)), 1e-2)
-        out = online_forward(filt, np.random.default_rng(0).uniform(0, 1, (2, 6, 6)))
+        features = np.random.default_rng(0).uniform(0, 1, (2, 6, 6))
+        out = online_forward(filt, project(filt, features))
         assert np.array_equal(out, np.zeros((6, 6)))
 
     def test_dead_second_layer(self):
         rng = np.random.default_rng(1)
         filt = OnlineFilter(rng.standard_normal((4, 2, 1, 1)),
                             np.zeros((1, 4, 4, 4)), 1e-2)
-        out = online_forward(filt, rng.uniform(0, 1, (2, 6, 6)))
+        out = online_forward(filt, project(filt, rng.uniform(0, 1, (2, 6, 6))))
         assert np.array_equal(out, np.zeros((6, 6)))
 
     def test_output_grid_matches_input_grid(self):
         rng = np.random.default_rng(2)
         for k in (1, 2, 3, 4):
             filt = init_online_filter(rng, c_in=3, hidden=5, kernel=k, reg=1e-2)
-            out = online_forward(filt, rng.standard_normal((3, 7, 9)))
+            out = online_forward(filt, project(filt, rng.standard_normal((3, 7, 9))))
             assert out.shape == (7, 9)
 
     def test_against_naive_loops(self):
         rng = np.random.default_rng(3)
         filt = init_online_filter(rng, c_in=2, hidden=3, kernel=4, reg=1e-2)
         feat = rng.standard_normal((2, 5, 5))
-        assert np.abs(online_forward(filt, feat)
+        assert np.abs(online_forward(filt, project(filt, feat))
                       - forward_oracle(filt, feat)).max() < 1e-12
 
     def test_channel_mismatch(self):
         filt = init_online_filter(np.random.default_rng(0), c_in=4, hidden=64,
                                   kernel=4, reg=1e-2)
-        with pytest.raises(ShapeError):
-            online_forward(filt, np.zeros((3, 6, 6)))
+        with pytest.raises(ShapeError, match="input channels"):
+            project(filt, np.zeros((3, 6, 6)))
 
     def test_projected_grid_gives_the_map_of_its_features(self):
+        # online_forward is the second layer alone: it reads hidden
+        # activations, and a grid of features is not one
         rng = np.random.default_rng(4)
         filt = init_online_filter(rng, c_in=3, hidden=5, kernel=4, reg=1e-2)
         features = rng.standard_normal((3, 7, 9))
-        assert np.array_equal(online_forward(filt, project(filt, features),
-                                             projected=True),
-                              online_forward(filt, features))
+        hidden = project(filt, features)
+        assert np.abs(online_forward(filt, hidden)
+                      - _oracle_conv(hidden, filt.w2)).max() < 1e-12
         with pytest.raises(ShapeError, match="hidden activations"):
-            online_forward(filt, features, projected=True)
+            online_forward(filt, features)
 
 
 class TestBlend:
@@ -307,7 +310,8 @@ class TestSolveCg:
         rng = np.random.default_rng(10)
         filt, memory = linear_six_parameter_problem(rng, reg=0.0)
         for i, s in enumerate(samples(memory)):
-            memory.labels[i] = online_forward(filt, s.features)   # residuals exactly 0
+            # residuals exactly 0
+            memory.labels[i] = online_forward(filt, project(filt, s.features))
         result = solve_cg(filt, memory, n_iters=6, gn_steps=2)
         assert not result.degraded
         assert np.array_equal(result.filter.w1, filt.w1)
@@ -333,7 +337,8 @@ class TestSolveCg:
         memory = TrainingMemory(capacity=50, features=feat[:, None],
                                 labels=label[None], weights=np.ones(1))
         result = solve_cg(filt, memory, n_iters=1, gn_steps=1, train_w1=False)
-        assert np.abs(online_forward(result.filter, feat) - label).max() < 1e-12
+        assert np.abs(online_forward(result.filter, project(result.filter, feat))
+                      - label).max() < 1e-12
 
     def test_objective_non_increasing_over_randomized_runs(self):
         rng = np.random.default_rng(12)
@@ -578,7 +583,7 @@ class TestBatchedAgainstPerSample:
         assert rel_err(objective(filt, memory),
                        oracle_objective(filt, memory)) <= 1e-12
         for s in samples(memory):
-            assert rel_err(online_forward(filt, s.features),
+            assert rel_err(online_forward(filt, project(filt, s.features)),
                            oracle_forward(filt, s.features)) <= 1e-12
 
     @pytest.mark.parametrize("train_w1,train_w2", TRAINED)
@@ -682,8 +687,11 @@ class TestPaddedOracles:
         rng = np.random.default_rng([kernel, n_samples, *grid, 4])
         filt, memory = random_problem(rng, kernel, n_samples, grid)
         result = solve_cg(filt, memory, n_iters=4, gn_steps=3, train_w1=train_w1)
-        monkeypatch.setattr(online, "_shift_sum", padded_shift_sum)
-        monkeypatch.setattr(online, "_place", padded_place)
+        # every product of the solve runs on its linearization's _Padded
+        monkeypatch.setattr(online._Padded, "shift_sum",
+                            lambda self, taps: padded_shift_sum(taps, self.kernel))
+        monkeypatch.setattr(online._Padded, "place",
+                            lambda self, maps: padded_place(maps, self.kernel))
         expected, objectives = solve_with_redundant_passes(
             filt, memory, 4, 3, train_w1)
         assert not result.degraded
@@ -806,7 +814,7 @@ class TestProjectedMemory:
         for _ in range(3):      # at capacity 2 each insert evicts
             new, label = rng.standard_normal((3, 5, 5)), rng.uniform(0, 1, (5, 5))
             update_memory(memory, project(filt, new), label, lr=0.2,
-                          residual=online_forward(filt, new) - label)
+                          residual=online_forward(filt, project(filt, new)) - label)
             update_memory(reference, new, label, lr=0.2)
         assert np.array_equal(memory.weights, reference.weights)
         lin = _Linearization(filt, reference, train_w1=False)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import inspect
 import math
+import re
 import weakref
 
 import numpy as np
@@ -158,8 +159,8 @@ class TestOnlineSchedule:
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
         untrained = init_online_filter(np.random.default_rng(0), config.c_mid,
-                                       config.online_hidden, config.online_kernel,
-                                       config.online_reg)
+                                       online_mod.HIDDEN, online_mod.KERNEL,
+                                       online_mod.RIDGE)
         assert not np.array_equal(state.online_filter.w1, untrained.w1)
         w1 = state.online_filter.w1.copy()
         for frame in frames[1:]:
@@ -180,13 +181,12 @@ class FeatureMemoryTracker(Tracker):
             super()._init_online(frame, box)
 
     def _online_step(self, mid, online_score, center_patch, size_patch):
-        cfg, state = self.config, self.state
+        state = self.state
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, mid, label, cfg.memory_lr)
+        update_memory(state.online_memory, mid, label, online_mod.MEMORY_LR)
         result = tracker_mod.solve_cg(
             state.online_filter, state.online_memory,
-            n_iters=cfg.online_update_cg_iters,
-            gn_steps=cfg.online_update_gn_steps, train_w1=False)
+            n_iters=online_mod.FRAME_CG_ITERS, gn_steps=1, train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
 
@@ -284,7 +284,7 @@ class TwoPassTracker(Tracker):
             # the tap reaches online_forward as features, not activations
             m.setattr(tracker_mod, "project", lambda filt, mid: mid)
             m.setattr(tracker_mod, "online_forward",
-                      lambda filt, mid, projected: online_forward(filt, mid))
+                      lambda filt, mid: online_forward(filt, project(filt, mid)))
             return super().track(frame, trace)
 
     def _online_step(self, mid, online, center_patch, size_patch):
@@ -396,17 +396,8 @@ class TestInputBoundary:
 
 class TestOnlineConfig:
     @pytest.mark.parametrize("field,value", [
-        ("memory_lr", 1.5),                  # tracked on negative weights
-        ("memory_lr", 0.0),                  # ZeroDivisionError at init
-        ("memory_lr", float("nan")),
         ("memory_capacity", 0),
-        ("online_hidden", 0),                # raw reshape error at init
-        ("online_kernel", 0),                # ZeroDivisionError at init
-        ("online_init_cg_iters", 0),
-        ("online_update_cg_iters", 0),
         ("online_init_gn_steps", -1),
-        ("online_update_gn_steps", -1),
-        ("online_reg", -1.0),                # indefinite normal matrix
         ("template_size", 0),                # ZeroDivisionError in the crop
         ("template_size", -8),               # negative dimensions in the crop
         ("search_size", 0),
@@ -427,10 +418,7 @@ class TestOnlineConfig:
             TrackerConfig(**{**settings, field: value})
 
     def test_limits_are_accepted(self):
-        TrackerConfig(online=True, memory_lr=1.0, memory_capacity=1,
-                      online_hidden=1, online_kernel=1, online_init_cg_iters=1, online_update_cg_iters=1,
-                      online_init_gn_steps=0, online_update_gn_steps=0,
-                      online_reg=0.0)
+        TrackerConfig(online=True, memory_capacity=1, online_init_gn_steps=0)
 
     def test_checkpoint_with_bad_online_setting_rejected(self, tmp_path):
         config = TrackerConfig(template_size=48, search_size=96, d=8,
@@ -438,9 +426,9 @@ class TestOnlineConfig:
         path = tmp_path / "model.trtr"
         save_model(path, build_model(np.random.default_rng(0), config), config)
         entries = load_checkpoint(path)
-        entries["config.online_kernel"] = np.array(0.0)
+        entries["config.memory_capacity"] = np.array(0.0)
         save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], path)
-        with pytest.raises(ConfigurationError, match="online_kernel"):
+        with pytest.raises(ConfigurationError, match="memory_capacity"):
             load_model(path)
 
 
@@ -537,13 +525,14 @@ class TestPaddedGrid:
 # sha256 of ``save_model`` for ``build_model(default_rng(0), config)``. The
 # parameter entries are byte-equal to those recorded before parameter names
 # came from the weight dataclasses; the config entries have since lost
-# online_update_interval and online_score_threshold
+# online_update_interval and online_score_threshold, then the seven online
+# settings that became constants of attntrack.online
 PINNED_CHECKPOINTS = [
     (TrackerConfig(),
-     "290c65e67a51cfb1d880ed8331943cc70153d4cbf2421c5dc7772fc2f2780c6a"),
+     "fbcebe7da8223b37d94202cd6c7f1a341dcc235f359d4dcdb0738d32fbb9d737"),
     (TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2, c_mid=8,
                    n_encoder_layers=2, n_decoder_layers=3),
-     "f09f6c85ed1a65e1be57df52828d02a2bca9e9274ee5cae965136c6de78a6fb1"),
+     "3564cdc1d8747ccec32424c19f2b53f8f69acd778edfb18b88c688b3209bcf18"),
 ]
 
 
@@ -603,10 +592,8 @@ class TestCheckpointRoundtrip:
     def test_every_int_and_bool_field_round_trips(self, tmp_path):
         custom = TrackerConfig(
             template_size=48, search_size=96, d=8, n_heads=2, ffn_hidden=24,
-            n_encoder_layers=2, n_decoder_layers=3, c_mid=8, online_hidden=16,
-            online_kernel=3, memory_capacity=7, online_init_gn_steps=3,
-            online_init_cg_iters=4, online_update_gn_steps=2,
-            online_update_cg_iters=6, online=True, pe_mask=False)
+            n_encoder_layers=2, n_decoder_layers=3, c_mid=8, memory_capacity=7,
+            online_init_gn_steps=3, online=True, pe_mask=False)
         exact = [f for f in dataclasses.fields(TrackerConfig)
                  if type(f.default) in (int, bool)]
         for f in exact:
@@ -659,6 +646,53 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError, match=r"unknown entries: \["
                            r"'config\.online_score_threshold', "
                            r"'config\.online_update_interval'\]"):
+            load_model(path)
+
+    def test_fixed_online_settings_rejected(self, toy_world, tmp_path):
+        # a file written while the online filter's shape and ridge, the
+        # memory's rate and the CG schedule were settings carries all seven
+        # at their defaults
+        _, _, config, model = toy_world
+        online = dataclasses.replace(config, online=True)
+        retired = {"online_hidden": 64, "online_kernel": 4, "online_reg": 1e-2,
+                   "memory_lr": 0.1, "online_init_cg_iters": 10,
+                   "online_update_gn_steps": 1, "online_update_cg_iters": 5}
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, online, path, lambda e: e.update(
+            {f"config.{k}": np.array(float(v)) for k, v in retired.items()}))
+        names = ", ".join(repr(f"config.{k}") for k in sorted(retired))
+        with pytest.raises(ValueError, match=re.escape(f"unknown entries: [{names}]")):
+            load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("config.template_size", 47.6),
+                                           ("config.online", 7.0)])
+    def test_int_or_flag_setting_of_another_value_rejected(self, toy_world,
+                                                           tmp_path, key, value):
+        # both used to be rounded: to 48, and to True
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {key: np.array(value)}))
+        with pytest.raises(ValueError, match=re.escape(f"{key!r} is {value}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("config.d", 2.0 ** 40),
+                                           ("config.c_mid", 2.0 ** 40),
+                                           ("config.ffn_hidden", 2.0 ** 40),
+                                           ("config.n_encoder_layers", 3.0),
+                                           ("config.n_decoder_layers", 3.0)])
+    def test_setting_at_odds_with_the_weights_rejected_before_building(
+            self, toy_world, tmp_path, monkeypatch, key, value):
+        _, _, config, model = toy_world
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {key: np.array(value)}))
+
+        def no_build(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(tracker_mod, "build_model", no_build)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_model(path)
 
     def test_unknown_config_key_rejected(self, toy_world, tmp_path):
