@@ -316,14 +316,17 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit status. A command that fails
     prints one ``attntrack: error: ...`` line to stderr: status 2 for a
     rejected setting, 1 for unusable input (a malformed or missing file, a
-    box or sequence the tracker cannot use) and for training that diverged."""
+    box or sequence the tracker cannot use), for training that diverged and
+    for an allocation that failed."""
     parser = build_parser()
     args = parser.parse_args(argv)
     _keep_freed_memory()
     try:
         return args.fn(args)
-    except (ValueError, TrackingError, TrainingDivergence, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    except (ValueError, TrackingError, TrainingDivergence, OSError,
+            MemoryError) as exc:
+        print(f"{parser.prog}: error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 1
 
 

@@ -221,8 +221,7 @@ def check_losses(rng) -> tuple[float, int]:
     def loss():
         return joint_loss(focal_loss(T.sigmoid(logits), target.label),
                           offset_loss(off, [target.center], [target.cell]),
-                          size_loss(size, [target.norm_size], [target.cell]),
-                          1.0, 1.0)
+                          size_loss(size, [target.norm_size], [target.cell]))
 
     return finite_difference_check(loss, [logits, off, size])
 
@@ -261,8 +260,7 @@ def check_full_stack(rng) -> tuple[float, int]:
         score2d = T.reshape(maps.score, (hh, ww))
         return joint_loss(focal_loss(score2d, target.label),
                           offset_loss(maps.offset, [target.center], [target.cell]),
-                          size_loss(maps.size, [target.norm_size], [target.cell]),
-                          1.0, 1.0)
+                          size_loss(maps.size, [target.norm_size], [target.cell]))
 
     return finite_difference_check(loss, params, max_entries=12, rng=rng)
 

@@ -3,7 +3,8 @@
 The score target is a Gaussian bump with a size-adaptive spread, peaking
 at exactly 1 on the low-resolution cell containing the ground-truth
 center. Classification uses a penalty-reduced pixel-wise focal loss; the
-offset and size heads take L1 penalties evaluated only at that cell.
+offset and size heads take L1 penalties evaluated only at that cell. The
+joint objective is the unweighted sum of the three terms.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ def size_loss(size: Tensor, norm_size, cell) -> Tensor:
                                          np.asarray(norm_size, dtype=np.float64))))
 
 
-def joint_loss(score_loss: Tensor, off_loss: Tensor, sz_loss: Tensor,
-               lambda_offset: float, lambda_size: float) -> Tensor:
-    return T.add(score_loss, T.add(T.mul(off_loss, lambda_offset),
-                                   T.mul(sz_loss, lambda_size)))
+def joint_loss(score_loss: Tensor, off_loss: Tensor, sz_loss: Tensor) -> Tensor:
+    """The training objective: the unweighted sum of the three terms."""
+    return T.add(score_loss, T.add(off_loss, sz_loss))

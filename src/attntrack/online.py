@@ -177,11 +177,6 @@ def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
     return _Padded(kernel, taps.shape[1:]).shift_sum(taps)
 
 
-def _place(maps: np.ndarray, kernel: int) -> np.ndarray:
-    """``_Padded.place`` on fresh buffers."""
-    return _Padded(kernel, maps.shape).place(maps)
-
-
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden layer on channel-major features: (relu mask, activations)."""
     pre = w1[:, :, 0, 0] @ features

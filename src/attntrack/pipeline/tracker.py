@@ -145,7 +145,11 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
             # ints and flags round-trip through the float checkpoint; each
             # field's default has the field's type
             cast = type(f.default)
-            value = float(data.pop(key))
+            stored = data.pop(key)
+            if stored.shape != ():
+                raise ValueError(f"checkpoint entry {key!r} has shape "
+                                 f"{stored.shape}, not a scalar")
+            value = float(stored)
             kwargs[f.name] = value if cast is float else cast(round(value))
             if kwargs[f.name] != value:
                 raise ValueError(f"checkpoint entry {key!r} is {value}, not "

@@ -2,7 +2,9 @@
 
 Builds (template, search, target) triples from a sequence with exact
 ground truth, then minimizes the joint objective (focal score loss plus
-L1 offset/size losses) with Adam at a constant learning rate.
+L1 offset/size losses, unweighted) with Adam at a constant learning
+rate. ``TrainSettings`` holds what a caller sets: steps, learning rate,
+seed and batch size; the crop jitters are module constants.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class TrainSettings:
     lr: float = 1e-3
     seed: int = 0
     batch_size: int = 2                 # sampled crops averaged per step
-    center_jitter_cells: float = 2.0    # crop-center jitter, in grid cells
-    scale_jitter: float = 0.2           # log-uniform crop-side perturbation
-    lambda_offset: float = 1.0
-    lambda_size: float = 1.0
 
     def __post_init__(self):
         for name in ("steps", "batch_size"):
@@ -52,6 +50,12 @@ class TrainingPair:
     search_crop: CropResult
     target: GroundTruth
 
+
+# crop-center jitter, in grid cells, and the half-width of the log-uniform
+# crop-side perturbation: the offset and size fields get supervised across
+# cells and crop geometries, the way the tracker will actually read them
+CENTER_JITTER_CELLS = 2.0
+SCALE_JITTER = 0.2
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -84,21 +88,19 @@ class Adam:
 
 
 def sample_training_pair(frames: list[Frame], boxes: list[BoundingBox],
-                         config: TrackerConfig, rng: np.random.Generator,
-                         center_jitter_cells: float,
-                         scale_jitter: float) -> TrainingPair:
+                         config: TrackerConfig,
+                         rng: np.random.Generator) -> TrainingPair:
     """A random frame cropped around a perturbed previous-frame box.
 
-    The crop center is jittered by up to the given number of grid cells
-    and the crop side by a log-uniform scale factor, so the offset and
-    size fields get supervised across cells and crop geometries (the way
-    the tracker will actually read them).
+    The crop center is jittered by up to ``CENTER_JITTER_CELLS`` grid
+    cells and the crop side by a log-uniform factor within
+    exp(+-``SCALE_JITTER``).
     """
     t = int(rng.integers(1, len(frames)))
     prev = boxes[t - 1]
     scale = context_side(prev) / config.template_size   # image px per patch px
-    jitter = center_jitter_cells * STRIDE * scale
-    factor = float(np.exp(rng.uniform(-scale_jitter, scale_jitter)))
+    jitter = CENTER_JITTER_CELLS * STRIDE * scale
+    factor = float(np.exp(rng.uniform(-SCALE_JITTER, SCALE_JITTER)))
     center = BoundingBox(prev.cx + rng.uniform(-jitter, jitter),
                          prev.cy + rng.uniform(-jitter, jitter),
                          prev.w * factor, prev.h * factor)
@@ -121,11 +123,11 @@ def forward_pair(model: ModelWeights, config: TrackerConfig, memory: Tensor,
                          memory, template_pe)
 
 
-def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
-              lambda_offset: float, lambda_size: float):
+def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth]):
     """Joint objective of a batch of pairs, one target per map.
 
-    Returns (total, score, offset, size), each the mean over the batch.
+    Returns (total, score, offset, size), each the mean over the batch;
+    the total is the unweighted sum of the three terms.
     """
     b, hs, ws, _ = maps.score.shape
     if len(targets) != b:
@@ -136,7 +138,7 @@ def pair_loss(maps: HeadMaps, targets: Sequence[GroundTruth],
             offset_loss(maps.offset, [t.center for t in targets], cells),
             size_loss(maps.size, [t.norm_size for t in targets], cells))
     ly, lo, ls = (T.mul(part, 1.0 / b) for part in sums)
-    return joint_loss(ly, lo, ls, lambda_offset, lambda_size), ly, lo, ls
+    return joint_loss(ly, lo, ls), ly, lo, ls
 
 
 def train_step(model: ModelWeights, config: TrackerConfig,
@@ -153,14 +155,11 @@ def train_step(model: ModelWeights, config: TrackerConfig,
     for p in optimizer.params:
         p.zero_grad()
     memory, template_pe = encode_template(model, config, template)
-    pairs = [sample_training_pair(frames, boxes, config, rng,
-                                  settings.center_jitter_cells,
-                                  settings.scale_jitter)
+    pairs = [sample_training_pair(frames, boxes, config, rng)
              for _ in range(settings.batch_size)]
     maps = forward_pair(model, config, memory, template_pe,
                         [pair.search_crop for pair in pairs])
-    batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs],
-                                  settings.lambda_offset, settings.lambda_size)
+    batch, ly, lo, ls = pair_loss(maps, [pair.target for pair in pairs])
     value = batch.item()
     if not np.isfinite(value):
         raise TrainingDivergence(f"loss became non-finite at step {step}")

@@ -100,8 +100,7 @@ def per_sample_objective(score, offset, size, target):
     lo = T.tensor_sum(T.absolute(T.sub(T.take(offset, (gy, gx)), residual)))
     ls = T.tensor_sum(T.absolute(T.sub(T.take(size, (gy, gx)),
                                       np.asarray(target.norm_size))))
-    return joint_loss(focal_loss(T.reshape(score, (hs, ws)), target.label), lo, ls,
-                      1.0, 1.0)
+    return joint_loss(focal_loss(T.reshape(score, (hs, ws)), target.label), lo, ls)
 
 
 def per_sample_loss(model, config, template, pairs):
@@ -123,7 +122,7 @@ def batched_loss(model, config, template, pairs):
     memory, template_pe = encode_template(model, config, template)
     maps = forward_pair(model, config, memory, template_pe,
                         [pair.search_crop for pair in pairs])
-    return pair_loss(maps, [pair.target for pair in pairs], 1.0, 1.0)[0]
+    return pair_loss(maps, [pair.target for pair in pairs])[0]
 
 
 def loss_and_grads(loss_fn, model, *args):
@@ -154,7 +153,7 @@ def test_batched_step_matches_per_sample_oracle(sequence, geometry, batch):
     model = build_model(np.random.default_rng(5), config)
     template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(batch)
-    pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
+    pairs = [sample_training_pair(frames, boxes, config, rng)
              for _ in range(batch)]
 
     loss, grads = loss_and_grads(batched_loss, model, config, template, pairs)
@@ -173,7 +172,7 @@ def test_batch_members_do_not_interact(sequence):
     model = build_model(np.random.default_rng(6), config)
     template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(6)
-    a, b, c = (sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
+    a, b, c = (sample_training_pair(frames, boxes, config, rng)
                for _ in range(3))
     with T.no_grad():
         memory, template_pe = encode_template(model, config, template)
@@ -202,14 +201,14 @@ def test_pair_loss_needs_one_target_per_map(sequence):
     model = build_model(np.random.default_rng(8), config)
     template = crop_template(frames[0], boxes[0], config.template_size)
     rng = np.random.default_rng(8)
-    pairs = [sample_training_pair(frames, boxes, config, rng, 2.0, 0.2)
+    pairs = [sample_training_pair(frames, boxes, config, rng)
              for _ in range(2)]
     with T.no_grad():
         memory, template_pe = encode_template(model, config, template)
         maps = forward_pair(model, config, memory, template_pe,
                             [pair.search_crop for pair in pairs])
     with pytest.raises(ShapeError, match="2 maps"):
-        pair_loss(maps, [pairs[0].target], 1.0, 1.0)
+        pair_loss(maps, [pairs[0].target])
 
 
 def _transformer():

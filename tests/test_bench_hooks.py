@@ -23,7 +23,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 def test_traced_training_step_records_both_decoder_attention_spans(monkeypatch):
     # the tracer tells decoder self- from cross-attention only by
     # ``inputs.xq is inputs.xkv`` inside ``multi_head_attention``, so the
-    # batched decoder must still make both kinds of call through it
+    # batched decoder must still make both kinds of call through it; it
+    # times ``sample_training_pair`` and ``pair_loss`` through wrappers
+    # that pass the training step's arguments on unchanged
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import numpy as np
     from tracing import Probes, Tracer
@@ -44,7 +46,7 @@ def test_traced_training_step_records_both_decoder_attention_spans(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"attention.decoder_self", "attention.decoder_cross",
             "attention.encoder_self", "pipeline.train.forward",
-            "loss.pair"} <= names
+            "pipeline.train.sample", "loss.pair"} <= names
 
 
 def test_traced_online_track_records_solves_and_counters(monkeypatch):

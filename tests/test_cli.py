@@ -261,6 +261,16 @@ class TestTrack:
             "attntrack: error: search size must be >= template size\n"
         assert not results.exists()
 
+    def test_failed_allocation_is_one_line(self, workspace, tmp_path, capsys):
+        # a 10**15 search side asks for a 909 TiB cosine window, past any
+        # 48-bit address space
+        _, seq, ckpt = workspace
+        results = tmp_path / "results.txt"
+        assert main(["track", "--ckpt", ckpt, "--seq", seq, "--out", str(results),
+                     "--search-size", str(10 ** 15)]) == 1
+        _one_error_line(capsys, "Unable to allocate")
+        assert not results.exists()
+
     def test_corrupt_checkpoint_is_one_line(self, workspace, tmp_path, capsys):
         _, seq, _ = workspace
         ckpt = tmp_path / "bad.trtr"
@@ -271,20 +281,31 @@ class TestTrack:
         _one_error_line(capsys, "not a TRTR-CKPT v1 file")
         assert not results.exists()
 
-    def test_checkpoint_width_at_odds_with_its_weights_is_one_line(
-            self, workspace, tmp_path, capsys):
-        # a model 2**40 wide used to be built before its shapes were
-        # checked, and died allocating it
+    @staticmethod
+    def _track_with_width(workspace, tmp_path, capsys, stored):
+        """``track`` on the workspace checkpoint with ``config.d`` replaced
+        by ``stored`` exits 1 with one line naming the entry."""
         _, seq, ckpt = workspace
         entries = load_checkpoint(ckpt)
-        entries["config.d"] = np.array(2.0 ** 40)
-        bad = tmp_path / "wide.trtr"
+        entries["config.d"] = stored
+        bad = tmp_path / "edited.trtr"
         save_checkpoint([(name, Tensor(v)) for name, v in entries.items()], bad)
         results = tmp_path / "results.txt"
         assert main(["track", "--ckpt", str(bad), "--seq", seq,
                      "--out", str(results)]) == 1
         _one_error_line(capsys, "'config.d'")
         assert not results.exists()
+
+    def test_checkpoint_width_at_odds_with_its_weights_is_one_line(
+            self, workspace, tmp_path, capsys):
+        # a model 2**40 wide used to be built before its shapes were
+        # checked, and died allocating it
+        self._track_with_width(workspace, tmp_path, capsys, np.array(2.0 ** 40))
+
+    def test_checkpoint_with_a_vector_setting_is_one_line(
+            self, workspace, tmp_path, capsys):
+        # float() of a 2-vector used to raise a bare TypeError
+        self._track_with_width(workspace, tmp_path, capsys, np.array([8.0, 8.0]))
 
     @pytest.mark.parametrize("missing", ["ckpt", "seq"])
     def test_missing_input_is_one_line(self, workspace, tmp_path, capsys,

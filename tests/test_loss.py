@@ -169,18 +169,8 @@ class TestL1Losses:
 
 class TestJointLoss:
     def test_plain_sum(self):
-        value = joint_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0), 1.0, 1.0)
+        value = joint_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0))
         assert value.item() == 6.0
-
-    def test_zero_weights_leave_score_term(self):
-        value = joint_loss(Tensor(1.5), Tensor(2.0), Tensor(3.0), 0.0, 0.0)
-        assert value.item() == 1.5
-
-    def test_default_weights_are_one(self):
-        # the weights' one home is the training settings
-        from attntrack.pipeline import TrainSettings
-        settings = TrainSettings()
-        assert (settings.lambda_offset, settings.lambda_size) == (1.0, 1.0)
 
 
 class TestTrainingSignal:
@@ -202,8 +192,7 @@ class TestTrainingSignal:
                 return joint_loss(
                     focal_loss(T.reshape(maps.score, (4, 4)), target.label),
                     offset_loss(maps.offset, [target.center], [target.cell]),
-                    size_loss(maps.size, [target.norm_size], [target.cell]),
-                    1.0, 1.0)
+                    size_loss(maps.size, [target.norm_size], [target.cell]))
 
             for p in params:
                 p.zero_grad()

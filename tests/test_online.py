@@ -7,7 +7,7 @@ import pytest
 from attntrack import online
 from attntrack.errors import ShapeError
 from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
-                              _place, _shift_sum, blend, conjugate_gradient,
+                              _Padded, _shift_sum, blend, conjugate_gradient,
                               init_online_filter, objective, online_forward,
                               project, project_memory, solve_cg, update_memory)
 
@@ -675,7 +675,7 @@ class TestPaddedOracles:
         assert np.array_equal(_shift_sum(taps, kernel),
                               padded_shift_sum(taps, kernel))
         maps = rng.standard_normal((n_samples,) + grid)
-        placed = _place(maps, kernel)
+        placed = _Padded(kernel, maps.shape).place(maps)
         assert placed.shape == (kernel * kernel, n_samples * grid[0] * grid[1])
         assert np.array_equal(placed, padded_place(maps, kernel))
 
@@ -747,8 +747,8 @@ class TestSolveWork:
 
 class TestBufferReuse:
     """One linearization's products share one set of padded buffers; each
-    product must equal the same product on fresh ``_shift_sum``/``_place``
-    arrays."""
+    product must equal the same product on a fresh ``_Padded``'s
+    buffers."""
 
     @pytest.mark.parametrize("train_w1", [True, False])
     @pytest.mark.parametrize("grid", [(1, 1), (2, 1), (1, 7), (7, 9), (16, 16)])
@@ -770,7 +770,7 @@ class TestBufferReuse:
                     _shift_sum(taps.reshape((-1, n_samples) + grid), kernel))
 
                 maps = rng.standard_normal((n_samples,) + grid)
-                placed = _place(maps, kernel)
+                placed = _Padded(kernel, maps.shape).place(maps)
                 expected = (lin.act @ placed.T).ravel()
                 if train_w1:
                     gpre = (lin.w2 @ placed) * lin.mask
