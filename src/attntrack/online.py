@@ -28,12 +28,16 @@ The memory holds its samples stacked as the solver reads them, so a
 solve copies none of them, and each filter the solve visits runs forward
 once: the linearization that gives a filter's objective value is the one
 the next Gauss-Newton step uses when the filter is accepted. The
-linearizations of one solve share one set of padded work buffers.
+linearizations of one solve share one set of padded work buffers, and
+the strided views over them are built once and live as long as the set.
+The relu mask, kept as 0.0/1.0, multiplies each fresh product in place:
+no product allocates for it, and no input or memory array is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,19 +125,39 @@ class _Padded:
 
     ``shift_sum`` and ``place`` write only the interior of their
     zero-padded buffers, so the zero borders hold, and one set serves
-    every product on a memory. The array ``place`` returns is reused by
-    the next call.
+    every product on a memory. The buffers and the views over them live
+    as long as the set. Every set sums taps, so their buffer is made with
+    it; the placement buffers are made on the first ``place``, so a set
+    that only sums taps, as ``online_forward``'s does, makes none. The
+    array ``place`` returns is reused by the next call.
     """
 
     def __init__(self, kernel: int, shape: tuple[int, int, int]):
         n, h, w = shape
-        grown = (h + kernel - 1, w + kernel - 1)
-        self.kernel = kernel
-        self.taps = np.zeros((kernel, kernel, n) + grown)
-        self.maps = np.zeros((n,) + grown)
+        lo = _pad_before(kernel)
+        self.kernel, self.shape = kernel, shape
+        padded = np.zeros((kernel, kernel, n, h + kernel - 1, w + kernel - 1))
+        su, sv, ss, sy, sx = padded.strides
+        # the interior shift_sum writes, and its strided read of every tap
+        self.taps = padded[:, :, :, lo:lo + h, lo:lo + w]
+        self.reads = np.lib.stride_tricks.as_strided(
+            padded, (kernel, kernel, n, h, w), (su + sy, sv + sx, ss, sy, sx),
+            writeable=False)
+
+    @cached_property
+    def _place_views(self) -> tuple[np.ndarray, ...]:
+        """(interior of the padded maps, the flipped windows, the placed
+        copies as the windows' shape and as rows)."""
+        k, (n, h, w) = self.kernel, self.shape
+        hi = k - 1 - _pad_before(k)
+        padded = np.zeros((n, h + k - 1, w + k - 1))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
         # C-contiguous like a fresh copy: a placed array with other strides
         # is read by the GEMMs after it with other rounding
-        self.placed = np.empty((kernel, kernel) + shape)
+        rows = np.empty((k * k, n * h * w))
+        return (padded[:, hi:hi + h, hi:hi + w],
+                windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4),
+                rows.reshape((k, k) + self.shape), rows)
 
     def shift_sum(self, taps: np.ndarray) -> np.ndarray:
         """Second half of the k x k conv: taps (k*k, S, H, W) -> maps (S, H, W).
@@ -144,15 +168,8 @@ class _Padded:
         read for each cell at [u, v, s, y, x], and the sum runs over the
         two kernel axes.
         """
-        k, padded = self.kernel, self.taps
-        lo = _pad_before(k)
-        n, h, w = taps.shape[1:]
-        padded[:, :, :, lo:lo + h, lo:lo + w] = taps.reshape(padded.shape[:3] + (h, w))
-        su, sv, ss, sy, sx = padded.strides
-        reads = np.lib.stride_tricks.as_strided(
-            padded, (k, k, n, h, w), (su + sy, sv + sx, ss, sy, sx),
-            writeable=False)
-        return reads.sum(axis=(0, 1))
+        self.taps[...] = taps.reshape(self.taps.shape)
+        return self.reads.sum(axis=(0, 1))
 
     def place(self, maps: np.ndarray) -> np.ndarray:
         """Adjoint of shift_sum: maps (S, H, W) -> k*k placed copies (k*k, S*H*W).
@@ -163,13 +180,10 @@ class _Padded:
         after, that copy is the grid-sized window at (k-1-u, k-1-v), so
         the copies are the windows flipped along both kernel axes.
         """
-        k, padded = self.kernel, self.maps
-        hi = k - 1 - _pad_before(k)
-        _, h, w = maps.shape
-        padded[:, hi:hi + h, hi:hi + w] = maps
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
-        self.placed[...] = windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4)
-        return self.placed.reshape(k * k, -1)
+        interior, flipped, placed, rows = self._place_views
+        interior[...] = maps
+        placed[...] = flipped
+        return rows
 
 
 def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
@@ -178,12 +192,13 @@ def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden layer on channel-major features: (relu mask, activations)."""
-    pre = w1[:, :, 0, 0] @ features
-    mask = pre > 0.0
-    # a product with the bool mask (cast to exact 0.0/1.0), not np.where:
-    # a non-finite input must stay non-finite
-    return mask, pre * mask
+    """Hidden layer on channel-major features: (relu mask as 0.0/1.0, activations)."""
+    act = w1[:, :, 0, 0] @ features
+    mask = (act > 0.0).astype(act.dtype)
+    # a product with the mask in place on the fresh GEMM output, not
+    # np.where or np.maximum: a non-finite input must stay non-finite
+    act *= mask
+    return mask, act
 
 
 def _conv(act: np.ndarray, w2: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
@@ -393,7 +408,9 @@ class _Linearization:
         taps = vec[self.n_w1:].reshape(hidden, -1).T @ self.act
         if self.train_w1:
             v1 = vec[:self.n_w1].reshape(hidden, -1)
-            taps += self.w2.T @ (self.mask * (v1 @ self.features))
+            pre = v1 @ self.features
+            pre *= self.mask
+            taps += self.w2.T @ pre
         return self._sum_taps(taps)
 
     def vjp(self, maps: np.ndarray) -> np.ndarray:
@@ -402,7 +419,8 @@ class _Linearization:
         w2_part = (self.act @ placed.T).ravel()
         if not self.train_w1:
             return w2_part
-        gpre = (self.w2 @ placed) * self.mask
+        gpre = self.w2 @ placed
+        gpre *= self.mask
         return np.concatenate([(gpre @ self.features.T).ravel(), w2_part])
 
     def gradient(self) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import sys
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -744,6 +745,65 @@ class TestSolveWork:
             assert counts["_relu"] == 1
         assert counts["objective"] >= len(result.objectives)
 
+    @staticmethod
+    def count_views(monkeypatch):
+        """Count the stride-trick views online.py builds, and record each
+        ``_Padded`` made; numpy's own nested calls are not counted."""
+        counts, pads = Counter(), []
+        tricks = np.lib.stride_tricks
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == online.__name__:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("as_strided", "sliding_window_view"):
+            monkeypatch.setattr(tricks, name, counted(name, getattr(tricks, name)))
+        init = online._Padded.__init__
+
+        def recording_init(self, *args):
+            pads.append(self)
+            init(self, *args)
+        monkeypatch.setattr(online._Padded, "__init__", recording_init)
+        return counts, pads
+
+    @pytest.mark.parametrize("train_w1", [True, False])
+    def test_each_view_built_once_per_buffer_set(self, monkeypatch, train_w1):
+        rng = np.random.default_rng(23)
+        filt, memory = random_problem(rng, kernel=4, n_samples=8, grid=(6, 6),
+                                      c_in=6, hidden=8)
+        counts, pads = self.count_views(monkeypatch)
+        result = solve_cg(filt, memory, n_iters=4, gn_steps=3, train_w1=train_w1)
+        # every Gauss-Newton step was accepted: four linearizations and
+        # dozens of products ran on the one set of buffers
+        assert len(result.objectives) == 4
+        assert len(pads) == 1
+        assert counts == {"as_strided": 1, "sliding_window_view": 1}
+
+    def test_forward_builds_no_placement(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        filt = init_online_filter(rng, c_in=3, hidden=4, kernel=4, reg=1e-2)
+        hidden = project(filt, rng.standard_normal((3, 6, 5)))
+        counts, pads = self.count_views(monkeypatch)
+        online_forward(filt, hidden)
+        assert counts == {"as_strided": 1}
+        (pad,) = pads
+
+        def owner(a):
+            while getattr(a, "base", None) is not None:
+                a = a.base
+            return a
+
+        # every array the set holds is a view of its one buffer, the
+        # zero-padded taps (k, k, S, H + k - 1, W + k - 1)
+        held = [a for v in vars(pad).values()
+                for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        owners = {id(owner(a)): owner(a) for a in held}
+        assert [o.shape for o in owners.values()] == [(4, 4, 1, 9, 8)]
+
 
 class TestBufferReuse:
     """One linearization's products share one set of padded buffers; each
@@ -780,6 +840,78 @@ class TestBufferReuse:
                 # what the GEMMs read; on 2x1 grids at kernels 4 and 5 a
                 # reshaped view keeps other strides, which round differently
                 assert lin.pads.place(maps).flags.c_contiguous
+
+
+def nonfinite(rng, shape):
+    """Standard normal values, about a tenth each of them +inf, -inf and NaN."""
+    x = rng.standard_normal(shape)
+    picks = rng.choice(x.size, 3 * (x.size // 10 + 1), replace=False)
+    x.flat[picks] = np.resize([np.inf, -np.inf, np.nan], picks.size)
+    return x
+
+
+class TestMasksInPlace:
+    """The relu mask multiplies fresh products in place: the result is
+    the fresh product ``pre * mask`` to the bit, non-finite values
+    included, and no input array is written."""
+
+    @np.errstate(invalid="ignore")
+    def test_relu_equals_the_fresh_product(self):
+        rng = np.random.default_rng(25)
+        w1 = rng.standard_normal((5, 3, 1, 1))
+        features = nonfinite(rng, (3, 40))
+        pre = w1[:, :, 0, 0] @ features
+        assert np.isposinf(pre).any() and np.isneginf(pre).any()
+        assert np.isnan(pre).any()
+        mask, act = online._relu(w1, features)
+        assert np.array_equal(mask, pre > 0.0)
+        assert act.tobytes() == (pre * (pre > 0.0)).tobytes()
+
+    @pytest.mark.parametrize("kernel", [1, 2, 4])
+    @np.errstate(invalid="ignore")
+    def test_jacobian_products_equal_the_fresh_products(self, kernel):
+        rng = np.random.default_rng([kernel, 26])
+        n, grid = 3, (4, 5)
+        filt, memory = random_problem(rng, kernel, n, grid)
+        memory.features = nonfinite(rng, memory.features.shape)
+        lin = _Linearization(filt, memory, train_w1=True)
+        hidden = lin.w2.shape[0]
+        vec = rng.standard_normal(lin.theta.size)
+        v1 = vec[:lin.n_w1].reshape(hidden, -1)
+        pre = v1 @ lin.features
+        assert np.isinf(pre).any() and np.isnan(pre).any()
+        taps = vec[lin.n_w1:].reshape(hidden, -1).T @ lin.act
+        taps += lin.w2.T @ (pre * lin.mask)
+        expected = _shift_sum(taps.reshape((-1, n) + grid), kernel)
+        assert lin.jvp(vec).tobytes() == expected.tobytes()
+
+        maps = nonfinite(rng, (n,) + grid)
+        placed = _Padded(kernel, maps.shape).place(maps)
+        gpre = lin.w2 @ placed
+        assert np.isinf(gpre).any() and np.isnan(gpre).any()
+        expected = np.concatenate([((gpre * lin.mask) @ lin.features.T).ravel(),
+                                   (lin.act @ placed.T).ravel()])
+        assert lin.vjp(maps).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", ["finite", "nonfinite"])
+    @pytest.mark.parametrize("train_w1,projected", [(True, False), (False, False),
+                                                    (False, True)])
+    def test_inputs_are_not_written(self, values, train_w1, projected):
+        rng = np.random.default_rng(27)
+        filt, memory = random_problem(rng, kernel=3, n_samples=4)
+        if values == "nonfinite":
+            memory.features = nonfinite(rng, memory.features.shape)
+        features = memory.features[:, 0]
+        if projected:
+            project_memory(filt, memory)
+        arrays = {"features": features, "w1": filt.w1, "w2": filt.w2,
+                  **{name: getattr(memory, name) for name in
+                     ("features", "labels", "weights", "residuals")
+                     if getattr(memory, name) is not None}}
+        before = {name: a.tobytes() for name, a in arrays.items()}
+        online_forward(filt, project(filt, features))
+        solve_cg(filt, memory, n_iters=3, gn_steps=2, train_w1=train_w1)
+        assert {name: a.tobytes() for name, a in arrays.items()} == before
 
 
 class TestProjectedMemory:
