@@ -122,7 +122,7 @@ def residual_norm(attn_out: Tensor, xq: Tensor, ln: LayerNormWeights) -> Tensor:
 
 def ffn(x: Tensor, w: FfnWeights) -> Tensor:
     """layernorm(x + W2 relu(x W1 + b1) + b2)."""
-    hidden = T.relu(T.matmul(x, w.w1, bias=w.b1))
+    hidden = T.matmul(x, w.w1, bias=w.b1, relu=True)
     out = T.matmul(hidden, w.w2, bias=w.b2)
     return T.layernorm(T.add(x, out), w.norm.gain, w.norm.bias)
 

@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -55,6 +56,18 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's closing flush of a closed pipe stays silent."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):   # no stdout, or no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _onoff(value: str) -> bool:
@@ -317,12 +330,19 @@ def main(argv=None) -> int:
     prints one ``attntrack: error: ...`` line to stderr: status 2 for a
     rejected setting, 1 for unusable input (a malformed or missing file, a
     box or sequence the tracker cannot use), for training that diverged and
-    for an allocation that failed."""
+    for an allocation that failed. A reader that closes stdout early
+    (``attntrack eval ... | head -n 1``) ends the command with status 1 and
+    no message, as a SIGPIPE would; files already written stay."""
     parser = build_parser()
     args = parser.parse_args(argv)
     _keep_freed_memory()
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        _drop_stdout()
+        return 1
     except (ValueError, TrackingError, TrainingDivergence, OSError,
             MemoryError) as exc:
         print(f"{parser.prog}: error: {str(exc) or 'out of memory'}",

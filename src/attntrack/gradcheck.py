@@ -51,12 +51,18 @@ def check_matmul(rng) -> tuple[float, int]:
 
 
 def check_matmul_bias(rng) -> tuple[float, int]:
+    """A biased product, plain and rectified, sharing its operands."""
     a = _leaf(rng, 3, 4)
     b = _leaf(rng, 4, 2)
     bias = _leaf(rng, 2)
     r = rng.standard_normal((3, 2))
-    return finite_difference_check(
-        lambda: _projected(T.matmul(a, b, bias=bias), r), [a, b, bias])
+    r_relu = rng.standard_normal((3, 2))
+
+    def loss():
+        return T.add(_projected(T.matmul(a, b, bias=bias), r),
+                     _projected(T.matmul(a, b, bias=bias, relu=True), r_relu))
+
+    return finite_difference_check(loss, [a, b, bias])
 
 
 def check_conv2d(rng, batch: int = 1) -> tuple[float, int]:
@@ -68,20 +74,23 @@ def check_conv2d(rng, batch: int = 1) -> tuple[float, int]:
 
 
 def check_conv2d_bias(rng, batch: int = 1) -> tuple[float, int]:
-    """A 3x3 conv at stride 2 (padded) and stride 1, and a 1x1 conv, sharing
-    one bias, over a batch of ``batch`` inputs."""
+    """A 3x3 conv at stride 2 (padded), plain and rectified, a 3x3 conv at
+    stride 1 and a 1x1 conv, sharing one bias, over a batch of ``batch``
+    inputs."""
     x = _leaf(rng, batch, 2, 7, 7)
     k3 = _leaf(rng, 3, 2, 3, 3)
     k1 = _leaf(rng, 3, 2, 1, 1)
     bias = _leaf(rng, 3)
-    convs = [(k3, 2, 1), (k3, 1, 0), (k1, 1, 0)]
+    convs = [(k3, 2, 1, False), (k3, 1, 0, False), (k1, 1, 0, False),
+             (k3, 2, 1, True)]
     rs = [rng.standard_normal((batch, 3, 4, 4)), rng.standard_normal((batch, 3, 5, 5)),
-          rng.standard_normal((batch, 3, 7, 7))]
+          rng.standard_normal((batch, 3, 7, 7)), rng.standard_normal((batch, 3, 4, 4))]
 
     def loss():
-        terms = [_projected(T.conv2d(x, k, stride=s, padding=p, bias=bias), r)
-                 for (k, s, p), r in zip(convs, rs)]
-        return T.add(T.add(terms[0], terms[1]), terms[2])
+        terms = [_projected(T.conv2d(x, k, stride=s, padding=p, bias=bias,
+                                     relu=relu), r)
+                 for (k, s, p, relu), r in zip(convs, rs)]
+        return T.add(T.add(terms[0], terms[1]), T.add(terms[2], terms[3]))
 
     return finite_difference_check(loss, [x, k3, k1, bias])
 
@@ -159,8 +168,7 @@ def check_elementwise(rng) -> tuple[float, int]:
     r = rng.standard_normal((4, 4))
 
     def loss():
-        mix = T.add(T.mul(T.sigmoid(y), T.log(x)),
-                    T.mul(T.relu(y), T.power(x, 1.7)))
+        mix = T.add(T.mul(T.sigmoid(y), T.log(x)), T.power(x, 1.7))
         return _projected(T.add(mix, T.absolute(y)), r)
 
     return finite_difference_check(loss, [x, y])

@@ -96,9 +96,7 @@ def _run_stack(rows: Tensor, stack: HeadStack) -> Tensor:
     x = rows
     last = len(stack.conv) - 1
     for i, conv in enumerate(stack.conv):
-        x = T.conv1x1(x, conv.kernel, conv.bias)
-        if i < last:
-            x = T.relu(x)
+        x = T.conv1x1(x, conv.kernel, conv.bias, relu=i < last)
     return T.sigmoid(x)
 
 

@@ -52,7 +52,8 @@ def backbone_forward(patch: Tensor, weights: BackboneWeights) -> tuple[Tensor, T
     x = patch
     mid = None
     for i, (conv, stride) in enumerate(zip(weights.stage, weights.strides)):
-        x = T.relu(T.conv2d(x, conv.kernel, stride=stride, padding=1, bias=conv.bias))
+        x = T.conv2d(x, conv.kernel, stride=stride, padding=1, bias=conv.bias,
+                     relu=True)
         if i == 2:
             mid = x
     channel_last = T.transpose(x, (0, 2, 3, 1))

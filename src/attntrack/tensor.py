@@ -206,17 +206,6 @@ def power(a, exponent: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def relu(a) -> Tensor:
-    a = astensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (a.data > 0.0))
-
-    return _make(data, (a,), backward)
-
-
 # exp(-a) overflows for a below this
 _SIGMOID_FLOOR = -math.log(np.finfo(np.float64).max)
 
@@ -327,11 +316,15 @@ def take(a, index) -> Tensor:
 # -- linear algebra and structured ops ----------------------------------------
 
 
-def matmul(a, b, bias=None) -> Tensor:
-    """(M, K) @ (K, N), plus an optional (N,) ``bias`` added to every row.
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """(M, K) @ (K, N), plus an optional (N,) ``bias`` added to every row,
+    then, with ``relu``, max(., 0).
 
-    The bias is added in place on the fresh product, so a biased layer is
-    one tape node; its gradient is the column sums of the output gradient.
+    The bias and the relu are applied in place on the fresh product, so a
+    biased, rectified layer is one tape node that keeps one array; the bias
+    gradient is the column sums of the output gradient. The relu masks the
+    incoming gradient by ``out > 0``, which is ``in > 0`` for every input,
+    NaN, infinities and signed zeros included.
     """
     a, b = astensor(a), astensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -345,8 +338,12 @@ def matmul(a, b, bias=None) -> Tensor:
     data = a.data @ b.data
     if bias is not None:
         data += bias.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
 
     def backward(grad):
+        if relu:
+            grad = grad * (data > 0.0)
         if a.requires_grad:
             a._accumulate(grad @ b.data.T)
         if b.requires_grad:
@@ -414,19 +411,24 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     row sums, and only the blocks holding a query whose sum is below
     1e-200 or not finite (the bound sat more than about 460 above that
     query's largest logit, or an input is not finite) are redone with
-    their exact per-query max. One divide then gives the output. Off the
-    tape one block is live at a time; when the node is recorded for
-    backward, the (h*G, Nk/G, Nq/G) stack of normalised key-major maps is
-    kept. When ``maps`` is a list it gets a head-major (Nq/G, Nk/G) copy of
-    each map, transposed block by block as the blocks are made.
+    their exact per-query max. One divide then gives the output. One
+    block is live at a time, on the tape or off it: the recorded node keeps
+    no map, only ``[k, 1]``, ``[q^T; -b]``, ``[v^T; 1]``, the row sums and
+    which blocks were redone. When ``maps`` is a list it gets a head-major
+    (Nq/G, Nk/G) copy of each map, transposed block by block as the blocks
+    are made.
 
-    Backward takes the softmax row term from the output, rowsum(dO * O)
-    over (Nq, dh) rather than rowsum(dA * A) over the map, and gets
-    (dA - rowsum)^T from one GEMM, [v, 1] @ [dO, -rowsum]^T, key-major like
-    the kept maps. The softmax adjoint dS^T is built one (head, group)
-    stack at a time in one reused (Nk/G, Nq/G) buffer, and each stack's q
-    and k gradients are written before the next, so backward adds one
-    map's worth of memory to the kept stack, not another stack.
+    Backward recomputes each (head, group) map into one reused (Nk/G,
+    Nq/G) buffer, block by block with the forward's own operations (the
+    bound GEMM and ``exp``, or the exact-max redo where the forward took
+    it), and divides it by the row sums, so it holds the forward's map bit
+    for bit. The v gradient is read from it. The softmax row term comes
+    from the output, rowsum(dO * O) over (Nq, dh) rather than rowsum(dA *
+    A) over the map, so (dA - rowsum)^T is [v, 1] @ [dO, -rowsum]^T,
+    key-major like the map. It is taken in runs of keys smaller than a
+    block and multiplied into the buffer, which becomes the softmax
+    adjoint dS^T in place; each map's q and k gradients are written before
+    the next map is made. So backward holds one map and a fraction of one.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -472,22 +474,29 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     kmax, kmin = (box.transpose(1, 0, 2).reshape(stacks, dh)
                   for box in (runs.max(axis=1), runs.min(axis=1)))
 
-    record = _grad_enabled.get() and (q.requires_grad or k.requires_grad
-                                      or v.requires_grad)
     step = max(1, _ATTENTION_BLOCK_BYTES // (8 * nkg))     # query columns
     blocks = [slice(start, min(start + step, nqg)) for start in range(0, nqg, step)]
-    weights = np.empty((stacks, nkg, nqg) if record else nkg * min(step, nqg))
+    buffer = np.empty(nkg * min(step, nqg))
     # the sink's head-major maps, each block written while it is in cache
     sink = np.empty((stacks, nqg, nkg)) if maps is not None else None
     # [A^T v, rowsum A]^T: each head's unnormalised output over its row sums
     heads = np.empty((stacks, dh + 1, nqg))
     totals = heads[:, dh]
     bound = np.empty((2, stacks, dh, nqg))
+    # the (stack, block) pairs redone at their exact max, as backward redoes them
+    redone = np.zeros((stacks, len(blocks)), dtype=bool)
 
-    def block(s: int, cols: slice) -> Array:
-        if record:
-            return weights[s, :, cols]
-        return weights[:nkg * (cols.stop - cols.start)].reshape(nkg, -1)
+    def bounded_exp(s: int, cols: slice, a: Array) -> None:
+        np.matmul(ka[s], qt[s, :, cols], out=a)
+        np.exp(a, out=a)
+
+    def exact_exp(s: int, cols: slice, a: Array) -> None:
+        np.matmul(ka[s, :, :dh], qs[s, :, cols], out=a)
+        a -= a.max(axis=0)
+        np.exp(a, out=a)
+
+    def block(cols: slice) -> Array:
+        return buffer[:nkg * (cols.stop - cols.start)].reshape(nkg, -1)
 
     caller_errors = np.geterr()
     # the bound pass may overflow; its row sums catch that, and the blocks
@@ -500,9 +509,8 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
         np.negative(qt[:, dh], out=qt[:, dh])
         for s in range(stacks):
             for cols in blocks:
-                a = block(s, cols)
-                np.matmul(ka[s], qt[s, :, cols], out=a)
-                np.exp(a, out=a)
+                a = block(cols)
+                bounded_exp(s, cols, a)
                 np.matmul(vt[s], a, out=heads[s, :, cols])
                 if sink is not None:
                     sink[s, cols] = a.T
@@ -510,18 +518,15 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
             failed = ~((totals >= _ATTENTION_MIN_ROW_SUM) & (totals < np.inf))
             with np.errstate(**caller_errors):
                 for s in range(stacks):
-                    for cols in blocks:
+                    for j, cols in enumerate(blocks):
                         if not failed[s, cols].any():
                             continue
-                        a = block(s, cols)
-                        np.matmul(ka[s, :, :dh], qs[s, :, cols], out=a)
-                        a -= a.max(axis=0)
-                        np.exp(a, out=a)
+                        redone[s, j] = True
+                        a = block(cols)
+                        exact_exp(s, cols, a)
                         np.matmul(vt[s], a, out=heads[s, :, cols])
                         if sink is not None:
                             sink[s, cols] = a.T
-        if record:
-            weights /= totals[:, None]
         if sink is not None:
             sink /= totals[..., None]
             maps.extend(sink)
@@ -533,25 +538,47 @@ def multi_head_softmax_attention(q, k, v, n_heads: int,
     def backward(grad):
         # [dO, -rowsum(dO * O)]; its first dh columns are the heads of dO
         ga = widened(grad, nqg, 0.0)
-        if v.requires_grad:
-            v._accumulate(merge(np.matmul(weights, ga[..., :dh])))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
-                                 heads_of(data)).reshape(stacks, nqg)
+        adjoint = q.requires_grad or k.requires_grad
+        if adjoint:
+            ga[..., dh] = -np.einsum("hgid,hgid->hgi", heads_of(grad),
+                                     heads_of(data)).reshape(stacks, nqg)
         # softmax adjoint, key-major: dS^T = A^T * (dA - rowsum(dA * A))^T
         # with dA = dO V^T; rowsum(dA * A) = rowsum(dO * O), so the bracket
-        # is [v, 1] @ ga^T. One (head, group) stack of dS^T is live at a time.
-        ds = np.empty((nkg, nqg))
+        # is [v, 1] @ ga^T. Each (head, group) map is recomputed into one
+        # buffer, which becomes dS^T in place, so one map is live at a time.
+        amap = np.empty((nkg, nqg))
+        # the bracket is taken in runs of about a quarter block of keys,
+        # each a contiguous run of the buffer's rows; a last run of one key
+        # joins the run before it, since numpy takes a one-row product as a
+        # matrix-vector one, whose sums differ from the whole product's
+        keys = max(2, _ATTENTION_BLOCK_BYTES // (32 * nqg))
+        edges = list(range(0, nkg, keys)) + [nkg]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        runs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        bracket = np.empty(nqg * max(run.stop - run.start for run in runs))
         gq = np.empty((stacks, nqg, dh)) if q.requires_grad else None
         gk = np.empty((stacks, nkg, dh)) if k.requires_grad else None
+        gv = np.empty((stacks, nkg, dh)) if v.requires_grad else None
         for s in range(stacks):
-            np.matmul(vt[s].T, ga[s].T, out=ds)
-            ds *= weights[s]
+            for j, cols in enumerate(blocks):
+                (exact_exp if redone[s, j] else bounded_exp)(s, cols, amap[:, cols])
+            with np.errstate(over="ignore", invalid="ignore"):  # as the forward's
+                amap /= totals[s]
+            if gv is not None:
+                np.matmul(amap, ga[s, :, :dh], out=gv[s])
+            if not adjoint:
+                continue
+            for run in runs:
+                b = bracket[:nqg * (run.stop - run.start)].reshape(-1, nqg)
+                np.matmul(vt[s, :, run].T, ga[s].T, out=b)
+                amap[run] *= b
             if gq is not None:
-                np.matmul(ds.T, ka[s, :, :dh], out=gq[s])
+                np.matmul(amap.T, ka[s, :, :dh], out=gq[s])
             if gk is not None:
-                np.matmul(ds, qs[s].T, out=gk[s])
+                np.matmul(amap, qs[s].T, out=gk[s])
+        if gv is not None:
+            v._accumulate(merge(gv))
         if gq is not None:
             q._accumulate(merge(gq) * scale)
         if gk is not None:
@@ -600,9 +627,10 @@ class Conv:
     bias: Tensor
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
+           relu: bool = False) -> Tensor:
     """2-D cross-correlation of a (B,C,H,W) batch with an (O,C,kh,kw) kernel,
-    plus an optional (O,) ``bias``.
+    plus an optional (O,) ``bias``, then, with ``relu``, max(., 0).
 
     Both directions work by stride phases, and no im2col columns are built.
     Kernel tap ``u = s*a + r`` reads only padded-input rows of residue r mod
@@ -621,7 +649,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     end, and those multiply only the phases that hold real taps, so no
     output reads a pixel outside its window. The bias is added in place to
     the wide sum, so a biased layer is one tape node; its gradient is the
-    sums of the output gradient over everything but the channel.
+    sums of the output gradient over everything but the channel. The relu
+    is applied in place to the wide sum after the bias, junk included, so a
+    rectified layer keeps one array; it masks the incoming gradient by
+    ``out > 0``, as :func:`matmul` does.
 
     The kernel gradient is the same per-block products with the output
     gradient zero-extended over the junk positions, against the phase array
@@ -691,11 +722,15 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
             wide += prod
     if bias is not None:
         wide += bias.data[:, None]
+    if relu:
+        np.maximum(wide, 0.0, out=wide)
     data = wide.reshape(o, b, ph, pw)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
     inner = (slice(None), slice(None), slice(padding, padding + h),
              slice(padding, padding + w))
 
     def backward(grad):
+        if relu:
+            grad = grad * (data > 0.0)
         if kernel.requires_grad:
             # (B*ph*pw, O): of the layouts tried, the product of a phase
             # view with this one ran fastest
@@ -772,14 +807,15 @@ def _conv2d_input_grad(g: Array, kernel: Array, s: int) -> Array:
     return dpad
 
 
-def conv1x1(rows, kernel, bias=None) -> Tensor:
+def conv1x1(rows, kernel, bias=None, relu: bool = False) -> Tensor:
     """A 1x1 convolution over channel-last rows: (M, C) rows, an (O, C, 1, 1)
-    kernel and an optional (O,) bias give (M, O). The kernel keeps conv2d's
-    layout."""
+    kernel and an optional (O,) bias give (M, O), rectified in place with
+    ``relu`` as :func:`matmul` does. The kernel keeps conv2d's layout."""
     kernel = astensor(kernel)
     if kernel.ndim != 4 or kernel.shape[2:] != (1, 1):
         raise ShapeError(f"conv1x1 expects an (O,C,1,1) kernel, got {kernel.shape}")
-    return matmul(rows, transpose(reshape(kernel, kernel.shape[:2])), bias)
+    return matmul(rows, transpose(reshape(kernel, kernel.shape[:2])), bias,
+                  relu=relu)
 
 
 # -- parameters and checkpoints ------------------------------------------------

@@ -38,12 +38,18 @@ def _sole(x):
     return T.reshape(x, x.shape[1:])
 
 
+def _relu(x):
+    """max(x, 0) as a node of its own; clamp's mask, 0 < x < inf, is the
+    relu mask on finite inputs."""
+    return T.clamp(x, 0.0, np.inf)
+
+
 def per_sample_backbone(patch, weights):
     """(3, T, T) -> (h, w, d) tokens, one conv2d per stage and a 1x1 conv2d."""
     x = Tensor(patch[None])
     for conv, stride in zip(weights.stage, weights.strides):
-        x = T.relu(T.add(T.conv2d(x, conv.kernel, stride=stride, padding=1),
-                         _bias(conv.bias)))
+        x = _relu(T.add(T.conv2d(x, conv.kernel, stride=stride, padding=1),
+                        _bias(conv.bias)))
     out = T.add(T.conv2d(x, weights.reduce.kernel), _bias(weights.reduce.bias))
     return T.transpose(_sole(out), (1, 2, 0))
 
@@ -87,7 +93,7 @@ def per_sample_heads(decoded, heads):
         for i, conv in enumerate(stack.conv):
             x = T.add(T.conv2d(x, conv.kernel), _bias(conv.bias))
             if i < len(stack.conv) - 1:
-                x = T.relu(x)
+                x = _relu(x)
         maps.append(T.transpose(_sole(T.sigmoid(x)), (1, 2, 0)))
     return maps
 

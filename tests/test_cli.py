@@ -2,11 +2,15 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attntrack
 from attntrack import cli
 from attntrack.cli import main
 from attntrack.errors import TrainingDivergence
@@ -375,6 +379,49 @@ class TestEval:
         write_rect_file(pred, read_rect_file(truth)[:3])
         assert main(["eval", "--pred", pred, "--truth", truth]) == 1
         _one_error_line(capsys, "prediction/truth length mismatch: 3 vs 6")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -c 0``) is no error: the
+    command ends with status 1 and prints nothing, and what it wrote to
+    files stays."""
+
+    def run_into_closed_pipe(self, args, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:          # the print fails, not the closing flush
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(attntrack.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        read, write = os.pipe()
+        os.close(read)          # closed before the command writes anything
+        try:
+            return subprocess.run([sys.executable, "-m", "attntrack.cli", *args],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=300)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_synth(self, tmp_path, unbuffered):
+        seq = tmp_path / "seq"
+        done = self.run_into_closed_pipe(
+            ["synth", "--out", str(seq), "--frames", "2", "--image-size", "48"],
+            unbuffered)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert len(load_sequence(str(seq))[0]) == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_eval(self, workspace, tmp_path, unbuffered):
+        _, seq, _ = workspace
+        truth = os.path.join(seq, "groundtruth_rect.txt")
+        out = tmp_path / "metrics.json"
+        done = self.run_into_closed_pipe(
+            ["eval", "--pred", truth, "--truth", truth, "--out", str(out)],
+            unbuffered)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert json.loads(out.read_text())["mean_iou"] == 1.0
 
 
 class TestDumps:

@@ -124,6 +124,20 @@ def scatter_conv2d(x, kernel, grad, stride=1, padding=0, bias=None):
     return out + bias[:, None, None], dx, dk, grad.sum(axis=(0, 2, 3))
 
 
+def relu(a) -> Tensor:
+    """max(a, 0) as a tape node of its own, masking the gradient by a > 0:
+    the layers' relu before it fused into the conv or matmul that makes
+    its input, kept as the oracle of the fused form."""
+    a = T.astensor(a)
+    data = np.maximum(a.data, 0.0)
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * (a.data > 0.0))
+
+    return T._make(data, (a,), backward)
+
+
 def assert_relative(actual, expected, tol=1e-12):
     assert actual.shape == expected.shape
     assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
@@ -235,6 +249,103 @@ class TestMatmul:
         with pytest.raises(ShapeError, match="bias"):
             T.matmul(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))),
                      bias=Tensor(np.ones(shape)))
+
+
+# pre-activation values whose relu gradient is easy to get wrong
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+
+def assert_fused_relu_matches(op, leaves, rng):
+    """``op(*leaves, relu=True)`` against ``relu(op(*leaves))`` under one
+    random output gradient: the output and every leaf gradient, bit for
+    bit. Returns the unfused pre-activations."""
+    results, grad = [], None
+    with np.errstate(all="ignore"):         # NaN and inf run through the GEMMs
+        for fused in (True, False):
+            for t in leaves:
+                t.zero_grad()
+            pre = None if fused else op(*leaves)
+            out = op(*leaves, relu=True) if fused else relu(pre)
+            if grad is None:
+                grad = rng.standard_normal(out.shape)
+            T.tensor_sum(T.mul(out, grad)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+    for got, expected in zip(*results):
+        assert got.shape == expected.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    return pre.data
+
+
+def assert_holds_specials(pre):
+    assert np.isnan(pre).any() and np.isposinf(pre).any() and np.isneginf(pre).any()
+    assert (pre == 0.0).any() and (pre > 0.0).any() and (pre < 0.0).any()
+
+
+class TestFusedRelu:
+    """``relu=True`` on conv2d, matmul and conv1x1 is ``relu`` of the unfused
+    op: the value and the input, weight or kernel and bias gradients."""
+
+    def test_mask_of_the_output_is_the_mask_of_the_input(self):
+        # the fused backward masks by out > 0 where out = max(in, 0); a GEMM
+        # sums from +0.0, so -0.0 reaches this only through the bias
+        pre = np.concatenate([SPECIALS, [-1e-300, 1e-300, -2.0, 3.0]])
+        out = np.maximum(pre, 0.0)
+        assert np.array_equal(out > 0.0, pre > 0.0)
+
+    # no bias; -0.0 and zeros in the bias; NaN and infinities in it
+    @pytest.mark.parametrize("bias", [None, [-0.0, 0.0, 0.5, -0.25, 1.0],
+                                      list(SPECIALS)])
+    def test_matmul(self, bias):
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((7, 3))
+        a[0, 0], a[1] = np.nan, 0.0         # a NaN row and an exact-zero row
+        b = rng.standard_normal((3, 5))
+        b[0, 1], b[0, 2] = np.inf, -np.inf  # infinite columns, NaN at a zero
+        leaves = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)]
+        if bias is not None:
+            leaves.append(Tensor(np.array(bias), requires_grad=True))
+        pre = assert_fused_relu_matches(
+            lambda a, b, *bias, relu=False: T.matmul(a, b, *bias, relu=relu),
+            leaves, rng)
+        assert_holds_specials(pre)
+
+    def test_conv1x1(self):
+        rng = np.random.default_rng(42)
+        rows = rng.standard_normal((6, 3))
+        rows[0, 1], rows[1, 2], rows[2] = np.inf, np.nan, 0.0
+        kernel = rng.standard_normal((5, 3, 1, 1))
+        leaves = [Tensor(rows, requires_grad=True), Tensor(kernel, requires_grad=True),
+                  Tensor(np.concatenate([SPECIALS[3:], [0.1, -0.1, 2.0]]),
+                         requires_grad=True)]
+        pre = assert_fused_relu_matches(
+            lambda r, k, bias, relu=False: T.conv1x1(r, k, bias, relu=relu),
+            leaves, rng)
+        assert_holds_specials(pre)
+
+    # (B, C, O, kh, kw, H, W, stride, padding): the backbone's 4x4 stride-2
+    # and 3x3 stride-1 stages, and a kernel that is not a stride multiple
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("geometry", [
+        (2, 3, 5, 4, 4, 16, 16, 2, 1), (2, 4, 5, 3, 3, 8, 8, 1, 1),
+        (3, 2, 5, 3, 3, 9, 7, 2, 1),
+    ])
+    def test_conv2d(self, geometry, biased):
+        b, c, o, kh, kw, h, w, stride, padding = geometry
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((b, c, h, w))
+        x[0, 0, 1, 1], x[0, 1, h - 2, w - 2] = np.inf, -np.inf
+        x[0, 0, h // 2, 1] = np.nan
+        x[-1] = 0.0                          # a blank sample: exact zeros
+        leaves = [Tensor(x, requires_grad=True),
+                  Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)]
+        if biased:
+            leaves.append(Tensor(np.array([-0.0, 0.0, 0.3, -0.3, 1.0]),
+                                 requires_grad=True))
+        pre = assert_fused_relu_matches(
+            lambda x, k, bias=None, relu=False: T.conv2d(
+                x, k, stride=stride, padding=padding, bias=bias, relu=relu),
+            leaves, rng)
+        assert_holds_specials(pre)
 
 
 class TestSigmoid:
@@ -532,7 +643,10 @@ class TestConv2d:
 
 
 TAPE_OPS = {
-    "relu": T.relu, "sigmoid": T.sigmoid, "absolute": T.absolute,
+    # a fused relu's backward reads the output array, not the output tensor
+    "relu": lambda x: T.conv2d(T.reshape(T.matmul(x, x, relu=True), (1, 1, 3, 3)),
+                               np.ones((1, 1, 2, 2)), relu=True),
+    "sigmoid": T.sigmoid, "absolute": T.absolute,
     "clamp": lambda x: T.clamp(x, -0.5, 0.5), "transpose": T.transpose,
     "take": lambda x: T.take(x, 1), "matmul": lambda x: T.matmul(x, x),
     "softmax_rows": T.softmax_rows,
@@ -621,7 +735,7 @@ class TestBackward:
         assert np.array_equal(x.grad, [8.0, 8.0])
 
     @pytest.mark.parametrize("op, inside", [
-        (T.relu, lambda x: x > 0.0),
+        (relu, lambda x: x > 0.0),
         (lambda x: T.clamp(x, -0.5, 0.5), lambda x: (x > -0.5) & (x < 0.5)),
     ])
     def test_mask_gradients_are_exact_and_keep_nan(self, op, inside):

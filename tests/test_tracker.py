@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -812,6 +813,27 @@ class TestTrainToy:
         with pytest.raises(ConfigurationError,
                            match=f"{field} must be at least 1, got {value}"):
             TrainSettings(**{field: value})
+
+    def test_one_step_tape_peak(self, toy_world):
+        # a 64/128 step at batch 2 peaked at 23.5 MB while attention kept
+        # its maps for backward and each relu a copy of its input; with the
+        # maps recomputed and the relus fused it peaks at about 16 MB
+        frames, boxes, config, _ = toy_world
+        model = build_model(np.random.default_rng(0), config)
+        template = crop_template(frames[0], boxes[0], config.template_size)
+        optimizer = Adam(T.parameters(model), lr=1e-3)
+        rng = np.random.default_rng(0)
+        settings = TrainSettings(batch_size=2)
+        train_mod.train_step(model, config, template, frames, boxes,
+                             optimizer, rng, settings, 0)
+        tracemalloc.start()
+        try:
+            train_mod.train_step(model, config, template, frames, boxes,
+                                 optimizer, rng, settings, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6
 
     def test_one_step_tape_alive_at_a_time(self, toy_world, monkeypatch):
         # with the cyclic collector off, only reference counts free a step's
