@@ -9,20 +9,26 @@ equations with conjugate gradient, started from zero so its first
 residual is the right-hand side and costs no product. A backtracking
 acceptance step keeps the squared-error objective non-increasing.
 
-The tracker fits both layers jointly on the first frame, then refits only
-w2 once per tracked frame. With w1 frozen the residuals are linear in w2,
-so a frame's update is one linear least-squares problem solved by CG: its
-Jacobian products skip the w1 GEMMs and its full CG step is accepted (CG
+The tracker never fits w1: it takes the fixed mixing w1 = [P; -P] of
+``hadamard_mixing``, as ECO and ATOM start their projection from a fixed
+basis. Since relu(x) - relu(-x) = x, the hidden layer relu(w1 F) keeps
+all of P F. P = I would leave the -P half dead, as the backbone's
+mid-level tap comes after a relu; a PCA basis would be a data-dependent
+fit again, and its eigensolver pages in LAPACK for one call. With w1
+fixed the residuals are linear in w2, so init and every frame fit w2
+alone: one linear least-squares problem solved by CG, whose Jacobian
+products skip the w1 GEMMs and whose full CG step is accepted (CG
 iterates lower a quadratic). The filter's shape and ridge, the memory's
-rate and the CG iteration counts are constants of the method, as in ATOM.
+rate and the CG iteration counts are constants of the method, as in
+ATOM. The joint w1/w2 solve, from a random ``init_online_filter``, is
+kept as the general Gauss-Newton solver that the CG criteria test.
 
-Until the init fit the memory holds each sample's backbone features, so a
-solve can move w1. ``project_memory`` then swaps them, as ATOM does, for
-their projection relu(w1 F) under the fitted w1, and records each
-sample's residual at the filter. From there on a frame's sample enters
-the memory projected, with its residual, and a w2 solve reads both as
-they are: it starts from the residuals the last accepted solve left, and
-runs the hidden layer for no stored sample.
+``project_memory`` swaps a memory's backbone features, as ATOM does, for
+their projection relu(w1 F), and records each sample's residual at the
+filter. From there on a sample enters the memory projected, with its
+residual, and a w2 solve reads both as they are: it starts from the
+residuals the last accepted solve left, and runs the hidden layer for no
+stored sample.
 
 The memory holds its samples stacked as the solver reads them, so a
 solve copies none of them, and each filter the solve visits runs forward
@@ -44,7 +50,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import xavier_uniform
 
-HIDDEN, KERNEL, RIDGE = 64, 4, 1e-2     # filter channels, k, ridge
+HIDDEN, KERNEL, RIDGE = 64, 4, 1e-2     # most filter channels, k, ridge
 # a new sample's weight: 0.1 a frame follows appearance drift, while slower
 # rates anchor the filter to the first frame and drag the blend behind it
 MEMORY_LR = 0.1
@@ -104,6 +110,24 @@ class CgUpdate:
     degraded: bool = False
     # the new filter's residual maps on the memory; None when degraded
     residuals: np.ndarray | None = None
+
+
+def hadamard_mixing(c_in: int) -> np.ndarray:
+    """The tracker's fixed hidden layer w1 = [P; -P]: (2 r, c_in, 1, 1).
+
+    P is the first r rows and c_in columns of the Sylvester-Hadamard
+    matrix of size m, the smallest power of two >= c_in, divided by
+    sqrt(m), with r = min(m, HIDDEN / 2). Up to c_in = HIDDEN / 2 its
+    columns are orthonormal. Past that, P reduces to HIDDEN / 2 rows: a
+    top row of Sylvester's matrix repeats every HIDDEN / 2 columns, so
+    input channel j folds onto channel j mod HIDDEN / 2 before the mixing.
+    """
+    m = 1 << (c_in - 1).bit_length()
+    sylvester = np.ones((1, 1))
+    while len(sylvester) < m:
+        sylvester = np.kron([[1.0, 1.0], [1.0, -1.0]], sylvester)
+    p = sylvester[:HIDDEN // 2, :c_in] / np.sqrt(m)
+    return np.concatenate([p, -p])[:, :, None, None]
 
 
 def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int,

@@ -3,8 +3,8 @@
 Frames are deterministic functions of the seed and the spec. The target
 carries its own texture tile (stretched to the current box), so its
 appearance is stable as it translates and rescales; an optional
-distractor rectangle and a late multiplicative brightness drift provide
-controlled nuisance factors.
+distractor rectangle, a late multiplicative brightness drift and a late
+change of the target's texture provide controlled nuisance factors.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ class SequenceSpec:
     distractor_velocity: tuple[float, float] = (-1.0, -0.8)
     brightness_drift: float = 0.0                      # total drop by final frame
     drift_start: float = 0.5                           # fraction of sequence
+    # the target's tile blends linearly towards a second tile, reaching
+    # this weight on the final frame; 0 draws no second tile
+    appearance_change: float = 0.0
+    change_start: float = 0.5                          # fraction of sequence
     texture_cells: int = 7
     # fine static grain keeps background positions distinguishable even
     # after frames round-trip through 8-bit files
@@ -39,7 +43,8 @@ class SequenceSpec:
         if not all(side >= 1 for side in self.image_size):
             raise ConfigurationError(
                 f"image_size sides must be at least 1, got {self.image_size}")
-        for name in ("brightness_drift", "drift_start"):
+        for name in ("brightness_drift", "drift_start", "appearance_change",
+                     "change_start"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -79,6 +84,11 @@ def _paint_rect(canvas: np.ndarray, box: BoundingBox, tile: np.ndarray) -> None:
     canvas[:, cy0:cy1, cx0:cx1] = tile[:, ys][:, :, xs]
 
 
+def _ramp(t: int, start: float, n_frames: int) -> float:
+    """0 at frame ``start``, rising linearly to 1 on the final frame."""
+    return (t - start) / max(n_frames - 1 - start, 1e-9)
+
+
 def generate_synthetic_sequence(seed: int, n_frames: int,
                                 spec: SequenceSpec | None = None
                                 ) -> tuple[list[Frame], list[BoundingBox]]:
@@ -96,11 +106,16 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
                                               background.shape)
     target_tile = rng.uniform(0.0, 1.0, size=(3, 6, 6))
     distractor_tile = rng.uniform(0.0, 1.0, size=(3, 6, 6))
+    # drawn after every other draw, and only when used, so a sequence
+    # without the change is the one the same seed gave before it existed
+    if spec.appearance_change > 0.0:
+        changed_tile = rng.uniform(0.0, 1.0, size=(3, 6, 6))
 
     frames, boxes = [], []
     cx, cy, w, h = spec.start_box
     dx0, dy0, dw, dh = spec.distractor_start
     drift_from = spec.drift_start * (n_frames - 1)
+    change_from = spec.change_start * (n_frames - 1)
     for t in range(n_frames):
         canvas = background.copy()
         if spec.distractor:
@@ -110,10 +125,14 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
         scale = (1.0 + spec.size_rate) ** t
         box = BoundingBox(cx + t * spec.velocity[0], cy + t * spec.velocity[1],
                           w * scale, h * scale)
-        _paint_rect(canvas, box, target_tile)
-        if spec.brightness_drift > 0.0 and n_frames > 1 and t > drift_from:
-            frac = (t - drift_from) / max(n_frames - 1 - drift_from, 1e-9)
-            canvas = canvas * (1.0 - spec.brightness_drift * frac)
+        tile = target_tile
+        if spec.appearance_change > 0.0 and t > change_from:
+            mix = spec.appearance_change * _ramp(t, change_from, n_frames)
+            tile = (1.0 - mix) * target_tile + mix * changed_tile
+        _paint_rect(canvas, box, tile)
+        if spec.brightness_drift > 0.0 and t > drift_from:
+            canvas = canvas * (1.0 - spec.brightness_drift
+                               * _ramp(t, drift_from, n_frames))
         frames.append(Frame(pixels=np.clip(canvas, 0.0, 1.0), index=t))
         boxes.append(box)
     return frames, boxes

@@ -15,15 +15,16 @@ patch around the last box, decodes it as a batch of one, and maps the
 decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
-mid-level features. ``Tracker.init`` fits both layers of its filter with
-``online_init_gn_steps`` joint Gauss-Newton/CG steps over the init samples'
-features, then projects the memory: it keeps each sample's hidden
-activations relu(w1 F) under the fitted w1, and its residual at the
-filter, in place of its features. Each tracked frame runs the hidden layer
-once: those activations give the frame's online map and are the sample it
-adds, with its residual read off the unclipped online map. The frame then
-refits only the score filter w2 with one linear CG solve, which leaves the
-memory the residuals at the new filter; w1 keeps its init fit.
+mid-level features. Its hidden layer w1 is the fixed Hadamard mixing of
+``online.hadamard_mixing``, never fitted. ``Tracker.init`` projects the
+init samples under it with w2 = 0: the memory keeps each sample's hidden
+activations relu(w1 F), and its residual, minus its label, in place of
+its features. One w2-only solve of ``online_init_gn_steps`` Gauss-Newton/CG
+steps then fits the score filter w2. Each tracked frame runs the hidden
+layer once: those activations give the frame's online map and are the
+sample it adds, with its residual read off the unclipped online map. The
+frame then refits w2 with one linear CG solve. Every solve leaves the
+memory the residuals at the new filter.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from ..localize import (STRIDE, BoundingBox, CosineWindow, HeadMaps,
                         heads_forward, init_head_weights, make_cosine_window,
                         peak_cell, smooth_size)
 from ..loss import adaptive_sigma, gaussian_label
-from ..online import (FRAME_CG_ITERS, HIDDEN, INIT_CG_ITERS, KERNEL,
-                      MEMORY_LR, RIDGE, OnlineFilter, TrainingMemory, blend,
-                      init_online_filter, online_forward, project,
+from ..online import (FRAME_CG_ITERS, INIT_CG_ITERS, KERNEL, MEMORY_LR,
+                      RIDGE, OnlineFilter, TrainingMemory, blend,
+                      hadamard_mixing, online_forward, project,
                       project_memory, solve_cg, update_memory)
 from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
 from ..transformer import (AttentionTrace, TransformerWeights,
@@ -71,7 +72,7 @@ class TrackerConfig:
     online: bool = False
     pe_mask: bool = True
     memory_capacity: int = 50
-    # Gauss-Newton steps of the joint init fit; the rest is in online.py
+    # Gauss-Newton steps of the init's w2 solve; the rest is in online.py
     online_init_gn_steps: int = 10
 
     def __post_init__(self):
@@ -307,8 +308,9 @@ class Tracker:
 
     def _init_online(self, frame: Frame, box: BoundingBox) -> None:
         cfg = self.config
-        self.state.online_filter = init_online_filter(
-            np.random.default_rng(0), cfg.c_mid, HIDDEN, KERNEL, RIDGE)
+        w1 = hadamard_mixing(cfg.c_mid)
+        self.state.online_filter = OnlineFilter(
+            w1, np.zeros((1, len(w1), KERNEL, KERNEL)), RIDGE)
         self.state.online_memory = TrainingMemory(cfg.memory_capacity)
 
         shift_patch = cfg.search_size / 8.0
@@ -330,12 +332,9 @@ class Tracker:
                     center_patch, (box.w / crop.scale, box.h / crop.scale),
                     mid.shape[-1])
                 update_memory(self.state.online_memory, mid, label, MEMORY_LR)
-        result = solve_cg(self.state.online_filter, self.state.online_memory,
-                          n_iters=INIT_CG_ITERS,
-                          gn_steps=cfg.online_init_gn_steps)
-        if not result.degraded:
-            self.state.online_filter = result.filter
+        # with w2 = 0 each sample's residual is minus its label
         project_memory(self.state.online_filter, self.state.online_memory)
+        self._fit_w2(INIT_CG_ITERS, cfg.online_init_gn_steps)
 
     # -- per-frame update ----------------------------------------------------
 
@@ -423,8 +422,14 @@ class Tracker:
         update_memory(state.online_memory, hidden, label, MEMORY_LR,
                       residual=online_score - label)
         # w2 alone is linear: one Gauss-Newton step is one CG solve
+        self._fit_w2(FRAME_CG_ITERS, 1)
+
+    def _fit_w2(self, n_iters: int, gn_steps: int) -> None:
+        """Refit w2 on the projected memory, keeping the input filter and
+        the memory's residuals when the solve degrades."""
+        state = self.state
         result = solve_cg(state.online_filter, state.online_memory,
-                          n_iters=FRAME_CG_ITERS, gn_steps=1, train_w1=False)
+                          n_iters=n_iters, gn_steps=gn_steps, train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
             state.online_memory.residuals = result.residuals

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from attntrack.cli import main
-from attntrack.localize import decode_center, decode_size
+from attntrack.localize import decode_center, decode_size, peak_cell
 from attntrack.loss import focal_loss, gaussian_label
 from attntrack.online import (blend, init_online_filter, solve_cg,
                               update_memory, TrainingMemory)
@@ -237,6 +237,46 @@ def test_criterion_6_online_plugin_delta(trained):
            f"vs offline {offline.mean_iou:.3f} (delta "
            f"{online.mean_iou - offline.mean_iou:+.4f} >= -0.01), branch "
            f"exercised on every frame")
+
+
+# the online branch's test scenario: the target's texture turns into a
+# second tile from a given fraction of the sequence on
+CHANGE_STARTS = (0.2, 0.3, 0.4, 0.5)
+# measured: online beats offline by 0.023-0.045 mean IoU at every start,
+# with w1 fitted jointly at init and with the fixed mixing alike; the
+# margin leaves room for the rounding the init solve amplifies
+ONLINE_MARGIN = 0.01
+
+
+@pytest.fixture(scope="module")
+def appearance_change_runs(trained):
+    """Per change start: offline mean IoU, online mean IoU, and whether
+    blending moved the peak cell, per tracked frame."""
+    _, _, config, model, _, _ = trained
+    runs = {}
+    for start in CHANGE_STARTS:
+        spec = SequenceSpec(appearance_change=1.0, change_start=start)
+        frames, boxes = generate_synthetic_sequence(0, 20, spec)
+        offline = evaluate(track_sequence(model, config, frames, boxes[0]), boxes)
+        tracker = Tracker(model, dataclasses.replace(config, online=True))
+        tracker.init(frames[0], boxes[0])
+        pred, moved = [boxes[0]], []
+        for frame in frames[1:]:
+            box, diag = tracker.track(frame)
+            pred.append(box)
+            moved.append(peak_cell(diag.blended_map) != peak_cell(diag.windowed_map))
+        runs[start] = (offline.mean_iou, evaluate(pred, boxes).mean_iou, moved)
+    return runs
+
+
+def test_online_branch_follows_an_appearance_change(appearance_change_runs):
+    for start, (offline, online, _) in appearance_change_runs.items():
+        print(f"change from {start}: offline {offline:.3f}, online {online:.3f}")
+        assert online >= offline + ONLINE_MARGIN, start
+
+
+def test_blending_moves_the_peak_on_an_appearance_change(appearance_change_runs):
+    assert any(any(moved) for _, _, moved in appearance_change_runs.values())
 
 
 def test_criterion_7_config_parity():

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -564,6 +567,54 @@ class TestSynthetic:
         frames, _ = generate_synthetic_sequence(0, 10, spec)
         assert frames[-1].pixels.mean() < frames[0].pixels.mean() * 0.75
 
+    # sha256 of 12 seed-0 frames' pixels, then their boxes, as rendered
+    # before the appearance change existed
+    @pytest.mark.parametrize("spec,digest", [
+        (SequenceSpec(),
+         "752f7366a6d7cec09fedf6b07cccc144d27101b569b8e2cf86b29e1aef3a777b"),
+        (SequenceSpec(brightness_drift=0.35),
+         "f49cf37705e22d2b7bb1239a95d681353e1024c8d8c008d25582d8e89e7814d1"),
+        (SequenceSpec(distractor=True),
+         "2499e7d0bae1761b13327a7836dbb63a11235b0eeca1557285df74b3563bb20b")],
+        ids=["default", "drift", "distractor"])
+    def test_existing_specs_render_the_same_bytes(self, spec, digest):
+        frames, boxes = generate_synthetic_sequence(0, 12, spec)
+        sha = hashlib.sha256()
+        for frame in frames:
+            sha.update(np.ascontiguousarray(frame.pixels).tobytes())
+        sha.update(np.array([[b.cx, b.cy, b.w, b.h] for b in boxes]).tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_appearance_change_blends_towards_a_second_tile(self):
+        still = SequenceSpec(velocity=(0.0, 0.0), background_noise=0.0)
+        changed = dataclasses.replace(still, appearance_change=1.0,
+                                      change_start=0.4)
+        before, boxes = generate_synthetic_sequence(5, 11, still)
+        after, _ = generate_synthetic_sequence(5, 11, changed)
+        b = boxes[0]
+        inside = (slice(None), slice(int(b.cy - b.h / 2) + 1, int(b.cy + b.h / 2) - 1),
+                  slice(int(b.cx - b.w / 2) + 1, int(b.cx + b.w / 2) - 1))
+        # frames up to the start are untouched; later ones differ inside
+        # the box only, more with every frame
+        moved = [np.abs(x.pixels - y.pixels)[inside].mean()
+                 for x, y in zip(before, after)]
+        assert moved[:5] == [0.0] * 5 and all(
+            0.0 < m < n for m, n in zip(moved[5:], moved[6:]))
+        painted = (slice(None), slice(round(b.cy - b.h / 2), round(b.cy + b.h / 2)),
+                   slice(round(b.cx - b.w / 2), round(b.cx + b.w / 2)))
+        for x, y in zip(before, after):
+            outside = x.pixels != y.pixels
+            outside[painted] = False
+            assert not outside.any()
+        # the final frame shows the second tile alone: a half-way blend
+        # sits half-way between the two tiles' frames
+        half = dataclasses.replace(changed, appearance_change=0.5)
+        mid, _ = generate_synthetic_sequence(5, 11, half)
+        np.testing.assert_allclose(
+            mid[-1].pixels[inside],
+            0.5 * (before[-1].pixels[inside] + after[-1].pixels[inside]),
+            rtol=0, atol=1e-15)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_synthetic_sequence(0, 0)
@@ -572,7 +623,9 @@ class TestSynthetic:
         ("image_size", (0, 112)), ("image_size", (112, -3)),
         ("brightness_drift", float("nan")),      # used to render no drift
         ("brightness_drift", 1.5), ("brightness_drift", -0.2),
-        ("drift_start", float("nan")), ("drift_start", 2.0)])
+        ("drift_start", float("nan")), ("drift_start", 2.0),
+        ("appearance_change", float("nan")), ("appearance_change", 1.5),
+        ("change_start", -0.1)])
     def test_bad_spec_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             SequenceSpec(**{field: value})

@@ -153,27 +153,57 @@ def test_two_cell_search_grid_tracks(toy_world):
 
 
 class TestOnlineSchedule:
-    def test_init_fits_both_layers_and_frames_refit_only_w2(self, toy_world):
+    def test_w1_is_the_mixing_and_frames_refit_only_w2(self, toy_world):
         frames, boxes, config, model = toy_world
         config = dataclasses.replace(config, online=True)
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
-        untrained = init_online_filter(np.random.default_rng(0), config.c_mid,
-                                       online_mod.HIDDEN, online_mod.KERNEL,
-                                       online_mod.RIDGE)
-        assert not np.array_equal(state.online_filter.w1, untrained.w1)
-        w1 = state.online_filter.w1.copy()
+        w1 = online_mod.hadamard_mixing(config.c_mid)
+        assert state.online_filter.w1.shape == (online_mod.HIDDEN, config.c_mid, 1, 1)
+        assert np.array_equal(state.online_filter.w1, w1)
+        assert np.any(state.online_filter.w2 != 0.0)
         for frame in frames[1:]:
             w2 = state.online_filter.w2.copy()
             tracker.track(frame)
             assert np.array_equal(state.online_filter.w1, w1)
             assert not np.array_equal(state.online_filter.w2, w2)
 
+    def test_init_solves_for_w2_alone_on_the_projected_memory(self, toy_world,
+                                                               monkeypatch):
+        frames, boxes, config, model = toy_world
+        config = dataclasses.replace(config, online=True)
+        calls = []
+
+        def recording_solve(filt, memory, **kwargs):
+            calls.append((memory.projected, kwargs))
+            return solve_cg(filt, memory, **kwargs)
+
+        monkeypatch.setattr(tracker_mod, "solve_cg", recording_solve)
+        Tracker(model, config).init(frames[0], boxes[0])
+        assert calls == [(True, {"n_iters": online_mod.INIT_CG_ITERS,
+                                 "gn_steps": config.online_init_gn_steps,
+                                 "train_w1": False})]
+
+    def test_c_mid_past_half_the_hidden_width_tracks(self):
+        # the mixing folds 48 channels onto HIDDEN / 2 = 32 rows
+        frames, boxes = generate_synthetic_sequence(0, 5, SequenceSpec())
+        config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
+                               c_mid=48, online=True)
+        tracker = Tracker(build_model(np.random.default_rng(0), config), config)
+        state = tracker.init(frames[0], boxes[0])
+        assert state.online_filter.w1.shape == (online_mod.HIDDEN, 48, 1, 1)
+        assert state.online_memory.features.shape[0] == online_mod.HIDDEN
+        for frame in frames[1:]:
+            _, diag = tracker.track(frame)
+            assert not diag.lost and np.all(np.isfinite(diag.online_map))
+        assert np.all(np.isfinite(state.online_filter.w2))
+
 
 class FeatureMemoryTracker(Tracker):
     """The online rule over a memory of backbone features, kept as an
-    oracle: every frame runs relu(w1 F) and the residuals over the whole
-    memory again, through ``solve_cg(..., train_w1=False)``."""
+    oracle: the init's w2 solve and every frame's run relu(w1 F) and the
+    residuals over the whole memory again, through
+    ``solve_cg(..., train_w1=False)``."""
 
     def _init_online(self, frame, box):
         with pytest.MonkeyPatch.context() as m:
@@ -181,12 +211,16 @@ class FeatureMemoryTracker(Tracker):
             super()._init_online(frame, box)
 
     def _online_step(self, mid, online_score, center_patch, size_patch):
-        state = self.state
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, mid, label, online_mod.MEMORY_LR)
-        result = tracker_mod.solve_cg(
-            state.online_filter, state.online_memory,
-            n_iters=online_mod.FRAME_CG_ITERS, gn_steps=1, train_w1=False)
+        update_memory(self.state.online_memory, mid, label, online_mod.MEMORY_LR)
+        self._fit_w2(online_mod.FRAME_CG_ITERS, 1)
+
+    def _fit_w2(self, n_iters, gn_steps):
+        # a feature memory carries no residuals
+        state = self.state
+        result = tracker_mod.solve_cg(state.online_filter, state.online_memory,
+                                      n_iters=n_iters, gn_steps=gn_steps,
+                                      train_w1=False)
         if not result.degraded:
             state.online_filter = result.filter
 
@@ -440,7 +474,7 @@ class TestPluginProperty:
             raise AssertionError("online path invoked in offline mode")
 
         for name in ("online_forward", "solve_cg", "update_memory", "blend",
-                     "init_online_filter", "project", "project_memory"):
+                     "hadamard_mixing", "project", "project_memory"):
             monkeypatch.setattr(tracker_mod, name, boom)
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
