@@ -54,7 +54,14 @@ HIDDEN, KERNEL, RIDGE = 64, 4, 1e-2     # most filter channels, k, ridge
 # a new sample's weight: 0.1 a frame follows appearance drift, while slower
 # rates anchor the filter to the first frame and drag the blend behind it
 MEMORY_LR = 0.1
-INIT_CG_ITERS, FRAME_CG_ITERS = 10, 5   # per init GN step; per frame solve
+# CG iterations of the init's w2 solve and of each frame's refit. With w1
+# fixed the init's fit is linear, so it is one unbroken CG run: restarting
+# CG every 10 iterations throws its Krylov space away. 50 is the smallest
+# multiple of 10 whose final objective was never above ten restarted runs
+# of 10 on the init memories tested. The init solve takes about 11 ms at
+# 64/128 and 46 ms at 127/255 (one core, one BLAS thread; 23 and 100 ms
+# restarted)
+INIT_CG_ITERS, FRAME_CG_ITERS = 50, 5
 
 
 @dataclass

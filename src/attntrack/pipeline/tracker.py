@@ -19,8 +19,10 @@ mid-level features. Its hidden layer w1 is the fixed Hadamard mixing of
 ``online.hadamard_mixing``, never fitted. ``Tracker.init`` projects the
 init samples under it with w2 = 0: the memory keeps each sample's hidden
 activations relu(w1 F), and its residual, minus its label, in place of
-its features. One w2-only solve of ``online_init_gn_steps`` Gauss-Newton/CG
-steps then fits the score filter w2. Each tracked frame runs the hidden
+its features. One w2-only solve then fits the score filter w2. The fit is
+linear in w2, so it is one unbroken run of ``online.INIT_CG_ITERS`` CG
+iterations (``online_init_gn_steps`` = 1): more Gauss-Newton steps would
+restart CG from a fresh Krylov space. Each tracked frame runs the hidden
 layer once: those activations give the frame's online map and are the
 sample it adds, with its residual read off the unclipped online map. The
 frame then refits w2 with one linear CG solve. Every solve leaves the
@@ -72,8 +74,10 @@ class TrackerConfig:
     online: bool = False
     pe_mask: bool = True
     memory_capacity: int = 50
-    # Gauss-Newton steps of the init's w2 solve; the rest is in online.py
-    online_init_gn_steps: int = 10
+    # Gauss-Newton steps of the init's w2 solve, each of online.INIT_CG_ITERS
+    # CG iterations. The fit is linear in w2, so one step is one unbroken CG
+    # run; a checkpoint saved with 10 runs 10 x INIT_CG_ITERS on load
+    online_init_gn_steps: int = 1
 
     def __post_init__(self):
         # each check is written so that NaN fails too, and the sizes are

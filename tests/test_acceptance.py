@@ -279,6 +279,25 @@ def test_blending_moves_the_peak_on_an_appearance_change(appearance_change_runs)
     assert any(any(moved) for _, _, moved in appearance_change_runs.values())
 
 
+def test_init_schedule_on_the_trained_model(trained):
+    # the init's one unbroken CG run against the ten restarted runs of 10
+    # it replaced, on the trained model's init memories: the first frame,
+    # and criterion 6's last, 0.35 brighter
+    from tests.test_online import init_problem, init_schedules
+
+    frames, boxes, config, model, _, _ = trained
+    config_on = dataclasses.replace(config, online=True)
+    drift = dataclasses.replace(SequenceSpec(), brightness_drift=0.35)
+    dframes, dboxes = generate_synthetic_sequence(0, 20, drift)
+    for name, frame, box in (("first", frames[0], boxes[0]),
+                             ("drifted", dframes[-1], dboxes[-1])):
+        problem = init_problem(Tracker(model, config_on), frame, box)
+        restarted, unbroken = init_schedules(*problem)
+        print(f"{name} frame: init objective {restarted:.6e} restarted, "
+              f"{unbroken:.6e} unbroken ({unbroken / restarted - 1:+.1e})")
+        assert unbroken <= restarted, name
+
+
 def test_criterion_7_config_parity():
     frames, boxes = generate_synthetic_sequence(1, 4, SequenceSpec())
     failures = []

@@ -7,11 +7,13 @@ import pytest
 
 from attntrack import online
 from attntrack.errors import ShapeError
-from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
-                              _Padded, _shift_sum, blend, conjugate_gradient,
-                              hadamard_mixing, init_online_filter, objective,
-                              online_forward, project, project_memory, solve_cg,
-                              update_memory)
+from attntrack.online import (INIT_CG_ITERS, OnlineFilter, TrainingMemory,
+                              _Linearization, _Padded, _shift_sum, blend,
+                              conjugate_gradient, hadamard_mixing,
+                              init_online_filter, objective, online_forward,
+                              project, project_memory, solve_cg, update_memory)
+from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
+                                build_model, generate_synthetic_sequence)
 
 Sample = namedtuple("Sample", "features label weight")
 
@@ -841,6 +843,22 @@ class TestSolveWork:
         owners = {id(owner(a)): owner(a) for a in held}
         assert [o.shape for o in owners.values()] == [(4, 4, 1, 9, 8)]
 
+    def test_tracker_init_runs_one_unbroken_cg(self, monkeypatch):
+        # a restarted schedule would show as more conjugate_gradient calls
+        config = TrackerConfig(template_size=48, search_size=96, d=8,
+                               n_heads=2, c_mid=8, online=True)
+        frames, boxes = generate_synthetic_sequence(0, 1, SequenceSpec())
+        tracker = Tracker(build_model(np.random.default_rng(0), config), config)
+        counts = Counter()
+        for owner, name in ((online, "conjugate_gradient"),
+                            (online._Linearization, "normal_matvec")):
+            self.count(monkeypatch, counts, owner, name)
+        tracker.init(frames[0], boxes[0])
+        # 16 hidden channels x 4 x 4 taps: CG never stops early
+        assert tracker.state.online_filter.w2.size > INIT_CG_ITERS
+        assert counts == {"conjugate_gradient": 1,
+                          "normal_matvec": INIT_CG_ITERS}
+
 
 class TestBufferReuse:
     """One linearization's products share one set of padded buffers; each
@@ -1003,3 +1021,44 @@ class TestProjectedMemory:
             solve_cg(filt, memory, n_iters=2, gn_steps=1, train_w1=True)
         with pytest.raises(ValueError, match="projected"):
             project_memory(filt, memory)
+
+
+def init_problem(tracker, frame, box):
+    """The filter and projected memory that ``tracker.init`` hands its w2
+    fit, captured in place of that fit."""
+    captured = []
+    tracker._fit_w2 = lambda n_iters, gn_steps: captured.append(
+        (tracker.state.online_filter, tracker.state.online_memory))
+    tracker.init(frame, box)
+    return captured[0]
+
+
+def init_schedules(filt, memory):
+    """Final objectives of the init's w2 fit: the ten restarted 10-iteration
+    CG runs it used to make, then its one unbroken run."""
+    restarted = solve_cg(filt, memory, n_iters=10, gn_steps=10, train_w1=False)
+    unbroken = solve_cg(filt, memory, n_iters=INIT_CG_ITERS, gn_steps=1,
+                        train_w1=False)
+    assert not restarted.degraded and not unbroken.degraded
+    return restarted.objectives[-1], unbroken.objectives[-1]
+
+
+class TestInitSchedule:
+    """The init's one unbroken CG run against the restarted schedule it
+    replaced, on the init memories of untrained trackers."""
+
+    @pytest.mark.parametrize("template_size,search_size,seed", [
+        pytest.param(t, s, seed, id=f"{t}-{s}-seed{seed}")
+        for t, s, seeds in ((64, 128, range(10)), (127, 255, range(2)))
+        for seed in seeds])
+    def test_one_run_ends_no_higher_than_the_restarts(self, template_size,
+                                                      search_size, seed):
+        config = TrackerConfig(template_size=template_size,
+                               search_size=search_size, online=True)
+        frames, boxes = generate_synthetic_sequence(
+            seed, 1, SequenceSpec(brightness_drift=0.5))
+        tracker = Tracker(build_model(np.random.default_rng(seed), config),
+                          config)
+        restarted, unbroken = init_schedules(
+            *init_problem(tracker, frames[0], boxes[0]))
+        assert unbroken <= restarted

@@ -560,13 +560,15 @@ class TestPaddedGrid:
 # parameter entries are byte-equal to those recorded before parameter names
 # came from the weight dataclasses; the config entries have since lost
 # online_update_interval and online_score_threshold, then the seven online
-# settings that became constants of attntrack.online
+# settings that became constants of attntrack.online. The online_init_gn_steps
+# entry stores the default 1 (it was 10): each digest is that of the file
+# before, with that one entry rewritten through save_checkpoint
 PINNED_CHECKPOINTS = [
     (TrackerConfig(),
-     "fbcebe7da8223b37d94202cd6c7f1a341dcc235f359d4dcdb0738d32fbb9d737"),
+     "35364038f39d69b3e909f042030529f607262ef7279209b61141c08322283ad5"),
     (TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2, c_mid=8,
                    n_encoder_layers=2, n_decoder_layers=3),
-     "3564cdc1d8747ccec32424c19f2b53f8f69acd778edfb18b88c688b3209bcf18"),
+     "c2d886b73c036e5af4b89b9293e34a50a2950b91476cbbe7be2b5e7d6e5469f0"),
 ]
 
 
