@@ -571,6 +571,16 @@ PINNED_CHECKPOINTS = [
      "c2d886b73c036e5af4b89b9293e34a50a2950b91476cbbe7be2b5e7d6e5469f0"),
 ]
 
+# The same configs with online_init_gn_steps = 10, the default before it
+# became 1, still save to the digests pinned under that default: the default
+# is the only thing that moved
+PINNED_BEFORE_INIT_DEFAULT = [
+    (dataclasses.replace(PINNED_CHECKPOINTS[0][0], online_init_gn_steps=10),
+     "fbcebe7da8223b37d94202cd6c7f1a341dcc235f359d4dcdb0738d32fbb9d737"),
+    (dataclasses.replace(PINNED_CHECKPOINTS[1][0], online_init_gn_steps=10),
+     "3564cdc1d8747ccec32424c19f2b53f8f69acd778edfb18b88c688b3209bcf18"),
+]
+
 
 def _trainable(obj, seen=None):
     """Every ``requires_grad`` tensor reachable through attributes, lists,
@@ -591,7 +601,8 @@ def _trainable(obj, seen=None):
 
 
 class TestCheckpointFormat:
-    @pytest.mark.parametrize("config, digest", PINNED_CHECKPOINTS)
+    @pytest.mark.parametrize("config, digest",
+                             PINNED_BEFORE_INIT_DEFAULT + PINNED_CHECKPOINTS)
     def test_save_model_bytes_are_pinned(self, config, digest, tmp_path):
         path = tmp_path / "model.trtr"
         save_model(path, build_model(np.random.default_rng(0), config), config)
