@@ -217,11 +217,6 @@ class _Padded:
         return rows
 
 
-def _shift_sum(taps: np.ndarray, kernel: int) -> np.ndarray:
-    """``_Padded.shift_sum`` on fresh buffers."""
-    return _Padded(kernel, taps.shape[1:]).shift_sum(taps)
-
-
 def _relu(w1: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden layer on channel-major features: (relu mask as 0.0/1.0, activations)."""
     act = w1[:, :, 0, 0] @ features
@@ -236,7 +231,7 @@ def _conv(act: np.ndarray, w2: np.ndarray, shape: tuple[int, int, int]) -> np.nd
     """k x k single-output conv: activations (hidden, S*H*W) -> (S, H, W)."""
     hidden, k = w2.shape[1], w2.shape[2]
     taps = w2[0].reshape(hidden, k * k).T @ act
-    return _shift_sum(taps.reshape((k * k,) + shape), k)
+    return _Padded(k, shape).shift_sum(taps.reshape((k * k,) + shape))
 
 
 # non-finite inputs are expected here (a NaN frame, a diverged filter) and

@@ -2,8 +2,8 @@
 
 Frames are deterministic functions of the seed and the spec. The target
 carries its own texture tile (stretched to the current box), so its
-appearance is stable as it translates and rescales; an optional
-distractor rectangle, a late multiplicative brightness drift and a late
+appearance is stable as it translates and rescales; an optional distractor
+rectangle on a fixed path, a late multiplicative brightness drift and a late
 change of the target's texture provide controlled nuisance factors.
 """
 
@@ -17,6 +17,12 @@ from ..errors import ConfigurationError
 from ..localize import BoundingBox
 from .seqio import Frame
 
+# cells per side of the coarse background grid before upsampling
+TEXTURE_CELLS = 7
+# the distractor's (cx, cy, w, h) on frame 0 and its motion in pixels / frame
+DISTRACTOR_START = (28.0, 80.0, 22.0, 16.0)
+DISTRACTOR_VELOCITY = (-1.0, -0.8)
+
 
 @dataclass
 class SequenceSpec:
@@ -25,15 +31,12 @@ class SequenceSpec:
     velocity: tuple[float, float] = (1.5, 1.0)         # pixels / frame
     size_rate: float = 0.0                             # fractional growth / frame
     distractor: bool = False
-    distractor_start: tuple[float, float, float, float] = (28.0, 80.0, 22.0, 16.0)
-    distractor_velocity: tuple[float, float] = (-1.0, -0.8)
     brightness_drift: float = 0.0                      # total drop by final frame
     drift_start: float = 0.5                           # fraction of sequence
     # the target's tile blends linearly towards a second tile, reaching
     # this weight on the final frame; 0 draws no second tile
     appearance_change: float = 0.0
     change_start: float = 0.5                          # fraction of sequence
-    texture_cells: int = 7
     # fine static grain keeps background positions distinguishable even
     # after frames round-trip through 8-bit files
     background_noise: float = 0.02
@@ -99,7 +102,7 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
         spec = SequenceSpec()
     rng = np.random.default_rng(seed)
     img_h, img_w = spec.image_size
-    background = _smooth_texture(rng, spec.texture_cells, img_h, img_w)
+    background = _smooth_texture(rng, TEXTURE_CELLS, img_h, img_w)
     if spec.background_noise > 0.0:
         background = background + rng.uniform(-spec.background_noise,
                                               spec.background_noise,
@@ -113,14 +116,14 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
 
     frames, boxes = [], []
     cx, cy, w, h = spec.start_box
-    dx0, dy0, dw, dh = spec.distractor_start
+    dx0, dy0, dw, dh = DISTRACTOR_START
     drift_from = spec.drift_start * (n_frames - 1)
     change_from = spec.change_start * (n_frames - 1)
     for t in range(n_frames):
         canvas = background.copy()
         if spec.distractor:
-            dbox = BoundingBox(dx0 + t * spec.distractor_velocity[0],
-                               dy0 + t * spec.distractor_velocity[1], dw, dh)
+            dbox = BoundingBox(dx0 + t * DISTRACTOR_VELOCITY[0],
+                               dy0 + t * DISTRACTOR_VELOCITY[1], dw, dh)
             _paint_rect(canvas, dbox, distractor_tile)
         scale = (1.0 + spec.size_rate) ** t
         box = BoundingBox(cx + t * spec.velocity[0], cy + t * spec.velocity[1],

@@ -26,7 +26,8 @@ restart CG from a fresh Krylov space. Each tracked frame runs the hidden
 layer once: those activations give the frame's online map and are the
 sample it adds, with its residual read off the unclipped online map. The
 frame then refits w2 with one linear CG solve. Every solve leaves the
-memory the residuals at the new filter.
+memory the residuals at the new filter. The window influence, the blend
+weight and the FFN width are constants of the method, not settings.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ from .crop import (CropResult, aligned_side, context_side, crop_search,
                    crop_template, image_to_patch, patch_to_image, planar_frame)
 from .seqio import Frame
 
+# the cosine window's share of the search score, fixed as in SiamFC (2016)
+WINDOW_INFLUENCE = 0.4
+# the offline map's share of the fused score: the online map only corrects it
+BLEND_WEIGHT = 0.6
+# the FFN's width over d, a fixed multiple as in Vaswani et al. (2017)
+FFN_EXPANSION = 8
+
 
 @dataclass
 class TrackerConfig:
@@ -64,13 +72,10 @@ class TrackerConfig:
     search_size: int = 255
     d: int = 32
     n_heads: int = 4
-    ffn_hidden: int = 0                  # 0 -> 8 * d
     n_encoder_layers: int = 1
     n_decoder_layers: int = 1
     c_mid: int = 32
-    window_influence: float = 0.4
     size_smoothing: float = 0.3
-    blend_weight: float = 0.6
     online: bool = False
     pe_mask: bool = True
     memory_capacity: int = 50
@@ -87,24 +92,18 @@ class TrackerConfig:
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("ffn_hidden", "online_init_gn_steps"):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(
-                    f"{name} must not be negative, got {getattr(self, name)}")
-        for name in ("window_influence", "size_smoothing", "blend_weight"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.online_init_gn_steps >= 0:
+            raise ConfigurationError("online_init_gn_steps must not be "
+                                     f"negative, got {self.online_init_gn_steps}")
+        if not 0.0 <= self.size_smoothing <= 1.0:
+            raise ConfigurationError(
+                f"size_smoothing must be in [0, 1], got {self.size_smoothing}")
         if self.search_size < self.template_size:
             raise ConfigurationError("search size must be >= template size")
         if self.d % 4:
             raise ConfigurationError("model width must be divisible by 4")
         if self.d % self.n_heads:
             raise ConfigurationError("head count must divide model width")
-
-    @property
-    def ffn_width(self) -> int:
-        return self.ffn_hidden if self.ffn_hidden else 8 * self.d
 
 
 @dataclass
@@ -120,7 +119,7 @@ def build_model(rng: np.random.Generator, config: TrackerConfig) -> ModelWeights
         transformer=init_transformer(rng, config.d, config.n_heads,
                                      config.n_encoder_layers,
                                      config.n_decoder_layers,
-                                     config.ffn_width),
+                                     FFN_EXPANSION * config.d),
         heads=init_head_weights(rng, config.d),
     )
 
@@ -166,7 +165,6 @@ def load_model(path) -> tuple[ModelWeights, TrackerConfig]:
     for field, name, axis, size in (
             ("d", "backbone.reduce.kernel", 0, config.d),
             ("c_mid", "backbone.reduce.kernel", 1, config.c_mid),
-            ("ffn_hidden", "transformer.encoder0.ffn.w1", 1, config.ffn_width),
             ("n_encoder_layers", f"transformer.encoder{n_enc}.ffn.w1", 0, config.d),
             ("n_decoder_layers", f"transformer.decoder{n_dec}.ffn.w1", 0, config.d)):
         shape = data[name].shape if name in data else None
@@ -295,7 +293,7 @@ class Tracker:
             memory, pe = encode_template(self.model, cfg, crop, trace=trace)
 
         grid = aligned_side(cfg.search_size) // STRIDE
-        window = make_cosine_window(grid, grid, cfg.window_influence)
+        window = make_cosine_window(grid, grid, WINDOW_INFLUENCE)
         self.state = TrackerState(template_memory=memory,
                                   template_pe=pe, box=box, window=window)
         if cfg.online:
@@ -367,7 +365,7 @@ class Tracker:
             hidden = project(state.online_filter, mid)
             online_score = online_forward(state.online_filter, hidden)
             online_map = np.clip(online_score, 0.0, 1.0)
-            blended = blend(windowed, online_map, cfg.blend_weight)
+            blended = blend(windowed, online_map, BLEND_WEIGHT)
             decode_map = blended
         else:
             decode_map = windowed

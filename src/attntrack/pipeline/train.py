@@ -43,6 +43,9 @@ class TrainSettings:
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < float("inf"):        # NaN fails too
+            raise ConfigurationError(
+                f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass

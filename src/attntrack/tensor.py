@@ -29,18 +29,13 @@ from .errors import ShapeError
 Array = np.ndarray
 
 
-def _as_array(data) -> Array:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """N-dimensional float64 array with optional gradient accumulation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data: Array = _as_array(data)
+        self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[Array], None] | None = None

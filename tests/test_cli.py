@@ -128,6 +128,20 @@ class TestTrainToy:
             "attntrack: error: steps must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr,shown", [("-0.01", "-0.01"), ("0", "0.0"),
+                                          ("nan", "nan"), ("inf", "inf")])
+    def test_bad_learning_rate_rejected_before_training(self, workspace, tmp_path,
+                                                        capsys, lr, shown):
+        # -0.01 and 0 used to train and write a checkpoint; nan and inf ended
+        # at step 1 with a non-finite loss and status 1
+        _, seq, _ = workspace
+        out = tmp_path / "m.trtr"
+        assert main(["train-toy", "--out", str(out), "--seq", seq, "--steps", "3",
+                     f"--lr={lr}", *FAST_MODEL]) == 2
+        assert capsys.readouterr().err == \
+            f"attntrack: error: lr must be finite and positive, got {shown}\n"
+        assert not out.exists()
+
     def test_rejected_model_width_is_one_line(self, workspace, tmp_path, capsys):
         _, seq, _ = workspace
         out = tmp_path / "m.trtr"

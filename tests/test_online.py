@@ -8,7 +8,7 @@ import pytest
 from attntrack import online
 from attntrack.errors import ShapeError
 from attntrack.online import (INIT_CG_ITERS, OnlineFilter, TrainingMemory,
-                              _Linearization, _Padded, _shift_sum, blend,
+                              _Linearization, _Padded, blend,
                               conjugate_gradient, hadamard_mixing,
                               init_online_filter, objective, online_forward,
                               project, project_memory, solve_cg, update_memory)
@@ -712,7 +712,7 @@ class TestPaddedOracles:
     def test_shift_sum_and_place_bitwise(self, kernel, n_samples, grid):
         rng = np.random.default_rng([kernel, n_samples, *grid, 3])
         taps = rng.standard_normal((kernel * kernel, n_samples) + grid)
-        assert np.array_equal(_shift_sum(taps, kernel),
+        assert np.array_equal(_Padded(kernel, taps.shape[1:]).shift_sum(taps),
                               padded_shift_sum(taps, kernel))
         maps = rng.standard_normal((n_samples,) + grid)
         placed = _Padded(kernel, maps.shape).place(maps)
@@ -882,7 +882,8 @@ class TestBufferReuse:
                     taps += lin.w2.T @ (lin.mask * (v1 @ lin.features))
                 assert np.array_equal(
                     lin.jvp(vec),
-                    _shift_sum(taps.reshape((-1, n_samples) + grid), kernel))
+                    _Padded(kernel, (n_samples,) + grid).shift_sum(
+                        taps.reshape((-1, n_samples) + grid)))
 
                 maps = rng.standard_normal((n_samples,) + grid)
                 placed = _Padded(kernel, maps.shape).place(maps)
@@ -937,7 +938,8 @@ class TestMasksInPlace:
         assert np.isinf(pre).any() and np.isnan(pre).any()
         taps = vec[lin.n_w1:].reshape(hidden, -1).T @ lin.act
         taps += lin.w2.T @ (pre * lin.mask)
-        expected = _shift_sum(taps.reshape((-1, n) + grid), kernel)
+        expected = _Padded(kernel, (n,) + grid).shift_sum(
+            taps.reshape((-1, n) + grid))
         assert lin.jvp(vec).tobytes() == expected.tobytes()
 
         maps = nonfinite(rng, (n,) + grid)

@@ -15,6 +15,7 @@ from attntrack.pipeline import (Frame, SequenceSpec, backbone_forward,
                                 load_sequence, patch_to_image,
                                 read_netpbm, read_rect_file, save_sequence,
                                 write_pgm, write_ppm, write_rect_file)
+from attntrack.pipeline import synth
 from attntrack.pipeline.crop import aligned_side, context_side
 from attntrack.tensor import Tensor
 
@@ -554,7 +555,7 @@ class TestSynthetic:
         fa, _ = generate_synthetic_sequence(0, 1, base)
         fb, boxes = generate_synthetic_sequence(0, 1, withd)
         diff = np.abs(fa[0].pixels - fb[0].pixels).max(axis=0) > 0
-        dspec = withd.distractor_start
+        dspec = synth.DISTRACTOR_START
         assert diff.sum() >= 0.5 * dspec[2] * dspec[3]   # distractor area painted
         # the target region itself is identical (distractor is disjoint)
         b = boxes[0]

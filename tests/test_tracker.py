@@ -13,9 +13,9 @@ import pytest
 from attntrack import online as online_mod
 from attntrack import tensor as T
 from attntrack.errors import ConfigurationError, ShapeError, TrackingError
-from attntrack.localize import STRIDE, BoundingBox
+from attntrack.localize import STRIDE, BoundingBox, make_cosine_window
 from attntrack.online import (OnlineFilter, TrainingMemory, _Linearization,
-                              conjugate_gradient, init_online_filter,
+                              blend, conjugate_gradient, init_online_filter,
                               online_forward, project, solve_cg, update_memory)
 from attntrack.pipeline import (Adam, BackboneWeights, Frame, SequenceSpec,
                                 Tracker, TrackerConfig, TrainSettings, build_model,
@@ -71,10 +71,10 @@ class TestTrackerBasics:
             assert (box_a.cx, box_a.cy, box_a.w, box_a.h) \
                 == (box_b.cx, box_b.cy, box_b.w, box_b.h)
 
-    def test_full_window_suppression_pins_center(self, toy_world):
+    def test_full_window_suppression_pins_center(self, toy_world, monkeypatch):
         frames, boxes, config, model = toy_world
-        pinned = dataclasses.replace(config, window_influence=1.0,
-                                     size_smoothing=0.0)
+        monkeypatch.setattr(tracker_mod, "WINDOW_INFLUENCE", 1.0)
+        pinned = dataclasses.replace(config, size_smoothing=0.0)
         tracker = Tracker(model, pinned)
         tracker.init(frames[0], boxes[0])
         box, diag = tracker.track(frames[3])
@@ -440,7 +440,6 @@ class TestOnlineConfig:
         ("n_heads", 0),                      # ZeroDivisionError in the check
         ("n_heads", -2),
         ("c_mid", 0),                        # ZeroDivisionError at build
-        ("ffn_hidden", -4),
         ("n_encoder_layers", 0),
         ("size_smoothing", float("nan")),
         ("size_smoothing", 1.5),
@@ -489,9 +488,10 @@ class TestPluginProperty:
         for x, y in zip(a, b):
             assert (x.cx, x.cy, x.w, x.h) == (y.cx, y.cy, y.w, y.h)
 
-    def test_online_branch_changes_only_the_blend(self, toy_world):
+    def test_online_branch_changes_only_the_blend(self, toy_world, monkeypatch):
         frames, boxes, config, model = toy_world
-        online_cfg = dataclasses.replace(config, online=True, blend_weight=1.0)
+        monkeypatch.setattr(tracker_mod, "BLEND_WEIGHT", 1.0)
+        online_cfg = dataclasses.replace(config, online=True)
         # blend weight 1.0 means the online map cannot influence decoding
         off = track_sequence(model, config, frames, boxes[0])
         on = track_sequence(model, online_cfg, frames, boxes[0])
@@ -560,25 +560,26 @@ class TestPaddedGrid:
 # parameter entries are byte-equal to those recorded before parameter names
 # came from the weight dataclasses; the config entries have since lost
 # online_update_interval and online_score_threshold, then the seven online
-# settings that became constants of attntrack.online. The online_init_gn_steps
-# entry stores the default 1 (it was 10): each digest is that of the file
-# before, with that one entry rewritten through save_checkpoint
+# settings that became constants of attntrack.online, then window_influence,
+# blend_weight and ffn_hidden, which became constants of pipeline.tracker.
+# Each digest is that of the file before, with those three entries deleted
+# and rewritten through save_checkpoint. The online_init_gn_steps entry
+# stores the default 1 (it was 10)
 PINNED_CHECKPOINTS = [
     (TrackerConfig(),
-     "35364038f39d69b3e909f042030529f607262ef7279209b61141c08322283ad5"),
+     "f1c5f20dc84dbd73081adcab05c02bc1f24215561752db635ead96f7fe9bec98"),
     (TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2, c_mid=8,
                    n_encoder_layers=2, n_decoder_layers=3),
-     "c2d886b73c036e5af4b89b9293e34a50a2950b91476cbbe7be2b5e7d6e5469f0"),
+     "37fe910fdc49e49b41ae10cdb3389bd37b3bacc5fa0c5cd277c07dda42eac11e"),
 ]
 
 # The same configs with online_init_gn_steps = 10, the default before it
-# became 1, still save to the digests pinned under that default: the default
-# is the only thing that moved
+# became 1: the stored setting is the only entry that differs
 PINNED_BEFORE_INIT_DEFAULT = [
     (dataclasses.replace(PINNED_CHECKPOINTS[0][0], online_init_gn_steps=10),
-     "fbcebe7da8223b37d94202cd6c7f1a341dcc235f359d4dcdb0738d32fbb9d737"),
+     "374be0fd98d95ae29ad9276f3bc8f2d4aac0239ac326e5020115ac8066a11a1e"),
     (dataclasses.replace(PINNED_CHECKPOINTS[1][0], online_init_gn_steps=10),
-     "3564cdc1d8747ccec32424c19f2b53f8f69acd778edfb18b88c688b3209bcf18"),
+     "bcbd3ff6672a5d15642721147cbeb497985816433946ff5208ae1750629042a8"),
 ]
 
 
@@ -624,7 +625,7 @@ class TestCheckpointFormat:
 class TestCheckpointRoundtrip:
     def test_save_load_preserves_params_and_config(self, toy_world, tmp_path):
         frames, boxes, config, model = toy_world
-        custom = dataclasses.replace(config, online=True, blend_weight=0.55,
+        custom = dataclasses.replace(config, online=True, size_smoothing=0.55,
                                      n_decoder_layers=2)
         custom_model = build_model(np.random.default_rng(3), custom)
         path = tmp_path / "model.trtr"
@@ -638,7 +639,7 @@ class TestCheckpointRoundtrip:
 
     def test_every_int_and_bool_field_round_trips(self, tmp_path):
         custom = TrackerConfig(
-            template_size=48, search_size=96, d=8, n_heads=2, ffn_hidden=24,
+            template_size=48, search_size=96, d=8, n_heads=2,
             n_encoder_layers=2, n_decoder_layers=3, c_mid=8, memory_capacity=7,
             online_init_gn_steps=3, online=True, pe_mask=False)
         exact = [f for f in dataclasses.fields(TrackerConfig)
@@ -711,6 +712,33 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError, match=re.escape(f"unknown entries: [{names}]")):
             load_model(path)
 
+    def test_retired_fixed_settings_rejected(self, toy_world, tmp_path):
+        # a file written while the window influence, the blend weight and
+        # the FFN width were settings carries all three at their defaults,
+        # the width as its 0 -> 8 * d sentinel
+        _, _, config, model = toy_world
+        retired = {"window_influence": 0.4, "blend_weight": 0.6,
+                   "ffn_hidden": 0}
+        path = tmp_path / "model.trtr"
+        self._edited_checkpoint(model, config, path, lambda e: e.update(
+            {f"config.{k}": np.array(float(v)) for k, v in retired.items()}))
+        names = ", ".join(repr(f"config.{k}") for k in sorted(retired))
+        with pytest.raises(ValueError, match=re.escape(f"unknown entries: [{names}]")):
+            load_model(path)
+
+    def test_ffn_of_another_width_rejected(self, toy_world, tmp_path,
+                                           monkeypatch):
+        # a model whose FFN is 2 * d wide, not FFN_EXPANSION * d
+        _, _, config, _ = toy_world
+        monkeypatch.setattr(tracker_mod, "FFN_EXPANSION", 2)
+        narrow = build_model(np.random.default_rng(0), config)
+        monkeypatch.undo()
+        path = tmp_path / "model.trtr"
+        save_model(path, narrow, config)
+        with pytest.raises(ValueError, match=re.escape(
+                "shape mismatch for 'transformer.encoder0.ffn.w1'")):
+            load_model(path)
+
     @pytest.mark.parametrize("key,value", [("config.template_size", 47.6),
                                            ("config.online", 7.0)])
     def test_int_or_flag_setting_of_another_value_rejected(self, toy_world,
@@ -736,7 +764,6 @@ class TestCheckpointRoundtrip:
 
     @pytest.mark.parametrize("key,value", [("config.d", 2.0 ** 40),
                                            ("config.c_mid", 2.0 ** 40),
-                                           ("config.ffn_hidden", 2.0 ** 40),
                                            ("config.n_encoder_layers", 3.0),
                                            ("config.n_decoder_layers", 3.0)])
     def test_setting_at_odds_with_the_weights_rejected_before_building(
@@ -860,6 +887,15 @@ class TestTrainToy:
         with pytest.raises(ConfigurationError,
                            match=f"{field} must be at least 1, got {value}"):
             TrainSettings(**{field: value})
+
+    @pytest.mark.parametrize("lr", [-0.01, 0.0, float("nan"), float("inf"),
+                                    -float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # a negative rate ascends the loss, zero trains nothing, and NaN or
+        # inf used to fail only once the first step's loss went non-finite
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"lr must be finite and positive, got {lr}")):
+            TrainSettings(lr=lr)
 
     def test_one_step_tape_peak(self, toy_world):
         # a 64/128 step at batch 2 peaked at 23.5 MB while attention kept
@@ -1025,11 +1061,14 @@ class TestTrainToy:
 
 
 # Each library parameter that receives a TrackerConfig or TrainSettings
-# value. A default on one of them would be a second place that value is
-# written, free to drift from the config's.
+# value, or one of the method's fixed constants. A default on one of them
+# would be a second place that value is written, free to drift from the
+# config's or the constant's.
 CONFIG_PARAMETERS = [
     (init_backbone, ("c_mid", "d")),
     (init_transformer, ("n_encoder_layers", "n_decoder_layers", "ffn_hidden")),
+    (make_cosine_window, ("influence",)),
+    (blend, ("weight",)),
     (init_online_filter, ("hidden", "kernel", "reg")),
     (OnlineFilter, ("reg",)),
     (TrainingMemory, ("capacity",)),
