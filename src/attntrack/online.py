@@ -9,19 +9,19 @@ equations with conjugate gradient, started from zero so its first
 residual is the right-hand side and costs no product. A backtracking
 acceptance step keeps the squared-error objective non-increasing.
 
-The tracker never fits w1: it takes the fixed mixing w1 = [P; -P] of
-``hadamard_mixing``, as ECO and ATOM start their projection from a fixed
-basis. Since relu(x) - relu(-x) = x, the hidden layer relu(w1 F) keeps
-all of P F. P = I would leave the -P half dead, as the backbone's
-mid-level tap comes after a relu; a PCA basis would be a data-dependent
-fit again, and its eigensolver pages in LAPACK for one call. With w1
-fixed the residuals are linear in w2, so init and every frame fit w2
-alone: one linear least-squares problem solved by CG, whose Jacobian
-products skip the w1 GEMMs and whose full CG step is accepted (CG
-iterates lower a quadratic). The filter's shape and ridge, the memory's
-rate and the CG iteration counts are constants of the method, as in
-ATOM. The joint w1/w2 solve, from a random ``init_online_filter``, is
-kept as the general Gauss-Newton solver that the CG criteria test.
+The tracker never fits w1: it takes w1 = I, so its filter is one linear
+k x k conv on the mid-level features F, as correlation filters (MOSSE)
+and ECO's factorized convolution are linear in theirs. The backbone's
+mid-level tap comes after a relu, so F >= 0 and relu(I F) = F: the
+hidden layer passes F through unchanged, and w2 has c_in x k^2
+unknowns. With w1 fixed the residuals are linear in w2, so init and
+every frame fit w2 alone: one linear least-squares problem solved by
+CG, whose Jacobian products skip the w1 GEMMs and whose full CG step is
+accepted (CG iterates lower a quadratic). The filter's shape and ridge,
+the memory's rate and the CG iteration counts are constants of the
+method, as in ATOM. The joint w1/w2 solve, from a random
+``init_online_filter``, is kept as the general Gauss-Newton solver that
+the CG criteria test.
 
 ``project_memory`` swaps a memory's backbone features, as ATOM does, for
 their projection relu(w1 F), and records each sample's residual at the
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import xavier_uniform
 
-HIDDEN, KERNEL, RIDGE = 64, 4, 1e-2     # most filter channels, k, ridge
+KERNEL, RIDGE = 4, 1e-2     # the score filter's k, its ridge
 # a new sample's weight: 0.1 a frame follows appearance drift, while slower
 # rates anchor the filter to the first frame and drag the blend behind it
 MEMORY_LR = 0.1
@@ -58,9 +58,8 @@ MEMORY_LR = 0.1
 # fixed the init's fit is linear, so it is one unbroken CG run: restarting
 # CG every 10 iterations throws its Krylov space away. 50 is the smallest
 # multiple of 10 whose final objective was never above ten restarted runs
-# of 10 on the init memories tested. The init solve takes about 11 ms at
-# 64/128 and 46 ms at 127/255 (one core, one BLAS thread; 23 and 100 ms
-# restarted)
+# of 10 on the init memories tested. The init solve takes about 9 ms at
+# 64/128 and 42 ms at 127/255 (one core of a 2-vCPU VM, one BLAS thread)
 INIT_CG_ITERS, FRAME_CG_ITERS = 50, 5
 
 
@@ -117,24 +116,6 @@ class CgUpdate:
     degraded: bool = False
     # the new filter's residual maps on the memory; None when degraded
     residuals: np.ndarray | None = None
-
-
-def hadamard_mixing(c_in: int) -> np.ndarray:
-    """The tracker's fixed hidden layer w1 = [P; -P]: (2 r, c_in, 1, 1).
-
-    P is the first r rows and c_in columns of the Sylvester-Hadamard
-    matrix of size m, the smallest power of two >= c_in, divided by
-    sqrt(m), with r = min(m, HIDDEN / 2). Up to c_in = HIDDEN / 2 its
-    columns are orthonormal. Past that, P reduces to HIDDEN / 2 rows: a
-    top row of Sylvester's matrix repeats every HIDDEN / 2 columns, so
-    input channel j folds onto channel j mod HIDDEN / 2 before the mixing.
-    """
-    m = 1 << (c_in - 1).bit_length()
-    sylvester = np.ones((1, 1))
-    while len(sylvester) < m:
-        sylvester = np.kron([[1.0, 1.0], [1.0, -1.0]], sylvester)
-    p = sylvester[:HIDDEN // 2, :c_in] / np.sqrt(m)
-    return np.concatenate([p, -p])[:, :, None, None]
 
 
 def init_online_filter(rng: np.random.Generator, c_in: int, hidden: int,

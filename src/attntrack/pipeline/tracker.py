@@ -15,19 +15,20 @@ patch around the last box, decodes it as a batch of one, and maps the
 decoded box back to image coordinates. ``train_toy`` calls the same two
 functions on the tape, with a step's search crops as one batch. The
 optional online branch keeps a sample memory over the backbone's
-mid-level features. Its hidden layer w1 is the fixed Hadamard mixing of
-``online.hadamard_mixing``, never fitted. ``Tracker.init`` projects the
-init samples under it with w2 = 0: the memory keeps each sample's hidden
-activations relu(w1 F), and its residual, minus its label, in place of
-its features. One w2-only solve then fits the score filter w2. The fit is
-linear in w2, so it is one unbroken run of ``online.INIT_CG_ITERS`` CG
-iterations (``online_init_gn_steps`` = 1): more Gauss-Newton steps would
-restart CG from a fresh Krylov space. Each tracked frame runs the hidden
-layer once: those activations give the frame's online map and are the
-sample it adds, with its residual read off the unclipped online map. The
-frame then refits w2 with one linear CG solve. Every solve leaves the
-memory the residuals at the new filter. The window influence, the blend
-weight and the FFN width are constants of the method, not settings.
+mid-level features F and scores them with one linear k x k conv, the
+score filter w2. Its 1x1 layer w1 is the identity, never fitted: F comes
+out of a relu, so relu(I F) = F, and w2 has ``c_mid`` x k^2 unknowns.
+``Tracker.init`` stores the five init samples with w2 = 0 through
+``project_memory``, each with its residual, minus its label. One w2-only
+solve then fits the score filter w2. The fit is linear in w2, so it is
+one unbroken run of ``online.INIT_CG_ITERS`` CG iterations
+(``online_init_gn_steps`` = 1): more Gauss-Newton steps would restart CG
+from a fresh Krylov space. Each tracked frame runs no hidden layer: its
+features F give the frame's online map and are the sample it adds, with
+its residual read off the unclipped online map. The frame then refits w2
+with one linear CG solve. Every solve leaves the memory the residuals at
+the new filter. The window influence, the blend weight and the FFN width
+are constants of the method, not settings.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from ..localize import (STRIDE, BoundingBox, CosineWindow, HeadMaps,
 from ..loss import adaptive_sigma, gaussian_label
 from ..online import (FRAME_CG_ITERS, INIT_CG_ITERS, KERNEL, MEMORY_LR,
                       RIDGE, OnlineFilter, TrainingMemory, blend,
-                      hadamard_mixing, online_forward, project,
-                      project_memory, solve_cg, update_memory)
+                      online_forward, project_memory, solve_cg,
+                      update_memory)
 from ..tensor import Tensor, load_checkpoint, named_parameters, save_checkpoint
 from ..transformer import (AttentionTrace, TransformerWeights,
                            build_positional_encoding, decode, encode,
@@ -310,9 +311,9 @@ class Tracker:
 
     def _init_online(self, frame: Frame, box: BoundingBox) -> None:
         cfg = self.config
-        w1 = hadamard_mixing(cfg.c_mid)
         self.state.online_filter = OnlineFilter(
-            w1, np.zeros((1, len(w1), KERNEL, KERNEL)), RIDGE)
+            np.eye(cfg.c_mid)[:, :, None, None],
+            np.zeros((1, cfg.c_mid, KERNEL, KERNEL)), RIDGE)
         self.state.online_memory = TrainingMemory(cfg.memory_capacity)
 
         shift_patch = cfg.search_size / 8.0
@@ -334,7 +335,8 @@ class Tracker:
                     center_patch, (box.w / crop.scale, box.h / crop.scale),
                     mid.shape[-1])
                 update_memory(self.state.online_memory, mid, label, MEMORY_LR)
-        # with w2 = 0 each sample's residual is minus its label
+        # under w1 = I the samples stay as they are; with w2 = 0 each
+        # sample's residual is minus its label
         project_memory(self.state.online_filter, self.state.online_memory)
         self._fit_w2(INIT_CG_ITERS, cfg.online_init_gn_steps)
 
@@ -361,9 +363,7 @@ class Tracker:
         online_map = None
         blended = None
         if cfg.online and state.online_filter is not None:
-            # the hidden layer runs once: for the online map and the sample
-            hidden = project(state.online_filter, mid)
-            online_score = online_forward(state.online_filter, hidden)
+            online_score = online_forward(state.online_filter, mid)
             online_map = np.clip(online_score, 0.0, 1.0)
             blended = blend(windowed, online_map, BLEND_WEIGHT)
             decode_map = blended
@@ -399,8 +399,7 @@ class Tracker:
             # filter to the sharper focal-trained map avoids reinforcing the
             # online branch's own blur through its training targets
             center_off = decode_center(windowed, offset)
-            self._online_step(mid, (hidden, online_score), center_off,
-                              size_patch)
+            self._online_step(mid, online_score, center_off, size_patch)
 
         diag = FrameDiagnostics(score_map=raw, windowed_map=windowed,
                                 blended_map=blended, online_map=online_map,
@@ -408,20 +407,17 @@ class Tracker:
                                 crop=crop)
         return new_box, diag
 
-    def _online_step(self, mid: np.ndarray,
-                     online: tuple[np.ndarray, np.ndarray],
+    def _online_step(self, mid: np.ndarray, online_score: np.ndarray,
                      center_patch, size_patch) -> None:
         """Add the frame's sample to the memory and refit w2, w1 fixed.
 
-        ``online`` is what ``track`` read off the online tap ``mid``: its
-        hidden activations relu(w1 F) and its unclipped online map. The
-        sample is stored as those activations, with its residual at the
-        current filter: the online map minus its label.
+        The sample is the online tap ``mid`` itself, stored with its
+        residual at the current filter: the unclipped online map
+        ``online_score`` minus its label.
         """
         state = self.state
-        hidden, online_score = online
         label = self._online_label(center_patch, size_patch, mid.shape[-1])
-        update_memory(state.online_memory, hidden, label, MEMORY_LR,
+        update_memory(state.online_memory, mid, label, MEMORY_LR,
                       residual=online_score - label)
         # w2 alone is linear: one Gauss-Newton step is one CG solve
         self._fit_w2(FRAME_CG_ITERS, 1)

@@ -9,9 +9,9 @@ from attntrack import online
 from attntrack.errors import ShapeError
 from attntrack.online import (INIT_CG_ITERS, OnlineFilter, TrainingMemory,
                               _Linearization, _Padded, blend,
-                              conjugate_gradient, hadamard_mixing,
-                              init_online_filter, objective, online_forward,
-                              project, project_memory, solve_cg, update_memory)
+                              conjugate_gradient, init_online_filter,
+                              objective, online_forward, project,
+                              project_memory, solve_cg, update_memory)
 from attntrack.pipeline import (SequenceSpec, Tracker, TrackerConfig,
                                 build_model, generate_synthetic_sequence)
 
@@ -91,42 +91,6 @@ class TestOnlineForward:
                       - _oracle_conv(hidden, filt.w2)).max() < 1e-12
         with pytest.raises(ShapeError, match="hidden activations"):
             online_forward(filt, features)
-
-
-class TestHadamardMixing:
-    """w1 = [P; -P], with P a scaled block of Sylvester's Hadamard matrix."""
-
-    @staticmethod
-    def mixing(c_in):
-        w1 = hadamard_mixing(c_in)[:, :, 0, 0]
-        rows = len(w1) // 2
-        assert np.array_equal(w1[rows:], -w1[:rows])
-        return w1[:rows]
-
-    @pytest.mark.parametrize("c_in", [8, 24, 32])
-    def test_columns_are_orthonormal(self, c_in):
-        p = self.mixing(c_in)
-        # rows: the smallest power of two >= c_in
-        assert p.shape == (1 << (c_in - 1).bit_length(), c_in)
-        np.testing.assert_allclose(p.T @ p, np.eye(c_in), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("c_in", [8, 24, 32])
-    def test_the_two_halves_keep_every_mixed_channel(self, c_in):
-        # the backbone tap is non-negative, as after its relu
-        p = self.mixing(c_in)
-        pf = p @ np.random.default_rng(c_in).uniform(0.0, 2.0, (c_in, 50))
-        assert np.array_equal(np.maximum(pf, 0.0) - np.maximum(-pf, 0.0), pf)
-        assert (pf > 0).any() and (pf < 0).any()
-
-    @pytest.mark.parametrize("c_in", [48, 64, 100])
-    def test_wider_inputs_fold_onto_half_the_hidden_width(self, c_in):
-        rows = online.HIDDEN // 2
-        m = 1 << (c_in - 1).bit_length()
-        fold = np.zeros((rows, c_in))
-        fold[np.arange(c_in) % rows, np.arange(c_in)] = 1.0
-        np.testing.assert_allclose(self.mixing(c_in),
-                                   self.mixing(rows) @ fold * np.sqrt(rows / m),
-                                   rtol=0, atol=1e-15)
 
 
 class TestBlend:

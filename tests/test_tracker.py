@@ -158,8 +158,9 @@ class TestOnlineSchedule:
         config = dataclasses.replace(config, online=True)
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
-        w1 = online_mod.hadamard_mixing(config.c_mid)
-        assert state.online_filter.w1.shape == (online_mod.HIDDEN, config.c_mid, 1, 1)
+        # the mixing is the identity: the score filter reads the tap itself
+        w1 = np.eye(config.c_mid)[:, :, None, None]
+        assert state.online_filter.w1.shape == (config.c_mid, config.c_mid, 1, 1)
         assert np.array_equal(state.online_filter.w1, w1)
         assert np.any(state.online_filter.w2 != 0.0)
         for frame in frames[1:]:
@@ -185,14 +186,17 @@ class TestOnlineSchedule:
                                  "train_w1": False})]
 
     def test_c_mid_past_half_the_hidden_width_tracks(self):
-        # the mixing folds 48 channels onto HIDDEN / 2 = 32 rows
+        # a tap wider than the 32 channels of the default: the filter and
+        # the memory take all 48
         frames, boxes = generate_synthetic_sequence(0, 5, SequenceSpec())
         config = TrackerConfig(template_size=48, search_size=96, d=8, n_heads=2,
                                c_mid=48, online=True)
         tracker = Tracker(build_model(np.random.default_rng(0), config), config)
         state = tracker.init(frames[0], boxes[0])
-        assert state.online_filter.w1.shape == (online_mod.HIDDEN, 48, 1, 1)
-        assert state.online_memory.features.shape[0] == online_mod.HIDDEN
+        assert state.online_filter.w1.shape == (48, 48, 1, 1)
+        assert state.online_filter.w2.shape == (1, 48, online_mod.KERNEL,
+                                                online_mod.KERNEL)
+        assert state.online_memory.features.shape[0] == 48
         for frame in frames[1:]:
             _, diag = tracker.track(frame)
             assert not diag.lost and np.all(np.isfinite(diag.online_map))
@@ -308,30 +312,28 @@ class TestProjectedMemory:
         assert np.all(np.isfinite(memory.residuals))
 
 
-class TwoPassTracker(Tracker):
-    """The frame rule with the hidden layer run twice, kept as an oracle:
-    the online map runs relu(w1 F) over the online tap itself, and the
-    stored sample runs it again."""
+class HiddenLayerTracker(Tracker):
+    """The frame rule with the hidden layer run, kept as an oracle: the
+    online map and the stored sample each run relu(w1 F) over the online
+    tap under the tracker's w1 = I."""
 
     def track(self, frame, trace=None):
         with pytest.MonkeyPatch.context() as m:
-            # the tap reaches online_forward as features, not activations
-            m.setattr(tracker_mod, "project", lambda filt, mid: mid)
             m.setattr(tracker_mod, "online_forward",
                       lambda filt, mid: online_forward(filt, project(filt, mid)))
             return super().track(frame, trace)
 
-    def _online_step(self, mid, online, center_patch, size_patch):
-        _, online_score = online
-        super()._online_step(mid, (project(self.state.online_filter, mid),
-                                   online_score), center_patch, size_patch)
+    def _online_step(self, mid, online_score, center_patch, size_patch):
+        super()._online_step(project(self.state.online_filter, mid),
+                             online_score, center_patch, size_patch)
 
 
-class TestSharedHiddenLayer:
-    """One hidden-layer evaluation per tracked frame serves both the online
-    map and the stored sample."""
+class TestLinearFilter:
+    """A tracked frame runs no hidden layer: the online tap is the online
+    map's input and the stored sample, as relu(I F) would give."""
 
-    def test_once_per_frame_and_boxes_of_the_two_pass_rule(self, monkeypatch):
+    def test_no_hidden_layer_per_frame_and_boxes_of_the_hidden_layer_rule(
+            self, monkeypatch):
         # criterion 6's drift sequence
         drift = dataclasses.replace(SequenceSpec(), brightness_drift=0.35)
         frames, boxes = generate_synthetic_sequence(0, 20, drift)
@@ -344,15 +346,18 @@ class TestSharedHiddenLayer:
             return relu(w1, features)
 
         monkeypatch.setattr(online_mod, "_relu", counting_relu)
-        fast, slow = Tracker(model, config), TwoPassTracker(model, config)
+        fast, slow = Tracker(model, config), HiddenLayerTracker(model, config)
         for tracker in (fast, slow):
+            del calls[:]
             tracker.init(frames[0], boxes[0])
+            # init's project_memory alone
+            assert len(calls) == 1
         for frame in frames[1:]:
             del calls[:]
             box_fast, _ = fast.track(frame)
-            assert len(calls) == 1
+            assert not calls
             box_slow, _ = slow.track(frame)
-            assert len(calls) == 3
+            assert len(calls) == 2
             assert box_fast == box_slow
             f, s = fast.state.online_filter, slow.state.online_filter
             assert np.array_equal(f.w2, s.w2)
@@ -473,7 +478,7 @@ class TestPluginProperty:
             raise AssertionError("online path invoked in offline mode")
 
         for name in ("online_forward", "solve_cg", "update_memory", "blend",
-                     "hadamard_mixing", "project", "project_memory"):
+                     "project_memory"):
             monkeypatch.setattr(tracker_mod, name, boom)
         tracker = Tracker(model, config)
         state = tracker.init(frames[0], boxes[0])
